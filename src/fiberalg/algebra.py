@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from numbers import Number
 
 import numpy as np
@@ -33,6 +33,7 @@ __all__ = [
     "Idempotent",
     "basis_sign",
     "multiply",
+    "multiply_coeffs",
     "idempotent_half",
     "idempotent_pair",
     "right_project",
@@ -96,20 +97,30 @@ class Signature:
         """Signature of the two-slot product algebra (generators repeated)."""
         return Signature(self.squares + self.squares)
 
-    @cached_property
+    @property
     def sign_table(self) -> np.ndarray:
-        """``sign_table[S, T]`` is the product of squares over ``S & T``."""
-        dim = self.dim
-        table = np.ones((dim, dim), dtype=np.int8)
-        for s in range(dim):
-            for t in range(dim):
-                shared = s & t
-                sign = 1
-                for i, square in enumerate(self.squares):
-                    if shared >> i & 1 and square < 0:
-                        sign = -sign
-                table[s, t] = sign
-        return table
+        """``sign_table[S, T]`` is the product of squares over ``S & T`` (read-only)."""
+        return _product_tables(self.squares)[0]
+
+
+@lru_cache(maxsize=None)
+def _product_tables(squares: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Sign table and product gather rows of one signature, built once.
+
+    The sign table is the Kronecker product of one ``[[1, 1], [1, square]]``
+    table per generator, generator 1 on the lowest bit.  Row
+    ``gather[s, k]`` of the stacked ``[b, -b]`` is ``sign(s, s ^ k) * b[s ^ k]``,
+    the partner of ``a[s]`` in ``out[k]``.
+    """
+    table = np.ones((1, 1), dtype=np.int8)
+    for square in squares:
+        table = np.kron(np.array([[1, 1], [1, square]], dtype=np.int8), table)
+    dim = len(table)
+    partners = np.arange(dim)[:, None] ^ np.arange(dim)
+    gather = partners + dim * (np.take_along_axis(table, partners, axis=1) < 0)
+    table.setflags(write=False)
+    gather.setflags(write=False)
+    return table, gather
 
 
 def _check_mask(signature: Signature, mask: int) -> int:
@@ -132,10 +143,11 @@ def basis_sign(left_mask: int, right_mask: int, signature: Signature) -> int:
     return int(signature.sign_table[left_mask, right_mask])
 
 
-def _coerce_coeffs(values, dim: int) -> np.ndarray:
+def _coerce_coeffs(values, shape: tuple[int, ...]) -> np.ndarray:
+    """A read-only float64 (or exact object) copy of ``values``."""
     arr = np.asarray(values)
-    if arr.shape != (dim,):
-        raise ValueError(f"expected {dim} coefficients, got shape {arr.shape}")
+    if arr.shape != shape:
+        raise ValueError(f"expected {' x '.join(map(str, shape))} coefficients, got shape {arr.shape}")
     if arr.dtype == object:
         arr = arr.copy()
     else:
@@ -162,7 +174,7 @@ class AlgebraElement:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _coerce_coeffs(self.coeffs, self.signature.dim))
+        object.__setattr__(self, "coeffs", _coerce_coeffs(self.coeffs, (self.signature.dim,)))
 
     @classmethod
     def zero(cls, signature: Signature, exact: bool = False) -> AlgebraElement:
@@ -253,23 +265,46 @@ class AlgebraElement:
         return f"AlgebraElement({self.signature}, [{', '.join(str(c) for c in self.coeffs)}])"
 
 
+def multiply_coeffs(signature: Signature, a, b) -> np.ndarray:
+    """Row-wise algebra product of coefficient arrays over the last axis.
+
+    Either side is one element ``(dim,)`` or a batch ``(..., dim)``; the
+    batch shapes broadcast.  Each output coefficient ``out[k]`` adds the
+    terms ``a[s] * sign(s, s ^ k) * b[s ^ k]`` in ascending ``s`` from
+    zero, skipping each ``s`` whose column of ``a`` is all zero, so a
+    batch row and a single product give the same bits.  Object
+    (``Fraction``) inputs stay exact.
+    """
+    table, gather = _product_tables(signature.squares)
+    dim = len(table)
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape[-1:] != (dim,) or b.shape[-1:] != (dim,):
+        raise ValueError(
+            f"expected {dim} coefficients on the last axis, got shapes {a.shape} and {b.shape}"
+        )
+    batch = ()
+    nonzero = a
+    if a.ndim > 1 or b.ndim > 1:
+        # Basis axis first and contiguous: a[s] is one batch row, and
+        # out[k] the batch of coefficient k.
+        batch = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+        a = np.ascontiguousarray(np.moveaxis(a, -1, 0))
+        b = np.ascontiguousarray(np.moveaxis(b, -1, 0))
+        b = b.reshape((dim,) + (1,) * (len(batch) - b.ndim + 1) + b.shape[1:])
+        nonzero = (a != 0).reshape(dim, -1).any(axis=1)
+    signed = np.concatenate([b, -b])
+    out = np.zeros((dim,) + batch, dtype=object if object in (a.dtype, b.dtype) else np.float64)
+    term = np.empty_like(out)
+    for s in np.flatnonzero(nonzero):
+        np.multiply(a[s], signed[gather[s]], out=term)
+        out += term
+    return np.moveaxis(out, 0, -1) if batch else out
+
+
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Algebra product, the bilinear extension of the basis product rule."""
     a._require_same_signature(b)
-    sig = a.signature
-    dim = sig.dim
-    table = sig.sign_table
-    masks = np.arange(dim)
-    exact = a.exact or b.exact
-    out = np.zeros(dim, dtype=object) if exact else np.zeros(dim)
-    bc = b.coeffs
-    for s in range(dim):
-        cs = a.coeffs[s]
-        if cs == 0:
-            continue
-        # s ^ masks is a permutation, so the fancy index never repeats.
-        out[s ^ masks] = out[s ^ masks] + cs * (table[s] * bc)
-    return AlgebraElement(sig, out)
+    return AlgebraElement(a.signature, multiply_coeffs(a.signature, a.coeffs, b.coeffs))
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,8 @@ transformation, and ``trajectory`` integrates the free-particle action.
 Reports are emitted as one JSON document per invocation (``--format
 csv`` and ``--format pretty`` flatten the same payload).  Output is
 byte-deterministic for a fixed invocation including the seed.  Exit
-codes: 0 success, 1 property or tolerance failure, 2 usage error.
+codes: 0 success, 1 property or tolerance failure, 2 usage error, which
+includes non-finite number arguments and results beyond the float range.
 
 Signatures are written as '+'/'-' strings ('++' is the fiber algebra).
 Because a leading '-' reads as a flag, signatures that start with a
@@ -25,6 +26,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .algebra import AlgebraElement, Signature
 from .fiber import (
     EUCLIDEAN_FIBER_SIGNATURE,
@@ -37,6 +40,7 @@ from .fiber import (
     decompose_d2,
     decompose_euclidean,
     factorize,
+    is_min_action,
     trajectory_action,
     transform,
 )
@@ -58,13 +62,23 @@ def _signature_arg(text: str) -> Signature:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("json", "csv", "pretty"), default="json", help="output format"
     )
     common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed for sweeps")
-    common.add_argument("--tol", type=float, default=None, help="tolerance override")
+    common.add_argument("--tol", type=_finite_float, default=None, help="tolerance override")
     common.add_argument("--samples", type=int, default=None, help="sample count for sweeps")
 
     parser = argparse.ArgumentParser(
@@ -76,23 +90,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", parents=[common], help="decompose one element")
     p.add_argument("signature", type=_signature_arg, help="signature string, e.g. ++")
-    p.add_argument("coeffs", nargs="*", type=float, help="coefficients in subset-bitmask order")
+    p.add_argument("coeffs", nargs="*", type=_finite_float, help="coefficients in subset-bitmask order")
     p.add_argument("--labels", action="store_true", help="print the basis order and exit")
 
     p = sub.add_parser("verify", parents=[common], help="run the identity sweeps")
     p.add_argument("signature", type=_signature_arg)
     p.add_argument("samples_pos", nargs="?", type=int, metavar="samples")
     p.add_argument("seed_pos", nargs="?", type=int, metavar="seed")
-    p.add_argument("tol_pos", nargs="?", type=float, metavar="tol")
+    p.add_argument("tol_pos", nargs="?", type=_finite_float, metavar="tol")
 
     p = sub.add_parser("boost", parents=[common], help="decompose before and after a boost")
     p.add_argument("signature", type=_signature_arg)
-    p.add_argument("values", nargs="+", type=float, help="coefficients followed by the rapidity")
+    p.add_argument("values", nargs="+", type=_finite_float, help="coefficients followed by the rapidity")
 
     p = sub.add_parser("trajectory", parents=[common], help="integrate the free-particle action")
-    p.add_argument("mass", type=float)
-    p.add_argument("rapidity", type=float)
-    p.add_argument("span", type=float)
+    p.add_argument("mass", type=_finite_float)
+    p.add_argument("rapidity", type=_finite_float)
+    p.add_argument("span", type=_finite_float)
     p.add_argument("steps", type=int)
     return parser
 
@@ -114,10 +128,18 @@ def _cross_dict(c) -> dict:
     }
 
 
-def _fiber_dict(dec, tol: float, coeffs: list[float]) -> dict:
-    x0 = coeffs[0]
-    minimal = abs(coeffs[0] * coeffs[3] - coeffs[1] * coeffs[2]) <= tol * sum(c * c for c in coeffs)
-    payload = {
+def _fiber_dict(element: AlgebraElement, tol: float) -> dict:
+    dec = decompose_d2(element)
+    minimal = is_min_action(element, tol)
+    factorization = None
+    if minimal and element.coefficient(0) != 0:
+        factors = factorize(element, tol)
+        factorization = {
+            "scale": factors.scale,
+            "factor_e1": [float(c) for c in factors.first.coeffs],
+            "factor_e2": [float(c) for c in factors.second.coeffs],
+        }
+    return {
         "tangent": _tangent_dict(dec.tangent),
         "momentum": _momentum_dict(dec.momentum),
         "cross": _cross_dict(dec.cross),
@@ -125,22 +147,7 @@ def _fiber_dict(dec, tol: float, coeffs: list[float]) -> dict:
         "residual": dec.min_action_residual,
         "minimal": minimal,
         "causal_class": classify_causal(dec.tangent, tol).value,
-    }
-    if minimal and x0 != 0:
-        factorization = factorize_payload(coeffs)
-        payload["factorization"] = factorization
-    else:
-        payload["factorization"] = None
-    return payload
-
-
-def factorize_payload(coeffs: list[float]) -> dict:
-    element = AlgebraElement(FIBER_SIGNATURE, coeffs)
-    factorization = factorize(element)
-    return {
-        "scale": factorization.scale,
-        "factor_e1": [float(c) for c in factorization.first.coeffs],
-        "factor_e2": [float(c) for c in factorization.second.coeffs],
+        "factorization": factorization,
     }
 
 
@@ -182,7 +189,7 @@ def _decompose_payload(signature: Signature, coeffs: list[float], tol: float) ->
         payload["tangent"] = _tangent_dict(triple)
         payload["causal_class"] = classify_causal(triple, tol).value
     elif signature == FIBER_SIGNATURE:
-        payload.update(_fiber_dict(decompose_d2(element), tol, coeffs))
+        payload.update(_fiber_dict(element, tol))
     elif signature == EUCLIDEAN_TANGENT_SIGNATURE:
         payload["components"] = _euclidean_plane_dict(decompose_euclidean(element))
     elif signature == EUCLIDEAN_FIBER_SIGNATURE:
@@ -312,17 +319,17 @@ def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, str]]:
                 for i, item in enumerate(value):
                     rows.extend(_flatten(item, f"{path}[{i}]."))
             else:
-                rows.append((path, json.dumps(value)))
+                rows.append((path, json.dumps(value, allow_nan=False)))
         elif isinstance(value, str):
             rows.append((path, value))
         else:
-            rows.append((path, json.dumps(value)))
+            rows.append((path, json.dumps(value, allow_nan=False)))
     return rows
 
 
 def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     rows = _flatten(payload)
     if fmt == "csv":
         buffer = io.StringIO()
@@ -343,8 +350,18 @@ def main(argv: list[str] | None = None) -> int:
         "boost": _cmd_boost,
         "trajectory": _cmd_trajectory,
     }
-    payload, code = handlers[args.command](args, parser)
-    sys.stdout.write(_render(payload, args.format))
+    out_of_range = f"{parser.prog}: error: result out of float range: {{}}\n"
+    try:
+        # Out-of-range results end in exit 2 here, not in numpy warnings.
+        with np.errstate(all="ignore"):
+            payload, code = handlers[args.command](args, parser)
+    except OverflowError as exc:
+        parser.exit(2, out_of_range.format(exc))
+    try:
+        text = _render(payload, args.format)
+    except ValueError as exc:  # allow_nan=False met an infinite or NaN result
+        parser.exit(2, out_of_range.format(exc))
+    sys.stdout.write(text)
     return code
 
 

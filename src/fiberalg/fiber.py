@@ -491,6 +491,16 @@ def tangent_component_basis(signature: Signature) -> ComponentBasis:
     return ComponentBasis(signature, tuple(r[0] for r in rows), tuple(r[1] for r in rows))
 
 
+def _fiber_sectors(signature: Signature) -> tuple[TensorElement, TensorElement, TensorElement]:
+    """The tangent, cross and momentum sector projectors of the split on e2."""
+    plus2, minus2 = idempotent_pair(0b10, signature)
+    return (
+        lift_projectors(plus2, plus2).element,
+        mixed_projector(plus2, minus2).element,
+        lift_projectors(minus2, minus2).element,
+    )
+
+
 @lru_cache(maxsize=None)
 def fiber_component_basis(signature: Signature) -> ComponentBasis:
     """Sector component carriers for two-generator fiber algebras.
@@ -503,10 +513,7 @@ def fiber_component_basis(signature: Signature) -> ComponentBasis:
         raise ValueError(
             f"fiber basis needs two generators with e2**2 == +1, got signature {signature}"
         )
-    plus2, minus2 = idempotent_pair(0b10, signature)
-    sector_tt = lift_projectors(plus2, plus2).element
-    sector_mm = lift_projectors(minus2, minus2).element
-    sector_cross = mixed_projector(plus2, minus2).element
+    sector_tt, sector_cross, sector_mm = _fiber_sectors(signature)
     left_plus = diagonal_projector(signature, 0b01, +1).element
     left_minus = diagonal_projector(signature, 0b01, -1).element
     e1_bar = basis_pair(signature, 0, 0b01)

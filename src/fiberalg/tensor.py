@@ -27,8 +27,9 @@ from .algebra import (
     Idempotent,
     Signature,
     _check_mask,
+    _coerce_coeffs,
     _zero_values,
-    multiply,
+    multiply_coeffs,
 )
 
 __all__ = [
@@ -48,20 +49,6 @@ __all__ = [
     "ComponentBasis",
 ]
 
-PROJECTOR_ATOL = 1e-14
-
-
-def _coerce_grid(values, dim: int) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.shape != (dim, dim):
-        raise ValueError(f"expected a {dim} x {dim} coefficient grid, got shape {arr.shape}")
-    if arr.dtype == object:
-        arr = arr.copy()
-    else:
-        arr = arr.astype(np.float64, copy=True)
-    arr.setflags(write=False)
-    return arr
-
 
 @dataclass(frozen=True, eq=False)
 class TensorElement:
@@ -71,7 +58,7 @@ class TensorElement:
     grid: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "grid", _coerce_grid(self.grid, self.signature.dim))
+        object.__setattr__(self, "grid", _coerce_coeffs(self.grid, (self.signature.dim,) * 2))
 
     @property
     def exact(self) -> bool:
@@ -134,10 +121,7 @@ def square_embed(x: AlgebraElement) -> TensorElement:
 
 
 def tensor_identity(signature: Signature, exact: bool = False) -> TensorElement:
-    values = _zero_values(signature.dim * signature.dim, exact)
-    values[0] = Fraction(1) if exact else 1.0
-    grid = np.array(values, dtype=object if exact else None).reshape(signature.dim, signature.dim)
-    return TensorElement(signature, grid)
+    return basis_pair(signature, 0, 0, exact=exact)
 
 
 def basis_pair(signature: Signature, left_mask: int, right_mask: int, exact: bool = False) -> TensorElement:
@@ -158,12 +142,8 @@ def diagonal(signature: Signature, mask: int, exact: bool = False) -> TensorElem
 def tensor_multiply(a: TensorElement, b: TensorElement) -> TensorElement:
     """Product in the two-slot algebra, slotwise through the base rule."""
     a._require_same_signature(b)
-    doubled = a.signature.doubled()
-    left = AlgebraElement(doubled, a.grid.ravel())
-    right = AlgebraElement(doubled, b.grid.ravel())
-    flat = multiply(left, right).coeffs
-    dim = a.signature.dim
-    return TensorElement(a.signature, flat.reshape(dim, dim))
+    flat = multiply_coeffs(a.signature.doubled(), a.grid.ravel(), b.grid.ravel())
+    return TensorElement(a.signature, flat.reshape(a.grid.shape))
 
 
 def extract(t: TensorElement, left_mask: int, right_mask: int):
@@ -180,15 +160,8 @@ class TensorProjector:
     element: TensorElement
 
     def __post_init__(self) -> None:
-        p = self.element
-        square = tensor_multiply(p, p)
-        if p.exact:
-            if not np.array_equal(square.grid, p.grid):
-                raise ValueError("tensor element is not idempotent")
-        else:
-            deviation = float(np.max(np.abs(square.grid - p.grid)))
-            if deviation > PROJECTOR_ATOL:
-                raise ValueError(f"tensor element is not idempotent: max |p*p - p| = {deviation:.3e}")
+        # The two-slot algebra is the algebra of the doubled signature.
+        Idempotent(AlgebraElement(self.signature.doubled(), self.element.grid.ravel()))
 
     @property
     def signature(self) -> Signature:
@@ -256,11 +229,9 @@ class ComponentBasis:
     def __post_init__(self) -> None:
         if len(self.names) != len(self.tensors):
             raise ValueError("one name per basis tensor is required")
-        k = len(self.tensors)
-        gram = np.zeros((k, k))
-        for i, left in enumerate(self.tensors):
-            for j, right in enumerate(self.tensors):
-                gram[i, j] = float(trace_pairing(left, right))
+        # Every trace pairing <b_i, b_j> at once: the 1 (x) 1 coefficient of b_i b_j.
+        grids = np.stack([t.grid.ravel() for t in self.tensors])
+        gram = multiply_coeffs(self.signature.doubled(), grids[:, None], grids)[..., 0].astype(np.float64)
         scale = float(np.max(np.abs(np.diag(gram))))
         if scale == 0.0:
             raise ValueError("component basis contains a null tensor")
@@ -270,10 +241,8 @@ class ComponentBasis:
         if np.min(np.abs(np.diag(gram))) <= 1e-12 * scale:
             raise ValueError("component basis contains a tensor with vanishing self-pairing")
 
-        diag_signs = self.signature.sign_table.diagonal().astype(np.float64)
-        weight = np.outer(diag_signs, diag_signs)
         flat = np.stack([np.asarray(t.grid, dtype=np.float64).ravel() for t in self.tensors])
-        dual = flat * weight.ravel() / np.diag(gram)[:, None]
+        dual = flat * self.signature.doubled().sign_table.diagonal() / np.diag(gram)[:, None]
         object.__setattr__(self, "_flat", flat)
         object.__setattr__(self, "_dual", dual)
 

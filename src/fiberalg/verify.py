@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, Signature, idempotent_pair, multiply
+from .algebra import AlgebraElement, Signature, idempotent_pair, multiply, multiply_coeffs
 from .fiber import (
     EUCLIDEAN_FIBER_SIGNATURE,
     EUCLIDEAN_TANGENT_SIGNATURE,
@@ -27,18 +27,14 @@ from .fiber import (
     MomentumTriple,
     TangentTriple,
     _fiber_parts,
+    _fiber_sectors,
     _tangent_parts,
     factorize,
     fiber_component_basis,
     lift_kinematics,
     tangent_component_basis,
 )
-from .tensor import (
-    lift_projectors,
-    mixed_projector,
-    tensor_identity,
-    tensor_multiply,
-)
+from .tensor import tensor_identity, tensor_multiply
 
 __all__ = ["PropertyResult", "VerificationReport", "run_verification"]
 
@@ -104,25 +100,6 @@ def _rel(diff: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return out
 
 
-def _batch_multiply(signature: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise algebra product of two (N, dim) coefficient batches.
-
-    ``b`` may also be a single (dim,) element applied to every row.
-    """
-    dim = signature.dim
-    table = signature.sign_table
-    constant = b.ndim == 1
-    out = np.zeros_like(a)
-    for s in range(dim):
-        col = a[:, s]
-        for t in range(dim):
-            bt = b[t] if constant else b[:, t]
-            if constant and bt == 0:
-                continue
-            out[:, s ^ t] += col * (float(table[s, t]) * bt)
-    return out
-
-
 def _embed_flat(coeffs: np.ndarray) -> np.ndarray:
     """Row-major flattened grids of x (x) x for a batch of elements."""
     n, dim = coeffs.shape
@@ -150,12 +127,12 @@ def _check_product_laws(sig: Signature, rng, samples: int, tol: float) -> Proper
     a = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (n, dim))
     b = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (n, dim))
     c = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (n, dim))
-    ab = _batch_multiply(sig, a, b)
-    assoc = _batch_multiply(sig, ab, c) - _batch_multiply(sig, a, _batch_multiply(sig, b, c))
-    comm = ab - _batch_multiply(sig, b, a)
+    ab = multiply_coeffs(sig, a, b)
+    assoc = multiply_coeffs(sig, ab, c) - multiply_coeffs(sig, a, multiply_coeffs(sig, b, c))
+    comm = ab - multiply_coeffs(sig, b, a)
     one = np.zeros(dim)
     one[0] = 1.0
-    ident = _batch_multiply(sig, a, one) - a
+    ident = multiply_coeffs(sig, a, one) - a
     scale = np.max(np.abs(ab), axis=1) * np.max(np.abs(c), axis=1) + 1.0
     worst_abs = max(float(np.max(np.abs(assoc))), float(np.max(np.abs(comm))), float(np.max(np.abs(ident))))
     worst_rel = max(
@@ -182,12 +159,7 @@ def _check_projector_algebra(sig: Signature, rng, samples: int, tol: float) -> P
                 worst = max(worst, float(max(abs(v) for v in elem.coeffs)))
                 checks += 1
     if sig.n == 2 and sig.squares[1] == 1:
-        plus2, minus2 = idempotent_pair(0b10, sig)
-        sectors = (
-            lift_projectors(plus2, plus2).element,
-            mixed_projector(plus2, minus2).element,
-            lift_projectors(minus2, minus2).element,
-        )
+        sectors = _fiber_sectors(sig)
         total = sectors[0] + sectors[1] + sectors[2] - tensor_identity(sig)
         worst = max(worst, float(np.max(np.abs(total.grid))))
         for i in range(3):
@@ -204,9 +176,8 @@ def _check_embed_homomorphism(sig: Signature, rng, samples: int, tol: float) -> 
     dim = sig.dim
     x = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (n, dim))
     u = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (n, dim))
-    doubled = sig.doubled()
-    lhs = _batch_multiply(doubled, _embed_flat(x), _embed_flat(u))
-    rhs = _embed_flat(_batch_multiply(sig, x, u))
+    lhs = multiply_coeffs(sig.doubled(), _embed_flat(x), _embed_flat(u))
+    rhs = _embed_flat(multiply_coeffs(sig, x, u))
     diff = np.max(np.abs(lhs - rhs), axis=1)
     scale = np.max(np.abs(rhs), axis=1) + 1.0
     return _result(
@@ -218,16 +189,9 @@ def _check_sector_completeness(sig: Signature, rng, samples: int, tol: float) ->
     dim = sig.dim
     x = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (samples, dim))
     flat = _embed_flat(x)
-    doubled = sig.doubled()
-    plus2, minus2 = idempotent_pair(0b10, sig)
-    sectors = (
-        lift_projectors(plus2, plus2).element,
-        mixed_projector(plus2, minus2).element,
-        lift_projectors(minus2, minus2).element,
-    )
     total = np.zeros_like(flat)
-    for sector in sectors:
-        total += _batch_multiply(doubled, flat, np.asarray(sector.grid, dtype=np.float64).ravel())
+    for sector in _fiber_sectors(sig):
+        total += multiply_coeffs(sig.doubled(), flat, sector.grid.ravel())
     diff = np.max(np.abs(total - flat), axis=1)
     scale = np.max(np.abs(flat), axis=1)
     return _result(
@@ -261,7 +225,7 @@ def _check_tangent_boost(sig: Signature, rng, samples: int, tol: float) -> Prope
     x = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (samples, 2))
     phi = rng.uniform(-RAPIDITY_RANGE, RAPIDITY_RANGE, samples)
     u = np.stack([np.cosh(phi), np.sinh(phi)], axis=1)
-    xu = _batch_multiply(sig, x, u)
+    xu = multiply_coeffs(sig, x, u)
     dt0, dq0, ds0 = _tangent_parts(x[:, 0], x[:, 1])
     dt1, dq1, ds1 = _tangent_parts(xu[:, 0], xu[:, 1])
     ch, sh = np.cosh(2 * phi), np.sinh(2 * phi)
@@ -410,7 +374,7 @@ def _check_fiber_boost(sig: Signature, rng, samples: int, tol: float) -> Propert
     u = np.zeros((samples, 4))
     u[:, 0] = np.cosh(phi)
     u[:, 1] = np.sinh(phi)
-    xu = _batch_multiply(sig, x, u)
+    xu = multiply_coeffs(sig, x, u)
     f0 = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
     f1 = _fiber_parts(xu[:, 0], xu[:, 1], xu[:, 2], xu[:, 3])
     ch, sh = np.cosh(2 * phi), np.sinh(2 * phi)
@@ -508,7 +472,7 @@ def _check_plane_rotation(sig: Signature, rng, samples: int, tol: float) -> Prop
     x = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (samples, 2))
     theta = rng.uniform(-np.pi, np.pi, samples)
     u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    xu = _batch_multiply(sig, x, u)
+    xu = multiply_coeffs(sig, x, u)
     before = x[:, 0] ** 2 + x[:, 1] ** 2
     after = xu[:, 0] ** 2 + xu[:, 1] ** 2
     diff = after - before
@@ -572,7 +536,7 @@ def _check_euclidean_fiber_rotation(sig: Signature, rng, samples: int, tol: floa
     u = np.zeros((samples, 4))
     u[:, 0] = np.cos(theta)
     u[:, 1] = np.sin(theta)
-    xu = _batch_multiply(sig, x, u)
+    xu = multiply_coeffs(sig, x, u)
     basis = fiber_component_basis(sig)
     before = basis.components_batch(_embed_flat(x))
     after = basis.components_batch(_embed_flat(xu))

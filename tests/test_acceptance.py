@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fiberalg.algebra import AlgebraElement, Signature, basis_sign, idempotent_pair, multiply
+from fiberalg.algebra import AlgebraElement, Signature, basis_sign, idempotent_pair, multiply, multiply_coeffs
 from fiberalg.cli import main
 from fiberalg.fiber import (
     FIBER_SIGNATURE,
@@ -28,7 +28,7 @@ from fiberalg.fiber import (
     fiber_component_basis,
     trajectory_action,
 )
-from fiberalg.verify import _batch_multiply, _embed_flat
+from fiberalg.verify import _embed_flat
 
 from oracles import all_signatures, reference_basis_product
 
@@ -149,7 +149,7 @@ def _boost_pair_samples(count, seed):
     u = np.zeros((count, 4))
     u[:, 0] = np.cosh(phi)
     u[:, 1] = np.sinh(phi)
-    xu = _batch_multiply(FIBER_SIGNATURE, x, u)
+    xu = multiply_coeffs(FIBER_SIGNATURE, x, u)
     before = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
     after = _fiber_parts(xu[:, 0], xu[:, 1], xu[:, 2], xu[:, 3])
     return before, after, phi
@@ -239,7 +239,7 @@ def test_criterion_7_euclidean_invariance():
     x = rng.uniform(-10, 10, (1000, 2))
     theta = rng.uniform(-np.pi, np.pi, 1000)
     u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    xu = _batch_multiply(sig, x, u)
+    xu = multiply_coeffs(sig, x, u)
     before = x[:, 0] ** 2 + x[:, 1] ** 2
     after = xu[:, 0] ** 2 + xu[:, 1] ** 2
     worst = float(np.max(rel(after - before, np.maximum(before, after))))

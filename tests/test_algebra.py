@@ -15,6 +15,7 @@ from fiberalg.algebra import (
     idempotent_half,
     idempotent_pair,
     multiply,
+    multiply_coeffs,
     right_project,
 )
 
@@ -60,6 +61,21 @@ class TestSignature:
 
     def test_dim(self):
         assert Signature((1, 1, -1)).dim == 8
+
+
+    def test_doubled_sign_table_matches_reference(self):
+        for squares in all_signatures():
+            table = Signature(squares).doubled().sign_table
+            for s in range(len(table)):
+                for t in range(len(table)):
+                    assert table[s, t] == reference_basis_product(s, t, squares + squares)[0]
+
+    def test_sign_table_is_read_only_and_built_once(self):
+        table = Signature((1, -1, 1)).sign_table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = -1
+        assert Signature((1, -1, 1)).sign_table is table
 
 
 class TestBasisSign:
@@ -143,6 +159,37 @@ class TestMultiply:
             np.testing.assert_allclose(
                 multiply(xa, xb).coeffs, multiply(xb, xa).coeffs, atol=1e-13 * scale
             )
+
+    def test_coeffs_batches_match_reference(self):
+        rng = np.random.default_rng(3)
+        for squares in all_signatures():
+            sig = Signature(squares)
+            # Integer values keep every product exact, so rows compare equal.
+            a = rng.integers(-4, 5, (5, sig.dim)).astype(float)
+            b = rng.integers(-4, 5, (5, sig.dim)).astype(float)
+            cases = (
+                (multiply_coeffs(sig, a, b), list(zip(a, b))),
+                (multiply_coeffs(sig, a, b[0]), [(row, b[0]) for row in a]),
+                (multiply_coeffs(sig, a[0], b), [(a[0], row) for row in b]),
+            )
+            for got, pairs in cases:
+                assert got.shape == (5, sig.dim)
+                for row, (x, y) in zip(got, pairs):
+                    assert list(row) == reference_multiply(list(x), list(y), squares)
+
+    def test_coeffs_exact_batch_stays_exact(self):
+        sig = Signature((1, -1, 1))
+        a = np.array([[Fraction(i + s + 1, 3) for s in range(8)] for i in range(3)], dtype=object)
+        b = np.array([[Fraction(i - s, 5) for s in range(8)] for i in range(3)], dtype=object)
+        got = multiply_coeffs(sig, a, b)
+        assert got.dtype == object
+        for row, x, y in zip(got, a, b):
+            assert all(isinstance(c, Fraction) for c in row)
+            assert list(row) == reference_multiply(list(x), list(y), sig.squares)
+
+    def test_coeffs_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="expected 4 coefficients"):
+            multiply_coeffs(D2, np.zeros((2, 4)), np.zeros(3))
 
     def test_exact_stays_exact(self):
         x = element(D2, [2, 1, 1, Fraction(1, 2)], exact=True)

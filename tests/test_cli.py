@@ -102,6 +102,13 @@ class TestDecompose:
         assert code == 0
         assert payload["basis"] == ["1", "e1", "e2", "e12"]
 
+    def test_minimality_and_factorization_use_tol(self, capsys):
+        out, code = run_cli(["decompose", "++", "2", "1", "1", "0.5001", "--tol", "1e-3"], capsys)
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["minimal"] is True
+        assert payload["factorization"]["scale"] == 0.5
+
     def test_wrong_arity_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["decompose", "++", "1", "0", "0"])
@@ -116,6 +123,30 @@ class TestDecompose:
         with pytest.raises(SystemExit) as err:
             main(["decompose", "+++", "1", "0", "0", "0", "0", "0", "0", "0"])
         assert err.value.code == 2
+
+
+# Non-finite input, and results beyond the float range.
+BOUNDARY_CALLS = [
+    ["decompose", "++", "nan", "1", "1", "1"],
+    ["decompose", "++", "inf", "1", "1", "1"],
+    ["trajectory", "1", "nan", "1", "10"],
+    ["verify", "++", "10", "0", "nan"],
+    ["boost", "++", "1", "0", "0", "0", "1000"],
+    ["boost", "++", "1", "0", "0", "0", "400"],
+    ["decompose", "++", "1e160", "1", "1", "1"],
+    ["decompose", "++", "1e200", "1", "1", "1"],
+    ["decompose", "m+", "1e200", "1", "1", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", BOUNDARY_CALLS, ids=" ".join)
+def test_boundary_call_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    out, stderr = capsys.readouterr()
+    assert err.value.code == 2
+    assert out == ""
+    assert "Traceback" not in stderr
 
 
 class TestVerify:
