@@ -269,11 +269,18 @@ def multiply_coeffs(signature: Signature, a, b) -> np.ndarray:
     """Row-wise algebra product of coefficient arrays over the last axis.
 
     Either side is one element ``(dim,)`` or a batch ``(..., dim)``; the
-    batch shapes broadcast.  Each output coefficient ``out[k]`` adds the
-    terms ``a[s] * sign(s, s ^ k) * b[s ^ k]`` in ascending ``s`` from
-    zero, skipping each ``s`` whose column of ``a`` is all zero, so a
-    batch row and a single product give the same bits.  Object
-    (``Fraction``) inputs stay exact.
+    batch shapes broadcast.  The result is ``object`` if either side is,
+    so ``Fraction`` inputs stay exact, and float64 otherwise.
+
+    When exactly one side is a single element ``f``, the product is the
+    batch times the multiplication matrix ``L(f)``, whose row ``s`` is
+    ``e_s * f``; the algebra commutes, so ``f`` may sit on either side.
+    That matmul may round differently from the term-by-term sum below.
+
+    Otherwise (one times one, batch times batch) each output coefficient
+    ``out[k]`` adds the terms ``a[s] * sign(s, s ^ k) * b[s ^ k]`` in
+    ascending ``s`` from zero, skipping each ``s`` whose column of ``a``
+    is all zero, so a batch row and a single product give the same bits.
     """
     table, gather = _product_tables(signature.squares)
     dim = len(table)
@@ -282,6 +289,11 @@ def multiply_coeffs(signature: Signature, a, b) -> np.ndarray:
         raise ValueError(
             f"expected {dim} coefficients on the last axis, got shapes {a.shape} and {b.shape}"
         )
+    dtype = object if object in (a.dtype, b.dtype) else np.float64
+    if (a.ndim == 1) != (b.ndim == 1):
+        fixed, rows = (a, b) if a.ndim == 1 else (b, a)
+        fixed = fixed.astype(dtype, copy=False)
+        return rows.astype(dtype, copy=False) @ np.concatenate([fixed, -fixed])[gather]
     batch = ()
     nonzero = a
     if a.ndim > 1 or b.ndim > 1:
@@ -293,7 +305,7 @@ def multiply_coeffs(signature: Signature, a, b) -> np.ndarray:
         b = b.reshape((dim,) + (1,) * (len(batch) - b.ndim + 1) + b.shape[1:])
         nonzero = (a != 0).reshape(dim, -1).any(axis=1)
     signed = np.concatenate([b, -b])
-    out = np.zeros((dim,) + batch, dtype=object if object in (a.dtype, b.dtype) else np.float64)
+    out = np.zeros((dim,) + batch, dtype=dtype)
     term = np.empty_like(out)
     for s in np.flatnonzero(nonzero):
         np.multiply(a[s], signed[gather[s]], out=term)

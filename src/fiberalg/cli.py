@@ -229,9 +229,10 @@ def _cmd_verify(args, parser) -> tuple[dict, int]:
     tol = args.tol_pos if args.tol_pos is not None else args.tol
     samples = samples if samples is not None else DEFAULT_SAMPLES
     tol = tol if tol is not None else DEFAULT_TOL
-    if samples < 1:
-        parser.error(f"samples must be at least 1, got {samples}")
-    report = run_verification(args.signature, samples, seed, tol)
+    try:
+        report = run_verification(args.signature, samples, seed, tol)
+    except ValueError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     payload = {"schema_version": SCHEMA_VERSION, "command": "verify"}
     payload.update(report.to_dict())
     return payload, 0 if report.passed else 1

@@ -41,6 +41,10 @@ __all__ = ["PropertyResult", "VerificationReport", "run_verification"]
 COEFF_RANGE = 10.0
 RAPIDITY_RANGE = 3.0
 LOOP_CAP = 20000
+# The embed sweeps multiply over the doubled signature, whose cached
+# product tables hold (4**n)**2 entries: 128 MiB of gather indices at six
+# generators, 2 GiB at seven.
+MAX_GENERATORS = 6
 
 # Thresholds of the three-way minimum-action equivalence.
 RESIDUAL_GATE = 1e-20
@@ -246,11 +250,12 @@ def _check_tangent_boost(sig: Signature, rng, samples: int, tol: float) -> Prope
 def _check_tangent_oracle(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
     x = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (samples, 2))
     basis = tangent_component_basis(sig)
-    comps = basis.components_batch(_embed_flat(x))
+    flat = _embed_flat(x)
+    comps = basis.components_batch(flat)
     dt, dq, ds = _tangent_parts(x[:, 0], x[:, 1])
     closed = np.stack([dt, dq, ds], axis=1)
     diff = np.max(np.abs(comps - closed), axis=1)
-    recon = basis.reconstruction_residual_batch(_embed_flat(x))
+    recon = basis.reconstruction_residual_batch(flat)
     scale = dt + 1.0
     worst = np.maximum(diff, recon)
     return _result(
@@ -606,10 +611,15 @@ def run_verification(signature: Signature | str, samples: int, seed: int, tol: f
 
     Deterministic for a fixed (signature, samples, seed, tol): each
     property draws from its own seed stream, so adding or removing
-    properties never perturbs the others.
+    properties never perturbs the others.  Raises ``ValueError`` for
+    more than ``MAX_GENERATORS`` generators, before any table is built.
     """
     if isinstance(signature, str):
         signature = Signature.from_string(signature)
+    if signature.n > MAX_GENERATORS:
+        raise ValueError(
+            f"verify supports at most {MAX_GENERATORS} generators, got {signature.n} in {signature}"
+        )
     samples = int(samples)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")

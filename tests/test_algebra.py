@@ -171,9 +171,11 @@ class TestMultiply:
                 (multiply_coeffs(sig, a, b), list(zip(a, b))),
                 (multiply_coeffs(sig, a, b[0]), [(row, b[0]) for row in a]),
                 (multiply_coeffs(sig, a[0], b), [(a[0], row) for row in b]),
+                (multiply_coeffs(sig, a.astype(int), b[0].astype(int)), [(row, b[0]) for row in a]),
             )
             for got, pairs in cases:
                 assert got.shape == (5, sig.dim)
+                assert got.dtype == np.float64
                 for row, (x, y) in zip(got, pairs):
                     assert list(row) == reference_multiply(list(x), list(y), squares)
 
@@ -181,11 +183,43 @@ class TestMultiply:
         sig = Signature((1, -1, 1))
         a = np.array([[Fraction(i + s + 1, 3) for s in range(8)] for i in range(3)], dtype=object)
         b = np.array([[Fraction(i - s, 5) for s in range(8)] for i in range(3)], dtype=object)
-        got = multiply_coeffs(sig, a, b)
-        assert got.dtype == object
-        for row, x, y in zip(got, a, b):
-            assert all(isinstance(c, Fraction) for c in row)
-            assert list(row) == reference_multiply(list(x), list(y), sig.squares)
+        stacked = multiply_coeffs(sig, a[:, None, :], b[0])
+        assert stacked.shape == (3, 1, 8)
+        cases = (
+            (multiply_coeffs(sig, a, b), list(zip(a, b))),
+            (multiply_coeffs(sig, a, b[0]), [(row, b[0]) for row in a]),
+            (multiply_coeffs(sig, b[0], a), [(b[0], row) for row in a]),
+            (stacked.reshape(3, 8), [(row, b[0]) for row in a]),
+        )
+        for got, pairs in cases:
+            assert got.dtype == object
+            for row, (x, y) in zip(got, pairs):
+                assert all(isinstance(c, Fraction) for c in row)
+                assert list(row) == reference_multiply(list(x), list(y), sig.squares)
+
+    def test_coeffs_float_one_side_fixed_within_rounding(self):
+        rng = np.random.default_rng(5)
+        for squares in all_signatures():
+            sig = Signature(squares)
+            a = rng.uniform(-10, 10, (20, sig.dim))
+            f = rng.uniform(-10, 10, sig.dim)
+            # Each output coefficient sums dim terms; bound the rounding of
+            # that sum by the sum of the terms' magnitudes.
+            bound = 4 * sig.dim * np.finfo(float).eps * np.abs(a).sum(axis=1) * np.abs(f).sum()
+            for got in (multiply_coeffs(sig, a, f), multiply_coeffs(sig, f, a)):
+                for row, x, slack in zip(got, a, bound):
+                    want = reference_multiply(list(x), list(f), squares)
+                    assert np.max(np.abs(row - want)) <= slack
+
+    def test_coeffs_batch_row_matches_single_product_bits(self):
+        rng = np.random.default_rng(7)
+        for squares in all_signatures():
+            sig = Signature(squares)
+            a = rng.uniform(-10, 10, (6, sig.dim))
+            b = rng.uniform(-10, 10, (6, sig.dim))
+            got = multiply_coeffs(sig, a, b)
+            for row, x, y in zip(got, a, b):
+                assert row.tobytes() == multiply_coeffs(sig, x, y).tobytes()
 
     def test_coeffs_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="expected 4 coefficients"):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from fiberalg import algebra
 from fiberalg.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -39,6 +40,14 @@ class TestGolden:
         second = run_process(["decompose", "++", "2", "1", "1", "0.5"])
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode == 0
+
+    @pytest.mark.parametrize(
+        "signature, fixture", [("++", "verify_pp.json"), ("m+", "verify_mp.json")]
+    )
+    def test_verify_fixture_bytes(self, signature, fixture, capsys):
+        out, code = run_cli(["verify", signature, "2000", "0"], capsys)
+        assert code == 0
+        assert out == (GOLDEN / fixture).read_text()
 
     def test_verify_deterministic_with_seed(self, capsys):
         argv = ["verify", "++", "300", "42", "1e-10"]
@@ -173,6 +182,16 @@ class TestVerify:
         with pytest.raises(SystemExit) as err:
             main(["verify", "++", "0", "1", "1e-10"])
         assert err.value.code == 2
+
+    def test_too_many_generators_exits_2(self, capsys):
+        cached = algebra._product_tables.cache_info().currsize
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "+++++++", "10", "0"])
+        out, stderr = capsys.readouterr()
+        assert err.value.code == 2
+        assert out == ""
+        assert stderr == "fiberalg: error: verify supports at most 6 generators, got 7 in +++++++\n"
+        assert algebra._product_tables.cache_info().currsize == cached
 
     def test_impossible_tolerance_exits_1(self, capsys):
         out, code = run_cli(["verify", "++", "200", "1", "1e-30"], capsys)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fiberalg import algebra
 from fiberalg.verify import run_verification
 
 
@@ -77,6 +78,12 @@ class TestFailureWiring:
     def test_bad_samples_rejected(self):
         with pytest.raises(ValueError, match="samples must be"):
             run_verification("++", 0, 7, 1e-10)
+
+    def test_too_many_generators_rejected_before_tables(self):
+        cached = algebra._product_tables.cache_info().currsize
+        with pytest.raises(ValueError, match="at most 6 generators, got 7"):
+            run_verification("+++++++", 10, 0, 1e-10)
+        assert algebra._product_tables.cache_info().currsize == cached
 
 
 class TestReportShape:
