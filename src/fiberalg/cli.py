@@ -35,6 +35,7 @@ from .fiber import (
     FIBER_SIGNATURE,
     TANGENT_SIGNATURE,
     boost_element,
+    boost_residuals,
     classify_causal,
     decompose_c2,
     decompose_d2,
@@ -259,31 +260,8 @@ def _cmd_boost(args, parser) -> tuple[dict, int]:
         "rapidity": rapidity,
         "before": _decompose_payload(signature, coeffs, tol),
         "after": _decompose_payload(signature, [float(c) for c in boosted.coeffs], tol),
+        "residuals": boost_residuals(element, rapidity),
     }
-    ch, sh = math.cosh(2 * rapidity), math.sinh(2 * rapidity)
-    before, after = payload["before"], payload["after"]
-    if signature == TANGENT_SIGNATURE:
-        t0, t1 = before["tangent"], after["tangent"]
-        payload["residuals"] = {
-            "ds_dlambda": abs(t1["ds_dlambda"] - t0["ds_dlambda"]),
-            "matrix_dt": abs(t1["dt_dlambda"] - (ch * t0["dt_dlambda"] + sh * t0["dq_dlambda"])),
-            "matrix_dq": abs(t1["dq_dlambda"] - (sh * t0["dt_dlambda"] + ch * t0["dq_dlambda"])),
-        }
-    else:
-        t0, t1 = before["tangent"], after["tangent"]
-        m0, m1 = before["momentum"], after["momentum"]
-        c0, c1 = before["cross"], after["cross"]
-        payload["residuals"] = {
-            "ds_dlambda": abs(t1["ds_dlambda"] - t0["ds_dlambda"]),
-            "m": abs(m1["m"] - m0["m"]),
-            "dS_dlambda": abs(after["dS_dlambda"] - before["dS_dlambda"]),
-            "c_minus_1": abs(c1["c_minus_1"] - c0["c_minus_1"]),
-            "c_minus_e12": abs(c1["c_minus_e12"] - c0["c_minus_e12"]),
-            "matrix_dt": abs(t1["dt_dlambda"] - (ch * t0["dt_dlambda"] + sh * t0["dq_dlambda"])),
-            "matrix_dq": abs(t1["dq_dlambda"] - (sh * t0["dt_dlambda"] + ch * t0["dq_dlambda"])),
-            "matrix_H": abs(m1["H"] - (ch * m0["H"] + sh * m0["p"])),
-            "matrix_p": abs(m1["p"] - (sh * m0["H"] + ch * m0["p"])),
-        }
     return payload, 0
 
 

@@ -15,9 +15,16 @@ transformation elements, a kinematics inverse, a free-particle action
 integral, and the Euclidean counterparts obtained when the first
 generator squares to -1.
 
-Every closed form has a projector twin (``*_projected``) computed purely
-through the coefficient-grid machinery in :mod:`fiberalg.tensor`; the
-twins act as the independent oracle in the verification sweeps.
+Every closed form has a projector twin computed purely through the
+coefficient-grid machinery in :mod:`fiberalg.tensor`, four pairs in all:
+``decompose_c2`` / ``decompose_c2_projected`` for ``+``, ``decompose_d2``
+/ ``decompose_d2_projected`` for ``++``, and ``decompose_euclidean`` /
+``decompose_euclidean_projected`` for ``-`` and ``-+``.  The twins act as
+the independent oracle in the verification sweeps.  The Euclidean pairs
+are relabelings: ``-`` and ``-+`` have the closed-form parts of ``+`` and
+``++`` under other names, and only the carriers shifted by e1 or e12
+change projector half.  One component table per generator count holds
+the name, half, shift and sector of every component for all four.
 """
 
 from __future__ import annotations
@@ -62,11 +69,13 @@ __all__ = [
     "decompose_euclidean",
     "decompose_c2_projected",
     "decompose_d2_projected",
+    "decompose_euclidean_projected",
     "euclidean_plane_projected",
     "is_min_action",
     "factorize",
     "transform",
     "boost_element",
+    "boost_residuals",
     "rotation_element",
     "lift_kinematics",
     "free_particle_element",
@@ -226,8 +235,8 @@ class _FiberParts(NamedTuple):
     c_plus_e1: object
     c_minus_1: object
     c_minus_e12: object
-    action_rate: object
-    residual: object
+    action_rate: object = None
+    residual: object = None
 
 
 def _tangent_parts(u, v) -> _TangentParts:
@@ -235,8 +244,12 @@ def _tangent_parts(u, v) -> _TangentParts:
     return _TangentParts(u * u + v * v, 2 * u * v, u * u - v * v)
 
 
-def _fiber_parts(x0, x1, x2, x3) -> _FiberParts:
-    """All sector components of the fiber decomposition; scalar or array."""
+def _sector_parts(x0, x1, x2, x3) -> _FiberParts:
+    """The ten sector components: split on e2, square each half, cross the halves.
+
+    Leaves the action rate and the residual unset; a square past the float
+    range there must not fail a decomposition that does not report them.
+    """
     a, b = x0 + x2, x1 + x3
     c, d = x0 - x2, x1 - x3
     dt, dq, ds = _tangent_parts(a, b)
@@ -245,9 +258,83 @@ def _fiber_parts(x0, x1, x2, x3) -> _FiberParts:
     cpe = c * b + d * a
     cm1 = c * a - d * b
     cme = c * b - d * a
-    action = momentum * dq - energy * dt
-    residual = 2 * (x0 * x3 - x1 * x2) ** 2
-    return _FiberParts(dt, dq, ds, energy, momentum, mass, cp1, cpe, cm1, cme, action, residual)
+    return _FiberParts(dt, dq, ds, energy, momentum, mass, cp1, cpe, cm1, cme)
+
+
+def _fiber_parts(x0, x1, x2, x3) -> _FiberParts:
+    """Sector components plus action rate and minimum-action residual; scalar or array."""
+    parts = _sector_parts(x0, x1, x2, x3)
+    action = parts.p * parts.dq - parts.H * parts.dt
+    return _FiberParts(*parts[:10], action, 2 * (x0 * x3 - x1 * x2) ** 2)
+
+
+# One component table per generator count, one row per component of
+# x (x) x: (closed-form part, which also names the component when
+# e1**2 == +1; its name when e1**2 == -1; the sign of its e1 projector
+# half when e1**2 == +1; the basis pair that shifts it; its sector).
+# Flipping the square of e1 is a relabeling: the parts stay the same
+# polynomials, and every carrier whose shift holds e1 moves to the other
+# projector half.  Sectors count tangent, momentum, cross.
+_TANGENT_TABLE = (
+    ("dt", "invariant", +1, 0b0, 0),
+    ("dq", "vec_e", +1, 0b1, 0),
+    ("ds", "vec_1", -1, 0b0, 0),
+)
+_FIBER_TABLE = (
+    ("dt", "tangent_invariant", +1, 0b00, 0),
+    ("dq", "tangent_vec_e1", +1, 0b01, 0),
+    ("ds", "tangent_vec_1", -1, 0b00, 0),
+    ("H", "momentum_invariant", +1, 0b00, 1),
+    ("p", "momentum_vec_e1", +1, 0b01, 1),
+    ("m", "momentum_vec_1", -1, 0b00, 1),
+    ("c_plus_1", "cross_invariant_1", +1, 0b00, 2),
+    ("c_plus_e1", "cross_vec_e1", +1, 0b01, 2),
+    ("c_minus_1", "cross_vec_1", -1, 0b00, 2),
+    ("c_minus_e12", "cross_invariant_e12", -1, 0b11, 2),
+)
+
+
+class _Component(NamedTuple):
+    name: str
+    part: str
+    half: int
+    shift: int
+    sector: int
+
+
+@lru_cache(maxsize=None)
+def _layout(signature: Signature) -> tuple[_Component, ...]:
+    """The components of x (x) x in the order of the signature's basis.
+
+    Each sector lists its plus projector half before its minus half, and
+    within a half the unshifted carrier first.
+    """
+    if signature.n == 1:
+        table = _TANGENT_TABLE
+    elif signature.n == 2 and signature.squares[1] == 1:
+        table = _FIBER_TABLE
+    else:
+        raise ValueError(
+            "component layout needs one generator, or two with e2**2 == +1, "
+            f"got signature {signature}"
+        )
+    e1_square = signature.squares[0]
+    rows = [
+        _Component(
+            part if e1_square == 1 else euclidean_name,
+            part,
+            half * e1_square if shift & 0b01 else half,
+            shift,
+            sector,
+        )
+        for part, euclidean_name, half, shift, sector in table
+    ]
+    return tuple(sorted(rows, key=lambda row: (row.sector, -row.half, row.shift)))
+
+
+def _parts(coeffs):
+    """Closed-form components of x (x) x; coefficients basis axis first, scalar or array."""
+    return _tangent_parts(*coeffs) if len(coeffs) == 2 else _sector_parts(*coeffs)
 
 
 def _require_signature(x: AlgebraElement, expected: Signature, what: str) -> None:
@@ -282,36 +369,44 @@ def decompose_d2(x: AlgebraElement) -> FiberDecomposition:
     )
 
 
+def _require_euclidean(x: AlgebraElement, what: str) -> None:
+    if x.signature not in (EUCLIDEAN_TANGENT_SIGNATURE, EUCLIDEAN_FIBER_SIGNATURE):
+        raise ValueError(
+            f"{what} requires signature {EUCLIDEAN_TANGENT_SIGNATURE} or "
+            f"{EUCLIDEAN_FIBER_SIGNATURE}, got {x.signature}"
+        )
+
+
+def _euclidean(signature: Signature, comps: dict):
+    """The Euclidean result for one or two generators, read from named components."""
+    if signature.n == 1:
+        return EuclideanComponents(comps["invariant"], comps["vec_e"], comps["vec_1"])
+    return EuclideanFiberDecomposition(
+        tangent=EuclideanSector(
+            comps["tangent_invariant"], comps["tangent_vec_1"], comps["tangent_vec_e1"]
+        ),
+        momentum=EuclideanSector(
+            comps["momentum_invariant"], comps["momentum_vec_1"], comps["momentum_vec_e1"]
+        ),
+        cross_invariant_1=comps["cross_invariant_1"],
+        cross_invariant_e12=comps["cross_invariant_e12"],
+        cross_vec_1=comps["cross_vec_1"],
+        cross_vec_e1=comps["cross_vec_e1"],
+    )
+
+
 def decompose_euclidean(x: AlgebraElement):
     """Euclidean counterpart decompositions.
 
     Accepts the one-generator algebra with square -1 (returns
     :class:`EuclideanComponents`) or the two-generator algebra with
-    squares (-1, +1) (returns :class:`EuclideanFiberDecomposition`,
-    extracted through the projector machinery).
+    squares (-1, +1) (returns :class:`EuclideanFiberDecomposition`).
+    The components are the closed-form parts of ``+`` and ``++`` under
+    their Euclidean names.
     """
-    if x.signature == EUCLIDEAN_TANGENT_SIGNATURE:
-        x0, x1 = _scalar_coeffs(x)
-        parts = _tangent_parts(x0, x1)
-        return EuclideanComponents(p_plus_1=parts.dt, p_plus_e=parts.dq, p_minus=parts.ds)
-    if x.signature == EUCLIDEAN_FIBER_SIGNATURE:
-        comps = fiber_component_basis(x.signature).components(square_embed(x))
-        return EuclideanFiberDecomposition(
-            tangent=EuclideanSector(
-                comps["tangent_invariant"], comps["tangent_vec_1"], comps["tangent_vec_e1"]
-            ),
-            momentum=EuclideanSector(
-                comps["momentum_invariant"], comps["momentum_vec_1"], comps["momentum_vec_e1"]
-            ),
-            cross_invariant_1=comps["cross_invariant_1"],
-            cross_invariant_e12=comps["cross_invariant_e12"],
-            cross_vec_1=comps["cross_vec_1"],
-            cross_vec_e1=comps["cross_vec_e1"],
-        )
-    raise ValueError(
-        f"decompose_euclidean requires signature {EUCLIDEAN_TANGENT_SIGNATURE} or "
-        f"{EUCLIDEAN_FIBER_SIGNATURE}, got {x.signature}"
-    )
+    _require_euclidean(x, "decompose_euclidean")
+    parts = _parts(_scalar_coeffs(x))
+    return _euclidean(x.signature, {c.name: getattr(parts, c.part) for c in _layout(x.signature)})
 
 
 def is_min_action(x: AlgebraElement, tol: float = MIN_ACTION_TOL) -> bool:
@@ -370,6 +465,32 @@ def boost_element(signature: Signature, rapidity: float) -> AlgebraElement:
     coeffs[0] = math.cosh(rapidity)
     coeffs[1] = math.sinh(rapidity)
     return AlgebraElement(signature, coeffs)
+
+
+def boost_residuals(x: AlgebraElement, rapidity: float) -> dict[str, float]:
+    """Gaps in the boost laws between x and x u, u = boost_element(rapidity); + or ++ only."""
+    boosted = transform(x, boost_element(x.signature, rapidity))
+    ch, sh = math.cosh(2 * rapidity), math.sinh(2 * rapidity)
+    if x.signature == TANGENT_SIGNATURE:
+        t0, t1 = decompose_c2(x), decompose_c2(boosted)
+        return {
+            "ds_dlambda": abs(t1.ds - t0.ds),
+            "matrix_dt": abs(t1.dt - (ch * t0.dt + sh * t0.dq)),
+            "matrix_dq": abs(t1.dq - (sh * t0.dt + ch * t0.dq)),
+        }
+    d0, d1 = decompose_d2(x), decompose_d2(boosted)
+    t0, t1, m0, m1 = d0.tangent, d1.tangent, d0.momentum, d1.momentum
+    return {
+        "ds_dlambda": abs(t1.ds - t0.ds),
+        "m": abs(m1.m - m0.m),
+        "dS_dlambda": abs(d1.action_rate - d0.action_rate),
+        "c_minus_1": abs(d1.cross.c_minus_1 - d0.cross.c_minus_1),
+        "c_minus_e12": abs(d1.cross.c_minus_e12 - d0.cross.c_minus_e12),
+        "matrix_dt": abs(t1.dt - (ch * t0.dt + sh * t0.dq)),
+        "matrix_dq": abs(t1.dq - (sh * t0.dt + ch * t0.dq)),
+        "matrix_H": abs(m1.H - (ch * m0.H + sh * m0.p)),
+        "matrix_p": abs(m1.p - (sh * m0.H + ch * m0.p)),
+    }
 
 
 def rotation_element(signature: Signature, angle: float) -> AlgebraElement:
@@ -467,30 +588,6 @@ def classify_causal(t: TangentTriple, tol: float = CAUSAL_TOL) -> CausalClass:
 # Projector-path extraction (the grid oracle).
 
 
-@lru_cache(maxsize=None)
-def tangent_component_basis(signature: Signature) -> ComponentBasis:
-    """Component carriers for one-generator squares.
-
-    With a unit square the off-diagonal component sits in the plus
-    projector half; with square -1 it moves to the minus half and the
-    plus half carries the rotation invariant.
-    """
-    if signature.n != 1:
-        raise ValueError(f"tangent basis needs one generator, got signature {signature}")
-    plus = diagonal_projector(signature, 1, +1).element
-    minus = diagonal_projector(signature, 1, -1).element
-    e_bar = basis_pair(signature, 0, 1)
-    if signature.squares[0] == 1:
-        rows = [("dt", plus), ("dq", tensor_multiply(plus, e_bar)), ("ds", minus)]
-    else:
-        rows = [
-            ("invariant", plus),
-            ("vec_1", minus),
-            ("vec_e", tensor_multiply(minus, e_bar)),
-        ]
-    return ComponentBasis(signature, tuple(r[0] for r in rows), tuple(r[1] for r in rows))
-
-
 def _fiber_sectors(signature: Signature) -> tuple[TensorElement, TensorElement, TensorElement]:
     """The tangent, cross and momentum sector projectors of the split on e2."""
     plus2, minus2 = idempotent_pair(0b10, signature)
@@ -503,55 +600,32 @@ def _fiber_sectors(signature: Signature) -> tuple[TensorElement, TensorElement, 
 
 @lru_cache(maxsize=None)
 def fiber_component_basis(signature: Signature) -> ComponentBasis:
-    """Sector component carriers for two-generator fiber algebras.
+    """Component carriers of x (x) x for the signatures + ++ - -+.
 
-    Requires e2**2 == +1, which makes the right projector pair exist.
-    The carrier layout depends on the square of e1: the off-diagonal
-    carriers swap projector halves between the +1 and -1 cases.
+    A component's carrier is its e1 projector half, shifted by its basis
+    pair and, with two generators, cut down to its sector of the split on
+    e2 (which needs e2**2 == +1).  The layout tables give the half, the
+    shift and the sector of each component.
     """
-    if signature.n != 2 or signature.squares[1] != 1:
-        raise ValueError(
-            f"fiber basis needs two generators with e2**2 == +1, got signature {signature}"
-        )
-    sector_tt, sector_cross, sector_mm = _fiber_sectors(signature)
-    left_plus = diagonal_projector(signature, 0b01, +1).element
-    left_minus = diagonal_projector(signature, 0b01, -1).element
-    e1_bar = basis_pair(signature, 0, 0b01)
-    e12_bar = basis_pair(signature, 0, 0b11)
+    layout = _layout(signature)
+    halves = {sign: diagonal_projector(signature, 0b01, sign).element for sign in (+1, -1)}
+    sectors = ()
+    if signature.n == 2:
+        tangent, cross, momentum = _fiber_sectors(signature)
+        sectors = (tangent, momentum, cross)
+    tensors = []
+    for row in layout:
+        carrier = halves[row.half]
+        if row.shift:
+            carrier = tensor_multiply(carrier, basis_pair(signature, 0, row.shift))
+        if sectors:
+            carrier = tensor_multiply(carrier, sectors[row.sector])
+        tensors.append(carrier)
+    return ComponentBasis(signature, tuple(row.name for row in layout), tuple(tensors))
 
-    def carrier(left: TensorElement, shift: TensorElement | None, sector: TensorElement) -> TensorElement:
-        out = left if shift is None else tensor_multiply(left, shift)
-        return tensor_multiply(out, sector)
 
-    if signature.squares[0] == 1:
-        rows = [
-            ("dt", left_plus, None, sector_tt),
-            ("dq", left_plus, e1_bar, sector_tt),
-            ("ds", left_minus, None, sector_tt),
-            ("H", left_plus, None, sector_mm),
-            ("p", left_plus, e1_bar, sector_mm),
-            ("m", left_minus, None, sector_mm),
-            ("c_plus_1", left_plus, None, sector_cross),
-            ("c_plus_e1", left_plus, e1_bar, sector_cross),
-            ("c_minus_1", left_minus, None, sector_cross),
-            ("c_minus_e12", left_minus, e12_bar, sector_cross),
-        ]
-    else:
-        rows = [
-            ("tangent_invariant", left_plus, None, sector_tt),
-            ("tangent_vec_1", left_minus, None, sector_tt),
-            ("tangent_vec_e1", left_minus, e1_bar, sector_tt),
-            ("momentum_invariant", left_plus, None, sector_mm),
-            ("momentum_vec_1", left_minus, None, sector_mm),
-            ("momentum_vec_e1", left_minus, e1_bar, sector_mm),
-            ("cross_invariant_1", left_plus, None, sector_cross),
-            ("cross_invariant_e12", left_plus, e12_bar, sector_cross),
-            ("cross_vec_1", left_minus, None, sector_cross),
-            ("cross_vec_e1", left_minus, e1_bar, sector_cross),
-        ]
-    names = tuple(r[0] for r in rows)
-    tensors = tuple(carrier(r[1], r[2], r[3]) for r in rows)
-    return ComponentBasis(signature, names, tensors)
+# The one-generator name of the same builder and cache.
+tangent_component_basis = fiber_component_basis
 
 
 def decompose_c2_projected(x: AlgebraElement) -> TangentTriple:
@@ -564,8 +638,13 @@ def decompose_c2_projected(x: AlgebraElement) -> TangentTriple:
 def euclidean_plane_projected(x: AlgebraElement) -> EuclideanComponents:
     """Euclidean plane components extracted through the grid."""
     _require_signature(x, EUCLIDEAN_TANGENT_SIGNATURE, "euclidean_plane_projected")
-    comps = tangent_component_basis(x.signature).components(square_embed(x))
-    return EuclideanComponents(p_plus_1=comps["invariant"], p_plus_e=comps["vec_e"], p_minus=comps["vec_1"])
+    return decompose_euclidean_projected(x)
+
+
+def decompose_euclidean_projected(x: AlgebraElement):
+    """Euclidean decompositions extracted through the grid, never the closed forms."""
+    _require_euclidean(x, "decompose_euclidean_projected")
+    return _euclidean(x.signature, fiber_component_basis(x.signature).components(square_embed(x)))
 
 
 def decompose_d2_projected(x: AlgebraElement) -> FiberDecomposition:

@@ -7,9 +7,9 @@ example dt**2 for the tangent norm identity), not by the compared values
 alone: near light-like elements the identities cancel to zero and a
 value-relative quotient would be noise over noise.
 
-The sweep for the two-generator unit-square algebra pits the closed
-polynomial forms against the projector-path extraction from the
-coefficient grid, which keeps the two routes honest against each other.
+The sweep for each of + ++ - -+ pits the closed polynomial forms
+against the projector-path extraction from the coefficient grid, which
+keeps the two routes honest against each other.
 """
 
 from __future__ import annotations
@@ -28,11 +28,12 @@ from .fiber import (
     TangentTriple,
     _fiber_parts,
     _fiber_sectors,
+    _layout,
+    _parts,
     _tangent_parts,
     factorize,
     fiber_component_basis,
     lift_kinematics,
-    tangent_component_basis,
 )
 from .tensor import tensor_identity, tensor_multiply
 
@@ -203,6 +204,24 @@ def _check_sector_completeness(sig: Signature, rng, samples: int, tol: float) ->
     )
 
 
+def _check_oracle(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
+    """Closed forms against the projector-path extraction, for + ++ - -+."""
+    x = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (samples, sig.dim))
+    basis = fiber_component_basis(sig)
+    flat = _embed_flat(x)
+    comps = basis.components_batch(flat)
+    parts = _parts(x.T)
+    closed = np.stack([getattr(parts, c.part) for c in _layout(sig)], axis=1)
+    diff = np.max(np.abs(comps - closed), axis=1)
+    recon = basis.reconstruction_residual_batch(flat)
+    worst = np.maximum(diff, recon)
+    # the dominant sector magnitude: dt with one generator, dt + H with two
+    scale = parts.dt + 1.0 if sig.n == 1 else parts.dt + parts.H + 1e-300
+    return _result(
+        "oracle_equivalence", samples, float(np.max(worst)), float(np.max(_rel(worst, scale))), tol
+    )
+
+
 # ---------------------------------------------------------------------------
 # Tangent algebra properties (one generator, square +1).
 
@@ -245,22 +264,6 @@ def _check_tangent_boost(sig: Signature, rng, samples: int, tol: float) -> Prope
     )
     worst_abs = float(np.max(np.abs(ds1 - ds0)))
     return _result("boost_invariance", samples, worst_abs, float(np.max(rel)), tol)
-
-
-def _check_tangent_oracle(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    x = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (samples, 2))
-    basis = tangent_component_basis(sig)
-    flat = _embed_flat(x)
-    comps = basis.components_batch(flat)
-    dt, dq, ds = _tangent_parts(x[:, 0], x[:, 1])
-    closed = np.stack([dt, dq, ds], axis=1)
-    diff = np.max(np.abs(comps - closed), axis=1)
-    recon = basis.reconstruction_residual_batch(flat)
-    scale = dt + 1.0
-    worst = np.maximum(diff, recon)
-    return _result(
-        "oracle_equivalence", samples, float(np.max(worst)), float(np.max(_rel(worst, scale))), tol
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -409,25 +412,6 @@ def _check_fiber_boost(sig: Signature, rng, samples: int, tol: float) -> Propert
     return _result("boost_invariance", samples, worst_abs, worst_rel, tol)
 
 
-def _check_fiber_oracle(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    x = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (samples, 4))
-    basis = fiber_component_basis(sig)
-    flat = _embed_flat(x)
-    comps = basis.components_batch(flat)
-    f = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
-    closed = np.stack(
-        [f.dt, f.dq, f.ds, f.H, f.p, f.m, f.c_plus_1, f.c_plus_e1, f.c_minus_1, f.c_minus_e12],
-        axis=1,
-    )
-    diff = np.max(np.abs(comps - closed), axis=1)
-    recon = basis.reconstruction_residual_batch(flat)
-    worst = np.maximum(diff, recon)
-    scale = f.dt + f.H + 1e-300
-    return _result(
-        "oracle_equivalence", samples, float(np.max(worst)), float(np.max(_rel(worst, scale))), tol
-    )
-
-
 def _check_lift_round_trip(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
     x = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (samples, 4))
     f = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
@@ -485,56 +469,6 @@ def _check_plane_rotation(sig: Signature, rng, samples: int, tol: float) -> Prop
     return _result("rotation_invariance", samples, float(np.max(np.abs(diff))), float(np.max(rel)), tol)
 
 
-def _check_plane_oracle(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    x = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (samples, 2))
-    basis = tangent_component_basis(sig)
-    comps = basis.components_batch(_embed_flat(x))
-    closed = np.stack(
-        [x[:, 0] ** 2 + x[:, 1] ** 2, x[:, 0] ** 2 - x[:, 1] ** 2, 2 * x[:, 0] * x[:, 1]], axis=1
-    )
-    diff = np.max(np.abs(comps - closed), axis=1)
-    scale = closed[:, 0] + 1.0
-    return _result(
-        "oracle_equivalence", samples, float(np.max(diff)), float(np.max(_rel(diff, scale))), tol
-    )
-
-
-def _euclidean_fiber_closed(x: np.ndarray) -> np.ndarray:
-    """Hand-derived sector components for squares (-1, +1)."""
-    a, b = x[:, 0] + x[:, 2], x[:, 1] + x[:, 3]
-    c, d = x[:, 0] - x[:, 2], x[:, 1] - x[:, 3]
-    return np.stack(
-        [
-            a * a + b * b,
-            a * a - b * b,
-            2 * a * b,
-            c * c + d * d,
-            c * c - d * d,
-            2 * c * d,
-            c * a + d * b,
-            c * b - d * a,
-            c * a - d * b,
-            c * b + d * a,
-        ],
-        axis=1,
-    )
-
-
-def _check_euclidean_fiber_oracle(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    x = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (samples, 4))
-    basis = fiber_component_basis(sig)
-    flat = _embed_flat(x)
-    comps = basis.components_batch(flat)
-    closed = _euclidean_fiber_closed(x)
-    diff = np.max(np.abs(comps - closed), axis=1)
-    recon = basis.reconstruction_residual_batch(flat)
-    worst = np.maximum(diff, recon)
-    scale = closed[:, 0] + closed[:, 3] + 1e-300
-    return _result(
-        "oracle_equivalence", samples, float(np.max(worst)), float(np.max(_rel(worst, scale))), tol
-    )
-
-
 def _check_euclidean_fiber_rotation(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
     x = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (samples, 4))
     theta = rng.uniform(-np.pi, np.pi, samples)
@@ -581,7 +515,7 @@ def _checks_for(sig: Signature):
             _check_tangent_norm,
             _check_tangent_max_speed,
             _check_tangent_boost,
-            _check_tangent_oracle,
+            _check_oracle,
         ]
     elif sig == FIBER_SIGNATURE:
         checks += [
@@ -592,15 +526,15 @@ def _checks_for(sig: Signature):
             _check_min_action_equivalence,
             _check_min_action_rate,
             _check_fiber_boost,
-            _check_fiber_oracle,
+            _check_oracle,
             _check_lift_round_trip,
         ]
     elif sig == EUCLIDEAN_TANGENT_SIGNATURE:
-        checks += [_check_plane_rotation, _check_plane_oracle]
+        checks += [_check_plane_rotation, _check_oracle]
     elif sig == EUCLIDEAN_FIBER_SIGNATURE:
         checks += [
             _check_sector_completeness,
-            _check_euclidean_fiber_oracle,
+            _check_oracle,
             _check_euclidean_fiber_rotation,
         ]
     return checks

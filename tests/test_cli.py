@@ -35,6 +35,15 @@ class TestGolden:
         assert code == 0
         assert out == (GOLDEN / "decompose_d2.json").read_text()
 
+    @pytest.mark.parametrize(
+        "argv, fixture",
+        [(["--", "-", "2", "1"], "decompose_m.json"), (["m+", "2", "1", "1", "0.5"], "decompose_mp.json")],
+    )
+    def test_euclidean_fixture_bytes(self, argv, fixture, capsys):
+        out, code = run_cli(["decompose", *argv], capsys)
+        assert code == 0
+        assert out == (GOLDEN / fixture).read_text()
+
     def test_repeated_runs_identical(self):
         first = run_process(["decompose", "++", "2", "1", "1", "0.5"])
         second = run_process(["decompose", "++", "2", "1", "1", "0.5"])

@@ -6,6 +6,7 @@ forms existed; both routes are asserted against the same frozen numbers.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,8 +29,10 @@ from fiberalg.fiber import (
     decompose_d2,
     decompose_d2_projected,
     decompose_euclidean,
+    decompose_euclidean_projected,
     euclidean_plane_projected,
     factorize,
+    fiber_component_basis,
     free_particle_element,
     is_min_action,
     lift_kinematics,
@@ -43,6 +46,26 @@ coeff = st.floats(-10, 10, allow_nan=False, allow_infinity=False).map(
 )
 
 WORKED = AlgebraElement(FIBER_SIGNATURE, [2.0, 1.0, 1.0, 0.5])
+
+
+# Sector values of the -+ element [2, 1, 1, 0.5], from (a, b) = (3, 1.5)
+# and (c, d) = (1, 0.5), in the order of euclidean_fiber_values.
+EUCLIDEAN_HAND_EXPANSION = (11.25, 6.75, 9.0, 1.25, 0.75, 1.0, 3.75, 0.0, 2.25, 3.0)
+
+
+def euclidean_fiber_values(dec):
+    return (
+        dec.tangent.invariant,
+        dec.tangent.vec_1,
+        dec.tangent.vec_e1,
+        dec.momentum.invariant,
+        dec.momentum.vec_1,
+        dec.momentum.vec_e1,
+        dec.cross_invariant_1,
+        dec.cross_invariant_e12,
+        dec.cross_vec_1,
+        dec.cross_vec_e1,
+    )
 
 
 def d2(values):
@@ -407,19 +430,40 @@ class TestEuclidean:
             rotation_element(TANGENT_SIGNATURE, 1.0)
 
     def test_fiber_sectors_match_hand_expansion(self):
-        x = AlgebraElement(EUCLIDEAN_FIBER_SIGNATURE, [2.0, 1.0, 1.0, 0.5])
-        dec = decompose_euclidean(x)
-        # from (a, b) = (3, 1.5) and (c, d) = (1, 0.5)
-        assert abs(dec.tangent.invariant - 11.25) <= 1e-13
-        assert abs(dec.tangent.vec_1 - 6.75) <= 1e-13
-        assert abs(dec.tangent.vec_e1 - 9.0) <= 1e-13
-        assert abs(dec.momentum.invariant - 1.25) <= 1e-13
-        assert abs(dec.momentum.vec_1 - 0.75) <= 1e-13
-        assert abs(dec.momentum.vec_e1 - 1.0) <= 1e-13
-        assert abs(dec.cross_invariant_1 - 3.75) <= 1e-13
-        assert abs(dec.cross_invariant_e12 - 0.0) <= 1e-13
-        assert abs(dec.cross_vec_1 - 2.25) <= 1e-13
-        assert abs(dec.cross_vec_e1 - 3.0) <= 1e-13
+        dec = decompose_euclidean(AlgebraElement(EUCLIDEAN_FIBER_SIGNATURE, [2.0, 1.0, 1.0, 0.5]))
+        for value, expected in zip(euclidean_fiber_values(dec), EUCLIDEAN_HAND_EXPANSION):
+            assert abs(value - expected) <= 1e-13
+
+    def test_fiber_exact_stays_exact(self):
+        values = np.array([Fraction(2), Fraction(1), Fraction(1), Fraction(1, 2)], dtype=object)
+        dec = decompose_euclidean(AlgebraElement(EUCLIDEAN_FIBER_SIGNATURE, values))
+        for value, expected in zip(euclidean_fiber_values(dec), EUCLIDEAN_HAND_EXPANSION):
+            assert isinstance(value, Fraction)
+            assert value == Fraction(expected)
+
+    def test_fiber_matches_projected(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            x = AlgebraElement(EUCLIDEAN_FIBER_SIGNATURE, rng.uniform(-10, 10, 4))
+            closed = euclidean_fiber_values(decompose_euclidean(x))
+            grid = euclidean_fiber_values(decompose_euclidean_projected(x))
+            scale = max(1.0, closed[0] + closed[3])
+            for a, b in zip(closed, grid):
+                assert abs(a - b) <= 1e-12 * scale
+
+    def test_fiber_large_coefficients_stay_finite(self):
+        # x0 x3 = 1e160 squares past the float range; no reported component does
+        x = AlgebraElement(EUCLIDEAN_FIBER_SIGNATURE, [1e80, 0.0, 0.0, 1e80])
+        closed = euclidean_fiber_values(decompose_euclidean(x))
+        grid = euclidean_fiber_values(decompose_euclidean_projected(x))
+        assert all(math.isfinite(v) for v in closed)
+        for a, b in zip(closed, grid):
+            assert abs(a - b) <= 1e-12 * 4e160
+
+    def test_fiber_closed_form_builds_no_component_basis(self):
+        fiber_component_basis.cache_clear()
+        decompose_euclidean(AlgebraElement(EUCLIDEAN_FIBER_SIGNATURE, [2.0, 1.0, 1.0, 0.5]))
+        assert fiber_component_basis.cache_info().currsize == 0
 
     def test_fiber_rotation_invariants(self):
         rng = np.random.default_rng(12)
@@ -437,6 +481,8 @@ class TestEuclidean:
     def test_wrong_signature(self):
         with pytest.raises(ValueError, match="decompose_euclidean requires"):
             decompose_euclidean(WORKED)
+        with pytest.raises(ValueError, match="decompose_euclidean_projected requires"):
+            decompose_euclidean_projected(WORKED)
 
 
 class TestCausal:

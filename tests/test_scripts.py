@@ -1,0 +1,32 @@
+"""Smoke tests for the scripts: each runs to completion as a fresh process."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def test_run_verification_passes():
+    result = run_script("run_verification.py", "--samples", "2000")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.rstrip().endswith("overall: pass")
+
+
+def test_action_convergence_runs():
+    result = run_script("action_convergence.py")
+    assert result.returncode == 0, result.stderr
+    assert "steps" in result.stdout
