@@ -36,7 +36,6 @@ __all__ = [
     "multiply_coeffs",
     "idempotent_half",
     "idempotent_pair",
-    "right_project",
 ]
 
 # Absolute slack allowed when checking p*p == p on float coefficients.
@@ -197,6 +196,20 @@ class AlgebraElement:
     @property
     def exact(self) -> bool:
         return self.coeffs.dtype == object
+
+    @property
+    def grid(self) -> np.ndarray:
+        """Read-only ``(dim, dim)`` view of a two-slot tensor over a doubled signature.
+
+        ``grid[S, T]`` is the coefficient of ``e_S (x) e_T``, at flat
+        index ``S * dim + T``; see :mod:`fiberalg.tensor`.
+        """
+        squares = self.signature.squares
+        half = len(squares) // 2
+        if len(squares) % 2 or squares[:half] != squares[half:]:
+            raise ValueError(f"grid needs a doubled signature, got {self.signature}")
+        side = 1 << half
+        return self.coeffs.reshape(side, side)
 
     def coefficient(self, mask: int):
         """Coefficient of e_S; a Python float unless the element is exact."""
@@ -371,8 +384,3 @@ def idempotent_pair(mask: int, signature: Signature, exact: bool = False) -> tup
         idempotent_half(mask, +1, signature, exact=exact),
         idempotent_half(mask, -1, signature, exact=exact),
     )
-
-
-def right_project(x: AlgebraElement, p: Idempotent) -> AlgebraElement:
-    """Right action x * p, mapping x into the left ideal carried by p."""
-    return multiply(x, p.element)

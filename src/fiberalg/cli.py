@@ -266,13 +266,10 @@ def _cmd_boost(args, parser) -> tuple[dict, int]:
 
 
 def _cmd_trajectory(args, parser) -> tuple[dict, int]:
-    if args.mass <= 0:
-        parser.error(f"mass must be positive, got {args.mass}")
-    if args.span <= 0:
-        parser.error(f"span must be positive, got {args.span}")
-    if args.steps < 1:
-        parser.error(f"steps must be at least 1, got {args.steps}")
-    record = trajectory_action(args.mass, args.rapidity, args.span, args.steps)
+    try:
+        record = trajectory_action(args.mass, args.rapidity, args.span, args.steps)
+    except ValueError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "trajectory",

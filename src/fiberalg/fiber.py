@@ -16,7 +16,8 @@ integral, and the Euclidean counterparts obtained when the first
 generator squares to -1.
 
 Every closed form has a projector twin computed purely through the
-coefficient-grid machinery in :mod:`fiberalg.tensor`, four pairs in all:
+two-slot tensors of :mod:`fiberalg.tensor`, elements over the doubled
+signature whose ``grid`` view is the coefficient grid, four pairs in all:
 ``decompose_c2`` / ``decompose_c2_projected`` for ``+``, ``decompose_d2``
 / ``decompose_d2_projected`` for ``++``, and ``decompose_euclidean`` /
 ``decompose_euclidean_projected`` for ``-`` and ``-+``.  The twins act as
@@ -40,13 +41,11 @@ import numpy as np
 from .algebra import AlgebraElement, Signature, idempotent_pair, multiply
 from .tensor import (
     ComponentBasis,
-    TensorElement,
     basis_pair,
     diagonal_projector,
     lift_projectors,
     mixed_projector,
     square_embed,
-    tensor_multiply,
 )
 
 __all__ = [
@@ -70,7 +69,6 @@ __all__ = [
     "decompose_c2_projected",
     "decompose_d2_projected",
     "decompose_euclidean_projected",
-    "euclidean_plane_projected",
     "is_min_action",
     "factorize",
     "transform",
@@ -81,7 +79,6 @@ __all__ = [
     "free_particle_element",
     "trajectory_action",
     "classify_causal",
-    "tangent_component_basis",
     "fiber_component_basis",
 ]
 
@@ -92,6 +89,8 @@ EUCLIDEAN_FIBER_SIGNATURE = Signature((-1, 1))
 
 MIN_ACTION_TOL = 1e-10
 CAUSAL_TOL = 1e-12
+# trajectory_action sums one float64 per step: 80 MB at this bound.
+MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -551,15 +550,16 @@ def trajectory_action(mass: float, rapidity: float, lambda_span: float, steps: i
     The integrand p dq - H dt is constant along the worldline, so the
     quadrature order is irrelevant; the step sum exists to tie the rate
     form of the action to its integral form, and the only disagreement
-    with -mass * ds * span is summation rounding.
+    with -mass * ds * span is summation rounding.  At most ``MAX_STEPS``
+    steps are summed; more raise ``ValueError`` before any allocation.
     """
     if mass <= 0:
         raise ValueError(f"mass must be positive, got {mass}")
     if lambda_span <= 0:
         raise ValueError(f"lambda_span must be positive, got {lambda_span}")
     steps = int(steps)
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps}")
+    if not 1 <= steps <= MAX_STEPS:
+        raise ValueError(f"steps must be between 1 and {MAX_STEPS}, got {steps}")
     x = free_particle_element(mass, rapidity)
     decomposition = decompose_d2(x)
     rate = decomposition.action_rate
@@ -588,7 +588,7 @@ def classify_causal(t: TangentTriple, tol: float = CAUSAL_TOL) -> CausalClass:
 # Projector-path extraction (the grid oracle).
 
 
-def _fiber_sectors(signature: Signature) -> tuple[TensorElement, TensorElement, TensorElement]:
+def _fiber_sectors(signature: Signature) -> tuple[AlgebraElement, AlgebraElement, AlgebraElement]:
     """The tangent, cross and momentum sector projectors of the split on e2."""
     plus2, minus2 = idempotent_pair(0b10, signature)
     return (
@@ -617,28 +617,18 @@ def fiber_component_basis(signature: Signature) -> ComponentBasis:
     for row in layout:
         carrier = halves[row.half]
         if row.shift:
-            carrier = tensor_multiply(carrier, basis_pair(signature, 0, row.shift))
+            carrier = multiply(carrier, basis_pair(signature, 0, row.shift))
         if sectors:
-            carrier = tensor_multiply(carrier, sectors[row.sector])
+            carrier = multiply(carrier, sectors[row.sector])
         tensors.append(carrier)
     return ComponentBasis(signature, tuple(row.name for row in layout), tuple(tensors))
-
-
-# The one-generator name of the same builder and cache.
-tangent_component_basis = fiber_component_basis
 
 
 def decompose_c2_projected(x: AlgebraElement) -> TangentTriple:
     """Tangent triple extracted through the grid, never the closed forms."""
     _require_signature(x, TANGENT_SIGNATURE, "decompose_c2_projected")
-    comps = tangent_component_basis(x.signature).components(square_embed(x))
+    comps = fiber_component_basis(x.signature).components(square_embed(x))
     return TangentTriple(comps["dt"], comps["dq"], comps["ds"])
-
-
-def euclidean_plane_projected(x: AlgebraElement) -> EuclideanComponents:
-    """Euclidean plane components extracted through the grid."""
-    _require_signature(x, EUCLIDEAN_TANGENT_SIGNATURE, "euclidean_plane_projected")
-    return decompose_euclidean_projected(x)
 
 
 def decompose_euclidean_projected(x: AlgebraElement):

@@ -8,7 +8,7 @@ alone: near light-like elements the identities cancel to zero and a
 value-relative quotient would be noise over noise.
 
 The sweep for each of + ++ - -+ pits the closed polynomial forms
-against the projector-path extraction from the coefficient grid, which
+against the projector-path extraction from the two-slot tensor, which
 keeps the two routes honest against each other.
 """
 
@@ -35,7 +35,7 @@ from .fiber import (
     fiber_component_basis,
     lift_kinematics,
 )
-from .tensor import tensor_identity, tensor_multiply
+from .tensor import tensor_identity
 
 __all__ = ["PropertyResult", "VerificationReport", "run_verification"]
 
@@ -166,11 +166,11 @@ def _check_projector_algebra(sig: Signature, rng, samples: int, tol: float) -> P
     if sig.n == 2 and sig.squares[1] == 1:
         sectors = _fiber_sectors(sig)
         total = sectors[0] + sectors[1] + sectors[2] - tensor_identity(sig)
-        worst = max(worst, float(np.max(np.abs(total.grid))))
+        worst = max(worst, float(np.max(np.abs(total.coeffs))))
         for i in range(3):
             for j in range(i + 1, 3):
-                prod = tensor_multiply(sectors[i], sectors[j])
-                worst = max(worst, float(np.max(np.abs(prod.grid))))
+                prod = multiply(sectors[i], sectors[j])
+                worst = max(worst, float(np.max(np.abs(prod.coeffs))))
                 checks += 1
         checks += 1
     return _result("projector_algebra", checks, worst, worst, tol)
@@ -196,7 +196,7 @@ def _check_sector_completeness(sig: Signature, rng, samples: int, tol: float) ->
     flat = _embed_flat(x)
     total = np.zeros_like(flat)
     for sector in _fiber_sectors(sig):
-        total += multiply_coeffs(sig.doubled(), flat, sector.grid.ravel())
+        total += multiply_coeffs(sig.doubled(), flat, sector.coeffs)
     diff = np.max(np.abs(total - flat), axis=1)
     scale = np.max(np.abs(flat), axis=1)
     return _result(

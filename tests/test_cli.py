@@ -9,6 +9,7 @@ import pytest
 
 from fiberalg import algebra
 from fiberalg.cli import main
+from fiberalg.fiber import MAX_STEPS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -266,6 +267,14 @@ class TestTrajectory:
         with pytest.raises(SystemExit) as err:
             main(["trajectory", "1", "0", "1", "0"])
         assert err.value.code == 2
+
+    def test_steps_above_cap_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["trajectory", "1", "0", "1", str(MAX_STEPS + 1)])
+        out, stderr = capsys.readouterr()
+        assert err.value.code == 2
+        assert out == ""
+        assert stderr == f"fiberalg: error: steps must be between 1 and {MAX_STEPS}, got {MAX_STEPS + 1}\n"
 
 
 class TestFormats:

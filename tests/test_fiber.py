@@ -18,6 +18,7 @@ from fiberalg.fiber import (
     EUCLIDEAN_FIBER_SIGNATURE,
     EUCLIDEAN_TANGENT_SIGNATURE,
     FIBER_SIGNATURE,
+    MAX_STEPS,
     TANGENT_SIGNATURE,
     CausalClass,
     MomentumTriple,
@@ -30,7 +31,6 @@ from fiberalg.fiber import (
     decompose_d2_projected,
     decompose_euclidean,
     decompose_euclidean_projected,
-    euclidean_plane_projected,
     factorize,
     fiber_component_basis,
     free_particle_element,
@@ -398,6 +398,8 @@ class TestTrajectory:
             trajectory_action(1.0, 0.0, 0.0, 10)
         with pytest.raises(ValueError, match="steps must be"):
             trajectory_action(1.0, 0.0, 1.0, 0)
+        with pytest.raises(ValueError, match="steps must be"):
+            trajectory_action(1.0, 0.0, 1.0, MAX_STEPS + 1)
 
 
 class TestEuclidean:
@@ -414,7 +416,7 @@ class TestEuclidean:
         for _ in range(200):
             x = AlgebraElement(EUCLIDEAN_TANGENT_SIGNATURE, rng.uniform(-10, 10, 2))
             closed = decompose_euclidean(x)
-            grid = euclidean_plane_projected(x)
+            grid = decompose_euclidean_projected(x)
             assert abs(closed.p_plus_1 - grid.p_plus_1) <= 1e-12 * max(1.0, closed.p_plus_1)
             assert abs(closed.p_plus_e - grid.p_plus_e) <= 1e-12 * max(1.0, closed.p_plus_1)
             assert abs(closed.p_minus - grid.p_minus) <= 1e-12 * max(1.0, closed.p_plus_1)

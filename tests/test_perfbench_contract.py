@@ -1,0 +1,28 @@
+"""The library surface the benchmark in perfbench/ uses, exercised as it uses it.
+
+A library change that would break ``perfbench/run.py --trace 1`` fails
+here instead of in the benchmark.
+"""
+
+import importlib
+from pathlib import Path
+
+import numpy as np
+
+from fiberalg import FIBER_SIGNATURE, diagonal_projector
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_element_chain_and_probes(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    workloads = importlib.import_module("workloads")
+    tracing = importlib.import_module("tracing")
+
+    chain = workloads.ElementChain(0)
+    for i in range(32):
+        chain.check(i, chain.op(i, tracing.direct))
+    basis = layers._fresh_basis(FIBER_SIGNATURE)
+    assert basis.components_batch(np.eye(16)).shape == (16, 10)
+    diagonal_projector(FIBER_SIGNATURE, 0b01, 1)

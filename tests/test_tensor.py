@@ -1,4 +1,4 @@
-"""Product algebra tests: grids, projectors, trace extraction."""
+"""Product algebra tests: tensors over the doubled signature, projectors, trace extraction."""
 
 from fractions import Fraction
 
@@ -7,15 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fiberalg.algebra import AlgebraElement, Signature, idempotent_pair, multiply
+from fiberalg.algebra import AlgebraElement, Idempotent, Signature, idempotent_pair, multiply
+from fiberalg.fiber import fiber_component_basis
 from fiberalg.tensor import (
     ComponentBasis,
-    TensorElement,
-    TensorProjector,
     basis_pair,
-    diagonal,
     diagonal_projector,
-    extract,
     lift_projectors,
     mixed_projector,
     square_embed,
@@ -46,7 +43,7 @@ class TestEmbed:
 
     def test_ravel_is_row_major(self):
         t = tensor_product(AlgebraElement(C2, [1.0, 2.0]), AlgebraElement(C2, [3.0, 4.0]))
-        np.testing.assert_array_equal(t.ravel(), [3.0, 4.0, 6.0, 8.0])
+        np.testing.assert_array_equal(t.coeffs, [3.0, 4.0, 6.0, 8.0])
 
     def test_identity_embeds_to_identity(self):
         one = AlgebraElement.basis(C2, 0)
@@ -55,7 +52,7 @@ class TestEmbed:
     @given(st.lists(coeff, min_size=2, max_size=2))
     def test_swap_symmetry(self, values):
         t = square_embed(AlgebraElement(C2, values))
-        assert t == t.transpose()
+        np.testing.assert_array_equal(t.grid, t.grid.T)
 
     @given(st.lists(coeff, min_size=2, max_size=2), coeff)
     def test_scaling_is_quadratic(self, values, alpha):
@@ -68,7 +65,7 @@ class TestEmbed:
 class TestTensorMultiply:
     def test_diagonal_times_slot(self):
         # (e (x) e)(1 (x) e) = e (x) 1 when e squares to +1
-        assert tensor_multiply(diagonal(C2, 1), basis_pair(C2, 0, 1)) == basis_pair(C2, 1, 0)
+        assert tensor_multiply(basis_pair(C2, 1, 1), basis_pair(C2, 0, 1)) == basis_pair(C2, 1, 0)
 
     def test_identity(self):
         t = square_embed(AlgebraElement(C2, [2.0, 1.0]))
@@ -95,7 +92,7 @@ class TestTensorMultiply:
 
     def test_slotwise_signs(self):
         # (e1 (x) e1)(e1 (x) 1) = e1^2 (x) e1 = -(1 (x) e1) when e1^2 = -1
-        got = tensor_multiply(diagonal(E2, 1), basis_pair(E2, 1, 0))
+        got = tensor_multiply(basis_pair(E2, 1, 1), basis_pair(E2, 1, 0))
         assert got == -1 * basis_pair(E2, 0, 1)
 
     def test_signature_mismatch(self):
@@ -104,10 +101,8 @@ class TestTensorMultiply:
 
     def test_exact_grid_multiply(self):
         half = Fraction(1, 2)
-        grid = np.array(
-            [[half, Fraction(0)], [Fraction(0), half]], dtype=object
-        )
-        t = TensorElement(C2, grid)
+        coeffs = np.array([half, Fraction(0), Fraction(0), half], dtype=object)
+        t = AlgebraElement(C2.doubled(), coeffs)
         square = tensor_multiply(t, t)
         assert square.exact
         assert square.grid[0][0] == Fraction(1, 2)
@@ -116,15 +111,47 @@ class TestTensorMultiply:
 class TestExtract:
     def test_embedded_coefficient(self):
         t = square_embed(AlgebraElement(C2, [2.0, 1.0]))
-        assert extract(t, 0, 1) == 2.0
-        assert extract(t, 1, 1) == 1.0
+        assert t.grid[0, 1] == 2.0
+        assert t.grid[1, 1] == 1.0
 
     def test_identity_coefficient(self):
-        assert extract(tensor_identity(C2), 0, 0) == 1.0
+        assert tensor_identity(C2).grid[0, 0] == 1.0
 
     def test_range_check(self):
         with pytest.raises(ValueError, match="out of range"):
-            extract(tensor_identity(C2), 2, 0)
+            basis_pair(C2, 2, 0)
+
+
+class TestGrid:
+    @pytest.mark.parametrize("squares", [(1,), (1, 1), (-1,), (-1, 1)], ids=str)
+    def test_basis_pair_is_one_hot(self, squares):
+        sig = Signature(squares)
+        for s in range(sig.dim):
+            for t in range(sig.dim):
+                expected = np.zeros((sig.dim, sig.dim))
+                expected[s, t] = 1.0
+                np.testing.assert_array_equal(basis_pair(sig, s, t).grid, expected)
+
+    def test_read_only(self):
+        grid = square_embed(AlgebraElement(C2, [2.0, 1.0])).grid
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0, 0] = 5.0
+
+    @pytest.mark.parametrize("squares", [(1,), (1, -1), (1, 1, -1)], ids=str)
+    def test_needs_doubled_signature(self, squares):
+        sig = Signature(squares)
+        with pytest.raises(ValueError, match="doubled signature"):
+            AlgebraElement.basis(sig, 0).grid
+
+    def test_exact_embed_stays_exact(self):
+        x = AlgebraElement(C2, np.array([Fraction(2), Fraction(1, 3)], dtype=object))
+        square = tensor_multiply(square_embed(x), square_embed(x))
+        assert square.grid.dtype == object
+        # x**2 = 37/9 + (4/3) e, and (x (x) x)**2 = x**2 (x) x**2
+        assert square.grid.tolist() == [
+            [Fraction(1369, 81), Fraction(148, 27)],
+            [Fraction(148, 27), Fraction(16, 9)],
+        ]
 
 
 class TestProjectors:
@@ -145,7 +172,7 @@ class TestProjectors:
         plus2, minus2 = idempotent_pair(0b10, D2)
         for p, q in ((plus2, plus2), (plus2, minus2), (minus2, minus2)):
             lifted = lift_projectors(p, q)
-            assert isinstance(lifted, TensorProjector)
+            assert isinstance(lifted, Idempotent)
 
     def test_embed_splits_through_lifted_projectors(self):
         # (x (x) x)(p (x) p) = (xp) (x) (xp)
@@ -176,13 +203,13 @@ class TestProjectors:
 
     def test_non_idempotent_rejected(self):
         with pytest.raises(ValueError, match="not idempotent"):
-            TensorProjector(basis_pair(D2, 0, 1))
+            Idempotent(basis_pair(D2, 0, 1))
 
 
 class TestTracePairing:
     def test_identity_pairing_reads_scalar_slot(self):
         t = square_embed(AlgebraElement(C2, [2.0, 1.0]))
-        assert trace_pairing(tensor_identity(C2), t) == extract(t, 0, 0)
+        assert trace_pairing(tensor_identity(C2), t) == t.grid[0, 0]
 
     def test_basis_orthogonality(self):
         for sig in (C2, E2):
@@ -204,9 +231,21 @@ class TestComponentBasis:
             ComponentBasis(D2, ("a", "b"), family)
 
     def test_rejects_null_tensor(self):
-        zero = TensorElement(D2, np.zeros((4, 4)))
+        zero = AlgebraElement(D2.doubled(), np.zeros(16))
         with pytest.raises(ValueError, match="null tensor"):
             ComponentBasis(D2, ("zero",), (zero,))
+
+    def test_rejects_other_signature(self):
+        # + and - (++ and -+) share their dims; only the signature tells them apart
+        for base, other in ((C2, E2), (D2, Signature((-1, 1)))):
+            basis = fiber_component_basis(base)
+            t = square_embed(AlgebraElement(other, np.arange(1.0, other.dim + 1)))
+            with pytest.raises(ValueError, match="needs tensors over"):
+                basis.components(t)
+            with pytest.raises(ValueError, match="needs tensors over"):
+                basis.reconstruction_residual(t)
+        with pytest.raises(ValueError, match="needs tensors over"):
+            ComponentBasis(C2, ("plus",), (diagonal_projector(E2, 1, +1).element,))
 
     def test_recovers_known_combination(self):
         plus = diagonal_projector(C2, 1, +1).element
