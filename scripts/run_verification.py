@@ -1,7 +1,12 @@
 #!/usr/bin/env python3
-"""Run the identity sweeps over every supported signature and print a table."""
+"""Run the identity sweeps over every supported signature and print a table.
+
+Exits 0 when every property passes, 1 when one fails, and 2 with one
+stderr line when an argument is out of range (``--samples 0``).
+"""
 
 import argparse
+import sys
 
 from fiberalg.verify import run_verification
 
@@ -17,7 +22,11 @@ def main() -> int:
 
     all_passed = True
     for signature in SIGNATURES:
-        report = run_verification(signature, args.samples, args.seed, args.tol)
+        try:
+            report = run_verification(signature, args.samples, args.seed, args.tol)
+        except ValueError as exc:
+            print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+            return 2
         all_passed &= report.passed
         print(f"signature {signature!r}  samples={args.samples}  seed={args.seed}  tol={args.tol}")
         for prop in report.properties:

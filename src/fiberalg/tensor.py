@@ -161,6 +161,10 @@ class ComponentBasis:
 
     def components_batch(self, flat_grids: np.ndarray) -> np.ndarray:
         """Components for a batch of tensor coefficient rows (N, dim**2)."""
+        # Against the transposed (F-order) view, OpenBLAS gives every row
+        # the same bits in a batch of any two or more rows, which the
+        # blocked verify sweeps rely on; a C-contiguous copy of the
+        # transpose did not.
         return flat_grids @ self._dual.T
 
     def reconstruction_residual(self, t: AlgebraElement) -> float:
@@ -170,6 +174,11 @@ class ComponentBasis:
         comps = self._dual @ flat
         return float(np.max(np.abs(flat - comps @ self._flat)))
 
-    def reconstruction_residual_batch(self, flat_grids: np.ndarray) -> np.ndarray:
-        comps = flat_grids @ self._dual.T
-        return np.max(np.abs(flat_grids - comps @ self._flat), axis=1)
+    def reconstruction_residual_batch(
+        self, flat_grids: np.ndarray, components: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Row-wise :meth:`reconstruction_residual`; ``components`` may pass
+        in ``components_batch(flat_grids)`` when the caller already has it."""
+        if components is None:
+            components = self.components_batch(flat_grids)
+        return np.max(np.abs(flat_grids - components @ self._flat), axis=1)

@@ -10,11 +10,27 @@ value-relative quotient would be noise over noise.
 The sweep for each of + ++ - -+ pits the closed polynomial forms
 against the projector-path extraction from the two-slot tensor, which
 keeps the two routes honest against each other.
+
+Every property draws and evaluates its samples in blocks of rows and
+keeps the maxima of each block, so a sweep needs the same memory at any
+sample count.  A block holds about ``BLOCK_VALUES`` values of the widest
+array a row feeds, the ``x (x) x`` embed.  The blocks are cut from the
+same sample streams as one full-size draw (see ``_sample_blocks``), so
+the samples, and the report, are the same at any block size.  That also
+relies on every kernel treating rows independently.  Elementwise numpy
+arithmetic does.  On OpenBLAS a matrix product of two or more rows gives
+each row the bits of the full product; a one-row product takes numpy's
+vector path and may round differently, so no block has one row unless
+the whole sweep has.  The tests replay the verify goldens at several
+block sizes to check both.
 """
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +62,10 @@ LOOP_CAP = 20000
 # product tables hold (4**n)**2 entries: 128 MiB of gather indices at six
 # generators, 2 GiB at seven.
 MAX_GENERATORS = 6
+# Values of x (x) x per block: 4096 rows at two generators, 16 at six.
+BLOCK_VALUES = 2**16
+# Rows checked through the scalar API as well as the batch.
+SPOT_ROWS = 25
 
 # Thresholds of the three-way minimum-action equivalence.
 RESIDUAL_GATE = 1e-20
@@ -95,13 +115,62 @@ class VerificationReport:
         }
 
 
+class _Draw(NamedTuple):
+    """One array of a property's sample stream: ``rows`` by ``shape`` values."""
+
+    method: str  # "uniform" or "integers", the Generator method
+    low: float
+    high: float
+    shape: tuple[int, ...] = ()
+
+    def take(self, rng: np.random.Generator, rows: int) -> np.ndarray:
+        return getattr(rng, self.method)(self.low, self.high, (rows, *self.shape))
+
+
+def _coeffs(width: int) -> _Draw:
+    return _Draw("uniform", -COEFF_RANGE, COEFF_RANGE, (width,))
+
+
+def _sample_blocks(sig: Signature, rng: np.random.Generator, samples: int, draws):
+    """Yield ``(lo, arrays)``: rows ``[lo, hi)`` of each of ``draws``, block by block.
+
+    The arrays hold the rows that drawing each array at full size, in
+    the order given, would give.  Each array gets its own generator,
+    started at the state where the full-size draw of that array starts.
+    ``uniform`` takes one 64-bit draw per value, so ``advance`` skips a
+    uniform array.  ``integers`` rejects a variable number of draws, so
+    an integer array is skipped by drawing it through block by block.
+    Consumes ``rng``.
+    """
+    rows = max(2, BLOCK_VALUES // sig.dim**2)
+    starts = list(range(0, samples, rows))
+    if len(starts) > 1 and samples - starts[-1] == 1:
+        starts.pop()  # a one-row tail joins the block before it
+    bounds = list(zip(starts, starts[1:] + [samples]))
+    streams = []
+    for draw in draws[:-1]:
+        streams.append(copy.deepcopy(rng))
+        if draw.method == "uniform":
+            # advance drops the spare 32-bit half an integers draw may leave
+            spare = rng.bit_generator.state
+            rng.bit_generator.advance(samples * math.prod(draw.shape))
+            state = rng.bit_generator.state
+            state.update(has_uint32=spare["has_uint32"], uinteger=spare["uinteger"])
+            rng.bit_generator.state = state
+        else:
+            for lo, hi in bounds:
+                draw.take(rng, hi - lo)
+    streams.append(rng)
+    for lo, hi in bounds:
+        yield lo, [draw.take(stream, hi - lo) for draw, stream in zip(draws, streams)]
+
+
 def _rel(diff: np.ndarray, scale: np.ndarray) -> np.ndarray:
     diff = np.abs(np.asarray(diff, dtype=np.float64))
     scale = np.asarray(scale, dtype=np.float64)
-    out = np.zeros_like(diff)
     hot = scale > 0
-    out[hot] = diff[hot] / scale[hot]
-    out[~hot & (diff > 0)] = np.inf
+    out = np.divide(diff, scale, out=np.zeros_like(diff), where=hot)
+    np.copyto(out, np.inf, where=~hot & (diff > 0))
     return out
 
 
@@ -111,7 +180,9 @@ def _embed_flat(coeffs: np.ndarray) -> np.ndarray:
     return np.einsum("ni,nj->nij", coeffs, coeffs).reshape(n, dim * dim)
 
 
-def _result(name: str, samples: int, abs_res: float, rel_res: float, tol: float) -> PropertyResult:
+def _result(name: str, samples: int, worst, tol: float) -> PropertyResult:
+    """The result from each block's (absolute, scaled) residual maxima."""
+    abs_res, rel_res = np.max(worst, axis=0)
     return PropertyResult(
         name=name,
         samples=samples,
@@ -128,24 +199,23 @@ def _result(name: str, samples: int, abs_res: float, rel_res: float, tol: float)
 
 def _check_product_laws(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
     n = min(samples, LOOP_CAP)
-    dim = sig.dim
-    a = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (n, dim))
-    b = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (n, dim))
-    c = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (n, dim))
-    ab = multiply_coeffs(sig, a, b)
-    assoc = multiply_coeffs(sig, ab, c) - multiply_coeffs(sig, a, multiply_coeffs(sig, b, c))
-    comm = ab - multiply_coeffs(sig, b, a)
-    one = np.zeros(dim)
+    one = np.zeros(sig.dim)
     one[0] = 1.0
-    ident = multiply_coeffs(sig, a, one) - a
-    scale = np.max(np.abs(ab), axis=1) * np.max(np.abs(c), axis=1) + 1.0
-    worst_abs = max(float(np.max(np.abs(assoc))), float(np.max(np.abs(comm))), float(np.max(np.abs(ident))))
-    worst_rel = max(
-        float(np.max(_rel(np.max(np.abs(assoc), axis=1), scale))),
-        float(np.max(_rel(np.max(np.abs(comm), axis=1), np.max(np.abs(ab), axis=1) + 1.0))),
-        float(np.max(np.abs(ident))),
-    )
-    return _result("product_laws", n, worst_abs, worst_rel, tol)
+    worst = []
+    for _, (a, b, c) in _sample_blocks(sig, rng, n, [_coeffs(sig.dim)] * 3):
+        ab = multiply_coeffs(sig, a, b)
+        assoc = multiply_coeffs(sig, ab, c) - multiply_coeffs(sig, a, multiply_coeffs(sig, b, c))
+        comm = ab - multiply_coeffs(sig, b, a)
+        ident = multiply_coeffs(sig, a, one) - a
+        scale = np.max(np.abs(ab), axis=1) * np.max(np.abs(c), axis=1) + 1.0
+        worst_abs = max(float(np.max(np.abs(assoc))), float(np.max(np.abs(comm))), float(np.max(np.abs(ident))))
+        worst_rel = max(
+            float(np.max(_rel(np.max(np.abs(assoc), axis=1), scale))),
+            float(np.max(_rel(np.max(np.abs(comm), axis=1), np.max(np.abs(ab), axis=1) + 1.0))),
+            float(np.max(np.abs(ident))),
+        )
+        worst.append((worst_abs, worst_rel))
+    return _result("product_laws", n, worst, tol)
 
 
 def _check_projector_algebra(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
@@ -173,53 +243,54 @@ def _check_projector_algebra(sig: Signature, rng, samples: int, tol: float) -> P
                 worst = max(worst, float(np.max(np.abs(prod.coeffs))))
                 checks += 1
         checks += 1
-    return _result("projector_algebra", checks, worst, worst, tol)
+    return _result("projector_algebra", checks, [(worst, worst)], tol)
 
 
 def _check_embed_homomorphism(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
     n = min(samples, LOOP_CAP)
-    dim = sig.dim
-    x = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (n, dim))
-    u = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (n, dim))
-    lhs = multiply_coeffs(sig.doubled(), _embed_flat(x), _embed_flat(u))
-    rhs = _embed_flat(multiply_coeffs(sig, x, u))
-    diff = np.max(np.abs(lhs - rhs), axis=1)
-    scale = np.max(np.abs(rhs), axis=1) + 1.0
-    return _result(
-        "embed_homomorphism", n, float(np.max(diff)), float(np.max(_rel(diff, scale))), tol
-    )
+    doubled = sig.doubled()
+    worst = []
+    for _, (x, u) in _sample_blocks(sig, rng, n, [_coeffs(sig.dim)] * 2):
+        lhs = multiply_coeffs(doubled, _embed_flat(x), _embed_flat(u))
+        rhs = _embed_flat(multiply_coeffs(sig, x, u))
+        diff = np.max(np.abs(lhs - rhs), axis=1)
+        scale = np.max(np.abs(rhs), axis=1) + 1.0
+        worst.append((np.max(diff), np.max(_rel(diff, scale))))
+    return _result("embed_homomorphism", n, worst, tol)
 
 
 def _check_sector_completeness(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    dim = sig.dim
-    x = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (samples, dim))
-    flat = _embed_flat(x)
-    total = np.zeros_like(flat)
-    for sector in _fiber_sectors(sig):
-        total += multiply_coeffs(sig.doubled(), flat, sector.coeffs)
-    diff = np.max(np.abs(total - flat), axis=1)
-    scale = np.max(np.abs(flat), axis=1)
-    return _result(
-        "sector_completeness", samples, float(np.max(diff)), float(np.max(_rel(diff, scale))), tol
-    )
+    doubled = sig.doubled()
+    sectors = _fiber_sectors(sig)
+    worst = []
+    for _, (x,) in _sample_blocks(sig, rng, samples, [_coeffs(sig.dim)]):
+        flat = _embed_flat(x)
+        total = np.zeros_like(flat)
+        for sector in sectors:
+            total += multiply_coeffs(doubled, flat, sector.coeffs)
+        diff = np.max(np.abs(total - flat), axis=1)
+        scale = np.max(np.abs(flat), axis=1)
+        worst.append((np.max(diff), np.max(_rel(diff, scale))))
+    return _result("sector_completeness", samples, worst, tol)
 
 
 def _check_oracle(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
     """Closed forms against the projector-path extraction, for + ++ - -+."""
-    x = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (samples, sig.dim))
     basis = fiber_component_basis(sig)
-    flat = _embed_flat(x)
-    comps = basis.components_batch(flat)
-    parts = _parts(x.T)
-    closed = np.stack([getattr(parts, c.part) for c in _layout(sig)], axis=1)
-    diff = np.max(np.abs(comps - closed), axis=1)
-    recon = basis.reconstruction_residual_batch(flat)
-    worst = np.maximum(diff, recon)
-    # the dominant sector magnitude: dt with one generator, dt + H with two
-    scale = parts.dt + 1.0 if sig.n == 1 else parts.dt + parts.H + 1e-300
-    return _result(
-        "oracle_equivalence", samples, float(np.max(worst)), float(np.max(_rel(worst, scale))), tol
-    )
+    layout = [c.part for c in _layout(sig)]
+    worst = []
+    for _, (x,) in _sample_blocks(sig, rng, samples, [_coeffs(sig.dim)]):
+        flat = _embed_flat(x)
+        comps = basis.components_batch(flat)
+        parts = _parts(x.T)
+        closed = np.stack([getattr(parts, part) for part in layout], axis=1)
+        diff = np.max(np.abs(comps - closed), axis=1)
+        recon = basis.reconstruction_residual_batch(flat, comps)
+        gap = np.maximum(diff, recon)
+        # the dominant sector magnitude: dt with one generator, dt + H with two
+        scale = parts.dt + 1.0 if sig.n == 1 else parts.dt + parts.H + 1e-300
+        worst.append((np.max(gap), np.max(_rel(gap, scale))))
+    return _result("oracle_equivalence", samples, worst, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -227,43 +298,46 @@ def _check_oracle(sig: Signature, rng, samples: int, tol: float) -> PropertyResu
 
 
 def _check_tangent_norm(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    x = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (samples, 2))
-    dt, dq, ds = _tangent_parts(x[:, 0], x[:, 1])
-    diff = ds * ds - (dt * dt - dq * dq)
-    rel = _rel(diff, dt * dt)
-    return _result("tangent_norm_identity", samples, float(np.max(np.abs(diff))), float(np.max(rel)), tol)
+    worst = []
+    for _, (x,) in _sample_blocks(sig, rng, samples, [_coeffs(2)]):
+        dt, dq, ds = _tangent_parts(x[:, 0], x[:, 1])
+        diff = ds * ds - (dt * dt - dq * dq)
+        worst.append((np.max(np.abs(diff)), np.max(_rel(diff, dt * dt))))
+    return _result("tangent_norm_identity", samples, worst, tol)
 
 
 def _check_tangent_max_speed(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    x = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (samples, 2))
-    dt, dq, _ = _tangent_parts(x[:, 0], x[:, 1])
-    excess = np.maximum(np.abs(dq) - dt, 0.0)
-    negative = np.maximum(-dt, 0.0)
-    worst = np.maximum(excess, negative)
-    rel = _rel(worst, np.maximum(dt, 1.0))
-    return _result("tangent_max_speed", samples, float(np.max(worst)), float(np.max(rel)), tol)
+    worst = []
+    for _, (x,) in _sample_blocks(sig, rng, samples, [_coeffs(2)]):
+        dt, dq, _ = _tangent_parts(x[:, 0], x[:, 1])
+        excess = np.maximum(np.abs(dq) - dt, 0.0)
+        negative = np.maximum(-dt, 0.0)
+        gap = np.maximum(excess, negative)
+        worst.append((np.max(gap), np.max(_rel(gap, np.maximum(dt, 1.0)))))
+    return _result("tangent_max_speed", samples, worst, tol)
 
 
 def _check_tangent_boost(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    x = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (samples, 2))
-    phi = rng.uniform(-RAPIDITY_RANGE, RAPIDITY_RANGE, samples)
-    u = np.stack([np.cosh(phi), np.sinh(phi)], axis=1)
-    xu = multiply_coeffs(sig, x, u)
-    dt0, dq0, ds0 = _tangent_parts(x[:, 0], x[:, 1])
-    dt1, dq1, ds1 = _tangent_parts(xu[:, 0], xu[:, 1])
-    ch, sh = np.cosh(2 * phi), np.sinh(2 * phi)
-    rel = np.max(
-        np.stack(
-            [
-                _rel(ds1 - ds0, np.maximum(dt0, dt1)),
-                _rel(dt1 - (ch * dt0 + sh * dq0), np.maximum(dt1, dt0)),
-                _rel(dq1 - (sh * dt0 + ch * dq0), np.maximum(dt1, dt0)),
-            ]
-        ),
-        axis=0,
-    )
-    worst_abs = float(np.max(np.abs(ds1 - ds0)))
-    return _result("boost_invariance", samples, worst_abs, float(np.max(rel)), tol)
+    draws = [_coeffs(2), _Draw("uniform", -RAPIDITY_RANGE, RAPIDITY_RANGE)]
+    worst = []
+    for _, (x, phi) in _sample_blocks(sig, rng, samples, draws):
+        u = np.stack([np.cosh(phi), np.sinh(phi)], axis=1)
+        xu = multiply_coeffs(sig, x, u)
+        dt0, dq0, ds0 = _tangent_parts(x[:, 0], x[:, 1])
+        dt1, dq1, ds1 = _tangent_parts(xu[:, 0], xu[:, 1])
+        ch, sh = np.cosh(2 * phi), np.sinh(2 * phi)
+        rel = np.max(
+            np.stack(
+                [
+                    _rel(ds1 - ds0, np.maximum(dt0, dt1)),
+                    _rel(dt1 - (ch * dt0 + sh * dq0), np.maximum(dt1, dt0)),
+                    _rel(dq1 - (sh * dt0 + ch * dq0), np.maximum(dt1, dt0)),
+                ]
+            ),
+            axis=0,
+        )
+        worst.append((np.max(np.abs(ds1 - ds0)), np.max(rel)))
+    return _result("boost_invariance", samples, worst, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -271,61 +345,77 @@ def _check_tangent_boost(sig: Signature, rng, samples: int, tol: float) -> Prope
 
 
 def _check_fiber_norms(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    x = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (samples, 4))
-    f = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
-    tangent = f.ds * f.ds - (f.dt * f.dt - f.dq * f.dq)
-    momentum = f.m * f.m - (f.H * f.H - f.p * f.p)
-    rel = np.maximum(_rel(tangent, f.dt * f.dt), _rel(momentum, f.H * f.H))
-    worst_abs = max(float(np.max(np.abs(tangent))), float(np.max(np.abs(momentum))))
-    return _result("norm_identities", samples, worst_abs, float(np.max(rel)), tol)
+    worst = []
+    for _, (x,) in _sample_blocks(sig, rng, samples, [_coeffs(4)]):
+        f = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
+        tangent = f.ds * f.ds - (f.dt * f.dt - f.dq * f.dq)
+        momentum = f.m * f.m - (f.H * f.H - f.p * f.p)
+        rel = np.maximum(_rel(tangent, f.dt * f.dt), _rel(momentum, f.H * f.H))
+        worst_abs = max(float(np.max(np.abs(tangent))), float(np.max(np.abs(momentum))))
+        worst.append((worst_abs, np.max(rel)))
+    return _result("norm_identities", samples, worst, tol)
 
 
 def _check_fiber_max_speed(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    x = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (samples, 4))
-    f = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
-    worst = np.maximum(np.abs(f.dq) - f.dt, np.abs(f.p) - f.H)
-    worst = np.maximum(worst, np.maximum(-f.dt, -f.H))
-    worst = np.maximum(worst, 0.0)
-    rel = _rel(worst, np.maximum(np.maximum(f.dt, f.H), 1.0))
-    return _result("max_speed", samples, float(np.max(worst)), float(np.max(rel)), tol)
+    worst = []
+    for _, (x,) in _sample_blocks(sig, rng, samples, [_coeffs(4)]):
+        f = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
+        gap = np.maximum(np.abs(f.dq) - f.dt, np.abs(f.p) - f.H)
+        gap = np.maximum(gap, np.maximum(-f.dt, -f.H))
+        gap = np.maximum(gap, 0.0)
+        rel = _rel(gap, np.maximum(np.maximum(f.dt, f.H), 1.0))
+        worst.append((np.max(gap), np.max(rel)))
+    return _result("max_speed", samples, worst, tol)
 
 
 def _check_cross_squares(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    x = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (samples, 4))
-    f = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
-    hdt, pdq, mds = f.H * f.dt, f.p * f.dq, f.m * f.ds
-    scale = hdt + 1e-300
-    combos = (
-        2 * f.c_plus_1**2 - (hdt + pdq + mds),
-        2 * f.c_plus_e1**2 - (hdt + pdq - mds),
-        2 * f.c_minus_1**2 - (hdt - pdq + mds),
-        2 * f.c_minus_e12**2 - (hdt - pdq - mds),
-    )
-    worst_abs = max(float(np.max(np.abs(c))) for c in combos)
-    worst_rel = max(float(np.max(_rel(c, scale))) for c in combos)
-    return _result("cross_square_identities", samples, worst_abs, worst_rel, tol)
+    worst = []
+    for _, (x,) in _sample_blocks(sig, rng, samples, [_coeffs(4)]):
+        f = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
+        hdt, pdq, mds = f.H * f.dt, f.p * f.dq, f.m * f.ds
+        scale = hdt + 1e-300
+        combos = (
+            2 * f.c_plus_1**2 - (hdt + pdq + mds),
+            2 * f.c_plus_e1**2 - (hdt + pdq - mds),
+            2 * f.c_minus_1**2 - (hdt - pdq + mds),
+            2 * f.c_minus_e12**2 - (hdt - pdq - mds),
+        )
+        worst_abs = max(float(np.max(np.abs(c))) for c in combos)
+        worst_rel = max(float(np.max(_rel(c, scale))) for c in combos)
+        worst.append((worst_abs, worst_rel))
+    return _result("cross_square_identities", samples, worst, tol)
 
 
-def _minimal_samples(rng, count: int) -> np.ndarray:
-    x = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (count, 4))
-    sign = np.where(rng.uniform(size=count) < 0.5, -1.0, 1.0)
-    x[:, 0] = sign * rng.uniform(0.1, COEFF_RANGE, count)
+# The draws of _minimal_samples: coefficients, a sign coin and |x0|.
+_MINIMAL_DRAWS = (_coeffs(4), _Draw("uniform", 0.0, 1.0), _Draw("uniform", 0.1, COEFF_RANGE))
+
+
+def _minimal_samples(x: np.ndarray, coin: np.ndarray, size: np.ndarray) -> np.ndarray:
+    x[:, 0] = np.where(coin < 0.5, -1.0, 1.0) * size
     x[:, 3] = x[:, 1] * x[:, 2] / x[:, 0]
     return x
 
 
-def _exact_minimal_samples(rng, count: int) -> np.ndarray:
+# The draws of _exact_minimal_samples: a sign coin, log2 |x0|, 256 x1 and 256 x2.
+_EXACT_MINIMAL_DRAWS = (
+    _Draw("uniform", 0.0, 1.0),
+    _Draw("integers", -3, 4),
+    _Draw("integers", -2560, 2561),
+    _Draw("integers", -2560, 2561),
+)
+
+
+def _exact_minimal_samples(coin, power, x1, x2) -> np.ndarray:
     """Minimal elements whose construction is exact in floats.
 
     Dyadic coefficients and a power-of-two scalar part make x1*x2/x0
     exact, so x0*x3 == x1*x2 holds with no rounding; identities stated
     at exact minimality can then be checked at full strictness.
     """
-    x = np.empty((count, 4))
-    sign = np.where(rng.uniform(size=count) < 0.5, -1.0, 1.0)
-    x[:, 0] = sign * 2.0 ** rng.integers(-3, 4, count)
-    x[:, 1] = rng.integers(-2560, 2561, count) / 256.0
-    x[:, 2] = rng.integers(-2560, 2561, count) / 256.0
+    x = np.empty((len(coin), 4))
+    x[:, 0] = np.where(coin < 0.5, -1.0, 1.0) * 2.0**power
+    x[:, 1] = x1 / 256.0
+    x[:, 2] = x2 / 256.0
     x[:, 3] = x[:, 1] * x[:, 2] / x[:, 0]
     return x
 
@@ -342,115 +432,121 @@ def _min_action_flags(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 def _check_min_action_equivalence(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
     half = max(samples // 2, 1)
-    minimal = _minimal_samples(rng, half)
-    generic = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (half, 4))
     disagreements = 0
-    for block in (minimal, generic):
-        a, b, c = _min_action_flags(block)
-        disagreements += int(np.sum(a != b)) + int(np.sum(b != c))
-    # Spot-check the scalar API against the vectorized gates.
-    for row in minimal[:25]:
-        factorization = factorize(AlgebraElement(sig, row))
-        gap = np.max(np.abs(factorization.reconstruct().coeffs - row))
-        if gap > ROUNDTRIP_GATE * np.max(np.abs(row)):
-            disagreements += 1
-    for row in generic[:25]:
-        element = AlgebraElement(sig, row)
-        minimal_flag = abs(row[0] * row[3] - row[1] * row[2]) <= PRODUCT_GATE * float(np.sum(row * row))
-        try:
-            factorize(element)
-            factored = True
-        except ValueError:
-            factored = False
-        if factored != minimal_flag:
-            disagreements += 1
+    for lo, (x, coin, size, generic) in _sample_blocks(sig, rng, half, [*_MINIMAL_DRAWS, _coeffs(4)]):
+        minimal = _minimal_samples(x, coin, size)
+        for block in (minimal, generic):
+            a, b, c = _min_action_flags(block)
+            disagreements += int(np.sum(a != b)) + int(np.sum(b != c))
+        # Spot-check the scalar API against the vectorized gates.
+        spot = max(SPOT_ROWS - lo, 0)
+        for row in minimal[:spot]:
+            factorization = factorize(AlgebraElement(sig, row))
+            gap = np.max(np.abs(factorization.reconstruct().coeffs - row))
+            if gap > ROUNDTRIP_GATE * np.max(np.abs(row)):
+                disagreements += 1
+        for row in generic[:spot]:
+            element = AlgebraElement(sig, row)
+            minimal_flag = abs(row[0] * row[3] - row[1] * row[2]) <= PRODUCT_GATE * float(np.sum(row * row))
+            try:
+                factorize(element)
+                factored = True
+            except ValueError:
+                factored = False
+            if factored != minimal_flag:
+                disagreements += 1
     residual = float(disagreements)
-    return _result("min_action_equivalence", 2 * half, residual, residual, tol if tol >= 1 else 0.5)
+    return _result("min_action_equivalence", 2 * half, [(residual, residual)], tol if tol >= 1 else 0.5)
 
 
 def _check_min_action_rate(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    x = _exact_minimal_samples(rng, samples)
-    f = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
-    diff = f.action_rate + f.m * f.ds
-    rel = _rel(diff, f.H * f.dt + 1e-300)
-    return _result("min_action_rate", samples, float(np.max(np.abs(diff))), float(np.max(rel)), tol)
+    worst = []
+    for _, arrays in _sample_blocks(sig, rng, samples, _EXACT_MINIMAL_DRAWS):
+        x = _exact_minimal_samples(*arrays)
+        f = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
+        diff = f.action_rate + f.m * f.ds
+        worst.append((np.max(np.abs(diff)), np.max(_rel(diff, f.H * f.dt + 1e-300))))
+    return _result("min_action_rate", samples, worst, tol)
 
 
 def _check_fiber_boost(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    x = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (samples, 4))
-    phi = rng.uniform(-RAPIDITY_RANGE, RAPIDITY_RANGE, samples)
-    u = np.zeros((samples, 4))
-    u[:, 0] = np.cosh(phi)
-    u[:, 1] = np.sinh(phi)
-    xu = multiply_coeffs(sig, x, u)
-    f0 = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
-    f1 = _fiber_parts(xu[:, 0], xu[:, 1], xu[:, 2], xu[:, 3])
-    ch, sh = np.cosh(2 * phi), np.sinh(2 * phi)
-    # dt + H is twice the squared coefficient norm.  A sector more than
-    # four decades below it sits under the coefficient rounding noise and
-    # can only be measured against the element, not against itself.
-    floor = 1e-4 * np.maximum(f0.dt + f0.H, f1.dt + f1.H)
-    tangent_scale = np.maximum(np.maximum(f0.dt, f1.dt), floor)
-    momentum_scale = np.maximum(np.maximum(f0.H, f1.H), floor)
-    cross_scale = np.maximum(np.sqrt(np.maximum(f0.H * f0.dt, f1.H * f1.dt)), floor)
-    action_scale = np.maximum(np.maximum(f0.H * f0.dt, f1.H * f1.dt), floor * floor)
-    residuals = [
-        _rel(f1.ds - f0.ds, tangent_scale),
-        _rel(f1.m - f0.m, momentum_scale),
-        _rel(f1.c_minus_1 - f0.c_minus_1, cross_scale),
-        _rel(f1.c_minus_e12 - f0.c_minus_e12, cross_scale),
-        _rel(f1.action_rate - f0.action_rate, action_scale),
-        _rel(f1.dt - (ch * f0.dt + sh * f0.dq), tangent_scale),
-        _rel(f1.dq - (sh * f0.dt + ch * f0.dq), tangent_scale),
-        _rel(f1.H - (ch * f0.H + sh * f0.p), momentum_scale),
-        _rel(f1.p - (sh * f0.H + ch * f0.p), momentum_scale),
-        _rel(f1.c_plus_1 - (ch * f0.c_plus_1 + sh * f0.c_plus_e1), cross_scale),
-        _rel(f1.c_plus_e1 - (sh * f0.c_plus_1 + ch * f0.c_plus_e1), cross_scale),
-    ]
-    worst_abs = float(np.max(np.abs(f1.ds - f0.ds)))
-    worst_rel = max(float(np.max(r)) for r in residuals)
-    return _result("boost_invariance", samples, worst_abs, worst_rel, tol)
+    draws = [_coeffs(4), _Draw("uniform", -RAPIDITY_RANGE, RAPIDITY_RANGE)]
+    worst = []
+    for _, (x, phi) in _sample_blocks(sig, rng, samples, draws):
+        u = np.zeros((len(phi), 4))
+        u[:, 0] = np.cosh(phi)
+        u[:, 1] = np.sinh(phi)
+        xu = multiply_coeffs(sig, x, u)
+        f0 = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
+        f1 = _fiber_parts(xu[:, 0], xu[:, 1], xu[:, 2], xu[:, 3])
+        ch, sh = np.cosh(2 * phi), np.sinh(2 * phi)
+        # dt + H is twice the squared coefficient norm.  A sector more than
+        # four decades below it sits under the coefficient rounding noise and
+        # can only be measured against the element, not against itself.
+        floor = 1e-4 * np.maximum(f0.dt + f0.H, f1.dt + f1.H)
+        tangent_scale = np.maximum(np.maximum(f0.dt, f1.dt), floor)
+        momentum_scale = np.maximum(np.maximum(f0.H, f1.H), floor)
+        cross_scale = np.maximum(np.sqrt(np.maximum(f0.H * f0.dt, f1.H * f1.dt)), floor)
+        action_scale = np.maximum(np.maximum(f0.H * f0.dt, f1.H * f1.dt), floor * floor)
+        residuals = [
+            _rel(f1.ds - f0.ds, tangent_scale),
+            _rel(f1.m - f0.m, momentum_scale),
+            _rel(f1.c_minus_1 - f0.c_minus_1, cross_scale),
+            _rel(f1.c_minus_e12 - f0.c_minus_e12, cross_scale),
+            _rel(f1.action_rate - f0.action_rate, action_scale),
+            _rel(f1.dt - (ch * f0.dt + sh * f0.dq), tangent_scale),
+            _rel(f1.dq - (sh * f0.dt + ch * f0.dq), tangent_scale),
+            _rel(f1.H - (ch * f0.H + sh * f0.p), momentum_scale),
+            _rel(f1.p - (sh * f0.H + ch * f0.p), momentum_scale),
+            _rel(f1.c_plus_1 - (ch * f0.c_plus_1 + sh * f0.c_plus_e1), cross_scale),
+            _rel(f1.c_plus_e1 - (sh * f0.c_plus_1 + ch * f0.c_plus_e1), cross_scale),
+        ]
+        worst_abs = float(np.max(np.abs(f1.ds - f0.ds)))
+        worst.append((worst_abs, max(float(np.max(r)) for r in residuals)))
+    return _result("boost_invariance", samples, worst, tol)
 
 
 def _check_lift_round_trip(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    x = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (samples, 4))
-    f = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
-    sum_root = np.sqrt(f.dt + f.dq)
-    diff_root = np.sqrt(f.dt - f.dq)
-    a, b = (sum_root + diff_root) / 2, (sum_root - diff_root) / 2
-    sum_root = np.sqrt(f.H + f.p)
-    diff_root = np.sqrt(f.H - f.p)
-    c, d = (sum_root + diff_root) / 2, (sum_root - diff_root) / 2
-    lifted = np.stack([(a + c) / 2, (b + d) / 2, (a - c) / 2, (b - d) / 2], axis=1)
-    g = _fiber_parts(lifted[:, 0], lifted[:, 1], lifted[:, 2], lifted[:, 3])
-    # lifted coefficients hold sector sums, so a sector far below the
-    # element magnitude cannot round-trip relative to itself
-    floor = 1e-4 * (f.dt + f.H)
-    rel = np.max(
-        np.stack(
-            [
-                _rel(g.dt - f.dt, np.maximum(f.dt, floor)),
-                _rel(g.dq - f.dq, np.maximum(f.dt, floor)),
-                _rel(g.H - f.H, np.maximum(f.H, floor)),
-                _rel(g.p - f.p, np.maximum(f.H, floor)),
-            ]
-        ),
-        axis=0,
-    )
-    worst_abs = float(np.max(np.abs(g.dt - f.dt)))
-    for row in x[:25]:
-        parts = _fiber_parts(*row)
-        element = lift_kinematics(
-            TangentTriple(float(parts.dt), float(parts.dq)),
-            MomentumTriple(float(parts.H), float(parts.p)),
+    worst = []
+    for lo, (x,) in _sample_blocks(sig, rng, samples, [_coeffs(4)]):
+        f = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
+        sum_root = np.sqrt(f.dt + f.dq)
+        diff_root = np.sqrt(f.dt - f.dq)
+        a, b = (sum_root + diff_root) / 2, (sum_root - diff_root) / 2
+        sum_root = np.sqrt(f.H + f.p)
+        diff_root = np.sqrt(f.H - f.p)
+        c, d = (sum_root + diff_root) / 2, (sum_root - diff_root) / 2
+        lifted = np.stack([(a + c) / 2, (b + d) / 2, (a - c) / 2, (b - d) / 2], axis=1)
+        g = _fiber_parts(lifted[:, 0], lifted[:, 1], lifted[:, 2], lifted[:, 3])
+        # lifted coefficients hold sector sums, so a sector far below the
+        # element magnitude cannot round-trip relative to itself
+        floor = 1e-4 * (f.dt + f.H)
+        rel = np.max(
+            np.stack(
+                [
+                    _rel(g.dt - f.dt, np.maximum(f.dt, floor)),
+                    _rel(g.dq - f.dq, np.maximum(f.dt, floor)),
+                    _rel(g.H - f.H, np.maximum(f.H, floor)),
+                    _rel(g.p - f.p, np.maximum(f.H, floor)),
+                ]
+            ),
+            axis=0,
         )
-        back = _fiber_parts(*[float(v) for v in element.coeffs])
-        gap = max(
-            abs(back.dt - parts.dt) / max(parts.dt, 1.0),
-            abs(back.H - parts.H) / max(parts.H, 1.0),
-        )
-        rel = np.append(rel, gap)
-    return _result("lift_round_trip", samples, worst_abs, float(np.max(rel)), tol)
+        worst_abs = float(np.max(np.abs(g.dt - f.dt)))
+        for row in x[: max(SPOT_ROWS - lo, 0)]:
+            parts = _fiber_parts(*row)
+            element = lift_kinematics(
+                TangentTriple(float(parts.dt), float(parts.dq)),
+                MomentumTriple(float(parts.H), float(parts.p)),
+            )
+            back = _fiber_parts(*[float(v) for v in element.coeffs])
+            gap = max(
+                abs(back.dt - parts.dt) / max(parts.dt, 1.0),
+                abs(back.H - parts.H) / max(parts.H, 1.0),
+            )
+            rel = np.append(rel, gap)
+        worst.append((worst_abs, np.max(rel)))
+    return _result("lift_round_trip", samples, worst, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -458,50 +554,46 @@ def _check_lift_round_trip(sig: Signature, rng, samples: int, tol: float) -> Pro
 
 
 def _check_plane_rotation(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    x = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (samples, 2))
-    theta = rng.uniform(-np.pi, np.pi, samples)
-    u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    xu = multiply_coeffs(sig, x, u)
-    before = x[:, 0] ** 2 + x[:, 1] ** 2
-    after = xu[:, 0] ** 2 + xu[:, 1] ** 2
-    diff = after - before
-    rel = _rel(diff, np.maximum(before, after))
-    return _result("rotation_invariance", samples, float(np.max(np.abs(diff))), float(np.max(rel)), tol)
+    worst = []
+    for _, (x, theta) in _sample_blocks(sig, rng, samples, [_coeffs(2), _Draw("uniform", -np.pi, np.pi)]):
+        u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        xu = multiply_coeffs(sig, x, u)
+        before = x[:, 0] ** 2 + x[:, 1] ** 2
+        after = xu[:, 0] ** 2 + xu[:, 1] ** 2
+        diff = after - before
+        worst.append((np.max(np.abs(diff)), np.max(_rel(diff, np.maximum(before, after)))))
+    return _result("rotation_invariance", samples, worst, tol)
 
 
 def _check_euclidean_fiber_rotation(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    x = rng.uniform(-COEFF_RANGE, COEFF_RANGE, (samples, 4))
-    theta = rng.uniform(-np.pi, np.pi, samples)
-    u = np.zeros((samples, 4))
-    u[:, 0] = np.cos(theta)
-    u[:, 1] = np.sin(theta)
-    xu = multiply_coeffs(sig, x, u)
     basis = fiber_component_basis(sig)
-    before = basis.components_batch(_embed_flat(x))
-    after = basis.components_batch(_embed_flat(xu))
-    names = basis.names
-    idx = {name: names.index(name) for name in names}
-    size0 = before[:, idx["tangent_invariant"]] + before[:, idx["momentum_invariant"]]
-    size1 = after[:, idx["tangent_invariant"]] + after[:, idx["momentum_invariant"]]
-    floor = 1e-4 * np.maximum(size0, size1)
-    tangent_scale = np.maximum(
-        np.maximum(before[:, idx["tangent_invariant"]], after[:, idx["tangent_invariant"]]), floor
+    tangent, momentum, cross_1, cross_e12 = (
+        basis.names.index(name)
+        for name in ("tangent_invariant", "momentum_invariant", "cross_invariant_1", "cross_invariant_e12")
     )
-    momentum_scale = np.maximum(
-        np.maximum(before[:, idx["momentum_invariant"]], after[:, idx["momentum_invariant"]]), floor
-    )
-    cross_scale = np.maximum(np.sqrt(np.abs(tangent_scale * momentum_scale)), floor)
-    residuals = [
-        _rel(after[:, idx["tangent_invariant"]] - before[:, idx["tangent_invariant"]], tangent_scale),
-        _rel(after[:, idx["momentum_invariant"]] - before[:, idx["momentum_invariant"]], momentum_scale),
-        _rel(after[:, idx["cross_invariant_1"]] - before[:, idx["cross_invariant_1"]], cross_scale),
-        _rel(after[:, idx["cross_invariant_e12"]] - before[:, idx["cross_invariant_e12"]], cross_scale),
-    ]
-    worst_abs = float(
-        np.max(np.abs(after[:, idx["tangent_invariant"]] - before[:, idx["tangent_invariant"]]))
-    )
-    worst_rel = max(float(np.max(r)) for r in residuals)
-    return _result("rotation_invariance", samples, worst_abs, worst_rel, tol)
+    worst = []
+    for _, (x, theta) in _sample_blocks(sig, rng, samples, [_coeffs(4), _Draw("uniform", -np.pi, np.pi)]):
+        u = np.zeros((len(theta), 4))
+        u[:, 0] = np.cos(theta)
+        u[:, 1] = np.sin(theta)
+        xu = multiply_coeffs(sig, x, u)
+        before = basis.components_batch(_embed_flat(x))
+        after = basis.components_batch(_embed_flat(xu))
+        size0 = before[:, tangent] + before[:, momentum]
+        size1 = after[:, tangent] + after[:, momentum]
+        floor = 1e-4 * np.maximum(size0, size1)
+        tangent_scale = np.maximum(np.maximum(before[:, tangent], after[:, tangent]), floor)
+        momentum_scale = np.maximum(np.maximum(before[:, momentum], after[:, momentum]), floor)
+        cross_scale = np.maximum(np.sqrt(np.abs(tangent_scale * momentum_scale)), floor)
+        residuals = [
+            _rel(after[:, tangent] - before[:, tangent], tangent_scale),
+            _rel(after[:, momentum] - before[:, momentum], momentum_scale),
+            _rel(after[:, cross_1] - before[:, cross_1], cross_scale),
+            _rel(after[:, cross_e12] - before[:, cross_e12], cross_scale),
+        ]
+        worst_abs = float(np.max(np.abs(after[:, tangent] - before[:, tangent])))
+        worst.append((worst_abs, max(float(np.max(r)) for r in residuals)))
+    return _result("rotation_invariance", samples, worst, tol)
 
 
 # ---------------------------------------------------------------------------

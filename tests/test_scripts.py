@@ -30,3 +30,10 @@ def test_action_convergence_runs():
     result = run_script("action_convergence.py")
     assert result.returncode == 0, result.stderr
     assert "steps" in result.stdout
+
+
+def test_run_verification_zero_samples_exits_2():
+    result = run_script("run_verification.py", "--samples", "0")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == ["run_verification.py: error: samples must be at least 1, got 0"]

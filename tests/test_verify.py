@@ -1,10 +1,18 @@
-"""Verification sweep tests: determinism, coverage, pass/fail wiring."""
+"""Verification sweep tests: determinism, coverage, pass/fail wiring, blocking."""
+
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fiberalg import algebra
-from fiberalg.verify import run_verification
+from fiberalg import algebra, verify
+from fiberalg.algebra import Signature, multiply_coeffs
+from fiberalg.cli import main
+from fiberalg.fiber import _fiber_sectors, fiber_component_basis
+from fiberalg.verify import _Draw, _embed_flat, _sample_blocks, run_verification
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def names(report):
@@ -111,3 +119,75 @@ class TestReportShape:
         for p in report.properties:
             assert np.isfinite(p.max_abs_residual)
             assert np.isfinite(p.max_rel_residual)
+
+
+class TestBlocks:
+    """The sweeps run in blocks of rows; the block size must change no byte."""
+
+    def test_blocks_match_one_full_size_draw(self, monkeypatch):
+        # An odd integers array leaves a spare 32-bit half that the next
+        # integers array takes first, across the uniform array between them.
+        draws = [
+            _Draw("uniform", -1.0, 1.0, (3,)),
+            _Draw("integers", -3, 4),
+            _Draw("uniform", 0.0, 1.0),
+            _Draw("integers", -2560, 2561),
+            _Draw("uniform", -1.0, 1.0, (2,)),
+        ]
+        full_rng = np.random.default_rng([4, 2])
+        full = [draw.take(full_rng, 1001) for draw in draws]
+        monkeypatch.setattr(verify, "BLOCK_VALUES", 8 * 4)
+        blocks = list(_sample_blocks(Signature((1,)), np.random.default_rng([4, 2]), 1001, draws))
+        assert [lo for lo, _ in blocks] == list(range(0, 1000, 8))  # the one-row tail joins the last block
+        for index, expected in enumerate(full):
+            got = np.concatenate([arrays[index] for _, arrays in blocks])
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("signature", ["+", "++", "-", "-+"])
+    def test_products_give_each_row_the_same_bits_in_any_block(self, signature):
+        # BLAS does not promise this; the sweeps keep their bytes only where
+        # it holds.  A full product of 20000 rows or more may take another
+        # OpenBLAS path (with a C-contiguous dual it does).
+        sig = Signature.from_string(signature)
+        basis = fiber_component_basis(sig)
+        flat = _embed_flat(np.random.default_rng(3).uniform(-10, 10, (20160, sig.dim)))
+        kernels = [basis.components_batch, basis.reconstruction_residual_batch]
+        if sig.n == 2:
+            kernels += [
+                lambda rows, sector=sector: multiply_coeffs(sig.doubled(), rows, sector.coeffs)
+                for sector in _fiber_sectors(sig)
+            ]
+        for kernel in kernels:
+            full = kernel(flat)
+            for rows in (7, 4096):
+                blocks = [kernel(flat[lo : lo + rows]) for lo in range(0, len(flat), rows)]
+                assert np.array_equal(np.concatenate(blocks), full)
+
+    @pytest.mark.parametrize("rows", [7, 1000])
+    @pytest.mark.parametrize("signature, fixture", [("++", "verify_pp.json"), ("m+", "verify_mp.json")])
+    def test_goldens_at_any_block_size(self, rows, signature, fixture, monkeypatch, capsys):
+        monkeypatch.setattr(verify, "BLOCK_VALUES", rows * 16)
+        assert main(["verify", signature, "2000", "0"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / fixture).read_text()
+
+    @pytest.mark.parametrize("samples", [3, 24, 1001])
+    @pytest.mark.parametrize("signature", ["+", "-", "++", "-+", "+-+"])
+    def test_report_same_at_small_block(self, signature, samples, monkeypatch):
+        default = run_verification(signature, samples, 5, 1e-10).to_dict()
+        # 40 rows at one generator, 10 at two and 2 (the least) at three
+        monkeypatch.setattr(verify, "BLOCK_VALUES", 160)
+        assert run_verification(signature, samples, 5, 1e-10).to_dict() == default
+
+    def test_memory_bounded_in_samples(self, monkeypatch):
+        monkeypatch.setattr(verify, "BLOCK_VALUES", 256 * 16)
+        run_verification("++", 64, 0, 1e-10)  # builds the cached tables and bases
+        peaks = []
+        for samples in (2048, 16384):
+            tracemalloc.start()
+            try:
+                run_verification("++", samples, 0, 1e-10)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
