@@ -19,14 +19,13 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--tol", type=float, default=1e-10)
     args = parser.parse_args()
+    if args.samples < 1:
+        print(f"{parser.prog}: error: samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return 2
 
     all_passed = True
     for signature in SIGNATURES:
-        try:
-            report = run_verification(signature, args.samples, args.seed, args.tol)
-        except ValueError as exc:
-            print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-            return 2
+        report = run_verification(signature, args.samples, args.seed, args.tol)
         all_passed &= report.passed
         print(f"signature {signature!r}  samples={args.samples}  seed={args.seed}  tol={args.tol}")
         for prop in report.properties:

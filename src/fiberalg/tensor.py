@@ -174,11 +174,6 @@ class ComponentBasis:
         comps = self._dual @ flat
         return float(np.max(np.abs(flat - comps @ self._flat)))
 
-    def reconstruction_residual_batch(
-        self, flat_grids: np.ndarray, components: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Row-wise :meth:`reconstruction_residual`; ``components`` may pass
-        in ``components_batch(flat_grids)`` when the caller already has it."""
-        if components is None:
-            components = self.components_batch(flat_grids)
+    def reconstruction_residual_batch(self, flat_grids: np.ndarray, components: np.ndarray) -> np.ndarray:
+        """Row-wise :meth:`reconstruction_residual`, given ``components_batch(flat_grids)``."""
         return np.max(np.abs(flat_grids - components @ self._flat), axis=1)

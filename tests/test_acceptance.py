@@ -81,7 +81,7 @@ def test_criterion_2_oracle_equivalence():
     flat = _embed_flat(x)
     projected = basis.components_batch(flat)
     worst = float(np.max(np.abs(projected - closed)))
-    recon = float(np.max(basis.reconstruction_residual_batch(flat)))
+    recon = float(np.max(basis.reconstruction_residual_batch(flat, projected)))
     # spot-check the scalar API route end to end
     for row in x[:200]:
         a = decompose_d2(AlgebraElement(FIBER_SIGNATURE, row))
