@@ -2,10 +2,12 @@
 """Run the identity sweeps over every supported signature and print a table.
 
 Exits 0 when every property passes, 1 when one fails, and 2 with one
-stderr line when an argument is out of range (``--samples 0``).
+stderr line when an argument is out of range: a sample count below 1,
+a negative seed, or a negative or non-finite tolerance.
 """
 
 import argparse
+import math
 import sys
 
 from fiberalg.verify import run_verification
@@ -19,8 +21,15 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--tol", type=float, default=1e-10)
     args = parser.parse_args()
+    problem = None
     if args.samples < 1:
-        print(f"{parser.prog}: error: samples must be at least 1, got {args.samples}", file=sys.stderr)
+        problem = f"samples must be at least 1, got {args.samples}"
+    elif args.seed < 0:
+        problem = f"seed must be a non-negative integer, got {args.seed}"
+    elif not (math.isfinite(args.tol) and args.tol >= 0):
+        problem = f"tol must be a finite number of at least 0, got {args.tol}"
+    if problem is not None:
+        print(f"{parser.prog}: error: {problem}", file=sys.stderr)
         return 2
 
     all_passed = True

@@ -73,14 +73,20 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be at least 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("json", "csv", "pretty"), default="json", help="output format"
     )
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed for sweeps")
-    common.add_argument("--tol", type=_finite_float, default=None, help="tolerance override")
-    common.add_argument("--samples", type=int, default=None, help="sample count for sweeps")
+    with_tol = argparse.ArgumentParser(add_help=False, parents=[common])
+    with_tol.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
 
     parser = argparse.ArgumentParser(
         prog="fiberalg",
@@ -89,18 +95,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decompose", parents=[common], help="decompose one element")
+    p = sub.add_parser("decompose", parents=[with_tol], help="decompose one element")
     p.add_argument("signature", type=_signature_arg, help="signature string, e.g. ++")
     p.add_argument("coeffs", nargs="*", type=_finite_float, help="coefficients in subset-bitmask order")
     p.add_argument("--labels", action="store_true", help="print the basis order and exit")
 
-    p = sub.add_parser("verify", parents=[common], help="run the identity sweeps")
+    p = sub.add_parser("verify", parents=[with_tol], help="run the identity sweeps")
     p.add_argument("signature", type=_signature_arg)
     p.add_argument("samples_pos", nargs="?", type=int, metavar="samples")
     p.add_argument("seed_pos", nargs="?", type=int, metavar="seed")
-    p.add_argument("tol_pos", nargs="?", type=_finite_float, metavar="tol")
+    p.add_argument("tol_pos", nargs="?", type=_tolerance, metavar="tol")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed")
+    p.add_argument("--samples", type=int, default=None, help="sample count")
 
-    p = sub.add_parser("boost", parents=[common], help="decompose before and after a boost")
+    p = sub.add_parser("boost", parents=[with_tol], help="decompose before and after a boost")
     p.add_argument("signature", type=_signature_arg)
     p.add_argument("values", nargs="+", type=_finite_float, help="coefficients followed by the rapidity")
 

@@ -517,18 +517,18 @@ def lift_kinematics(tangent: TangentTriple, momentum: MomentumTriple) -> Algebra
         raise ValueError(
             f"momentum pair (H={energy}, p={momentum_p}) is outside the mass shell; no real preimage"
         )
-    sum_root = math.sqrt(dt + dq)
-    diff_root = math.sqrt(dt - dq)
-    a = (sum_root + diff_root) / 2.0
-    b = (sum_root - diff_root) / 2.0
-    sum_root = math.sqrt(energy + momentum_p)
-    diff_root = math.sqrt(energy - momentum_p)
-    c = (sum_root + diff_root) / 2.0
-    d = (sum_root - diff_root) / 2.0
-    return AlgebraElement(
-        FIBER_SIGNATURE,
-        [(a + c) / 2.0, (b + d) / 2.0, (a - c) / 2.0, (b - d) / 2.0],
-    )
+    return AlgebraElement(FIBER_SIGNATURE, list(_lift_coeffs(dt, dq, energy, momentum_p)))
+
+
+def _lift_coeffs(dt, dq, energy, momentum):
+    """The nonnegative-root lift of (dt, dq) and (H, p), as four coefficients; scalar or array."""
+    sum_root = np.sqrt(dt + dq)
+    diff_root = np.sqrt(dt - dq)
+    a, b = (sum_root + diff_root) / 2, (sum_root - diff_root) / 2
+    sum_root = np.sqrt(energy + momentum)
+    diff_root = np.sqrt(energy - momentum)
+    c, d = (sum_root + diff_root) / 2, (sum_root - diff_root) / 2
+    return (a + c) / 2, (b + d) / 2, (a - c) / 2, (b - d) / 2
 
 
 def free_particle_element(mass: float, rapidity: float) -> AlgebraElement:

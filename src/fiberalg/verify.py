@@ -11,25 +11,31 @@ The sweep for each of + ++ - -+ pits the closed polynomial forms
 against the projector-path extraction from the two-slot tensor, which
 keeps the two routes honest against each other.
 
-Every property draws and evaluates its samples in blocks of rows and
-keeps running maxima of its residuals, so a sweep needs the same memory
-at any sample count.  A block holds about ``BLOCK_VALUES`` values of the
-widest array a row feeds, the ``x (x) x`` embed.  The blocks are cut
-from the same sample streams as one full-size draw (see
-``_sample_blocks``), so the samples, and the report, are the same at
-any block size.  That also
-relies on every kernel treating rows independently.  Elementwise numpy
-arithmetic does.  On OpenBLAS a matrix product of two or more rows gives
-each row the bits of the full product; a one-row product takes numpy's
-vector path and may round differently, so no block has one row unless
-the whole sweep has.  The tests replay the verify goldens at several
-block sizes to check both.
+Every sampled property except the minimum-action equivalence, which
+counts disagreements, runs through one driver, ``_sweep``: it draws the
+samples in blocks of rows and folds the residuals of each row into
+running maxima, so a sweep needs the same memory at any sample count.
+A property is a generator over the blocks, not a function called per
+block, so its arrays live on from one block to the next: a function
+frees them all on return, the allocator may give the pages back, and
+the next block faults them in again.  A block holds about
+``BLOCK_VALUES`` values of the widest array a row feeds, the ``x (x) x``
+embed.  The blocks are cut from the same sample streams as one
+full-size draw (see ``_sample_blocks``), so the samples, and the report,
+are the same at any block size.  That also relies on every kernel
+treating rows independently.  Elementwise numpy arithmetic does.  On
+OpenBLAS a matrix product of two or more rows gives each row the bits
+of the full product; a one-row product takes numpy's vector path and
+may round differently, so no block has one row unless the whole sweep
+has.  The tests replay the verify goldens at several block sizes to
+check both.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +51,7 @@ from .fiber import (
     _fiber_parts,
     _fiber_sectors,
     _layout,
+    _lift_coeffs,
     _parts,
     _tangent_parts,
     factorize,
@@ -188,30 +195,41 @@ def _result(name: str, samples: int, abs_res: float, rel_res: float, tol: float)
     )
 
 
+def _sweep(name: str, draws, residuals, cap: int | None = None):
+    """The check of one sampled property: the block loop and the running maxima.
+
+    ``residuals(sig, blocks)`` takes the ``_sample_blocks`` of ``draws``
+    and yields ``(abs_row, rel_row)`` for each block, one value per row;
+    the report keeps the worst of each.  At most ``cap`` samples are drawn.
+    """
+
+    def check(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
+        n = samples if cap is None else min(samples, cap)
+        abs_res = rel_res = -np.inf
+        for abs_row, rel_row in residuals(sig, _sample_blocks(sig, rng, n, draws)):
+            abs_res = np.maximum(abs_res, np.max(abs_row))
+            rel_res = np.maximum(rel_res, np.max(rel_row))
+        return _result(name, n, abs_res, rel_res, tol)
+
+    return check
+
+
 # ---------------------------------------------------------------------------
 # Generic algebra and tensor properties.
 
 
-def _check_product_laws(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    n = min(samples, LOOP_CAP)
-    one = np.zeros(sig.dim)
-    one[0] = 1.0
-    abs_res = rel_res = -np.inf
-    for _, (a, b, c) in _sample_blocks(sig, rng, n, [_coeffs(sig.dim)] * 3):
+def _product_laws(sig: Signature, blocks):
+    one = AlgebraElement.basis(sig, 0).coeffs
+    for _, (a, b, c) in blocks:
         ab = multiply_coeffs(sig, a, b)
         assoc = multiply_coeffs(sig, ab, c) - multiply_coeffs(sig, a, multiply_coeffs(sig, b, c))
-        comm = ab - multiply_coeffs(sig, b, a)
-        ident = multiply_coeffs(sig, a, one) - a
-        scale = np.max(np.abs(ab), axis=1) * np.max(np.abs(c), axis=1) + 1.0
-        worst_abs = max(float(np.max(np.abs(assoc))), float(np.max(np.abs(comm))), float(np.max(np.abs(ident))))
-        worst_rel = max(
-            float(np.max(_rel(np.max(np.abs(assoc), axis=1), scale))),
-            float(np.max(_rel(np.max(np.abs(comm), axis=1), np.max(np.abs(ab), axis=1) + 1.0))),
-            float(np.max(np.abs(ident))),
-        )
-        abs_res = np.maximum(abs_res, worst_abs)
-        rel_res = np.maximum(rel_res, worst_rel)
-    return _result("product_laws", n, abs_res, rel_res, tol)
+        assoc = np.max(np.abs(assoc), axis=1)
+        comm = np.max(np.abs(ab - multiply_coeffs(sig, b, a)), axis=1)
+        ident = np.max(np.abs(multiply_coeffs(sig, a, one) - a), axis=1)
+        ab_size = np.max(np.abs(ab), axis=1)
+        scale = ab_size * np.max(np.abs(c), axis=1) + 1.0
+        rel = [_rel(assoc, scale), _rel(comm, ab_size + 1.0), ident]
+        yield reduce(np.maximum, [assoc, comm, ident]), reduce(np.maximum, rel)
 
 
 def _check_projector_algebra(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
@@ -242,138 +260,91 @@ def _check_projector_algebra(sig: Signature, rng, samples: int, tol: float) -> P
     return _result("projector_algebra", checks, worst, worst, tol)
 
 
-def _check_embed_homomorphism(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    n = min(samples, LOOP_CAP)
+def _embed_homomorphism(sig: Signature, blocks):
     doubled = sig.doubled()
-    abs_res = rel_res = -np.inf
-    for _, (x, u) in _sample_blocks(sig, rng, n, [_coeffs(sig.dim)] * 2):
+    for _, (x, u) in blocks:
         lhs = multiply_coeffs(doubled, _embed_flat(x), _embed_flat(u))
         rhs = _embed_flat(multiply_coeffs(sig, x, u))
         diff = np.max(np.abs(lhs - rhs), axis=1)
-        scale = np.max(np.abs(rhs), axis=1) + 1.0
-        abs_res = np.maximum(abs_res, np.max(diff))
-        rel_res = np.maximum(rel_res, np.max(_rel(diff, scale)))
-    return _result("embed_homomorphism", n, abs_res, rel_res, tol)
+        yield diff, _rel(diff, np.max(np.abs(rhs), axis=1) + 1.0)
 
 
-def _check_sector_completeness(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
+def _sector_completeness(sig: Signature, blocks):
     doubled = sig.doubled()
     sectors = _fiber_sectors(sig)
-    abs_res = rel_res = -np.inf
-    for _, (x,) in _sample_blocks(sig, rng, samples, [_coeffs(sig.dim)]):
+    for _, (x,) in blocks:
         flat = _embed_flat(x)
         total = np.zeros_like(flat)
         for sector in sectors:
             total += multiply_coeffs(doubled, flat, sector.coeffs)
         diff = np.max(np.abs(total - flat), axis=1)
-        scale = np.max(np.abs(flat), axis=1)
-        abs_res = np.maximum(abs_res, np.max(diff))
-        rel_res = np.maximum(rel_res, np.max(_rel(diff, scale)))
-    return _result("sector_completeness", samples, abs_res, rel_res, tol)
+        yield diff, _rel(diff, np.max(np.abs(flat), axis=1))
 
 
-def _check_oracle(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
+def _oracle(sig: Signature, blocks):
     """Closed forms against the projector-path extraction, for + ++ - -+."""
     basis = fiber_component_basis(sig)
     layout = [c.part for c in _layout(sig)]
-    abs_res = rel_res = -np.inf
-    for _, (x,) in _sample_blocks(sig, rng, samples, [_coeffs(sig.dim)]):
+    for _, (x,) in blocks:
         flat = _embed_flat(x)
         comps = basis.components_batch(flat)
         parts = _parts(x.T)
         closed = np.stack([getattr(parts, part) for part in layout], axis=1)
         diff = np.max(np.abs(comps - closed), axis=1)
-        recon = basis.reconstruction_residual_batch(flat, comps)
-        gap = np.maximum(diff, recon)
+        gap = np.maximum(diff, basis.reconstruction_residual_batch(flat, comps))
         # the dominant sector magnitude: dt with one generator, dt + H with two
         scale = parts.dt + 1.0 if sig.n == 1 else parts.dt + parts.H + 1e-300
-        abs_res = np.maximum(abs_res, np.max(gap))
-        rel_res = np.maximum(rel_res, np.max(_rel(gap, scale)))
-    return _result("oracle_equivalence", samples, abs_res, rel_res, tol)
+        yield gap, _rel(gap, scale)
 
 
 # ---------------------------------------------------------------------------
-# Tangent algebra properties (one generator, square +1).
+# Tangent algebra properties (one generator, square +1), with the sector laws
+# it shares with the fiber (tangent and momentum sectors at two generators).
 
 
-def _check_tangent_norm(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    abs_res = rel_res = -np.inf
-    for _, (x,) in _sample_blocks(sig, rng, samples, [_coeffs(2)]):
-        dt, dq, ds = _tangent_parts(x[:, 0], x[:, 1])
-        diff = ds * ds - (dt * dt - dq * dq)
-        abs_res = np.maximum(abs_res, np.max(np.abs(diff)))
-        rel_res = np.maximum(rel_res, np.max(_rel(diff, dt * dt)))
-    return _result("tangent_norm_identity", samples, abs_res, rel_res, tol)
+def _sectors(x: np.ndarray) -> list:
+    """(invariant, vector, norm) of each sector: tangent, and momentum at two generators."""
+    parts = _parts(x.T)
+    return [parts[:3]] if len(parts) == 3 else [parts[:3], parts[3:6]]
 
 
-def _check_tangent_max_speed(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    abs_res = rel_res = -np.inf
-    for _, (x,) in _sample_blocks(sig, rng, samples, [_coeffs(2)]):
-        dt, dq, _ = _tangent_parts(x[:, 0], x[:, 1])
-        excess = np.maximum(np.abs(dq) - dt, 0.0)
-        negative = np.maximum(-dt, 0.0)
-        gap = np.maximum(excess, negative)
-        abs_res = np.maximum(abs_res, np.max(gap))
-        rel_res = np.maximum(rel_res, np.max(_rel(gap, np.maximum(dt, 1.0))))
-    return _result("tangent_max_speed", samples, abs_res, rel_res, tol)
+def _norm_identities(sig: Signature, blocks):
+    """ds**2 = dt**2 - dq**2, and m**2 = H**2 - p**2 at two generators."""
+    for _, (x,) in blocks:
+        rows = [(norm * norm - (inv * inv - vec * vec), inv * inv) for inv, vec, norm in _sectors(x)]
+        yield reduce(np.maximum, [np.abs(d) for d, _ in rows]), reduce(np.maximum, [_rel(*r) for r in rows])
 
 
-def _check_tangent_boost(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    draws = [_coeffs(2), _Draw("uniform", -RAPIDITY_RANGE, RAPIDITY_RANGE)]
-    abs_res = rel_res = -np.inf
-    for _, (x, phi) in _sample_blocks(sig, rng, samples, draws):
+def _max_speed(sig: Signature, blocks):
+    """|dq| <= dt, and |p| <= H at two generators."""
+    for _, (x,) in blocks:
+        sectors = _sectors(x)
+        gaps = [np.maximum(np.maximum(np.abs(vec) - inv, -inv), 0.0) for inv, vec, _ in sectors]
+        gap = reduce(np.maximum, gaps)
+        yield gap, _rel(gap, reduce(np.maximum, [np.maximum(inv, 1.0) for inv, _, _ in sectors]))
+
+
+def _tangent_boost(sig: Signature, blocks):
+    for _, (x, phi) in blocks:
         u = np.stack([np.cosh(phi), np.sinh(phi)], axis=1)
         xu = multiply_coeffs(sig, x, u)
         dt0, dq0, ds0 = _tangent_parts(x[:, 0], x[:, 1])
         dt1, dq1, ds1 = _tangent_parts(xu[:, 0], xu[:, 1])
         ch, sh = np.cosh(2 * phi), np.sinh(2 * phi)
-        rel = np.max(
-            np.stack(
-                [
-                    _rel(ds1 - ds0, np.maximum(dt0, dt1)),
-                    _rel(dt1 - (ch * dt0 + sh * dq0), np.maximum(dt1, dt0)),
-                    _rel(dq1 - (sh * dt0 + ch * dq0), np.maximum(dt1, dt0)),
-                ]
-            ),
-            axis=0,
-        )
-        abs_res = np.maximum(abs_res, np.max(np.abs(ds1 - ds0)))
-        rel_res = np.maximum(rel_res, np.max(rel))
-    return _result("boost_invariance", samples, abs_res, rel_res, tol)
+        rel = [
+            _rel(ds1 - ds0, np.maximum(dt0, dt1)),
+            _rel(dt1 - (ch * dt0 + sh * dq0), np.maximum(dt1, dt0)),
+            _rel(dq1 - (sh * dt0 + ch * dq0), np.maximum(dt1, dt0)),
+        ]
+        yield np.abs(ds1 - ds0), reduce(np.maximum, rel)
 
 
 # ---------------------------------------------------------------------------
 # Fiber properties (two generators, squares (+1, +1)).
 
 
-def _check_fiber_norms(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    abs_res = rel_res = -np.inf
-    for _, (x,) in _sample_blocks(sig, rng, samples, [_coeffs(4)]):
-        f = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
-        tangent = f.ds * f.ds - (f.dt * f.dt - f.dq * f.dq)
-        momentum = f.m * f.m - (f.H * f.H - f.p * f.p)
-        rel = np.maximum(_rel(tangent, f.dt * f.dt), _rel(momentum, f.H * f.H))
-        abs_res = np.maximum(abs_res, max(float(np.max(np.abs(tangent))), float(np.max(np.abs(momentum)))))
-        rel_res = np.maximum(rel_res, np.max(rel))
-    return _result("norm_identities", samples, abs_res, rel_res, tol)
-
-
-def _check_fiber_max_speed(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    abs_res = rel_res = -np.inf
-    for _, (x,) in _sample_blocks(sig, rng, samples, [_coeffs(4)]):
-        f = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
-        gap = np.maximum(np.abs(f.dq) - f.dt, np.abs(f.p) - f.H)
-        gap = np.maximum(gap, np.maximum(-f.dt, -f.H))
-        gap = np.maximum(gap, 0.0)
-        rel = _rel(gap, np.maximum(np.maximum(f.dt, f.H), 1.0))
-        abs_res = np.maximum(abs_res, np.max(gap))
-        rel_res = np.maximum(rel_res, np.max(rel))
-    return _result("max_speed", samples, abs_res, rel_res, tol)
-
-
-def _check_cross_squares(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    abs_res = rel_res = -np.inf
-    for _, (x,) in _sample_blocks(sig, rng, samples, [_coeffs(4)]):
+def _cross_squares(sig: Signature, blocks):
+    for _, (x,) in blocks:
         f = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
         hdt, pdq, mds = f.H * f.dt, f.p * f.dq, f.m * f.ds
         scale = hdt + 1e-300
@@ -383,11 +354,8 @@ def _check_cross_squares(sig: Signature, rng, samples: int, tol: float) -> Prope
             2 * f.c_minus_1**2 - (hdt - pdq + mds),
             2 * f.c_minus_e12**2 - (hdt - pdq - mds),
         )
-        worst_abs = max(float(np.max(np.abs(c))) for c in combos)
-        worst_rel = max(float(np.max(_rel(c, scale))) for c in combos)
-        abs_res = np.maximum(abs_res, worst_abs)
-        rel_res = np.maximum(rel_res, worst_rel)
-    return _result("cross_square_identities", samples, abs_res, rel_res, tol)
+        rel = [_rel(c, scale) for c in combos]
+        yield reduce(np.maximum, [np.abs(c) for c in combos]), reduce(np.maximum, rel)
 
 
 # The draws of _minimal_samples: coefficients, a sign coin and |x0|.
@@ -463,21 +431,16 @@ def _check_min_action_equivalence(sig: Signature, rng, samples: int, tol: float)
     return _result("min_action_equivalence", 2 * half, residual, residual, tol if tol >= 1 else 0.5)
 
 
-def _check_min_action_rate(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    abs_res = rel_res = -np.inf
-    for _, arrays in _sample_blocks(sig, rng, samples, _EXACT_MINIMAL_DRAWS):
+def _min_action_rate(sig: Signature, blocks):
+    for _, arrays in blocks:
         x = _exact_minimal_samples(*arrays)
         f = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
         diff = f.action_rate + f.m * f.ds
-        abs_res = np.maximum(abs_res, np.max(np.abs(diff)))
-        rel_res = np.maximum(rel_res, np.max(_rel(diff, f.H * f.dt + 1e-300)))
-    return _result("min_action_rate", samples, abs_res, rel_res, tol)
+        yield np.abs(diff), _rel(diff, f.H * f.dt + 1e-300)
 
 
-def _check_fiber_boost(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    draws = [_coeffs(4), _Draw("uniform", -RAPIDITY_RANGE, RAPIDITY_RANGE)]
-    abs_res = rel_res = -np.inf
-    for _, (x, phi) in _sample_blocks(sig, rng, samples, draws):
+def _fiber_boost(sig: Signature, blocks):
+    for _, (x, phi) in blocks:
         u = np.zeros((len(phi), 4))
         u[:, 0] = np.cosh(phi)
         u[:, 1] = np.sinh(phi)
@@ -506,79 +469,59 @@ def _check_fiber_boost(sig: Signature, rng, samples: int, tol: float) -> Propert
             _rel(f1.c_plus_1 - (ch * f0.c_plus_1 + sh * f0.c_plus_e1), cross_scale),
             _rel(f1.c_plus_e1 - (sh * f0.c_plus_1 + ch * f0.c_plus_e1), cross_scale),
         ]
-        abs_res = np.maximum(abs_res, float(np.max(np.abs(f1.ds - f0.ds))))
-        rel_res = np.maximum(rel_res, max(float(np.max(r)) for r in residuals))
-    return _result("boost_invariance", samples, abs_res, rel_res, tol)
+        yield np.abs(f1.ds - f0.ds), reduce(np.maximum, residuals)
 
 
-def _check_lift_round_trip(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    abs_res = rel_res = -np.inf
-    for lo, (x,) in _sample_blocks(sig, rng, samples, [_coeffs(4)]):
+def _lift_round_trip(sig: Signature, blocks):
+    for lo, (x,) in blocks:
         f = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
-        sum_root = np.sqrt(f.dt + f.dq)
-        diff_root = np.sqrt(f.dt - f.dq)
-        a, b = (sum_root + diff_root) / 2, (sum_root - diff_root) / 2
-        sum_root = np.sqrt(f.H + f.p)
-        diff_root = np.sqrt(f.H - f.p)
-        c, d = (sum_root + diff_root) / 2, (sum_root - diff_root) / 2
-        lifted = np.stack([(a + c) / 2, (b + d) / 2, (a - c) / 2, (b - d) / 2], axis=1)
-        g = _fiber_parts(lifted[:, 0], lifted[:, 1], lifted[:, 2], lifted[:, 3])
+        g = _fiber_parts(*_lift_coeffs(f.dt, f.dq, f.H, f.p))
         # lifted coefficients hold sector sums, so a sector far below the
         # element magnitude cannot round-trip relative to itself
         floor = 1e-4 * (f.dt + f.H)
-        rel = np.max(
-            np.stack(
-                [
-                    _rel(g.dt - f.dt, np.maximum(f.dt, floor)),
-                    _rel(g.dq - f.dq, np.maximum(f.dt, floor)),
-                    _rel(g.H - f.H, np.maximum(f.H, floor)),
-                    _rel(g.p - f.p, np.maximum(f.H, floor)),
-                ]
-            ),
-            axis=0,
-        )
-        abs_res = np.maximum(abs_res, float(np.max(np.abs(g.dt - f.dt))))
-        for row in x[: max(SPOT_ROWS - lo, 0)]:
+        residuals = [
+            _rel(g.dt - f.dt, np.maximum(f.dt, floor)),
+            _rel(g.dq - f.dq, np.maximum(f.dt, floor)),
+            _rel(g.H - f.H, np.maximum(f.H, floor)),
+            _rel(g.p - f.p, np.maximum(f.H, floor)),
+        ]
+        rel = reduce(np.maximum, residuals)
+        for i, row in enumerate(x[: max(SPOT_ROWS - lo, 0)]):
             parts = _fiber_parts(*row)
             element = lift_kinematics(
                 TangentTriple(float(parts.dt), float(parts.dq)),
                 MomentumTriple(float(parts.H), float(parts.p)),
             )
             back = _fiber_parts(*[float(v) for v in element.coeffs])
-            gap = max(
+            rel[i] = max(
+                rel[i],
                 abs(back.dt - parts.dt) / max(parts.dt, 1.0),
                 abs(back.H - parts.H) / max(parts.H, 1.0),
             )
-            rel = np.append(rel, gap)
-        rel_res = np.maximum(rel_res, np.max(rel))
-    return _result("lift_round_trip", samples, abs_res, rel_res, tol)
+        yield np.abs(g.dt - f.dt), rel
 
 
 # ---------------------------------------------------------------------------
 # Euclidean properties.
 
 
-def _check_plane_rotation(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    abs_res = rel_res = -np.inf
-    for _, (x, theta) in _sample_blocks(sig, rng, samples, [_coeffs(2), _Draw("uniform", -np.pi, np.pi)]):
+def _plane_rotation(sig: Signature, blocks):
+    for _, (x, theta) in blocks:
         u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         xu = multiply_coeffs(sig, x, u)
         before = x[:, 0] ** 2 + x[:, 1] ** 2
         after = xu[:, 0] ** 2 + xu[:, 1] ** 2
         diff = after - before
-        abs_res = np.maximum(abs_res, np.max(np.abs(diff)))
-        rel_res = np.maximum(rel_res, np.max(_rel(diff, np.maximum(before, after))))
-    return _result("rotation_invariance", samples, abs_res, rel_res, tol)
+        yield np.abs(diff), _rel(diff, np.maximum(before, after))
 
 
-def _check_euclidean_fiber_rotation(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
+def _euclidean_fiber_rotation(sig: Signature, blocks):
     basis = fiber_component_basis(sig)
     tangent, momentum, cross_1, cross_e12 = (
         basis.names.index(name)
         for name in ("tangent_invariant", "momentum_invariant", "cross_invariant_1", "cross_invariant_e12")
     )
-    abs_res = rel_res = -np.inf
-    for _, (x, theta) in _sample_blocks(sig, rng, samples, [_coeffs(4), _Draw("uniform", -np.pi, np.pi)]):
+    for _, (x, theta) in blocks:
         u = np.zeros((len(theta), 4))
         u[:, 0] = np.cos(theta)
         u[:, 1] = np.sin(theta)
@@ -597,9 +540,7 @@ def _check_euclidean_fiber_rotation(sig: Signature, rng, samples: int, tol: floa
             _rel(after[:, cross_1] - before[:, cross_1], cross_scale),
             _rel(after[:, cross_e12] - before[:, cross_e12], cross_scale),
         ]
-        abs_res = np.maximum(abs_res, float(np.max(np.abs(after[:, tangent] - before[:, tangent]))))
-        rel_res = np.maximum(rel_res, max(float(np.max(r)) for r in residuals))
-    return _result("rotation_invariance", samples, abs_res, rel_res, tol)
+        yield np.abs(after[:, tangent] - before[:, tangent]), reduce(np.maximum, residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -607,33 +548,44 @@ def _check_euclidean_fiber_rotation(sig: Signature, rng, samples: int, tol: floa
 
 
 def _checks_for(sig: Signature):
-    checks = [_check_product_laws, _check_projector_algebra, _check_embed_homomorphism]
+    """The checks of ``sig`` in report order; a check's position seeds its sample stream."""
+    x = (_coeffs(sig.dim),)
+    x_phi = (*x, _Draw("uniform", -RAPIDITY_RANGE, RAPIDITY_RANGE))
+    x_theta = (*x, _Draw("uniform", -np.pi, np.pi))
+    checks = [
+        _sweep("product_laws", 3 * x, _product_laws, LOOP_CAP),
+        _check_projector_algebra,
+        _sweep("embed_homomorphism", 2 * x, _embed_homomorphism, LOOP_CAP),
+    ]
     if sig == TANGENT_SIGNATURE:
         checks += [
-            _check_tangent_norm,
-            _check_tangent_max_speed,
-            _check_tangent_boost,
-            _check_oracle,
+            _sweep("tangent_norm_identity", x, _norm_identities),
+            _sweep("tangent_max_speed", x, _max_speed),
+            _sweep("boost_invariance", x_phi, _tangent_boost),
+            _sweep("oracle_equivalence", x, _oracle),
         ]
     elif sig == FIBER_SIGNATURE:
         checks += [
-            _check_sector_completeness,
-            _check_fiber_norms,
-            _check_fiber_max_speed,
-            _check_cross_squares,
+            _sweep("sector_completeness", x, _sector_completeness),
+            _sweep("norm_identities", x, _norm_identities),
+            _sweep("max_speed", x, _max_speed),
+            _sweep("cross_square_identities", x, _cross_squares),
             _check_min_action_equivalence,
-            _check_min_action_rate,
-            _check_fiber_boost,
-            _check_oracle,
-            _check_lift_round_trip,
+            _sweep("min_action_rate", _EXACT_MINIMAL_DRAWS, _min_action_rate),
+            _sweep("boost_invariance", x_phi, _fiber_boost),
+            _sweep("oracle_equivalence", x, _oracle),
+            _sweep("lift_round_trip", x, _lift_round_trip),
         ]
     elif sig == EUCLIDEAN_TANGENT_SIGNATURE:
-        checks += [_check_plane_rotation, _check_oracle]
+        checks += [
+            _sweep("rotation_invariance", x_theta, _plane_rotation),
+            _sweep("oracle_equivalence", x, _oracle),
+        ]
     elif sig == EUCLIDEAN_FIBER_SIGNATURE:
         checks += [
-            _check_sector_completeness,
-            _check_oracle,
-            _check_euclidean_fiber_rotation,
+            _sweep("sector_completeness", x, _sector_completeness),
+            _sweep("oracle_equivalence", x, _oracle),
+            _sweep("rotation_invariance", x_theta, _euclidean_fiber_rotation),
         ]
     return checks
 
@@ -644,7 +596,8 @@ def run_verification(signature: Signature | str, samples: int, seed: int, tol: f
     Deterministic for a fixed (signature, samples, seed, tol): each
     property draws from its own seed stream, so adding or removing
     properties never perturbs the others.  Raises ``ValueError`` for
-    more than ``MAX_GENERATORS`` generators, before any table is built.
+    more than ``MAX_GENERATORS`` generators, before any table is built,
+    and for a sample count below 1 or a negative seed, before any draw.
     """
     if isinstance(signature, str):
         signature = Signature.from_string(signature)
@@ -655,6 +608,8 @@ def run_verification(signature: Signature | str, samples: int, seed: int, tol: f
     samples = int(samples)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     results = []
     for index, check in enumerate(_checks_for(signature)):
         rng = np.random.default_rng([seed, index])

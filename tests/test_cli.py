@@ -1,17 +1,28 @@
 """CLI tests: golden outputs, exit codes, formats, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiberalg import algebra
 from fiberalg.cli import main
 from fiberalg.fiber import MAX_STEPS
 
 GOLDEN = Path(__file__).parent / "golden"
+# (signature, fixture) of `fiberalg verify <signature> 2000 0`
+VERIFY_GOLDENS = [
+    ("++", "verify_pp.json"),
+    ("m+", "verify_mp.json"),
+    ("+", "verify_p.json"),
+    ("m", "verify_m.json"),
+]
 
 
 def run_cli(argv, capsys):
@@ -51,9 +62,7 @@ class TestGolden:
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode == 0
 
-    @pytest.mark.parametrize(
-        "signature, fixture", [("++", "verify_pp.json"), ("m+", "verify_mp.json")]
-    )
+    @pytest.mark.parametrize("signature, fixture", VERIFY_GOLDENS)
     def test_verify_fixture_bytes(self, signature, fixture, capsys):
         out, code = run_cli(["verify", signature, "2000", "0"], capsys)
         assert code == 0
@@ -155,6 +164,17 @@ BOUNDARY_CALLS = [
     ["decompose", "++", "1e160", "1", "1", "1"],
     ["decompose", "++", "1e200", "1", "1", "1"],
     ["decompose", "m+", "1e200", "1", "1", "1"],
+    # a negative tolerance
+    ["decompose", "+", "1", "1", "--tol", "-1"],
+    ["decompose", "++", "1", "0", "0", "0", "--tol", "-1"],
+    ["boost", "++", "1", "0", "0", "0", "0.5", "--tol", "-1e-300"],
+    ["verify", "+", "50", "0", "-1"],
+    ["verify", "+", "50", "--tol", "-1"],
+    # an option the subcommand does not read
+    ["trajectory", "1", "0", "1", "10", "--tol", "1e-30"],
+    ["decompose", "++", "1", "0", "0", "0", "--seed", "5"],
+    ["decompose", "++", "1", "0", "0", "0", "--samples", "9"],
+    ["boost", "++", "1", "0", "0", "0", "0.5", "--seed", "5"],
 ]
 
 
@@ -166,6 +186,54 @@ def test_boundary_call_exits_2(argv, capsys):
     assert err.value.code == 2
     assert out == ""
     assert "Traceback" not in stderr
+
+
+def _reject_constant(name):
+    raise ValueError(f"bare {name} in the output")
+
+
+_MAIN_TARGETS = [
+    ("decompose", "+", 2),
+    ("decompose", "++", 4),
+    ("decompose", "m", 2),
+    ("decompose", "m+", 4),
+    ("boost", "+", 2),
+    ("boost", "++", 4),
+]
+
+
+@st.composite
+def _main_calls(draw):
+    """(argv, tol) of a decompose or boost call over the full finite float range."""
+    command, signature, dim = draw(st.sampled_from(_MAIN_TARGETS))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=dim, max_size=dim))
+    if command == "boost":
+        values.append(draw(st.floats(-800.0, 800.0)))
+    tol = draw(st.floats(-1e308, 1e308))
+    # options first and "--" before the positionals: argparse reads "-1e-300" as an option
+    return [command, f"--tol={tol!r}", "--", signature, *map(repr, values)], tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(_main_calls())
+def test_main_prints_a_finite_document_or_exits_2(call):
+    argv, tol = call
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    if tol < 0:
+        assert code == 2
+    if code == 2:
+        assert out.getvalue() == ""
+        # argparse prints the usage above its error line
+        errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+        assert errors == err.getvalue().splitlines()[-1:]
+    else:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 class TestVerify:

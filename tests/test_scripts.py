@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -37,3 +39,19 @@ def test_run_verification_zero_samples_exits_2():
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.splitlines() == ["run_verification.py: error: samples must be at least 1, got 0"]
+
+
+@pytest.mark.parametrize(
+    "arg, message",
+    [
+        ("--seed=-1", "seed must be a non-negative integer, got -1"),
+        ("--tol=-1e-10", "tol must be a finite number of at least 0, got -1e-10"),
+        ("--tol=inf", "tol must be a finite number of at least 0, got inf"),
+        ("--tol=nan", "tol must be a finite number of at least 0, got nan"),
+    ],
+)
+def test_run_verification_bad_seed_or_tol_exits_2(arg, message):
+    result = run_script("run_verification.py", arg)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [f"run_verification.py: error: {message}"]

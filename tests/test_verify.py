@@ -11,6 +11,7 @@ from fiberalg.algebra import Signature, multiply_coeffs
 from fiberalg.cli import main
 from fiberalg.fiber import _fiber_sectors, fiber_component_basis
 from fiberalg.verify import _Draw, _embed_flat, _sample_blocks, run_verification
+from test_cli import VERIFY_GOLDENS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -95,6 +96,10 @@ class TestFailureWiring:
         with pytest.raises(ValueError, match="samples must be"):
             run_verification("++", 0, 7, 1e-10)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            run_verification("++", 10, -1, 1e-10)
+
     def test_too_many_generators_rejected_before_tables(self):
         cached = algebra._product_tables.cache_info().currsize
         with pytest.raises(ValueError, match="at most 6 generators, got 7"):
@@ -178,7 +183,7 @@ class TestBlocks:
                 assert np.array_equal(np.concatenate(blocks), full)
 
     @pytest.mark.parametrize("rows", [7, 1000])
-    @pytest.mark.parametrize("signature, fixture", [("++", "verify_pp.json"), ("m+", "verify_mp.json")])
+    @pytest.mark.parametrize("signature, fixture", VERIFY_GOLDENS)
     def test_goldens_at_any_block_size(self, rows, signature, fixture, monkeypatch, capsys):
         monkeypatch.setattr(verify, "BLOCK_VALUES", rows * 16)
         assert main(["verify", signature, "2000", "0"]) == 0
