@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -54,6 +55,14 @@ DEFAULT_SAMPLES = 10000
 DEFAULT_SEED = 0
 DEFAULT_TOL = 1e-10
 TRAJECTORY_GATE = 1e-9
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser, subparsers included, that reads "-2e-3" as a number; Python 3.11's reads a flag."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
 
 
 def _signature_arg(text: str) -> Signature:
@@ -88,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     with_tol = argparse.ArgumentParser(add_help=False, parents=[common])
     with_tol.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fiberalg",
         description="Decompose squared group-algebra elements into tangent, momentum, "
         "and action-flow components, and verify the identities they satisfy.",

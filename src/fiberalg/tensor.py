@@ -19,6 +19,7 @@ products and a trace pairing, never through the closed forms themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -43,7 +44,20 @@ __all__ = [
     "mixed_projector",
     "trace_pairing",
     "ComponentBasis",
+    "row_max",
 ]
+
+
+def row_max(a: np.ndarray) -> np.ndarray:
+    """``np.max(a, axis=1)``, folded over the columns when a row holds at most 16 values.
+
+    numpy reduces a short last axis row by row, so a fold is several times
+    faster there; a fold pays per column, so it is slower on wider rows.
+    The values are the same.  So are the bits on absolute values; with
+    signed zeros or NaNs, the sign of a folded maximum may differ.
+    """
+    return reduce(np.maximum, a.T) if a.shape[1] <= 16 else np.max(a, axis=1)
+
 
 # The two-slot product is the algebra product of the doubled signature.
 tensor_multiply = multiply
@@ -176,4 +190,4 @@ class ComponentBasis:
 
     def reconstruction_residual_batch(self, flat_grids: np.ndarray, components: np.ndarray) -> np.ndarray:
         """Row-wise :meth:`reconstruction_residual`, given ``components_batch(flat_grids)``."""
-        return np.max(np.abs(flat_grids - components @ self._flat), axis=1)
+        return row_max(np.abs(flat_grids - components @ self._flat))

@@ -29,6 +29,14 @@ of the full product; a one-row product takes numpy's vector path and
 may round differently, so no block has one row unless the whole sweep
 has.  The tests replay the verify goldens at several block sizes to
 check both.
+
+A per-row reduction over the coefficient axis goes through
+``row_max``, which folds a row of at most 16 values over the columns,
+because numpy reduces a short last axis row by row.  A maximum never
+rounds, so on the absolute values reduced here the fold has the bits of
+``np.max``.  The one row sum, the squared norm
+of four coefficients in ``_min_action_flags``, is folded too: numpy
+adds a row shorter than eight values left to right, the fold's order.
 """
 
 from __future__ import annotations
@@ -58,7 +66,7 @@ from .fiber import (
     fiber_component_basis,
     lift_kinematics,
 )
-from .tensor import tensor_identity
+from .tensor import row_max, tensor_identity
 
 __all__ = ["PropertyResult", "VerificationReport", "run_verification"]
 
@@ -223,11 +231,11 @@ def _product_laws(sig: Signature, blocks):
     for _, (a, b, c) in blocks:
         ab = multiply_coeffs(sig, a, b)
         assoc = multiply_coeffs(sig, ab, c) - multiply_coeffs(sig, a, multiply_coeffs(sig, b, c))
-        assoc = np.max(np.abs(assoc), axis=1)
-        comm = np.max(np.abs(ab - multiply_coeffs(sig, b, a)), axis=1)
-        ident = np.max(np.abs(multiply_coeffs(sig, a, one) - a), axis=1)
-        ab_size = np.max(np.abs(ab), axis=1)
-        scale = ab_size * np.max(np.abs(c), axis=1) + 1.0
+        assoc = row_max(np.abs(assoc))
+        comm = row_max(np.abs(ab - multiply_coeffs(sig, b, a)))
+        ident = row_max(np.abs(multiply_coeffs(sig, a, one) - a))
+        ab_size = row_max(np.abs(ab))
+        scale = ab_size * row_max(np.abs(c)) + 1.0
         rel = [_rel(assoc, scale), _rel(comm, ab_size + 1.0), ident]
         yield reduce(np.maximum, [assoc, comm, ident]), reduce(np.maximum, rel)
 
@@ -265,8 +273,8 @@ def _embed_homomorphism(sig: Signature, blocks):
     for _, (x, u) in blocks:
         lhs = multiply_coeffs(doubled, _embed_flat(x), _embed_flat(u))
         rhs = _embed_flat(multiply_coeffs(sig, x, u))
-        diff = np.max(np.abs(lhs - rhs), axis=1)
-        yield diff, _rel(diff, np.max(np.abs(rhs), axis=1) + 1.0)
+        diff = row_max(np.abs(lhs - rhs))
+        yield diff, _rel(diff, row_max(np.abs(rhs)) + 1.0)
 
 
 def _sector_completeness(sig: Signature, blocks):
@@ -277,8 +285,8 @@ def _sector_completeness(sig: Signature, blocks):
         total = np.zeros_like(flat)
         for sector in sectors:
             total += multiply_coeffs(doubled, flat, sector.coeffs)
-        diff = np.max(np.abs(total - flat), axis=1)
-        yield diff, _rel(diff, np.max(np.abs(flat), axis=1))
+        diff = row_max(np.abs(total - flat))
+        yield diff, _rel(diff, row_max(np.abs(flat)))
 
 
 def _oracle(sig: Signature, blocks):
@@ -289,8 +297,8 @@ def _oracle(sig: Signature, blocks):
         flat = _embed_flat(x)
         comps = basis.components_batch(flat)
         parts = _parts(x.T)
-        closed = np.stack([getattr(parts, part) for part in layout], axis=1)
-        diff = np.max(np.abs(comps - closed), axis=1)
+        closed = [getattr(parts, part) for part in layout]
+        diff = reduce(np.maximum, [np.abs(comps[:, j] - c) for j, c in enumerate(closed)])
         gap = np.maximum(diff, basis.reconstruction_residual_batch(flat, comps))
         # the dominant sector magnitude: dt with one generator, dt + H with two
         scale = parts.dt + 1.0 if sig.n == 1 else parts.dt + parts.H + 1e-300
@@ -394,11 +402,11 @@ def _exact_minimal_samples(coin, power, x1, x2) -> np.ndarray:
 
 def _min_action_flags(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     f = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
-    norm_sq = np.sum(x * x, axis=1)
+    norm_sq = reduce(np.add, (x * x).T)
     by_residual = f.residual <= RESIDUAL_GATE * norm_sq * norm_sq
     by_product = np.abs(x[:, 0] * x[:, 3] - x[:, 1] * x[:, 2]) <= PRODUCT_GATE * norm_sq
     recon_gap = np.abs(x[:, 1] * x[:, 2] / x[:, 0] - x[:, 3])
-    by_roundtrip = recon_gap <= ROUNDTRIP_GATE * np.max(np.abs(x), axis=1)
+    by_roundtrip = recon_gap <= ROUNDTRIP_GATE * row_max(np.abs(x))
     return by_residual, by_product, by_roundtrip
 
 

@@ -23,6 +23,12 @@ VERIFY_GOLDENS = [
     ("+", "verify_p.json"),
     ("m", "verify_m.json"),
 ]
+# (signature, fixture) of `fiberalg verify <signature> 20000 0`: several
+# blocks each, and the 4096-row blocks of the two-generator sweeps
+MULTI_BLOCK_GOLDENS = [
+    ("++", "verify_pp_20000.json"),
+    ("m+", "verify_mp_20000.json"),
+]
 
 
 def run_cli(argv, capsys):
@@ -65,6 +71,12 @@ class TestGolden:
     @pytest.mark.parametrize("signature, fixture", VERIFY_GOLDENS)
     def test_verify_fixture_bytes(self, signature, fixture, capsys):
         out, code = run_cli(["verify", signature, "2000", "0"], capsys)
+        assert code == 0
+        assert out == (GOLDEN / fixture).read_text()
+
+    @pytest.mark.parametrize("signature, fixture", MULTI_BLOCK_GOLDENS)
+    def test_verify_multi_block_fixture_bytes(self, signature, fixture, capsys):
+        out, code = run_cli(["verify", signature, "20000", "0"], capsys)
         assert code == 0
         assert out == (GOLDEN / fixture).read_text()
 
@@ -188,6 +200,32 @@ def test_boundary_call_exits_2(argv, capsys):
     assert "Traceback" not in stderr
 
 
+# Negative numbers in exponent notation are values, not flags.
+EXPONENT_CALLS = [
+    ["boost", "+", "1", "0", "-2e-3"],
+    ["decompose", "+", "-1e-300", "1"],
+    ["decompose", "+", "-1E5", "1"],
+    ["trajectory", "1", "-1e-3", "1", "10"],
+]
+
+
+@pytest.mark.parametrize("argv", EXPONENT_CALLS, ids=" ".join)
+def test_negative_exponent_is_a_value(argv, capsys):
+    out, code = run_cli(argv, capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["command"] == argv[0]
+
+
+def test_negative_exponent_tolerance_is_rejected_as_a_value(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["decompose", "+", "1", "1", "--tol", "-1e-3"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "fiberalg decompose: error: argument --tol: tolerance must be at least 0, got '-1e-3'"
+    )
+
+
 def _reject_constant(name):
     raise ValueError(f"bare {name} in the output")
 
@@ -202,22 +240,24 @@ _MAIN_TARGETS = [
 ]
 
 
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
 @st.composite
-def _main_calls(draw):
+def _main_calls(draw, separator=True):
     """(argv, tol) of a decompose or boost call over the full finite float range."""
     command, signature, dim = draw(st.sampled_from(_MAIN_TARGETS))
-    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=dim, max_size=dim))
+    values = draw(st.lists(_finite, min_size=dim, max_size=dim))
     if command == "boost":
         values.append(draw(st.floats(-800.0, 800.0)))
     tol = draw(st.floats(-1e308, 1e308))
-    # options first and "--" before the positionals: argparse reads "-1e-300" as an option
-    return [command, f"--tol={tol!r}", "--", signature, *map(repr, values)], tol
+    if separator:  # options first, and "--" before the positionals
+        return [command, f"--tol={tol!r}", "--", signature, *map(repr, values)], tol
+    return [command, signature, *map(repr, values), "--tol", repr(tol)], tol
 
 
-@settings(max_examples=200, deadline=None)
-@given(_main_calls())
-def test_main_prints_a_finite_document_or_exits_2(call):
-    argv, tol = call
+def _check_main(argv) -> int:
+    """Run ``main``; check it printed a finite document or exited 2 with one error line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -225,8 +265,6 @@ def test_main_prints_a_finite_document_or_exits_2(call):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2)
-    if tol < 0:
-        assert code == 2
     if code == 2:
         assert out.getvalue() == ""
         # argparse prints the usage above its error line
@@ -234,6 +272,45 @@ def test_main_prints_a_finite_document_or_exits_2(call):
         assert errors == err.getvalue().splitlines()[-1:]
     else:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
+    return code
+
+
+@settings(max_examples=200, deadline=None)
+@given(_main_calls())
+def test_main_prints_a_finite_document_or_exits_2(call):
+    argv, tol = call
+    code = _check_main(argv)
+    if tol < 0:
+        assert code == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(_main_calls(separator=False))
+def test_main_reads_negative_numbers_without_separator(call):
+    argv, tol = call
+    code = _check_main(argv)
+    if tol < 0:
+        assert code == 2
+
+
+@st.composite
+def _trajectory_and_verify_calls(draw):
+    """argv of a trajectory call over the full finite float range, or of a small verify."""
+    if draw(st.booleans()):
+        mass, rapidity, span = draw(st.tuples(_finite, _finite, _finite))
+        steps = draw(st.integers(-1, 1000))
+        return ["trajectory", repr(mass), repr(rapidity), repr(span), str(steps)]
+    signature = draw(st.sampled_from(["+", "++", "m", "m+", "+-+"]))
+    samples = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32))
+    tol = draw(st.floats(0.0, 1e308))
+    return ["verify", signature, str(samples), str(seed), repr(tol)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trajectory_and_verify_calls())
+def test_trajectory_and_verify_print_a_finite_document_or_exit_2(argv):
+    _check_main(argv)
 
 
 class TestVerify:

@@ -1,6 +1,7 @@
 """Verification sweep tests: determinism, coverage, pass/fail wiring, blocking."""
 
 import tracemalloc
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from fiberalg.cli import main
 from fiberalg.fiber import _fiber_sectors, fiber_component_basis
 from fiberalg.verify import _Draw, _embed_flat, _sample_blocks, run_verification
 from test_cli import VERIFY_GOLDENS
+from test_tensor import fold_rows
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -132,6 +134,20 @@ class TestReportShape:
         for p in report.properties:
             assert np.isfinite(p.max_abs_residual)
             assert np.isfinite(p.max_rel_residual)
+
+
+def test_norm_fold_has_the_bits_of_the_row_sum():
+    # _min_action_flags folds its squared norms of four values over the
+    # columns.  numpy adds a row shorter than eight values left to right,
+    # the fold's order; a longer row it sums pairwise, which may round
+    # differently.  The order is numpy's own, not the BLAS's.
+    x = fold_rows(4)
+    scales = np.geomspace(1e-5, 1e5, 20000)[:, None]
+    scaled = np.random.default_rng(4).uniform(-1, 1, (20000, 4)) * scales
+    for rows in (x, scaled):
+        with np.errstate(over="ignore"):
+            squares = rows * rows
+        assert reduce(np.add, squares.T).tobytes() == np.sum(squares, axis=1).tobytes()
 
 
 class TestBlocks:
