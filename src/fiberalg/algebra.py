@@ -109,14 +109,25 @@ def _product_tables(squares: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     The sign table is the Kronecker product of one ``[[1, 1], [1, square]]``
     table per generator, generator 1 on the lowest bit.  Row
     ``gather[s, k]`` of the stacked ``[b, -b]`` is ``sign(s, s ^ k) * b[s ^ k]``,
-    the partner of ``a[s]`` in ``out[k]``.
+    the partner of ``a[s]`` in ``out[k]``; ``sign(s, s ^ k)`` is the
+    Kronecker product of one ``[[1, 1], [square, 1]]`` per generator.
+
+    The gather indices are below ``2 * dim``.  Above 256 x 256 they are
+    stored in the narrowest dtype that holds them, int16 up to
+    ``dim = 16384``: 32 MiB at ``dim = 4096`` against 128 MiB as int64.
+    A smaller table stays ``intp``, because numpy casts a narrower index
+    row on every gather, about a microsecond a row, which would slow a
+    single product at dim 16 to 256 by a third or more.
     """
-    table = np.ones((1, 1), dtype=np.int8)
+    table = partner_signs = np.ones((1, 1), dtype=np.int8)
     for square in squares:
         table = np.kron(np.array([[1, 1], [1, square]], dtype=np.int8), table)
+        partner_signs = np.kron(np.array([[1, 1], [square, 1]], dtype=np.int8), partner_signs)
     dim = len(table)
-    partners = np.arange(dim)[:, None] ^ np.arange(dim)
-    gather = partners + dim * (np.take_along_axis(table, partners, axis=1) < 0)
+    dtype = np.intp if dim <= 256 else np.int16 if 2 * dim <= 2**15 else np.int32
+    index = np.arange(dim, dtype=dtype)
+    gather = index[:, None] ^ index
+    gather[partner_signs < 0] += dim
     table.setflags(write=False)
     gather.setflags(write=False)
     return table, gather
@@ -294,6 +305,9 @@ def multiply_coeffs(signature: Signature, a, b) -> np.ndarray:
     ``out[k]`` adds the terms ``a[s] * sign(s, s ^ k) * b[s ^ k]`` in
     ascending ``s`` from zero, skipping each ``s`` whose column of ``a``
     is all zero, so a batch row and a single product give the same bits.
+    That loop runs basis axis first: a batch passed as the transpose of a
+    C-contiguous ``(dim, rows)`` array is read without a copy, and the
+    transpose of the result is C-contiguous.
     """
     table, gather = _product_tables(signature.squares)
     dim = len(table)

@@ -190,4 +190,8 @@ class ComponentBasis:
 
     def reconstruction_residual_batch(self, flat_grids: np.ndarray, components: np.ndarray) -> np.ndarray:
         """Row-wise :meth:`reconstruction_residual`, given ``components_batch(flat_grids)``."""
-        return row_max(np.abs(flat_grids - components @ self._flat))
+        # One buffer for the gap: every fresh batch-sized temporary is
+        # faulted in page by page, which costs more than the arithmetic.
+        gap = components @ self._flat
+        np.subtract(flat_grids, gap, out=gap)
+        return row_max(np.abs(gap, out=gap))

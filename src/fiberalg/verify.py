@@ -22,21 +22,31 @@ the next block faults them in again.  A block holds about
 ``BLOCK_VALUES`` values of the widest array a row feeds, the ``x (x) x``
 embed.  The blocks are cut from the same sample streams as one
 full-size draw (see ``_sample_blocks``), so the samples, and the report,
-are the same at any block size.  That also relies on every kernel
-treating rows independently.  Elementwise numpy arithmetic does.  On
-OpenBLAS a matrix product of two or more rows gives each row the bits
-of the full product; a one-row product takes numpy's vector path and
-may round differently, so no block has one row unless the whole sweep
-has.  The tests replay the verify goldens at several block sizes to
-check both.
+are the same at any block size.
 
-A per-row reduction over the coefficient axis goes through
-``row_max``, which folds a row of at most 16 values over the columns,
-because numpy reduces a short last axis row by row.  A maximum never
-rounds, so on the absolute values reduced here the fold has the bits of
-``np.max``.  The one row sum, the squared norm
-of four coefficients in ``_min_action_flags``, is folded too: numpy
-adds a row shorter than eight values left to right, the fold's order.
+A block is coefficient-major: each array is drawn as ``(rows, width)``
+and transposed once to ``(width, rows)``, one contiguous row per
+coefficient, and every array derived from it keeps that layout, so
+numpy's inner loops run over the rows of a block, not over 2 to 16
+coefficients.  The embed is an outer product of coefficient rows, the
+closed forms read ``x[0], x[1], ...``, and a per-row reduction is
+``np.max(..., axis=0)``, a maximum over whole coefficient rows.  The
+one row sum, the squared norm of four coefficients in
+``_min_action_flags``, adds the coefficient rows left to right, the
+order in which numpy adds a row shorter than eight values.
+
+The same bytes at any block size also rely on every kernel treating rows
+independently.  Elementwise numpy arithmetic does, and so does the loop
+of ``multiply_coeffs``, which ``_product`` hands the transposed views of
+its blocks; the loop runs basis axis first, so it reads them without a
+copy and returns the transpose of a coefficient-major block.  The BLAS
+calls (``components_batch``, the sector matmul, the reconstruction
+residual) get the F-ordered transpose of a coefficient-major block; on
+OpenBLAS a matrix product of two or more rows gives each row the bits of
+the C-ordered full product.  A one-row product takes numpy's vector path
+and may round differently, so no block has one row unless the whole
+sweep has.  The tests replay the verify goldens at several block sizes,
+and check the row bits of the transposed views, to check both.
 """
 
 from __future__ import annotations
@@ -66,7 +76,7 @@ from .fiber import (
     fiber_component_basis,
     lift_kinematics,
 )
-from .tensor import row_max, tensor_identity
+from .tensor import tensor_identity
 
 __all__ = ["PropertyResult", "VerificationReport", "run_verification"]
 
@@ -74,8 +84,8 @@ COEFF_RANGE = 10.0
 RAPIDITY_RANGE = 3.0
 LOOP_CAP = 20000
 # The embed sweeps multiply over the doubled signature, whose cached
-# product tables hold (4**n)**2 entries: 128 MiB of gather indices at six
-# generators, 2 GiB at seven.
+# product tables hold (4**n)**2 entries: 32 MiB of int16 gather indices
+# at six generators, 512 MiB at seven.
 MAX_GENERATORS = 6
 # Values of x (x) x per block: 4096 rows at two generators, 16 at six.
 BLOCK_VALUES = 2**16
@@ -158,6 +168,8 @@ def _block_bounds(samples: int, rows: int):
 def _sample_blocks(sig: Signature, rng: np.random.Generator, samples: int, draws):
     """Yield ``(lo, arrays)``: rows ``[lo, hi)`` of each of ``draws``, block by block.
 
+    Each array is drawn as ``(rows, *shape)`` and handed out transposed
+    once, coefficient-major: a C-contiguous ``(*shape, rows)`` array.
     The arrays hold the rows that drawing each array at full size, in
     the order given, would give: each array gets its own generator, a
     copy of ``rng`` taken where the full-size draw of that array starts,
@@ -174,22 +186,31 @@ def _sample_blocks(sig: Signature, rng: np.random.Generator, samples: int, draws
             draw.take(rng, hi - lo)
     streams.append(rng)
     for lo, hi in _block_bounds(samples, rows):
-        yield lo, [draw.take(stream, hi - lo) for draw, stream in zip(draws, streams)]
+        yield lo, [np.ascontiguousarray(draw.take(stream, hi - lo).T) for draw, stream in zip(draws, streams)]
 
 
 def _rel(diff: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """``|diff| / scale``; where the scale is not positive (or NaN), 0 for a
+    zero or NaN diff and inf for any other."""
     diff = np.abs(np.asarray(diff, dtype=np.float64))
     scale = np.asarray(scale, dtype=np.float64)
-    hot = scale > 0
-    out = np.divide(diff, scale, out=np.zeros_like(diff), where=hot)
-    np.copyto(out, np.inf, where=~hot & (diff > 0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = diff / scale
+    cold = ~(scale > 0)
+    if cold.any():
+        out[cold] = np.where(diff[cold] > 0, np.inf, 0.0)
     return out
 
 
-def _embed_flat(coeffs: np.ndarray) -> np.ndarray:
-    """Row-major flattened grids of x (x) x for a batch of elements."""
-    n, dim = coeffs.shape
-    return np.einsum("ni,nj->nij", coeffs, coeffs).reshape(n, dim * dim)
+def _embed_flat(x: np.ndarray) -> np.ndarray:
+    """Coefficient-major flattened grids of x (x) x: row ``S * dim + T`` holds ``x[S] * x[T]``."""
+    dim, rows = x.shape
+    return (x[:, None] * x[None]).reshape(dim * dim, rows)
+
+
+def _product(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``multiply_coeffs`` on coefficient-major batches (or one element ``(dim,)``)."""
+    return multiply_coeffs(sig, a.T, b.T).T
 
 
 def _result(name: str, samples: int, abs_res: float, rel_res: float, tol: float) -> PropertyResult:
@@ -229,13 +250,12 @@ def _sweep(name: str, draws, residuals, cap: int | None = None):
 def _product_laws(sig: Signature, blocks):
     one = AlgebraElement.basis(sig, 0).coeffs
     for _, (a, b, c) in blocks:
-        ab = multiply_coeffs(sig, a, b)
-        assoc = multiply_coeffs(sig, ab, c) - multiply_coeffs(sig, a, multiply_coeffs(sig, b, c))
-        assoc = row_max(np.abs(assoc))
-        comm = row_max(np.abs(ab - multiply_coeffs(sig, b, a)))
-        ident = row_max(np.abs(multiply_coeffs(sig, a, one) - a))
-        ab_size = row_max(np.abs(ab))
-        scale = ab_size * row_max(np.abs(c)) + 1.0
+        ab = _product(sig, a, b)
+        assoc = np.max(np.abs(_product(sig, ab, c) - _product(sig, a, _product(sig, b, c))), axis=0)
+        comm = np.max(np.abs(ab - _product(sig, b, a)), axis=0)
+        ident = np.max(np.abs(_product(sig, a, one) - a), axis=0)
+        ab_size = np.max(np.abs(ab), axis=0)
+        scale = ab_size * np.max(np.abs(c), axis=0) + 1.0
         rel = [_rel(assoc, scale), _rel(comm, ab_size + 1.0), ident]
         yield reduce(np.maximum, [assoc, comm, ident]), reduce(np.maximum, rel)
 
@@ -271,10 +291,11 @@ def _check_projector_algebra(sig: Signature, rng, samples: int, tol: float) -> P
 def _embed_homomorphism(sig: Signature, blocks):
     doubled = sig.doubled()
     for _, (x, u) in blocks:
-        lhs = multiply_coeffs(doubled, _embed_flat(x), _embed_flat(u))
-        rhs = _embed_flat(multiply_coeffs(sig, x, u))
-        diff = row_max(np.abs(lhs - rhs))
-        yield diff, _rel(diff, row_max(np.abs(rhs)) + 1.0)
+        gap = _product(doubled, _embed_flat(x), _embed_flat(u))
+        rhs = _embed_flat(_product(sig, x, u))
+        gap -= rhs
+        diff = np.max(np.abs(gap, out=gap), axis=0)
+        yield diff, _rel(diff, np.max(np.abs(rhs), axis=0) + 1.0)
 
 
 def _sector_completeness(sig: Signature, blocks):
@@ -284,9 +305,10 @@ def _sector_completeness(sig: Signature, blocks):
         flat = _embed_flat(x)
         total = np.zeros_like(flat)
         for sector in sectors:
-            total += multiply_coeffs(doubled, flat, sector.coeffs)
-        diff = row_max(np.abs(total - flat))
-        yield diff, _rel(diff, row_max(np.abs(flat)))
+            total += _product(doubled, flat, sector.coeffs)
+        total -= flat
+        diff = np.max(np.abs(total, out=total), axis=0)
+        yield diff, _rel(diff, np.max(np.abs(flat, out=flat), axis=0))
 
 
 def _oracle(sig: Signature, blocks):
@@ -295,11 +317,11 @@ def _oracle(sig: Signature, blocks):
     layout = [c.part for c in _layout(sig)]
     for _, (x,) in blocks:
         flat = _embed_flat(x)
-        comps = basis.components_batch(flat)
-        parts = _parts(x.T)
+        comps = basis.components_batch(flat.T)
+        parts = _parts(x)
         closed = [getattr(parts, part) for part in layout]
         diff = reduce(np.maximum, [np.abs(comps[:, j] - c) for j, c in enumerate(closed)])
-        gap = np.maximum(diff, basis.reconstruction_residual_batch(flat, comps))
+        gap = np.maximum(diff, basis.reconstruction_residual_batch(flat.T, comps))
         # the dominant sector magnitude: dt with one generator, dt + H with two
         scale = parts.dt + 1.0 if sig.n == 1 else parts.dt + parts.H + 1e-300
         yield gap, _rel(gap, scale)
@@ -312,7 +334,7 @@ def _oracle(sig: Signature, blocks):
 
 def _sectors(x: np.ndarray) -> list:
     """(invariant, vector, norm) of each sector: tangent, and momentum at two generators."""
-    parts = _parts(x.T)
+    parts = _parts(x)
     return [parts[:3]] if len(parts) == 3 else [parts[:3], parts[3:6]]
 
 
@@ -334,10 +356,9 @@ def _max_speed(sig: Signature, blocks):
 
 def _tangent_boost(sig: Signature, blocks):
     for _, (x, phi) in blocks:
-        u = np.stack([np.cosh(phi), np.sinh(phi)], axis=1)
-        xu = multiply_coeffs(sig, x, u)
-        dt0, dq0, ds0 = _tangent_parts(x[:, 0], x[:, 1])
-        dt1, dq1, ds1 = _tangent_parts(xu[:, 0], xu[:, 1])
+        u = np.stack([np.cosh(phi), np.sinh(phi)])
+        dt0, dq0, ds0 = _tangent_parts(*x)
+        dt1, dq1, ds1 = _tangent_parts(*_product(sig, x, u))
         ch, sh = np.cosh(2 * phi), np.sinh(2 * phi)
         rel = [
             _rel(ds1 - ds0, np.maximum(dt0, dt1)),
@@ -353,7 +374,7 @@ def _tangent_boost(sig: Signature, blocks):
 
 def _cross_squares(sig: Signature, blocks):
     for _, (x,) in blocks:
-        f = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
+        f = _fiber_parts(*x)
         hdt, pdq, mds = f.H * f.dt, f.p * f.dq, f.m * f.ds
         scale = hdt + 1e-300
         combos = (
@@ -371,8 +392,8 @@ _MINIMAL_DRAWS = (_coeffs(4), _Draw("uniform", 0.0, 1.0), _Draw("uniform", 0.1, 
 
 
 def _minimal_samples(x: np.ndarray, coin: np.ndarray, size: np.ndarray) -> np.ndarray:
-    x[:, 0] = np.where(coin < 0.5, -1.0, 1.0) * size
-    x[:, 3] = x[:, 1] * x[:, 2] / x[:, 0]
+    x[0] = np.where(coin < 0.5, -1.0, 1.0) * size
+    x[3] = x[1] * x[2] / x[0]
     return x
 
 
@@ -392,21 +413,21 @@ def _exact_minimal_samples(coin, power, x1, x2) -> np.ndarray:
     exact, so x0*x3 == x1*x2 holds with no rounding; identities stated
     at exact minimality can then be checked at full strictness.
     """
-    x = np.empty((len(coin), 4))
-    x[:, 0] = np.where(coin < 0.5, -1.0, 1.0) * 2.0**power
-    x[:, 1] = x1 / 256.0
-    x[:, 2] = x2 / 256.0
-    x[:, 3] = x[:, 1] * x[:, 2] / x[:, 0]
+    x = np.empty((4, len(coin)))
+    x[0] = np.where(coin < 0.5, -1.0, 1.0) * 2.0**power
+    x[1] = x1 / 256.0
+    x[2] = x2 / 256.0
+    x[3] = x[1] * x[2] / x[0]
     return x
 
 
 def _min_action_flags(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    f = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
-    norm_sq = reduce(np.add, (x * x).T)
+    f = _fiber_parts(*x)
+    norm_sq = reduce(np.add, x * x)
     by_residual = f.residual <= RESIDUAL_GATE * norm_sq * norm_sq
-    by_product = np.abs(x[:, 0] * x[:, 3] - x[:, 1] * x[:, 2]) <= PRODUCT_GATE * norm_sq
-    recon_gap = np.abs(x[:, 1] * x[:, 2] / x[:, 0] - x[:, 3])
-    by_roundtrip = recon_gap <= ROUNDTRIP_GATE * row_max(np.abs(x))
+    by_product = np.abs(x[0] * x[3] - x[1] * x[2]) <= PRODUCT_GATE * norm_sq
+    recon_gap = np.abs(x[1] * x[2] / x[0] - x[3])
+    by_roundtrip = recon_gap <= ROUNDTRIP_GATE * np.max(np.abs(x), axis=0)
     return by_residual, by_product, by_roundtrip
 
 
@@ -420,12 +441,12 @@ def _check_min_action_equivalence(sig: Signature, rng, samples: int, tol: float)
             disagreements += int(np.sum(a != b)) + int(np.sum(b != c))
         # Spot-check the scalar API against the vectorized gates.
         spot = max(SPOT_ROWS - lo, 0)
-        for row in minimal[:spot]:
+        for row in minimal[:, :spot].T:
             factorization = factorize(AlgebraElement(sig, row))
             gap = np.max(np.abs(factorization.reconstruct().coeffs - row))
             if gap > ROUNDTRIP_GATE * np.max(np.abs(row)):
                 disagreements += 1
-        for row in generic[:spot]:
+        for row in generic[:, :spot].T:
             element = AlgebraElement(sig, row)
             minimal_flag = abs(row[0] * row[3] - row[1] * row[2]) <= PRODUCT_GATE * float(np.sum(row * row))
             try:
@@ -441,20 +462,18 @@ def _check_min_action_equivalence(sig: Signature, rng, samples: int, tol: float)
 
 def _min_action_rate(sig: Signature, blocks):
     for _, arrays in blocks:
-        x = _exact_minimal_samples(*arrays)
-        f = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
+        f = _fiber_parts(*_exact_minimal_samples(*arrays))
         diff = f.action_rate + f.m * f.ds
         yield np.abs(diff), _rel(diff, f.H * f.dt + 1e-300)
 
 
 def _fiber_boost(sig: Signature, blocks):
     for _, (x, phi) in blocks:
-        u = np.zeros((len(phi), 4))
-        u[:, 0] = np.cosh(phi)
-        u[:, 1] = np.sinh(phi)
-        xu = multiply_coeffs(sig, x, u)
-        f0 = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
-        f1 = _fiber_parts(xu[:, 0], xu[:, 1], xu[:, 2], xu[:, 3])
+        u = np.zeros((4, len(phi)))
+        u[0] = np.cosh(phi)
+        u[1] = np.sinh(phi)
+        f0 = _fiber_parts(*x)
+        f1 = _fiber_parts(*_product(sig, x, u))
         ch, sh = np.cosh(2 * phi), np.sinh(2 * phi)
         # dt + H is twice the squared coefficient norm.  A sector more than
         # four decades below it sits under the coefficient rounding noise and
@@ -482,7 +501,7 @@ def _fiber_boost(sig: Signature, blocks):
 
 def _lift_round_trip(sig: Signature, blocks):
     for lo, (x,) in blocks:
-        f = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
+        f = _fiber_parts(*x)
         g = _fiber_parts(*_lift_coeffs(f.dt, f.dq, f.H, f.p))
         # lifted coefficients hold sector sums, so a sector far below the
         # element magnitude cannot round-trip relative to itself
@@ -494,7 +513,7 @@ def _lift_round_trip(sig: Signature, blocks):
             _rel(g.p - f.p, np.maximum(f.H, floor)),
         ]
         rel = reduce(np.maximum, residuals)
-        for i, row in enumerate(x[: max(SPOT_ROWS - lo, 0)]):
+        for i, row in enumerate(x[:, : max(SPOT_ROWS - lo, 0)].T):
             parts = _fiber_parts(*row)
             element = lift_kinematics(
                 TangentTriple(float(parts.dt), float(parts.dq)),
@@ -515,10 +534,10 @@ def _lift_round_trip(sig: Signature, blocks):
 
 def _plane_rotation(sig: Signature, blocks):
     for _, (x, theta) in blocks:
-        u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        xu = multiply_coeffs(sig, x, u)
-        before = x[:, 0] ** 2 + x[:, 1] ** 2
-        after = xu[:, 0] ** 2 + xu[:, 1] ** 2
+        u = np.stack([np.cos(theta), np.sin(theta)])
+        xu = _product(sig, x, u)
+        before = x[0] ** 2 + x[1] ** 2
+        after = xu[0] ** 2 + xu[1] ** 2
         diff = after - before
         yield np.abs(diff), _rel(diff, np.maximum(before, after))
 
@@ -530,12 +549,11 @@ def _euclidean_fiber_rotation(sig: Signature, blocks):
         for name in ("tangent_invariant", "momentum_invariant", "cross_invariant_1", "cross_invariant_e12")
     )
     for _, (x, theta) in blocks:
-        u = np.zeros((len(theta), 4))
-        u[:, 0] = np.cos(theta)
-        u[:, 1] = np.sin(theta)
-        xu = multiply_coeffs(sig, x, u)
-        before = basis.components_batch(_embed_flat(x))
-        after = basis.components_batch(_embed_flat(xu))
+        u = np.zeros((4, len(theta)))
+        u[0] = np.cos(theta)
+        u[1] = np.sin(theta)
+        before = basis.components_batch(_embed_flat(x).T)
+        after = basis.components_batch(_embed_flat(_product(sig, x, u)).T)
         size0 = before[:, tangent] + before[:, momentum]
         size1 = after[:, tangent] + after[:, momentum]
         floor = 1e-4 * np.maximum(size0, size1)

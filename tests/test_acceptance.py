@@ -49,7 +49,7 @@ def test_criterion_1_identity_suite():
     started = time.perf_counter()
     rng = np.random.default_rng(1)
     x = rng.uniform(-10, 10, (100_000, 4))
-    f = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
+    f = _fiber_parts(*x.T)
     hdt, pdq, mds = f.H * f.dt, f.p * f.dq, f.m * f.ds
     worst = max(
         float(np.max(rel(f.ds * f.ds - (f.dt * f.dt - f.dq * f.dq), f.dt * f.dt))),
@@ -72,16 +72,16 @@ def test_criterion_2_oracle_equivalence():
     rng = np.random.default_rng(2)
     # coefficients of order one keep the absolute tolerance meaningful
     x = rng.uniform(-1, 1, (10_000, 4))
-    f = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
+    f = _fiber_parts(*x.T)
     closed = np.stack(
         [f.dt, f.dq, f.ds, f.H, f.p, f.m, f.c_plus_1, f.c_plus_e1, f.c_minus_1, f.c_minus_e12],
         axis=1,
     )
     basis = fiber_component_basis(FIBER_SIGNATURE)
-    flat = _embed_flat(x)
-    projected = basis.components_batch(flat)
+    flat = _embed_flat(x.T)
+    projected = basis.components_batch(flat.T)
     worst = float(np.max(np.abs(projected - closed)))
-    recon = float(np.max(basis.reconstruction_residual_batch(flat, projected)))
+    recon = float(np.max(basis.reconstruction_residual_batch(flat.T, projected)))
     # spot-check the scalar API route end to end
     for row in x[:200]:
         a = decompose_d2(AlgebraElement(FIBER_SIGNATURE, row))
@@ -114,7 +114,7 @@ def test_criterion_3_min_action_equivalence():
 
     disagreements = 0
     for block in (minimal, generic):
-        f = _fiber_parts(block[:, 0], block[:, 1], block[:, 2], block[:, 3])
+        f = _fiber_parts(*block.T)
         norm_sq = np.sum(block * block, axis=1)
         by_residual = f.residual <= 1e-20 * norm_sq * norm_sq
         by_product = np.abs(block[:, 0] * block[:, 3] - block[:, 1] * block[:, 2]) <= 1e-10 * norm_sq
@@ -136,7 +136,7 @@ def test_criterion_3_min_action_equivalence():
         except ValueError:
             pass
 
-    f = _fiber_parts(minimal[:, 0], minimal[:, 1], minimal[:, 2], minimal[:, 3])
+    f = _fiber_parts(*minimal.T)
     action_residual = float(np.max(rel(f.action_rate + f.m * f.ds, f.H * f.dt)))
     ok = disagreements == 0 and action_residual <= 1e-11
     assert report(3, "minimum-action equivalence", ok), (disagreements, action_residual)
@@ -150,8 +150,8 @@ def _boost_pair_samples(count, seed):
     u[:, 0] = np.cosh(phi)
     u[:, 1] = np.sinh(phi)
     xu = multiply_coeffs(FIBER_SIGNATURE, x, u)
-    before = _fiber_parts(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
-    after = _fiber_parts(xu[:, 0], xu[:, 1], xu[:, 2], xu[:, 3])
+    before = _fiber_parts(*x.T)
+    after = _fiber_parts(*xu.T)
     return before, after, phi
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fiberalg import algebra
 from fiberalg.algebra import (
     AlgebraElement,
     Idempotent,
@@ -75,6 +76,20 @@ class TestSignature:
         with pytest.raises(ValueError):
             table[0, 0] = -1
         assert Signature((1, -1, 1)).sign_table is table
+
+    @pytest.mark.parametrize("base, dtype", [("+-+-", np.intp), ("+-+-+", np.int16)])
+    def test_gather_table_dtype_size_and_entries(self, base, dtype):
+        # Doubled signatures of eight and ten generators: dim 256 keeps
+        # intp indices, dim 1024 stores them as int16.
+        squares = Signature.from_string(base).doubled().squares
+        table, gather = algebra._product_tables(squares)
+        dim = len(table)
+        assert gather.dtype == dtype
+        assert gather.nbytes == dim * dim * np.dtype(dtype).itemsize
+        assert not gather.flags.writeable
+        partners = np.arange(dim)[:, None] ^ np.arange(dim)
+        signs = np.take_along_axis(table, partners, axis=1)
+        assert np.array_equal(gather, partners + dim * (signs < 0))
 
 
 class TestBasisSign:

@@ -55,3 +55,18 @@ def test_run_verification_bad_seed_or_tol_exits_2(arg, message):
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.splitlines() == [f"run_verification.py: error: {message}"]
+
+
+def test_compare_reports_finds_its_own_tree_identical():
+    result = run_script("compare_reports.py", str(ROOT))
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.splitlines() == ["28 of 28 reports identical"]
+
+
+@pytest.mark.parametrize("args", [(), (str(ROOT / "tests"),)])
+def test_compare_reports_bad_argument_exits_2(args):
+    result = run_script("compare_reports.py", *args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("compare_reports.py: error: ")

@@ -1,5 +1,6 @@
 """Verification sweep tests: determinism, coverage, pass/fail wiring, blocking."""
 
+import itertools
 import tracemalloc
 from functools import reduce
 from pathlib import Path
@@ -11,7 +12,7 @@ from fiberalg import algebra, verify
 from fiberalg.algebra import Signature, multiply_coeffs
 from fiberalg.cli import main
 from fiberalg.fiber import _fiber_sectors, fiber_component_basis
-from fiberalg.verify import _Draw, _embed_flat, _sample_blocks, run_verification
+from fiberalg.verify import _Draw, _embed_flat, _rel, _sample_blocks, run_verification
 from test_cli import VERIFY_GOLDENS
 from test_tensor import fold_rows
 
@@ -136,11 +137,30 @@ class TestReportShape:
             assert np.isfinite(p.max_rel_residual)
 
 
+def test_rel_has_the_bits_of_a_masked_divide():
+    # _rel divides everywhere and repairs the rows whose scale is not
+    # positive; the reference divides only where it is.
+    def masked(diff, scale):
+        diff = np.abs(diff)
+        hot = scale > 0
+        out = np.divide(diff, scale, out=np.zeros_like(diff), where=hot)
+        np.copyto(out, np.inf, where=~hot & (diff > 0))
+        return out
+
+    special = [0.0, -0.0, 1e-300, 5e-324, 1.0, -1.0, 1e300, np.inf, -np.inf, np.nan]
+    diff, scale = (np.array(v) for v in zip(*itertools.product(special, repeat=2)))
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e300 / 5e-324, inf / inf
+        assert _rel(diff, scale).tobytes() == masked(diff, scale).tobytes()
+    positive = np.random.default_rng(5).uniform(0.5, 2.0, (2, 100))
+    assert _rel(*positive).tobytes() == masked(*positive).tobytes()
+
+
 def test_norm_fold_has_the_bits_of_the_row_sum():
     # _min_action_flags folds its squared norms of four values over the
-    # columns.  numpy adds a row shorter than eight values left to right,
-    # the fold's order; a longer row it sums pairwise, which may round
-    # differently.  The order is numpy's own, not the BLAS's.
+    # coefficient rows, as here over the columns.  numpy adds a row
+    # shorter than eight values left to right, the fold's order; a longer
+    # row it sums pairwise, which may round differently.  The order is
+    # numpy's own, not the BLAS's.
     x = fold_rows(4)
     scales = np.geomspace(1e-5, 1e5, 20000)[:, None]
     scaled = np.random.default_rng(4).uniform(-1, 1, (20000, 4)) * scales
@@ -169,9 +189,11 @@ class TestBlocks:
         blocks = list(_sample_blocks(Signature((1,)), np.random.default_rng([4, 2]), 1001, draws))
         assert [lo for lo, _ in blocks] == list(range(0, 1000, 8))  # the one-row tail joins the last block
         for index, expected in enumerate(full):
-            got = np.concatenate([arrays[index] for _, arrays in blocks])
+            # coefficient-major: one contiguous row of the block per coefficient
+            assert all(arrays[index].flags.c_contiguous for _, arrays in blocks)
+            got = np.concatenate([arrays[index] for _, arrays in blocks], axis=-1)
             assert got.dtype == expected.dtype
-            assert np.array_equal(got, expected)
+            assert np.array_equal(got, expected.T)
 
     @pytest.mark.skipif(not _on_openblas(), reason="row bits are checked against OpenBLAS only")
     @pytest.mark.parametrize("signature", ["+", "++", "-", "-+"])
@@ -179,10 +201,14 @@ class TestBlocks:
         # A guard of the same-bytes-at-any-block-size claim on OpenBLAS, not
         # of the identities: BLAS does not promise that a row's bits are the
         # same in any block.  A full product of 20000 rows or more may take
-        # another OpenBLAS path (with a C-contiguous dual it does).
+        # another OpenBLAS path (with a C-contiguous dual it does).  The
+        # sweeps hand each kernel the F-ordered transpose of a
+        # coefficient-major block, which must give the C-ordered rows' bits.
         sig = Signature.from_string(signature)
         basis = fiber_component_basis(sig)
-        flat = _embed_flat(np.random.default_rng(3).uniform(-10, 10, (20160, sig.dim)))
+        x = np.random.default_rng(3).uniform(-10, 10, (20160, sig.dim))
+        coeff_major = _embed_flat(np.ascontiguousarray(x.T))
+        flat = np.ascontiguousarray(coeff_major.T)
         kernels = [
             basis.components_batch,
             lambda rows: basis.reconstruction_residual_batch(rows, basis.components_batch(rows)),
@@ -197,6 +223,36 @@ class TestBlocks:
             for rows in (7, 4096):
                 blocks = [kernel(flat[lo : lo + rows]) for lo in range(0, len(flat), rows)]
                 assert np.array_equal(np.concatenate(blocks), full)
+            for rows in (2, 7, 4096):
+                blocks = [
+                    kernel(np.ascontiguousarray(coeff_major[:, lo : lo + rows]).T)
+                    for lo in range(0, len(flat), rows)
+                ]
+                assert np.array_equal(np.concatenate(blocks), full)
+
+    @pytest.mark.parametrize("rows", [2, 7, 4096])
+    @pytest.mark.parametrize("shape", ["batch x batch", "batch x one", "one x batch"])
+    # + ++ - -+ and their doublings (++ is also the doubling of +)
+    @pytest.mark.parametrize("signature", ["+", "++", "-", "-+", "++++", "--", "-+-+"])
+    def test_coefficient_major_products_have_the_row_major_bits(self, signature, shape, rows):
+        # The sweeps multiply coefficient-major blocks as
+        # multiply_coeffs(sig, a.T, b.T).T.  Batch x batch is the kernel's
+        # own loop, which then copies nothing and returns C-contiguous
+        # rows; batch x one is a BLAS matmul on the F-ordered view.
+        if shape != "batch x batch" and not _on_openblas():
+            pytest.skip("matmul row bits are checked against OpenBLAS only")
+        sig = Signature.from_string(signature)
+        rng = np.random.default_rng(rows)
+        a = rng.uniform(-10, 10, (rows, sig.dim))
+        b = rng.uniform(-10, 10, sig.dim if shape != "batch x batch" else (rows, sig.dim))
+        if shape == "one x batch":
+            a, b = b, a
+        coeff_major = [np.ascontiguousarray(side.T) for side in (a, b)]
+        got = multiply_coeffs(sig, coeff_major[0].T, coeff_major[1].T).T
+        expected = multiply_coeffs(sig, a, b).T
+        if shape == "batch x batch":
+            assert got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("rows", [7, 1000])
     @pytest.mark.parametrize("signature, fixture", VERIFY_GOLDENS)
