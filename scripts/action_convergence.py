@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Step-count sweep of the free-particle action integral.
 
-The integrand is constant, so the only error source is summation
-rounding; the sweep makes that visible (and keeps the integral honest
-against the closed form across six orders of magnitude in resolution).
+The integrand is constant, so the error against the closed form
+-mass * span comes from rounding alone: in the action rate read back
+from the lifted element, and in the step sum.  The sweep makes that
+visible across six orders of magnitude in resolution.
 """
 
 import argparse

@@ -7,7 +7,6 @@ a negative seed, or a negative or non-finite tolerance.
 """
 
 import argparse
-import math
 import sys
 
 from fiberalg.verify import run_verification
@@ -21,20 +20,14 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--tol", type=float, default=1e-10)
     args = parser.parse_args()
-    problem = None
-    if args.samples < 1:
-        problem = f"samples must be at least 1, got {args.samples}"
-    elif args.seed < 0:
-        problem = f"seed must be a non-negative integer, got {args.seed}"
-    elif not (math.isfinite(args.tol) and args.tol >= 0):
-        problem = f"tol must be a finite number of at least 0, got {args.tol}"
-    if problem is not None:
-        print(f"{parser.prog}: error: {problem}", file=sys.stderr)
-        return 2
 
     all_passed = True
     for signature in SIGNATURES:
-        report = run_verification(signature, args.samples, args.seed, args.tol)
+        try:
+            report = run_verification(signature, args.samples, args.seed, args.tol)
+        except ValueError as exc:  # an argument out of range, found before any draw
+            print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+            return 2
         all_passed &= report.passed
         print(f"signature {signature!r}  samples={args.samples}  seed={args.seed}  tol={args.tol}")
         for prop in report.properties:

@@ -26,6 +26,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -114,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("samples_pos", nargs="?", type=int, metavar="samples")
     p.add_argument("seed_pos", nargs="?", type=int, metavar="seed")
     p.add_argument("tol_pos", nargs="?", type=_tolerance, metavar="tol")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed")
+    p.add_argument("--seed", type=int, default=None, help="PRNG seed")
     p.add_argument("--samples", type=int, default=None, help="sample count")
 
     p = sub.add_parser("boost", parents=[with_tol], help="decompose before and after a boost")
@@ -133,19 +134,6 @@ def _tangent_dict(t) -> dict:
     return {"dt_dlambda": t.dt, "dq_dlambda": t.dq, "ds_dlambda": t.ds}
 
 
-def _momentum_dict(m) -> dict:
-    return {"H": m.H, "p": m.p, "m": m.m}
-
-
-def _cross_dict(c) -> dict:
-    return {
-        "c_plus_1": c.c_plus_1,
-        "c_plus_e1": c.c_plus_e1,
-        "c_minus_1": c.c_minus_1,
-        "c_minus_e12": c.c_minus_e12,
-    }
-
-
 def _fiber_dict(element: AlgebraElement, tol: float) -> dict:
     dec = decompose_d2(element)
     minimal = is_min_action(element, tol)
@@ -159,8 +147,8 @@ def _fiber_dict(element: AlgebraElement, tol: float) -> dict:
         }
     return {
         "tangent": _tangent_dict(dec.tangent),
-        "momentum": _momentum_dict(dec.momentum),
-        "cross": _cross_dict(dec.cross),
+        "momentum": asdict(dec.momentum),
+        "cross": asdict(dec.cross),
         "dS_dlambda": dec.action_rate,
         "residual": dec.min_action_residual,
         "minimal": minimal,
@@ -169,21 +157,10 @@ def _fiber_dict(element: AlgebraElement, tol: float) -> dict:
     }
 
 
-def _euclidean_plane_dict(components) -> dict:
-    return {
-        "p_plus_1": components.p_plus_1,
-        "p_plus_e": components.p_plus_e,
-        "p_minus": components.p_minus,
-    }
-
-
 def _euclidean_fiber_dict(dec) -> dict:
-    def sector(s) -> dict:
-        return {"invariant": s.invariant, "vec_1": s.vec_1, "vec_e1": s.vec_e1}
-
     return {
-        "tangent": sector(dec.tangent),
-        "momentum": sector(dec.momentum),
+        "tangent": asdict(dec.tangent),
+        "momentum": asdict(dec.momentum),
         "cross": {
             "invariant_1": dec.cross_invariant_1,
             "invariant_e12": dec.cross_invariant_e12,
@@ -209,7 +186,7 @@ def _decompose_payload(signature: Signature, coeffs: list[float], tol: float) ->
     elif signature == FIBER_SIGNATURE:
         payload.update(_fiber_dict(element, tol))
     elif signature == EUCLIDEAN_TANGENT_SIGNATURE:
-        payload["components"] = _euclidean_plane_dict(decompose_euclidean(element))
+        payload["components"] = asdict(decompose_euclidean(element))
     elif signature == EUCLIDEAN_FIBER_SIGNATURE:
         payload["components"] = _euclidean_fiber_dict(decompose_euclidean(element))
     else:
@@ -242,13 +219,14 @@ def _cmd_decompose(args, parser) -> tuple[dict, int]:
 
 
 def _cmd_verify(args, parser) -> tuple[dict, int]:
-    samples = args.samples_pos if args.samples_pos is not None else args.samples
-    seed = args.seed_pos if args.seed_pos is not None else args.seed
-    tol = args.tol_pos if args.tol_pos is not None else args.tol
-    samples = samples if samples is not None else DEFAULT_SAMPLES
-    tol = tol if tol is not None else DEFAULT_TOL
+    settings = []
+    for name, default in (("samples", DEFAULT_SAMPLES), ("seed", DEFAULT_SEED), ("tol", DEFAULT_TOL)):
+        given = [v for v in (getattr(args, f"{name}_pos"), getattr(args, name)) if v is not None]
+        if len(given) > 1:
+            parser.exit(2, f"{parser.prog}: error: {name} is given both as an argument and as --{name}\n")
+        settings.append(given[0] if given else default)
     try:
-        report = run_verification(args.signature, samples, seed, tol)
+        report = run_verification(args.signature, *settings)
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     payload = {"schema_version": SCHEMA_VERSION, "command": "verify"}
@@ -298,7 +276,7 @@ def _cmd_trajectory(args, parser) -> tuple[dict, int]:
         "analytic_S": record.analytic_S,
         "error": record.error,
     }
-    return payload, 0 if record.error <= TRAJECTORY_GATE else 1
+    return payload, 0 if record.error <= TRAJECTORY_GATE * abs(record.analytic_S) else 1
 
 
 def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, str]]:

@@ -548,10 +548,14 @@ def trajectory_action(mass: float, rapidity: float, lambda_span: float, steps: i
     """Left-endpoint action integral for a constant free-particle element.
 
     The integrand p dq - H dt is constant along the worldline, so the
-    quadrature order is irrelevant; the step sum exists to tie the rate
-    form of the action to its integral form, and the only disagreement
-    with -mass * ds * span is summation rounding.  At most ``MAX_STEPS``
-    steps are summed; more raise ``ValueError`` before any allocation.
+    quadrature order is irrelevant; the step sum ties the rate form of
+    the action, read from the lifted element, to the closed form
+    -mass * span of the proper-time gauge (ds rate 1).  The two differ by
+    rounding alone unless the mass is so far from 1 that the lifted
+    coefficients, which hold sums of the tangent and momentum sectors,
+    lose the smaller sector to rounding; then the relative error is
+    large.  At most ``MAX_STEPS`` steps are summed; more raise
+    ``ValueError`` before any allocation.
     """
     if mass <= 0:
         raise ValueError(f"mass must be positive, got {mass}")
@@ -565,7 +569,7 @@ def trajectory_action(mass: float, rapidity: float, lambda_span: float, steps: i
     rate = decomposition.action_rate
     step = lambda_span / steps
     numeric = float(np.sum(np.full(steps, rate * step)))
-    analytic = -mass * decomposition.tangent.ds * lambda_span
+    analytic = -mass * lambda_span
     return ActionIntegral(numeric_S=numeric, analytic_S=float(analytic), error=abs(numeric - analytic))
 
 

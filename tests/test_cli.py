@@ -53,6 +53,11 @@ class TestGolden:
         assert code == 0
         assert out == (GOLDEN / "decompose_d2.json").read_text()
 
+    def test_boost_fixture_bytes(self, capsys):
+        out, code = run_cli(["boost", "++", "2", "1", "1", "0.5", "1.0"], capsys)
+        assert code == 0
+        assert out == (GOLDEN / "boost_pp.json").read_text()
+
     @pytest.mark.parametrize(
         "argv, fixture",
         [(["--", "-", "2", "1"], "decompose_m.json"), (["m+", "2", "1", "1", "0.5"], "decompose_mp.json")],
@@ -333,6 +338,22 @@ class TestVerify:
         )
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["verify", "++", "10", "--samples", "10"], "samples"),
+            (["verify", "++", "10", "0", "--seed", "5"], "seed"),
+            (["verify", "++", "10", "0", "1e-10", "--tol", "0.5"], "tol"),
+        ],
+    )
+    def test_value_given_twice_exits_2(self, argv, name, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        out, stderr = capsys.readouterr()
+        assert err.value.code == 2
+        assert out == ""
+        assert stderr == f"fiberalg: error: {name} is given both as an argument and as --{name}\n"
+
     def test_zero_samples_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["verify", "++", "0", "1", "1e-10"])
@@ -402,6 +423,23 @@ class TestTrajectory:
         assert code == 0
         assert payload["numeric_S"] == -2.0
         assert payload["error"] == 0.0
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            # the lift loses dt under H, or H under dt: the action is far off
+            (["1e40", "0", "1", "5"], 1),
+            (["1e20", "0.3", "1", "1000"], 1),
+            (["1e-30", "0", "1", "5"], 1),
+            # off by rounding alone, relative 3e-12, absolute 3e-3
+            (["1e9", "0.3", "1", "1000"], 0),
+        ],
+    )
+    def test_gate_is_relative_to_the_closed_form(self, argv, expected, capsys):
+        out, code = run_cli(["trajectory", *argv], capsys)
+        payload = json.loads(out)
+        assert code == expected
+        assert payload["analytic_S"] == -payload["mass"] * payload["span"]
 
     def test_bad_mass_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -103,6 +103,11 @@ class TestFailureWiring:
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
             run_verification("++", 10, -1, 1e-10)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match=f"tol must be a finite number of at least 0, got {tol}"):
+            run_verification("++", 10, 0, tol)
+
     def test_too_many_generators_rejected_before_tables(self):
         cached = algebra._product_tables.cache_info().currsize
         with pytest.raises(ValueError, match="at most 6 generators, got 7"):
