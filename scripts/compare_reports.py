@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
-"""Check that this tree and PARENT_TREE give byte-identical verify reports.
+"""Check that this tree and PARENT_TREE give byte-identical verify reports and CLI calls.
 
 Usage: compare_reports.py PARENT_TREE
 
-Each tree runs a fixed list of ``run_verification`` cases in one child
-process that imports ``fiberalg`` from that tree's ``src``: the paper's
-four signatures at 100 000 samples, wider signatures, small and odd
-sample counts around the block edges, and the verify goldens' sample
-counts.  The small cases run again at ``verify.BLOCK_VALUES = 160``,
-where every sweep spans many blocks.  The script prints each case whose
-``json.dumps(report.to_dict())`` differs between the trees and exits 0
-when all are identical, 1 on any difference, and 2 with one stderr line
-for a bad argument.
+Each tree runs, in one child process that imports ``fiberalg`` from
+that tree's ``src``, a fixed list of ``run_verification`` cases: the
+paper's four signatures at 100 000 samples, wider signatures, small and
+odd sample counts around the block edges, and the verify goldens'
+sample counts.  The small cases run again at ``verify.BLOCK_VALUES =
+160``, where every sweep spans many blocks.  The same child then replays
+a fixed list of CLI calls through ``cli.main``: every format and
+signature of ``decompose``, ``boost``, the boundary calls that exit 2,
+and one small ``verify`` and ``trajectory``.  The script prints each
+case whose ``json.dumps(report.to_dict())``, and each call whose exit
+code, stdout or stderr, differs between the trees.  It exits 0 when all
+are identical, 1 on any difference, and 2 with one stderr line for a bad
+argument.
 """
 
 import json
@@ -44,21 +48,51 @@ CASES = [
 # (signature, samples, seed, BLOCK_VALUES or None for the tree's own)
 RUNS = [(*case, None) for case in CASES] + [(*case, SMALL_BLOCK) for case in SMALL]
 
+DECOMPOSE = [("+", ["3", "-1.5"]), ("++", ["2", "1", "1", "0.5"]), ("m", ["0.25", "-4"]), ("m+", ["1", "-2", "3.5", "0.125"])]
+CLI_CALLS = [
+    *[["decompose", sig, *coeffs, "--format", fmt] for sig, coeffs in DECOMPOSE for fmt in ("json", "csv", "pretty")],
+    ["decompose", "++", "1", "2", "3", "4", "--tol", "0.5"],
+    ["decompose", "++", "--labels"],
+    ["boost", "+", "3", "1", "0.7"],
+    ["boost", "++", "2", "1", "1", "0.5", "-1.25", "--format", "csv"],
+    # The boundaries: a non-finite argument, a rapidity past cosh's range,
+    # coefficients whose squares overflow or underflow.
+    ["decompose", "++", "nan", "1", "1", "1"],
+    ["boost", "++", "1", "0", "0", "0", "1000"],
+    ["boost", "+", "1", "0.5", "-710"],
+    ["decompose", "++", "1e200", "1", "1", "1"],
+    ["decompose", "+", "1e200", "1"],
+    ["decompose", "-", "5e-324", "1"],
+    ["decompose", "++", "5e-324", "5e-324", "5e-324", "5e-324"],
+    ["verify", "m+", "300", "2"],
+    ["trajectory", "1.3", "0.4", "1.7", "1000"],
+]
+
 CHILD = """
-import json, sys
-from fiberalg import verify
+import contextlib, io, json, sys
+from fiberalg import cli, verify
+runs, calls = json.loads(sys.argv[1])
 default = verify.BLOCK_VALUES
-for signature, samples, seed, block in json.loads(sys.argv[1]):
+for signature, samples, seed, block in runs:
     verify.BLOCK_VALUES = default if block is None else block
     report = verify.run_verification(signature, samples, seed, %r)
     print(json.dumps(report.to_dict()))
+verify.BLOCK_VALUES = default
+for argv in calls:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    print(json.dumps([code, out.getvalue(), err.getvalue()]))
 """ % TOL
 
 
 def start(tree: Path) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     return subprocess.Popen(
-        [sys.executable, "-c", CHILD, json.dumps(RUNS)],
+        [sys.executable, "-c", CHILD, json.dumps([RUNS, CLI_CALLS])],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -73,8 +107,11 @@ def reports(tree: Path, child: subprocess.Popen) -> list[str] | None:
         print(err, end="", file=sys.stderr)
         return None
     lines = out.splitlines()
-    if len(lines) != len(RUNS):
-        print(f"{tree}: the verify child printed {len(lines)} reports, not {len(RUNS)}", file=sys.stderr)
+    if len(lines) != len(RUNS) + len(CLI_CALLS):
+        print(
+            f"{tree}: the verify child printed {len(lines)} lines, not {len(RUNS) + len(CLI_CALLS)}",
+            file=sys.stderr,
+        )
         return None
     return lines
 
@@ -92,14 +129,19 @@ def main(argv: list[str]) -> int:
     got = [reports(tree, child) for tree, child in children]
     if None in got:
         return 1
-    differ = 0
+    differ = calls_differ = 0
     for run, before, after in zip(RUNS, *got):
         if before != after:
             differ += 1
             signature, samples, seed, block = run
             print(f"differs: {signature} samples={samples} seed={seed} block_values={block or 'default'}")
+    for argv, before, after in zip(CLI_CALLS, *(lines[len(RUNS):] for lines in got)):
+        if before != after:
+            calls_differ += 1
+            print(f"differs: fiberalg {' '.join(argv)}")
     print(f"{len(RUNS) - differ} of {len(RUNS)} reports identical")
-    return 1 if differ else 0
+    print(f"{len(CLI_CALLS) - calls_differ} of {len(CLI_CALLS)} CLI calls identical")
+    return 1 if differ or calls_differ else 0
 
 
 if __name__ == "__main__":

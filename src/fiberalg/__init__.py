@@ -1,60 +1,51 @@
 """Signed abelian group algebras and the fiber decomposition of squared elements."""
 
-from .algebra import (
-    AlgebraElement,
-    Idempotent,
-    Signature,
-    basis_sign,
-    idempotent_half,
-    idempotent_pair,
-    multiply,
-    multiply_coeffs,
-)
-from .fiber import (
-    EUCLIDEAN_FIBER_SIGNATURE,
-    EUCLIDEAN_TANGENT_SIGNATURE,
-    FIBER_SIGNATURE,
-    TANGENT_SIGNATURE,
-    ActionIntegral,
-    CausalClass,
-    CrossQuad,
-    EuclideanComponents,
-    EuclideanFiberDecomposition,
-    EuclideanSector,
-    Factorization,
-    FiberDecomposition,
-    MomentumTriple,
-    TangentTriple,
-    boost_element,
-    boost_residuals,
-    classify_causal,
-    decompose_c2,
-    decompose_c2_projected,
-    decompose_d2,
-    decompose_d2_projected,
-    decompose_euclidean,
-    decompose_euclidean_projected,
-    factorize,
-    fiber_component_basis,
-    free_particle_element,
-    is_min_action,
-    lift_kinematics,
-    rotation_element,
-    trajectory_action,
-    transform,
-)
-from .tensor import (
-    ComponentBasis,
-    basis_pair,
-    diagonal_projector,
-    lift_projectors,
-    mixed_projector,
-    square_embed,
-    tensor_identity,
-    tensor_multiply,
-    tensor_product,
-    trace_pairing,
-)
-from .verify import PropertyResult, VerificationReport, run_verification
+import importlib
+
+from . import algebra, fiber
+from .algebra import *  # noqa: F403
+from .fiber import *  # noqa: F403
+
+# The projector and batch modules import numpy; their names load on first
+# use, so single-element work never imports it.
+_LAZY = {
+    "tensor": (
+        "ComponentBasis",
+        "basis_pair",
+        "diagonal_projector",
+        "lift_projectors",
+        "mixed_projector",
+        "square_embed",
+        "tensor_identity",
+        "tensor_multiply",
+        "tensor_product",
+        "trace_pairing",
+    ),
+    "verify": ("PropertyResult", "VerificationReport", "run_verification"),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = [
+    *algebra.__all__,
+    *fiber.__all__,
+    *_LAZY_NAMES,
+    "algebra",
+    "fiber",
+    *_LAZY,
+]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _LAZY_NAMES:
+        value = getattr(importlib.import_module(f"{__name__}.{_LAZY_NAMES[name]}"), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

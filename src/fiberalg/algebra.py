@@ -12,20 +12,25 @@ to
 where the sign multiplies the squares of the generators shared by the
 two subsets.
 
-Coefficients are float64 by default.  Constructing an element from
-:class:`fractions.Fraction` values switches it to exact arithmetic,
-which the test suite uses to check projector identities without any
-rounding.
+An element holds its coefficients as a tuple of Python floats, or of
+exact values such as :class:`fractions.Fraction`, which the test suite
+uses to check projector identities without any rounding.  Single
+elements never touch numpy: their products, sums and norms run on those
+values.  The ``coeffs`` array, and the sign and gather tables of the
+batch kernels, are built with numpy on first use.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Number
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Signature",
@@ -102,9 +107,14 @@ class Signature:
         return _product_tables(self.squares)[0]
 
 
+def _negative_mask(squares: tuple[int, ...]) -> int:
+    """The subset of the generators that square to -1."""
+    return sum(1 << i for i, square in enumerate(squares) if square < 0)
+
+
 @lru_cache(maxsize=None)
 def _product_tables(squares: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Sign table and product gather rows of one signature, built once.
+    """Sign table and product gather rows of one signature for the batch kernels, built once.
 
     The sign table is the Kronecker product of one ``[[1, 1], [1, square]]``
     table per generator, generator 1 on the lowest bit.  Row
@@ -116,9 +126,10 @@ def _product_tables(squares: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     stored in the narrowest dtype that holds them, int16 up to
     ``dim = 16384``: 32 MiB at ``dim = 4096`` against 128 MiB as int64.
     A smaller table stays ``intp``, because numpy casts a narrower index
-    row on every gather, about a microsecond a row, which would slow a
-    single product at dim 16 to 256 by a third or more.
+    row on every gather, about a microsecond a row.
     """
+    import numpy as np
+
     table = partner_signs = np.ones((1, 1), dtype=np.int8)
     for square in squares:
         table = np.kron(np.array([[1, 1], [1, square]], dtype=np.int8), table)
@@ -131,6 +142,69 @@ def _product_tables(squares: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     table.setflags(write=False)
     gather.setflags(write=False)
     return table, gather
+
+
+@lru_cache(maxsize=None)
+def _partner_rows(squares: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The one x one product's gather rows, one per output coefficient, built once.
+
+    ``rows[k][s]`` indexes ``sign(s, s ^ k) * b[s ^ k]``, the partner of
+    ``a[s]`` in ``out[k]``, in the stacked ``(*b, *-b)``: the transpose
+    of the batch kernels' ``gather``.  The generators ``s`` and ``s ^ k``
+    share are ``s & ~k``.  Held as Python ints, the rows take about
+    33 MB at ``dim = 1024``.
+    """
+    dim = 1 << len(squares)
+    negative = _negative_mask(squares)
+    return tuple(
+        tuple((s ^ k) + (dim if (s & ~k & negative).bit_count() & 1 else 0) for s in range(dim))
+        for k in range(dim)
+    )
+
+
+def _product(squares: tuple[int, ...], a, b, exact: bool) -> tuple:
+    """The algebra product of one element by one element, as a tuple of coefficients.
+
+    Each ``out[k]`` adds the terms ``a[s] * sign(s, s ^ k) * b[s ^ k]``
+    in ascending ``s`` to a zero (+0.0, or the integer 0 when exact),
+    skipping each ``s`` with ``a[s] == 0``, one multiply and one add per
+    term: the bits of a row of the batch loop in :func:`multiply_coeffs`.
+    """
+    signed = (*b, *[-v for v in b])
+    terms = [(a_s, s) for s, a_s in enumerate(a) if a_s != 0]
+    out = []
+    for row in _partner_rows(squares):
+        total = 0 if exact else 0.0
+        for a_s, s in terms:
+            total += a_s * signed[row[s]]
+        out.append(total)
+    return tuple(out)
+
+
+def _pairwise_sum(values):
+    """numpy's float64 sum: left to right below eight values, else eight lanes and halving.
+
+    The lanes and halves follow numpy's pairwise summation (blocks of at
+    most 128 values), so the result has the bits of ``np.sum``.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        lanes = list(values[:8])
+        whole = n - n % 8
+        for i in range(8, whole, 8):
+            for j in range(8):
+                lanes[j] += values[i + j]
+        total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
+        for v in values[whole:]:
+            total += v
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
 def _check_mask(signature: Signature, mask: int) -> int:
@@ -148,22 +222,36 @@ def basis_sign(left_mask: int, right_mask: int, signature: Signature) -> int:
     Symmetric in its arguments: the generators commute, so only the
     squares of the shared generators contribute.
     """
-    left_mask = _check_mask(signature, left_mask)
-    right_mask = _check_mask(signature, right_mask)
-    return int(signature.sign_table[left_mask, right_mask])
+    shared = _check_mask(signature, left_mask) & _check_mask(signature, right_mask)
+    return -1 if (shared & _negative_mask(signature.squares)).bit_count() & 1 else 1
 
 
-def _coerce_coeffs(values, shape: tuple[int, ...]) -> np.ndarray:
-    """A read-only float64 (or exact object) copy of ``values``."""
-    arr = np.asarray(values)
-    if arr.shape != shape:
-        raise ValueError(f"expected {' x '.join(map(str, shape))} coefficients, got shape {arr.shape}")
-    if arr.dtype == object:
-        arr = arr.copy()
-    else:
-        arr = arr.astype(np.float64, copy=True)
-    arr.setflags(write=False)
-    return arr
+def _coerce_coeffs(values, dim: int) -> tuple[tuple, bool, np.ndarray | None]:
+    """``(values, exact, array)``: the coefficients as numpy would store them.
+
+    A list or tuple of Python floats and ints becomes Python floats; one
+    that also holds a ``Fraction`` keeps its values, exact, as an
+    ``object`` array would.  Anything else, an int past int64 or a numpy
+    scalar among them, goes through ``np.asarray`` and comes back with
+    the read-only array it made.
+    """
+    if isinstance(values, (list, tuple)):
+        kinds = set(map(type, values))
+        exact = Fraction in kinds
+        if kinds <= {float, int, bool, Fraction} and (
+            exact or int not in kinds or all(-(2**63) <= v < 2**63 for v in values if type(v) is int)
+        ):
+            if len(values) != dim:
+                raise ValueError(f"expected {dim} coefficients, got shape ({len(values)},)")
+            return (tuple(values) if exact else tuple(map(float, values))), exact, None
+    import numpy as np
+
+    array = np.asarray(values)
+    if array.shape != (dim,):
+        raise ValueError(f"expected {dim} coefficients, got shape {array.shape}")
+    array = array.copy() if array.dtype == object else array.astype(np.float64)
+    array.setflags(write=False)
+    return tuple(array.tolist()), array.dtype == object, array
 
 
 def _zero_values(dim: int, exact: bool) -> list:
@@ -171,24 +259,46 @@ def _zero_values(dim: int, exact: bool) -> list:
     return [zero] * dim
 
 
-@dataclass(frozen=True, eq=False)
 class AlgebraElement:
     """Dense real element of a signed abelian group algebra.
 
-    ``coeffs[S]`` is the coefficient of the basis element with subset
-    bitmask ``S``.  Instances are immutable; all arithmetic returns new
-    elements.
+    ``values[S]`` is the coefficient of the basis element with subset
+    bitmask ``S``: a Python float, or an exact value when ``exact``.
+    ``AlgebraElement(signature, coeffs)`` takes a list, a tuple or an
+    array.  ``coeffs`` is the same coefficients as a read-only float64
+    (or ``object``) array, built on first access.  Instances are
+    immutable; all arithmetic returns new elements.
     """
 
-    signature: Signature
-    coeffs: np.ndarray
+    __slots__ = ("signature", "values", "exact", "_array")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _coerce_coeffs(self.coeffs, (self.signature.dim,)))
+    def __init__(self, signature: Signature, coeffs) -> None:
+        self._set(signature, *_coerce_coeffs(coeffs, signature.dim))
+
+    @classmethod
+    def _of(cls, signature: Signature, values: tuple, exact: bool) -> AlgebraElement:
+        """An element over ``values`` as given, with no coercion."""
+        element = object.__new__(cls)
+        element._set(signature, values, exact, None)
+        return element
+
+    def _set(self, signature: Signature, values: tuple, exact: bool, array) -> None:
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "_array", array)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"AlgebraElement is immutable; cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return AlgebraElement._of, (self.signature, self.values, self.exact)
 
     @classmethod
     def zero(cls, signature: Signature, exact: bool = False) -> AlgebraElement:
-        return cls(signature, np.array(_zero_values(signature.dim, exact), dtype=object if exact else None))
+        return cls._of(signature, tuple(_zero_values(signature.dim, exact)), exact)
 
     @classmethod
     def basis(cls, signature: Signature, mask: int, exact: bool = False) -> AlgebraElement:
@@ -196,17 +306,25 @@ class AlgebraElement:
         mask = _check_mask(signature, mask)
         values = _zero_values(signature.dim, exact)
         values[mask] = Fraction(1) if exact else 1.0
-        return cls(signature, np.array(values, dtype=object if exact else None))
+        return cls._of(signature, tuple(values), exact)
 
     @classmethod
     def scalar(cls, signature: Signature, value, exact: bool = False) -> AlgebraElement:
         values = _zero_values(signature.dim, exact)
         values[0] = value
-        return cls(signature, np.array(values, dtype=object if exact else None))
+        return cls(signature, values)
 
     @property
-    def exact(self) -> bool:
-        return self.coeffs.dtype == object
+    def coeffs(self) -> np.ndarray:
+        """Read-only float64 array of the coefficients, ``object`` when exact."""
+        array = self._array
+        if array is None:
+            import numpy as np
+
+            array = np.array(self.values, dtype=object if self.exact else np.float64)
+            array.setflags(write=False)
+            object.__setattr__(self, "_array", array)
+        return array
 
     @property
     def grid(self) -> np.ndarray:
@@ -224,15 +342,15 @@ class AlgebraElement:
 
     def coefficient(self, mask: int):
         """Coefficient of e_S; a Python float unless the element is exact."""
-        return self.coeffs.item(_check_mask(self.signature, mask))
+        return self.values[_check_mask(self.signature, mask)]
 
     def norm_squared(self):
-        """Sum of squared coefficients (used to scale tolerances)."""
-        total = (self.coeffs * self.coeffs).sum()
-        return total if self.exact else float(total)
+        """Sum of squared coefficients (used to scale tolerances), with the bits of numpy's sum."""
+        squares = [v * v for v in self.values]
+        return sum(squares) if self.exact else _pairwise_sum(squares)
 
     def as_float(self) -> AlgebraElement:
-        return AlgebraElement(self.signature, np.asarray([float(c) for c in self.coeffs]))
+        return AlgebraElement(self.signature, [float(c) for c in self.values])
 
     def _require_same_signature(self, other: AlgebraElement) -> None:
         if self.signature != other.signature:
@@ -241,44 +359,54 @@ class AlgebraElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.signature == other.signature and bool(np.array_equal(self.coeffs, other.coeffs))
+        return self.signature == other.signature and all(x == y for x, y in zip(self.values, other.values))
+
+    def _termwise(self, other: AlgebraElement, op) -> AlgebraElement:
+        self._require_same_signature(other)
+        values = tuple(op(x, y) for x, y in zip(self.values, other.values))
+        return AlgebraElement._of(self.signature, values, self.exact or other.exact)
+
+    def _scaled(self, op, scale) -> AlgebraElement:
+        """Each coefficient ``op(value, scale)``; a ``Fraction`` scale makes the result exact."""
+        exact = self.exact or isinstance(scale, Fraction)
+        if not exact:
+            scale = float(scale)
+        return AlgebraElement._of(self.signature, tuple(op(v, scale) for v in self.values), exact)
 
     def __add__(self, other: AlgebraElement) -> AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        self._require_same_signature(other)
-        return AlgebraElement(self.signature, self.coeffs + other.coeffs)
+        return self._termwise(other, operator.add)
 
     def __sub__(self, other: AlgebraElement) -> AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        self._require_same_signature(other)
-        return AlgebraElement(self.signature, self.coeffs - other.coeffs)
+        return self._termwise(other, operator.sub)
 
     def __neg__(self) -> AlgebraElement:
-        return AlgebraElement(self.signature, -self.coeffs)
+        return AlgebraElement._of(self.signature, tuple(-v for v in self.values), self.exact)
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             return multiply(self, other)
         if isinstance(other, Number):
-            return AlgebraElement(self.signature, self.coeffs * other)
+            return self._scaled(operator.mul, other)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, Number):
-            return AlgebraElement(self.signature, self.coeffs * other)
+            return self._scaled(operator.mul, other)
         return NotImplemented
 
     def __truediv__(self, other):
         if isinstance(other, Number):
-            return AlgebraElement(self.signature, self.coeffs / other)
+            return self._scaled(operator.truediv, other)
         return NotImplemented
 
     def __str__(self) -> str:
         labels = self.signature.basis_labels()
         parts = []
-        for mask, value in enumerate(self.coeffs):
+        for mask, value in enumerate(self.values):
             if value == 0:
                 continue
             term = str(value) if mask == 0 else f"{value}*{labels[mask]}"
@@ -286,7 +414,7 @@ class AlgebraElement:
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self) -> str:
-        return f"AlgebraElement({self.signature}, [{', '.join(str(c) for c in self.coeffs)}])"
+        return f"AlgebraElement({self.signature}, [{', '.join(str(c) for c in self.values)}])"
 
 
 def multiply_coeffs(signature: Signature, a, b) -> np.ndarray:
@@ -296,54 +424,58 @@ def multiply_coeffs(signature: Signature, a, b) -> np.ndarray:
     batch shapes broadcast.  The result is ``object`` if either side is,
     so ``Fraction`` inputs stay exact, and float64 otherwise.
 
-    When exactly one side is a single element ``f``, the product is the
-    batch times the multiplication matrix ``L(f)``, whose row ``s`` is
-    ``e_s * f``; the algebra commutes, so ``f`` may sit on either side.
-    That matmul may round differently from the term-by-term sum below.
+    One times one is the loop of :func:`multiply`.  When exactly one
+    side is a single element ``f``, the product is the batch times the
+    multiplication matrix ``L(f)``, whose row ``s`` is ``e_s * f``; the
+    algebra commutes, so ``f`` may sit on either side.  That matmul may
+    round differently from the term-by-term sums.
 
-    Otherwise (one times one, batch times batch) each output coefficient
-    ``out[k]`` adds the terms ``a[s] * sign(s, s ^ k) * b[s ^ k]`` in
-    ascending ``s`` from zero, skipping each ``s`` whose column of ``a``
-    is all zero, so a batch row and a single product give the same bits.
-    That loop runs basis axis first: a batch passed as the transpose of a
-    C-contiguous ``(dim, rows)`` array is read without a copy, and the
-    transpose of the result is C-contiguous.
+    Batch times batch adds, for each output coefficient ``out[k]``, the
+    terms ``a[s] * sign(s, s ^ k) * b[s ^ k]`` in ascending ``s`` from
+    zero, skipping each ``s`` whose column of ``a`` is all zero, so a
+    batch row and a single product give the same bits.  That loop runs
+    basis axis first: a batch passed as the transpose of a C-contiguous
+    ``(dim, rows)`` array is read without a copy, and the transpose of
+    the result is C-contiguous.
     """
-    table, gather = _product_tables(signature.squares)
-    dim = len(table)
+    import numpy as np
+
+    dim = signature.dim
     a, b = np.asarray(a), np.asarray(b)
     if a.shape[-1:] != (dim,) or b.shape[-1:] != (dim,):
         raise ValueError(
             f"expected {dim} coefficients on the last axis, got shapes {a.shape} and {b.shape}"
         )
     dtype = object if object in (a.dtype, b.dtype) else np.float64
-    if (a.ndim == 1) != (b.ndim == 1):
+    if a.ndim == 1 and b.ndim == 1:
+        exact = dtype is object
+        values = _product(signature.squares, a.astype(dtype).tolist(), b.astype(dtype).tolist(), exact)
+        return np.array(values, dtype=dtype)
+    _, gather = _product_tables(signature.squares)
+    if a.ndim == 1 or b.ndim == 1:
         fixed, rows = (a, b) if a.ndim == 1 else (b, a)
         fixed = fixed.astype(dtype, copy=False)
         return rows.astype(dtype, copy=False) @ np.concatenate([fixed, -fixed])[gather]
-    batch = ()
-    nonzero = a
-    if a.ndim > 1 or b.ndim > 1:
-        # Basis axis first and contiguous: a[s] is one batch row, and
-        # out[k] the batch of coefficient k.
-        batch = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-        a = np.ascontiguousarray(np.moveaxis(a, -1, 0))
-        b = np.ascontiguousarray(np.moveaxis(b, -1, 0))
-        b = b.reshape((dim,) + (1,) * (len(batch) - b.ndim + 1) + b.shape[1:])
-        nonzero = (a != 0).reshape(dim, -1).any(axis=1)
+    # Basis axis first and contiguous: a[s] is one batch row, and
+    # out[k] the batch of coefficient k.
+    batch = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    a = np.ascontiguousarray(np.moveaxis(a, -1, 0))
+    b = np.ascontiguousarray(np.moveaxis(b, -1, 0))
+    b = b.reshape((dim,) + (1,) * (len(batch) - b.ndim + 1) + b.shape[1:])
     signed = np.concatenate([b, -b])
     out = np.zeros((dim,) + batch, dtype=dtype)
     term = np.empty_like(out)
-    for s in np.flatnonzero(nonzero):
+    for s in np.flatnonzero((a != 0).reshape(dim, -1).any(axis=1)):
         np.multiply(a[s], signed[gather[s]], out=term)
         out += term
-    return np.moveaxis(out, 0, -1) if batch else out
+    return np.moveaxis(out, 0, -1)
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Algebra product, the bilinear extension of the basis product rule."""
     a._require_same_signature(b)
-    return AlgebraElement(a.signature, multiply_coeffs(a.signature, a.coeffs, b.coeffs))
+    exact = a.exact or b.exact
+    return AlgebraElement._of(a.signature, _product(a.signature.squares, a.values, b.values, exact), exact)
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,10 +488,10 @@ class Idempotent:
         p = self.element
         square = multiply(p, p)
         if p.exact:
-            if not np.array_equal(square.coeffs, p.coeffs):
+            if square != p:
                 raise ValueError(f"element is not idempotent: ({p})^2 = {square}")
         else:
-            deviation = float(np.max(np.abs(square.coeffs - p.coeffs)))
+            deviation = max(abs(s - v) for s, v in zip(square.values, p.values))
             if deviation > IDEMPOTENT_ATOL:
                 raise ValueError(
                     f"element is not idempotent: max |p*p - p| = {deviation:.3e}"
@@ -389,7 +521,7 @@ def idempotent_half(mask: int, sign: int, signature: Signature, exact: bool = Fa
     values = _zero_values(signature.dim, exact)
     values[0] = values[0] + half
     values[mask] = values[mask] + sign * half
-    return Idempotent(AlgebraElement(signature, np.array(values, dtype=object if exact else None)))
+    return Idempotent(AlgebraElement._of(signature, tuple(values), exact))
 
 
 def idempotent_pair(mask: int, signature: Signature, exact: bool = False) -> tuple[Idempotent, Idempotent]:

@@ -28,8 +28,6 @@ import re
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from .algebra import AlgebraElement, Signature
 from .fiber import (
     EUCLIDEAN_FIBER_SIGNATURE,
@@ -47,7 +45,6 @@ from .fiber import (
     trajectory_action,
     transform,
 )
-from .verify import run_verification
 
 __all__ = ["main", "build_parser", "entry"]
 
@@ -142,8 +139,8 @@ def _fiber_dict(element: AlgebraElement, tol: float) -> dict:
         factors = factorize(element, tol)
         factorization = {
             "scale": factors.scale,
-            "factor_e1": [float(c) for c in factors.first.coeffs],
-            "factor_e2": [float(c) for c in factors.second.coeffs],
+            "factor_e1": list(factors.first.values),
+            "factor_e2": list(factors.second.values),
         }
     return {
         "tangent": _tangent_dict(dec.tangent),
@@ -225,8 +222,13 @@ def _cmd_verify(args, parser) -> tuple[dict, int]:
         if len(given) > 1:
             parser.exit(2, f"{parser.prog}: error: {name} is given both as an argument and as --{name}\n")
         settings.append(given[0] if given else default)
+    import numpy as np
+
+    from .verify import run_verification
+
     try:
-        report = run_verification(args.signature, *settings)
+        with np.errstate(all="ignore"):
+            report = run_verification(args.signature, *settings)
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     payload = {"schema_version": SCHEMA_VERSION, "command": "verify"}
@@ -254,15 +256,18 @@ def _cmd_boost(args, parser) -> tuple[dict, int]:
         "signature": str(signature),
         "rapidity": rapidity,
         "before": _decompose_payload(signature, coeffs, tol),
-        "after": _decompose_payload(signature, [float(c) for c in boosted.coeffs], tol),
+        "after": _decompose_payload(signature, list(boosted.values), tol),
         "residuals": boost_residuals(element, rapidity),
     }
     return payload, 0
 
 
 def _cmd_trajectory(args, parser) -> tuple[dict, int]:
+    import numpy as np
+
     try:
-        record = trajectory_action(args.mass, args.rapidity, args.span, args.steps)
+        with np.errstate(all="ignore"):
+            record = trajectory_action(args.mass, args.rapidity, args.span, args.steps)
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     payload = {
@@ -323,9 +328,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     out_of_range = f"{parser.prog}: error: result out of float range: {{}}\n"
     try:
-        # Out-of-range results end in exit 2 here, not in numpy warnings.
-        with np.errstate(all="ignore"):
-            payload, code = handlers[args.command](args, parser)
+        # Out-of-range results end in exit 2 here, not in warnings; the
+        # verify and trajectory handlers silence numpy's.
+        payload, code = handlers[args.command](args, parser)
     except OverflowError as exc:
         parser.exit(2, out_of_range.format(exc))
     try:

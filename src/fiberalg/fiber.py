@@ -21,7 +21,9 @@ signature whose ``grid`` view is the coefficient grid, four pairs in all:
 ``decompose_c2`` / ``decompose_c2_projected`` for ``+``, ``decompose_d2``
 / ``decompose_d2_projected`` for ``++``, and ``decompose_euclidean`` /
 ``decompose_euclidean_projected`` for ``-`` and ``-+``.  The twins act as
-the independent oracle in the verification sweeps.  The Euclidean pairs
+the independent oracle in the verification sweeps.  They import
+:mod:`fiberalg.tensor`, and with it numpy, when first called; the closed
+forms run on the elements' Python floats.  The Euclidean pairs
 are relabelings: ``-`` and ``-+`` have the closed-form parts of ``+`` and
 ``++`` under other names, and only the carriers shifted by e1 or e12
 change projector half.  One component table per generator count holds
@@ -34,19 +36,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .algebra import AlgebraElement, Signature, idempotent_pair, multiply
-from .tensor import (
-    ComponentBasis,
-    basis_pair,
-    diagonal_projector,
-    lift_projectors,
-    mixed_projector,
-    square_embed,
-)
+
+if TYPE_CHECKING:
+    from .tensor import ComponentBasis
 
 __all__ = [
     "TANGENT_SIGNATURE",
@@ -341,16 +336,10 @@ def _require_signature(x: AlgebraElement, expected: Signature, what: str) -> Non
         raise ValueError(f"{what} requires signature {expected}, got {x.signature}")
 
 
-def _scalar_coeffs(x: AlgebraElement) -> list:
-    if x.exact:
-        return list(x.coeffs)
-    return [float(c) for c in x.coeffs]
-
-
 def decompose_c2(x: AlgebraElement) -> TangentTriple:
     """Tangent triple of x (x) x over the one-generator unit-square algebra."""
     _require_signature(x, TANGENT_SIGNATURE, "decompose_c2")
-    x0, x1 = _scalar_coeffs(x)
+    x0, x1 = x.values
     parts = _tangent_parts(x0, x1)
     return TangentTriple(parts.dt, parts.dq, parts.ds)
 
@@ -358,7 +347,7 @@ def decompose_c2(x: AlgebraElement) -> TangentTriple:
 def decompose_d2(x: AlgebraElement) -> FiberDecomposition:
     """Full fiber decomposition of x (x) x over the two-generator algebra."""
     _require_signature(x, FIBER_SIGNATURE, "decompose_d2")
-    parts = _fiber_parts(*_scalar_coeffs(x))
+    parts = _fiber_parts(*x.values)
     return FiberDecomposition(
         tangent=TangentTriple(parts.dt, parts.dq, parts.ds),
         momentum=MomentumTriple(parts.H, parts.p, parts.m),
@@ -404,7 +393,7 @@ def decompose_euclidean(x: AlgebraElement):
     their Euclidean names.
     """
     _require_euclidean(x, "decompose_euclidean")
-    parts = _parts(_scalar_coeffs(x))
+    parts = _parts(x.values)
     return _euclidean(x.signature, {c.name: getattr(parts, c.part) for c in _layout(x.signature)})
 
 
@@ -415,14 +404,14 @@ def is_min_action(x: AlgebraElement, tol: float = MIN_ACTION_TOL) -> bool:
     the factorization condition wherever x0 != 0.
     """
     _require_signature(x, FIBER_SIGNATURE, "is_min_action")
-    x0, x1, x2, x3 = _scalar_coeffs(x)
+    x0, x1, x2, x3 = x.values
     return abs(x0 * x3 - x1 * x2) <= tol * x.norm_squared()
 
 
 def factorize(x: AlgebraElement, tol: float = MIN_ACTION_TOL) -> Factorization:
     """Split a minimum-action element into its two single-generator factors."""
     _require_signature(x, FIBER_SIGNATURE, "factorize")
-    x0, x1, x2, x3 = _scalar_coeffs(x)
+    x0, x1, x2, x3 = x.values
     if x0 == 0:
         raise ValueError(
             "factorize needs a nonzero scalar part; minimality is still decidable "
@@ -522,6 +511,8 @@ def lift_kinematics(tangent: TangentTriple, momentum: MomentumTriple) -> Algebra
 
 def _lift_coeffs(dt, dq, energy, momentum):
     """The nonnegative-root lift of (dt, dq) and (H, p), as four coefficients; scalar or array."""
+    import numpy as np
+
     sum_root = np.sqrt(dt + dq)
     diff_root = np.sqrt(dt - dq)
     a, b = (sum_root + diff_root) / 2, (sum_root - diff_root) / 2
@@ -564,6 +555,8 @@ def trajectory_action(mass: float, rapidity: float, lambda_span: float, steps: i
     steps = int(steps)
     if not 1 <= steps <= MAX_STEPS:
         raise ValueError(f"steps must be between 1 and {MAX_STEPS}, got {steps}")
+    import numpy as np
+
     x = free_particle_element(mass, rapidity)
     decomposition = decompose_d2(x)
     rate = decomposition.action_rate
@@ -594,6 +587,8 @@ def classify_causal(t: TangentTriple, tol: float = CAUSAL_TOL) -> CausalClass:
 
 def _fiber_sectors(signature: Signature) -> tuple[AlgebraElement, AlgebraElement, AlgebraElement]:
     """The tangent, cross and momentum sector projectors of the split on e2."""
+    from .tensor import lift_projectors, mixed_projector
+
     plus2, minus2 = idempotent_pair(0b10, signature)
     return (
         lift_projectors(plus2, plus2).element,
@@ -611,6 +606,8 @@ def fiber_component_basis(signature: Signature) -> ComponentBasis:
     e2 (which needs e2**2 == +1).  The layout tables give the half, the
     shift and the sector of each component.
     """
+    from .tensor import ComponentBasis, basis_pair, diagonal_projector
+
     layout = _layout(signature)
     halves = {sign: diagonal_projector(signature, 0b01, sign).element for sign in (+1, -1)}
     sectors = ()
@@ -628,17 +625,24 @@ def fiber_component_basis(signature: Signature) -> ComponentBasis:
     return ComponentBasis(signature, tuple(row.name for row in layout), tuple(tensors))
 
 
+def _projected_components(x: AlgebraElement) -> dict[str, float]:
+    """The components of x (x) x, read from its grid through the component basis."""
+    from .tensor import square_embed
+
+    return fiber_component_basis(x.signature).components(square_embed(x))
+
+
 def decompose_c2_projected(x: AlgebraElement) -> TangentTriple:
     """Tangent triple extracted through the grid, never the closed forms."""
     _require_signature(x, TANGENT_SIGNATURE, "decompose_c2_projected")
-    comps = fiber_component_basis(x.signature).components(square_embed(x))
+    comps = _projected_components(x)
     return TangentTriple(comps["dt"], comps["dq"], comps["ds"])
 
 
 def decompose_euclidean_projected(x: AlgebraElement):
     """Euclidean decompositions extracted through the grid, never the closed forms."""
     _require_euclidean(x, "decompose_euclidean_projected")
-    return _euclidean(x.signature, fiber_component_basis(x.signature).components(square_embed(x)))
+    return _euclidean(x.signature, _projected_components(x))
 
 
 def decompose_d2_projected(x: AlgebraElement) -> FiberDecomposition:
@@ -649,7 +653,7 @@ def decompose_d2_projected(x: AlgebraElement) -> FiberDecomposition:
     c_minus_e12**2 / 2.
     """
     _require_signature(x, FIBER_SIGNATURE, "decompose_d2_projected")
-    comps = fiber_component_basis(x.signature).components(square_embed(x))
+    comps = _projected_components(x)
     action = comps["p"] * comps["dq"] - comps["H"] * comps["dt"]
     residual = comps["c_minus_e12"] ** 2 / 2.0
     return FiberDecomposition(

@@ -66,7 +66,8 @@ tensor_multiply = multiply
 def tensor_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """The two-slot product a (x) b, a rank-one coefficient grid."""
     a._require_same_signature(b)
-    return AlgebraElement(a.signature.doubled(), np.outer(a.coeffs, b.coeffs).ravel())
+    values = tuple(x * y for x in a.values for y in b.values)
+    return AlgebraElement._of(a.signature.doubled(), values, a.exact or b.exact)
 
 
 def square_embed(x: AlgebraElement) -> AlgebraElement:

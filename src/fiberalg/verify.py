@@ -287,7 +287,7 @@ def _check_projector_algebra(name: str, sig: Signature, rng, samples: int, tol: 
             prod = multiply(plus.element, minus.element)
             sq = multiply(plus.element, plus.element) - plus.element
             for elem in (total, prod, sq):
-                worst = max(worst, float(max(abs(v) for v in elem.coeffs)))
+                worst = max(worst, float(max(abs(v) for v in elem.values)))
                 checks += 1
     if sig.n == 2 and sig.squares[1] == 1:
         sectors = _fiber_sectors(sig)
@@ -512,7 +512,7 @@ def _lift_round_trip(sig: Signature, blocks):
                 TangentTriple(float(parts.dt), float(parts.dq)),
                 MomentumTriple(float(parts.H), float(parts.p)),
             )
-            back = _fiber_parts(*[float(v) for v in element.coeffs])
+            back = _fiber_parts(*element.values)
             spot.append((back.dt - parts.dt, max(parts.dt, 1.0), back.H - parts.H, max(parts.H, 1.0)))
         if spot:
             dt_diff, dt_scale, h_diff, h_scale = np.array(spot).T

@@ -18,6 +18,7 @@ from fiberalg.algebra import (
     multiply,
     multiply_coeffs,
 )
+from fiberalg.fiber import is_min_action
 
 from oracles import all_signatures, reference_basis_product, reference_multiply
 
@@ -29,6 +30,20 @@ MIXED = Signature((-1, 1))
 coeff = st.floats(-10, 10, allow_nan=False, allow_infinity=False).map(
     lambda v: 0.0 if abs(v) < 1e-100 else v
 )
+
+
+def spread(rng, shape):
+    """Signed values whose magnitudes spread evenly in exponent over 1e-5 to 1e5."""
+    return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-5, 5, shape)
+
+
+def edge_values(rng, shape):
+    """Finite values with signed zeros, subnormals and magnitudes whose products overflow."""
+    pool = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-300, 1e-160, -2.0, 3e150, -1e200, 1e300, -1.7e308]
+    values = rng.uniform(-10, 10, shape)
+    pick = rng.random(shape) < 0.5
+    values[pick] = rng.choice(pool, int(pick.sum()))
+    return values
 
 
 def element(sig, values, exact=False):
@@ -235,6 +250,42 @@ class TestMultiply:
             for row, x, y in zip(got, a, b):
                 assert row.tobytes() == multiply_coeffs(sig, x, y).tobytes()
 
+    def test_single_product_has_the_bits_of_its_batch_row(self):
+        rng = np.random.default_rng(17)
+        overflowed = 0
+        for n in range(1, 9):
+            sig = Signature(tuple(int(v) for v in rng.choice([-1, 1], n)))
+            a, b = edge_values(rng, (3, sig.dim)), edge_values(rng, (3, sig.dim))
+            a[0] = 0.0
+            # The batch skips only zero columns of a; a zero coefficient
+            # elsewhere would meet the inf there as 0 * inf = NaN.
+            a[:, -1] = [0.0, -0.0, 0.0]
+            a[1, :-1][a[1, :-1] == 0] = 1.0
+            b[1, 0] = np.inf
+            with np.errstate(all="ignore"):
+                batch = multiply_coeffs(sig, a, b)
+                for row, x, y in zip(batch, a, b):
+                    single = multiply(AlgebraElement(sig, x.tolist()), AlgebraElement(sig, y.tolist()))
+                    assert single.coeffs.tobytes() == row.tobytes()
+                    assert multiply_coeffs(sig, x, y).tobytes() == row.tobytes()
+            overflowed += int(np.isinf(batch).sum())
+        assert overflowed
+
+    def test_exact_single_product_equals_its_batch_row(self):
+        rng = np.random.default_rng(19)
+        for n in range(1, 5):
+            sig = Signature(tuple(int(v) for v in rng.choice([-1, 1], n)))
+            a, b = (
+                np.array([[Fraction(int(v), 7) for v in row] for row in rng.integers(-3, 4, (3, sig.dim))], dtype=object)
+                for _ in range(2)
+            )
+            a[:, 0] = Fraction(1, 3)
+            batch = multiply_coeffs(sig, a, b)
+            for row, x, y in zip(batch, a, b):
+                single = multiply(AlgebraElement(sig, list(x)), AlgebraElement(sig, list(y)))
+                assert single.exact and all(isinstance(v, Fraction) for v in single.values)
+                assert list(single.values) == list(row) == reference_multiply(list(x), list(y), sig.squares)
+
     def test_coeffs_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="expected 4 coefficients"):
             multiply_coeffs(D2, np.zeros((2, 4)), np.zeros(3))
@@ -273,6 +324,37 @@ class TestElementArithmetic:
     def test_str(self):
         assert str(element(D2, [2, 0, 0, 0.5])) == "2.0 + 0.5*e12"
         assert str(AlgebraElement.zero(D2)) == "0"
+
+
+class TestNormSquared:
+    def test_bits_of_numpy_sum(self):
+        rng = np.random.default_rng(23)
+        x = spread(rng, (100_000, 4))
+        want = np.sum(x * x, axis=1)
+        got = np.array([AlgebraElement(D2, row).norm_squared() for row in x.tolist()])
+        assert got.tobytes() == want.tobytes()
+        for row, value in zip(x[:100], got):
+            assert value.tobytes() == (row * row).sum().tobytes()
+
+    def test_bits_of_numpy_sum_at_every_dim(self):
+        # numpy sums eight values and more pairwise, in eight lanes.
+        rng = np.random.default_rng(29)
+        for n in range(1, 11):
+            sig = Signature((1,) * n)
+            for row in spread(rng, (20, sig.dim)):
+                got = AlgebraElement(sig, row.tolist()).norm_squared()
+                assert np.float64(got).tobytes() == (row * row).sum().tobytes()
+
+    def test_min_action_at_its_tolerance_boundary(self):
+        rng = np.random.default_rng(31)
+        x = spread(rng, (20_000, 4))
+        gap = np.abs(x[:, 0] * x[:, 3] - x[:, 1] * x[:, 2])
+        norm = np.sum(x * x, axis=1)
+        boundary = gap / norm
+        for tol in (np.nextafter(boundary, 0), boundary, np.nextafter(boundary, np.inf)):
+            want = gap <= tol * norm
+            got = [is_min_action(AlgebraElement(D2, row), t) for row, t in zip(x.tolist(), tol.tolist())]
+            assert got == want.tolist()
 
 
 class TestIdempotents:

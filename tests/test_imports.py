@@ -1,0 +1,98 @@
+"""Single-element CLI calls never import numpy; the batch modules load on first use."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Every name ``fiberalg`` exported while it imported all of its modules.
+EXPORTS = [
+    "ActionIntegral", "AlgebraElement", "CausalClass", "ComponentBasis", "CrossQuad",
+    "EUCLIDEAN_FIBER_SIGNATURE", "EUCLIDEAN_TANGENT_SIGNATURE", "EuclideanComponents",
+    "EuclideanFiberDecomposition", "EuclideanSector", "FIBER_SIGNATURE", "Factorization",
+    "FiberDecomposition", "Idempotent", "MomentumTriple", "PropertyResult", "Signature",
+    "TANGENT_SIGNATURE", "TangentTriple", "VerificationReport", "algebra", "basis_pair",
+    "basis_sign", "boost_element", "boost_residuals", "classify_causal", "decompose_c2",
+    "decompose_c2_projected", "decompose_d2", "decompose_d2_projected", "decompose_euclidean",
+    "decompose_euclidean_projected", "diagonal_projector", "factorize", "fiber",
+    "fiber_component_basis", "free_particle_element", "idempotent_half", "idempotent_pair",
+    "is_min_action", "lift_kinematics", "lift_projectors", "mixed_projector", "multiply",
+    "multiply_coeffs", "rotation_element", "run_verification", "square_embed", "tensor",
+    "tensor_identity", "tensor_multiply", "tensor_product", "trace_pairing",
+    "trajectory_action", "transform", "verify",
+]
+
+DECOMPOSE = [("+", ["2", "1"]), ("++", ["2", "1", "1", "0.5"]), ("m", ["1", "-3"]), ("m+", ["1", "2", "3", "4"])]
+SINGLE_ELEMENT_CALLS = [
+    *[["decompose", sig, *coeffs, "--format", fmt] for sig, coeffs in DECOMPOSE for fmt in ("json", "csv", "pretty")],
+    ["decompose", "++", "--labels"],
+    ["boost", "+", "2", "1", "0.5"],
+    ["boost", "++", "2", "1", "1", "0.5", "1.0"],
+]
+BOUNDARY_CALLS = [["decompose", "++", "nan", "1", "1", "1"], ["boost", "++", "1", "0", "0", "0", "1000"]]
+BATCH_CALLS = [["verify", "++", "50", "1"], ["trajectory", "1", "0", "1", "10"]]
+
+CHILD = """
+import contextlib, io, json, sys
+import fiberalg
+loaded = ["numpy" in sys.modules]
+from fiberalg import cli
+loaded.append("numpy" in sys.modules)
+results = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append((code, out.getvalue()))
+    loaded.append("numpy" in sys.modules)
+print(json.dumps({"loaded": loaded, "results": results}))
+"""
+
+
+def run_child(code, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_single_element_calls_never_import_numpy():
+    got = run_child(CHILD, json.dumps(SINGLE_ELEMENT_CALLS + BOUNDARY_CALLS + BATCH_CALLS))
+    # After a bare import, after importing the CLI and after each call;
+    # verify and trajectory load numpy in their command.
+    numpy_free = 2 + len(SINGLE_ELEMENT_CALLS) + len(BOUNDARY_CALLS)
+    assert got["loaded"] == [False] * numpy_free + [True] * len(BATCH_CALLS)
+    codes = [code for code, _ in got["results"]]
+    assert codes == [0] * len(SINGLE_ELEMENT_CALLS) + [2, 2] + [0, 0]
+    for (_, out), argv in zip(got["results"][len(codes) - len(BATCH_CALLS):], BATCH_CALLS):
+        assert json.loads(out)["command"] == argv[0]
+
+
+def test_every_export_resolves_and_star_import_keeps_its_names():
+    got = run_child(
+        """
+import json, sys
+import fiberalg
+resolved = {}
+for name in json.loads(sys.argv[1]):
+    value = getattr(fiberalg, name)
+    home = getattr(value, "__module__", None) or value.__name__
+    resolved[name] = home.startswith("fiberalg")
+star = {}
+exec("from fiberalg import *", star)
+print(json.dumps({"resolved": resolved, "star": sorted(set(star) - {"__builtins__"}),
+                  "version": fiberalg.__version__}))
+""",
+        json.dumps(EXPORTS),
+    )
+    assert got["resolved"] == {name: True for name in EXPORTS}
+    assert got["star"] == sorted(EXPORTS)
+    assert got["version"] == "0.1.0"
