@@ -10,7 +10,7 @@ odd sample counts around the block edges, and the verify goldens'
 sample counts.  The small cases run again at ``verify.BLOCK_VALUES =
 160``, where every sweep spans many blocks.  The same child then replays
 a fixed list of CLI calls through ``cli.main``: every format and
-signature of ``decompose``, ``boost``, the boundary calls that exit 2,
+signature of ``decompose``, ``boost``, calls at the edges of the float range,
 and one small ``verify`` and ``trajectory``.  The script prints each
 case whose ``json.dumps(report.to_dict())``, and each call whose exit
 code, stdout or stderr, differs between the trees.  It exits 0 when all
@@ -56,7 +56,8 @@ CLI_CALLS = [
     ["boost", "+", "3", "1", "0.7"],
     ["boost", "++", "2", "1", "1", "0.5", "-1.25", "--format", "csv"],
     # The boundaries: a non-finite argument, a rapidity past cosh's range,
-    # coefficients whose squares overflow or underflow.
+    # coefficients whose squares overflow or underflow, a scalar part
+    # whose reciprocal overflows.
     ["decompose", "++", "nan", "1", "1", "1"],
     ["boost", "++", "1", "0", "0", "0", "1000"],
     ["boost", "+", "1", "0.5", "-710"],
@@ -64,6 +65,8 @@ CLI_CALLS = [
     ["decompose", "+", "1e200", "1"],
     ["decompose", "-", "5e-324", "1"],
     ["decompose", "++", "5e-324", "5e-324", "5e-324", "5e-324"],
+    ["decompose", "++", "1e-310", "0", "0", "0"],
+    ["boost", "++", "1e-310", "0", "0", "0", "0.1"],
     ["verify", "m+", "300", "2"],
     ["trajectory", "1.3", "0.4", "1.7", "1000"],
 ]

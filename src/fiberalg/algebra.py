@@ -10,14 +10,15 @@ to
     ``e_S * e_T = basis_sign(S, T) * e_(S xor T)``
 
 where the sign multiplies the squares of the generators shared by the
-two subsets.
+two subsets: -1 when an odd number of them square to -1.  ``_odd``
+states that parity once; the tables and the single product derive from it.
 
 An element holds its coefficients as a tuple of Python floats, or of
 exact values such as :class:`fractions.Fraction`, which the test suite
 uses to check projector identities without any rounding.  Single
 elements never touch numpy: their products, sums and norms run on those
-values.  The ``coeffs`` array, and the sign and gather tables of the
-batch kernels, are built with numpy on first use.
+values.  The ``coeffs`` array, the gather table of the batch loop in
+:func:`multiply_coeffs` and the sign table are built with numpy on first use.
 """
 
 from __future__ import annotations
@@ -103,8 +104,8 @@ class Signature:
 
     @property
     def sign_table(self) -> np.ndarray:
-        """``sign_table[S, T]`` is the product of squares over ``S & T`` (read-only)."""
-        return _product_tables(self.squares)[0]
+        """``sign_table[S, T]`` is the product of squares over ``S & T`` (read-only int8)."""
+        return _sign_table(self.squares)
 
 
 def _negative_mask(squares: tuple[int, ...]) -> int:
@@ -112,54 +113,52 @@ def _negative_mask(squares: tuple[int, ...]) -> int:
     return sum(1 << i for i, square in enumerate(squares) if square < 0)
 
 
+def _odd(mask, negative: int):
+    """1 when ``mask`` holds an odd number of the generators in ``negative``, else 0.
+
+    ``e_S * e_T`` is ``-e_(S xor T)`` exactly when ``_odd(S & T, negative)``.
+    ``mask`` is an int, or an integer array read entry by entry.
+    """
+    if isinstance(mask, int):
+        return (mask & negative).bit_count() & 1
+    import numpy as np
+
+    return np.bitwise_count(mask & negative) & 1
+
+
 @lru_cache(maxsize=None)
-def _product_tables(squares: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Sign table and product gather rows of one signature for the batch kernels, built once.
+def _sign_table(squares: tuple[int, ...]) -> np.ndarray:
+    import numpy as np
 
-    The sign table is the Kronecker product of one ``[[1, 1], [1, square]]``
-    table per generator, generator 1 on the lowest bit.  Row
-    ``gather[s, k]`` of the stacked ``[b, -b]`` is ``sign(s, s ^ k) * b[s ^ k]``,
-    the partner of ``a[s]`` in ``out[k]``; ``sign(s, s ^ k)`` is the
-    Kronecker product of one ``[[1, 1], [square, 1]]`` per generator.
+    index = np.arange(1 << len(squares), dtype=np.int32)
+    table = 1 - 2 * _odd(index[:, None] & index, _negative_mask(squares)).astype(np.int8)
+    table.setflags(write=False)
+    return table
 
-    The gather indices are below ``2 * dim``.  Above 256 x 256 they are
-    stored in the narrowest dtype that holds them, int16 up to
-    ``dim = 16384``: 32 MiB at ``dim = 4096`` against 128 MiB as int64.
-    A smaller table stays ``intp``, because numpy casts a narrower index
-    row on every gather, about a microsecond a row.
+
+@lru_cache(maxsize=None)
+def _gather_table(squares: tuple[int, ...]) -> np.ndarray:
+    """The batch loop's gather rows of one signature, built once.
+
+    Row ``gather[s, k]`` of the stacked ``[b, -b]`` is ``sign(s, s ^ k) * b[s ^ k]``,
+    the partner of ``a[s]`` in ``out[k]``; ``s`` and ``s ^ k`` share ``s & ~k``.
+
+    The indices are below ``2 * dim``.  Above 256 x 256 they are stored
+    in the narrowest dtype that holds them, int16 up to ``dim = 16384``:
+    32 MiB at ``dim = 4096`` against 128 MiB as int64.  A smaller table
+    stays ``intp``, because numpy casts a narrower index row on every
+    gather, about a microsecond a row.
     """
     import numpy as np
 
-    table = partner_signs = np.ones((1, 1), dtype=np.int8)
-    for square in squares:
-        table = np.kron(np.array([[1, 1], [1, square]], dtype=np.int8), table)
-        partner_signs = np.kron(np.array([[1, 1], [square, 1]], dtype=np.int8), partner_signs)
-    dim = len(table)
+    dim = 1 << len(squares)
     dtype = np.intp if dim <= 256 else np.int16 if 2 * dim <= 2**15 else np.int32
     index = np.arange(dim, dtype=dtype)
+    odd = _odd(index[:, None] & ~index, _negative_mask(squares)).view(bool)
     gather = index[:, None] ^ index
-    gather[partner_signs < 0] += dim
-    table.setflags(write=False)
+    np.add(gather, dim, out=gather, where=odd)
     gather.setflags(write=False)
-    return table, gather
-
-
-@lru_cache(maxsize=None)
-def _partner_rows(squares: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The one x one product's gather rows, one per output coefficient, built once.
-
-    ``rows[k][s]`` indexes ``sign(s, s ^ k) * b[s ^ k]``, the partner of
-    ``a[s]`` in ``out[k]``, in the stacked ``(*b, *-b)``: the transpose
-    of the batch kernels' ``gather``.  The generators ``s`` and ``s ^ k``
-    share are ``s & ~k``.  Held as Python ints, the rows take about
-    33 MB at ``dim = 1024``.
-    """
-    dim = 1 << len(squares)
-    negative = _negative_mask(squares)
-    return tuple(
-        tuple((s ^ k) + (dim if (s & ~k & negative).bit_count() & 1 else 0) for s in range(dim))
-        for k in range(dim)
-    )
+    return gather
 
 
 def _product(squares: tuple[int, ...], a, b, exact: bool) -> tuple:
@@ -168,15 +167,18 @@ def _product(squares: tuple[int, ...], a, b, exact: bool) -> tuple:
     Each ``out[k]`` adds the terms ``a[s] * sign(s, s ^ k) * b[s ^ k]``
     in ascending ``s`` to a zero (+0.0, or the integer 0 when exact),
     skipping each ``s`` with ``a[s] == 0``, one multiply and one add per
-    term: the bits of a row of the batch loop in :func:`multiply_coeffs`.
+    term: the bits of a row of the loop in :func:`multiply_coeffs`.
     """
-    signed = (*b, *[-v for v in b])
+    negative = _negative_mask(squares)
+    odd = [_odd(mask, negative) for mask in range(len(a))]
+    signed = (b, [-v for v in b])
     terms = [(a_s, s) for s, a_s in enumerate(a) if a_s != 0]
     out = []
-    for row in _partner_rows(squares):
+    for k in range(len(a)):
         total = 0 if exact else 0.0
+        rest = ~k
         for a_s, s in terms:
-            total += a_s * signed[row[s]]
+            total += a_s * signed[odd[s & rest]][s ^ k]
         out.append(total)
     return tuple(out)
 
@@ -223,7 +225,7 @@ def basis_sign(left_mask: int, right_mask: int, signature: Signature) -> int:
     squares of the shared generators contribute.
     """
     shared = _check_mask(signature, left_mask) & _check_mask(signature, right_mask)
-    return -1 if (shared & _negative_mask(signature.squares)).bit_count() & 1 else 1
+    return -1 if _odd(shared, _negative_mask(signature.squares)) else 1
 
 
 def _coerce_coeffs(values, dim: int) -> tuple[tuple, bool, np.ndarray | None]:
@@ -310,9 +312,11 @@ class AlgebraElement:
 
     @classmethod
     def scalar(cls, signature: Signature, value, exact: bool = False) -> AlgebraElement:
+        """``value`` times the identity; a ``Fraction`` value makes it exact, as a ``Fraction`` scale does."""
+        exact = exact or isinstance(value, Fraction)
         values = _zero_values(signature.dim, exact)
-        values[0] = value
-        return cls(signature, values)
+        values[0] = Fraction(value) if exact else float(value)
+        return cls._of(signature, tuple(values), exact)
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -424,19 +428,12 @@ def multiply_coeffs(signature: Signature, a, b) -> np.ndarray:
     batch shapes broadcast.  The result is ``object`` if either side is,
     so ``Fraction`` inputs stay exact, and float64 otherwise.
 
-    One times one is the loop of :func:`multiply`.  When exactly one
-    side is a single element ``f``, the product is the batch times the
-    multiplication matrix ``L(f)``, whose row ``s`` is ``e_s * f``; the
-    algebra commutes, so ``f`` may sit on either side.  That matmul may
-    round differently from the term-by-term sums.
-
-    Batch times batch adds, for each output coefficient ``out[k]``, the
-    terms ``a[s] * sign(s, s ^ k) * b[s ^ k]`` in ascending ``s`` from
-    zero, skipping each ``s`` whose column of ``a`` is all zero, so a
-    batch row and a single product give the same bits.  That loop runs
-    basis axis first: a batch passed as the transpose of a C-contiguous
-    ``(dim, rows)`` array is read without a copy, and the transpose of
-    the result is C-contiguous.
+    Each ``out[k]`` adds the terms ``a[s] * sign(s, s ^ k) * b[s ^ k]``
+    in ascending ``s`` from zero, skipping each ``s`` whose column of
+    ``a`` is all zero, so every row has the bits of :func:`multiply` on
+    its two rows.  The loop runs basis axis first: a batch passed as the
+    transpose of a C-contiguous ``(dim, rows)`` array is read without a
+    copy, and the transpose of the result is C-contiguous.
     """
     import numpy as np
 
@@ -447,20 +444,12 @@ def multiply_coeffs(signature: Signature, a, b) -> np.ndarray:
             f"expected {dim} coefficients on the last axis, got shapes {a.shape} and {b.shape}"
         )
     dtype = object if object in (a.dtype, b.dtype) else np.float64
-    if a.ndim == 1 and b.ndim == 1:
-        exact = dtype is object
-        values = _product(signature.squares, a.astype(dtype).tolist(), b.astype(dtype).tolist(), exact)
-        return np.array(values, dtype=dtype)
-    _, gather = _product_tables(signature.squares)
-    if a.ndim == 1 or b.ndim == 1:
-        fixed, rows = (a, b) if a.ndim == 1 else (b, a)
-        fixed = fixed.astype(dtype, copy=False)
-        return rows.astype(dtype, copy=False) @ np.concatenate([fixed, -fixed])[gather]
+    gather = _gather_table(signature.squares)
     # Basis axis first and contiguous: a[s] is one batch row, and
     # out[k] the batch of coefficient k.
     batch = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    a = np.ascontiguousarray(np.moveaxis(a, -1, 0))
-    b = np.ascontiguousarray(np.moveaxis(b, -1, 0))
+    a = np.ascontiguousarray(np.moveaxis(a, -1, 0), dtype=dtype)
+    b = np.ascontiguousarray(np.moveaxis(b, -1, 0), dtype=dtype)
     b = b.reshape((dim,) + (1,) * (len(batch) - b.ndim + 1) + b.shape[1:])
     signed = np.concatenate([b, -b])
     out = np.zeros((dim,) + batch, dtype=dtype)

@@ -134,9 +134,11 @@ def _tangent_dict(t) -> dict:
 def _fiber_dict(element: AlgebraElement, tol: float) -> dict:
     dec = decompose_d2(element)
     minimal = is_min_action(element, tol)
-    factorization = None
-    if minimal and element.coefficient(0) != 0:
+    try:
         factors = factorize(element, tol)
+    except ValueError:  # not minimal, a zero scalar part, or 1/x0 past the float range
+        factorization = None
+    else:
         factorization = {
             "scale": factors.scale,
             "factor_e1": list(factors.first.values),

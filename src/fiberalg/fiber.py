@@ -409,13 +409,14 @@ def is_min_action(x: AlgebraElement, tol: float = MIN_ACTION_TOL) -> bool:
 
 
 def factorize(x: AlgebraElement, tol: float = MIN_ACTION_TOL) -> Factorization:
-    """Split a minimum-action element into its two single-generator factors."""
+    """Split a minimum-action element into its two single-generator factors (x0 != 0, 1/x0 finite)."""
     _require_signature(x, FIBER_SIGNATURE, "factorize")
     x0, x1, x2, x3 = x.values
-    if x0 == 0:
+    scale = 1.0 / x0 if x0 != 0 else math.inf
+    if not math.isfinite(scale):
         raise ValueError(
-            "factorize needs a nonzero scalar part; minimality is still decidable "
-            "through the x0-free criterion x0*x3 == x1*x2"
+            f"factorize needs a scalar part x0 with a finite 1/x0, got {x0!r}; minimality "
+            "is still decidable through the x0-free criterion x0*x3 == x1*x2"
         )
     if not is_min_action(x, tol):
         residual = 2 * (x0 * x3 - x1 * x2) ** 2
@@ -426,7 +427,7 @@ def factorize(x: AlgebraElement, tol: float = MIN_ACTION_TOL) -> Factorization:
     sig = x.signature
     first = AlgebraElement(sig, [x0, x1, 0.0, 0.0])
     second = AlgebraElement(sig, [x0, 0.0, x2, 0.0])
-    return Factorization(first=first, second=second, scale=1.0 / x0)
+    return Factorization(first=first, second=second, scale=scale)
 
 
 def transform(x: AlgebraElement, u: AlgebraElement) -> AlgebraElement:

@@ -28,6 +28,7 @@ from .algebra import (
     Idempotent,
     Signature,
     _check_mask,
+    basis_sign,
     idempotent_half,
     multiply,
     multiply_coeffs,
@@ -157,7 +158,7 @@ class ComponentBasis:
             raise ValueError("component basis contains a tensor with vanishing self-pairing")
 
         flat = coeffs.astype(np.float64)
-        dual = flat * doubled.sign_table.diagonal() / np.diag(gram)[:, None]
+        dual = flat * [basis_sign(s, s, doubled) for s in range(doubled.dim)] / np.diag(gram)[:, None]
         object.__setattr__(self, "_flat", flat)
         object.__setattr__(self, "_dual", dual)
 

@@ -50,12 +50,13 @@ independently.  Elementwise numpy arithmetic does, and so does the loop
 of ``multiply_coeffs``, which ``_product`` hands the transposed views of
 its blocks; the loop runs basis axis first, so it reads them without a
 copy and returns the transpose of a coefficient-major block.  The BLAS
-calls (``components_batch``, the sector matmul, the reconstruction
-residual) get the F-ordered transpose of a coefficient-major block; on
-OpenBLAS a matrix product of two or more rows gives each row the bits of
-the C-ordered full product.  A one-row product takes numpy's vector path
-and may round differently, so no block has one row unless the whole
-sweep has.  The tests replay the verify goldens at several block sizes,
+calls (``components_batch``, the reconstruction residual, and the matmul
+of ``_sector_completeness`` by each sector's multiplication matrix) get
+the F-ordered transpose of a coefficient-major block; on OpenBLAS a
+matrix product of two or more rows gives each row the bits of the
+C-ordered full product.  A one-row product takes numpy's vector path and
+may round differently, so no block has one row unless the whole sweep
+has.  The tests replay the verify goldens at several block sizes,
 and check the row bits of the transposed views, to check both.
 """
 
@@ -68,7 +69,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraElement, Signature, idempotent_pair, multiply, multiply_coeffs
+from .algebra import AlgebraElement, Signature, basis_sign, idempotent_pair, multiply, multiply_coeffs
 from .fiber import (
     EUCLIDEAN_FIBER_SIGNATURE,
     EUCLIDEAN_TANGENT_SIGNATURE,
@@ -280,7 +281,7 @@ def _check_projector_algebra(name: str, sig: Signature, rng, samples: int, tol: 
     for exact in (False, True):
         one = AlgebraElement.basis(sig, 0, exact=exact)
         for mask in range(sig.dim):
-            if int(sig.sign_table[mask, mask]) != 1:
+            if basis_sign(mask, mask, sig) != 1:
                 continue
             plus, minus = idempotent_pair(mask, sig, exact=exact)
             total = plus.element + minus.element - one
@@ -314,12 +315,14 @@ def _embed_homomorphism(sig: Signature, blocks):
 
 def _sector_completeness(sig: Signature, blocks):
     doubled = sig.doubled()
-    sectors = _fiber_sectors(sig)
+    # Row s of a sector P's multiplication matrix is e_s P, exact: one term an entry.
+    eye = np.eye(doubled.dim)
+    matrices = [np.ascontiguousarray(multiply_coeffs(doubled, eye, p.coeffs)) for p in _fiber_sectors(sig)]
     for _, (x,) in blocks:
         flat = _embed_flat(x)
         total = np.zeros_like(flat)
-        for sector in sectors:
-            total += _product(doubled, flat, sector.coeffs)
+        for matrix in matrices:
+            total += (flat.T @ matrix).T
         total -= flat
         diff = np.max(np.abs(total, out=total), axis=0)
         yield diff, [(diff, np.max(np.abs(flat, out=flat), axis=0))]

@@ -1,5 +1,6 @@
 """Algebra kernel tests: product rule, idempotents, exact mode."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -97,7 +98,7 @@ class TestSignature:
         # Doubled signatures of eight and ten generators: dim 256 keeps
         # intp indices, dim 1024 stores them as int16.
         squares = Signature.from_string(base).doubled().squares
-        table, gather = algebra._product_tables(squares)
+        table, gather = Signature(squares).sign_table, algebra._gather_table(squares)
         dim = len(table)
         assert gather.dtype == dtype
         assert gather.nbytes == dim * dim * np.dtype(dtype).itemsize
@@ -226,19 +227,35 @@ class TestMultiply:
                 assert all(isinstance(c, Fraction) for c in row)
                 assert list(row) == reference_multiply(list(x), list(y), sig.squares)
 
-    def test_coeffs_float_one_side_fixed_within_rounding(self):
+    def test_coeffs_one_side_fixed_rows_have_the_single_product_bits(self):
         rng = np.random.default_rng(5)
         for squares in all_signatures():
             sig = Signature(squares)
-            a = rng.uniform(-10, 10, (20, sig.dim))
-            f = rng.uniform(-10, 10, sig.dim)
-            # Each output coefficient sums dim terms; bound the rounding of
-            # that sum by the sum of the terms' magnitudes.
-            bound = 4 * sig.dim * np.finfo(float).eps * np.abs(a).sum(axis=1) * np.abs(f).sum()
-            for got in (multiply_coeffs(sig, a, f), multiply_coeffs(sig, f, a)):
-                for row, x, slack in zip(got, a, bound):
-                    want = reference_multiply(list(x), list(f), squares)
-                    assert np.max(np.abs(row - want)) <= slack
+            a = spread(rng, (20, sig.dim))
+            f = spread(rng, sig.dim)
+            cases = (
+                (multiply_coeffs(sig, a, f), [(x, f) for x in a]),
+                (multiply_coeffs(sig, f, a), [(f, x) for x in a]),
+                (multiply_coeffs(sig, a[:, None], f).reshape(a.shape), [(x, f) for x in a]),
+                (multiply_coeffs(sig, f, a[:, None]).reshape(a.shape), [(f, x) for x in a]),
+            )
+            for got, pairs in cases:
+                for row, (x, y) in zip(got, pairs):
+                    single = multiply(AlgebraElement(sig, x.tolist()), AlgebraElement(sig, y.tolist()))
+                    assert row.tobytes() == single.coeffs.tobytes()
+
+    def test_single_product_holds_no_table(self):
+        # dim 256: the kernel's gather table alone would be 512 KiB.
+        sig = Signature.from_string("+-+-").doubled()
+        rng = np.random.default_rng(13)
+        a, b = (AlgebraElement(sig, rng.uniform(-10, 10, sig.dim).tolist()) for _ in range(2))
+        tracemalloc.start()
+        try:
+            multiply(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
     def test_coeffs_batch_row_matches_single_product_bits(self):
         rng = np.random.default_rng(7)
@@ -298,6 +315,23 @@ class TestMultiply:
 
 
 class TestElementArithmetic:
+    def test_scalar_is_all_exact_or_all_float(self):
+        for value, exact, want in (
+            (0.5, True, Fraction(1, 2)),
+            (Fraction(1, 2), False, Fraction(1, 2)),
+            (2, True, Fraction(2)),
+            (Fraction(1, 2), True, Fraction(1, 2)),
+        ):
+            x = AlgebraElement.scalar(D2, value, exact=exact)
+            assert x.exact
+            assert x.values == (want, 0, 0, 0)
+            assert all(type(v) is Fraction for v in x.values)
+        for value in (0.5, 2, np.float64(0.5)):
+            x = AlgebraElement.scalar(D2, value)
+            assert not x.exact
+            assert x.values == (float(value), 0.0, 0.0, 0.0)
+            assert all(type(v) is float for v in x.values)
+
     def test_componentwise_ops(self):
         x = element(D2, [1, 2, 3, 4])
         y = element(D2, [4, 3, 2, 1])

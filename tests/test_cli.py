@@ -147,6 +147,22 @@ class TestDecompose:
         assert code == 0
         assert payload["basis"] == ["1", "e1", "e2", "e12"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "++", "1e-310", "0", "0", "0"],
+            ["decompose", "++", "5e-324", "5e-324", "5e-324", "5e-324"],
+            ["boost", "++", "1e-310", "0", "0", "0", "0.1"],
+        ],
+    )
+    def test_tiny_scalar_part_prints_no_factorization(self, argv, capsys):
+        out, code = run_cli(argv, capsys)
+        payload = json.loads(out)
+        assert code == 0
+        for dec in (payload["before"], payload["after"]) if argv[0] == "boost" else (payload,):
+            assert dec["minimal"] is True
+            assert dec["factorization"] is None
+
     def test_minimality_and_factorization_use_tol(self, capsys):
         out, code = run_cli(["decompose", "++", "2", "1", "1", "0.5001", "--tol", "1e-3"], capsys)
         payload = json.loads(out)
@@ -360,14 +376,14 @@ class TestVerify:
         assert err.value.code == 2
 
     def test_too_many_generators_exits_2(self, capsys):
-        cached = algebra._product_tables.cache_info().currsize
+        cached = algebra._gather_table.cache_info().currsize
         with pytest.raises(SystemExit) as err:
             main(["verify", "+++++++", "10", "0"])
         out, stderr = capsys.readouterr()
         assert err.value.code == 2
         assert out == ""
         assert stderr == "fiberalg: error: verify supports at most 6 generators, got 7 in +++++++\n"
-        assert algebra._product_tables.cache_info().currsize == cached
+        assert algebra._gather_table.cache_info().currsize == cached
 
     def test_impossible_tolerance_exits_1(self, capsys):
         out, code = run_cli(["verify", "++", "200", "1", "1e-30"], capsys)

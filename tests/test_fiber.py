@@ -244,6 +244,13 @@ class TestFactorize:
         with pytest.raises(ValueError, match="x0-free criterion"):
             factorize(d2([0.0, 1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("x0", [1e-310, -5e-324])
+    def test_overflowing_scale_rejected(self, x0):
+        element = d2([x0, 0.0, 0.0, 0.0])
+        assert is_min_action(element)
+        with pytest.raises(ValueError, match=f"finite 1/x0, got {x0!r}"):
+            factorize(element)
+
     @given(
         st.floats(0.1, 10),
         st.floats(-10, 10, allow_nan=False),

@@ -109,10 +109,10 @@ class TestFailureWiring:
             run_verification("++", 10, 0, tol)
 
     def test_too_many_generators_rejected_before_tables(self):
-        cached = algebra._product_tables.cache_info().currsize
+        cached = algebra._gather_table.cache_info().currsize
         with pytest.raises(ValueError, match="at most 6 generators, got 7"):
             run_verification("+++++++", 10, 0, 1e-10)
-        assert algebra._product_tables.cache_info().currsize == cached
+        assert algebra._gather_table.cache_info().currsize == cached
 
 
 class TestReportShape:
@@ -219,8 +219,12 @@ class TestBlocks:
             lambda rows: basis.reconstruction_residual_batch(rows, basis.components_batch(rows)),
         ]
         if sig.n == 2:
+            # _sector_completeness' matmul by each sector's multiplication matrix
+            doubled = sig.doubled()
             kernels += [
-                lambda rows, sector=sector: multiply_coeffs(sig.doubled(), rows, sector.coeffs)
+                lambda rows, matrix=np.ascontiguousarray(
+                    multiply_coeffs(doubled, np.eye(doubled.dim), sector.coeffs)
+                ): rows @ matrix
                 for sector in _fiber_sectors(sig)
             ]
         for kernel in kernels:
@@ -241,11 +245,8 @@ class TestBlocks:
     @pytest.mark.parametrize("signature", ["+", "++", "-", "-+", "++++", "--", "-+-+"])
     def test_coefficient_major_products_have_the_row_major_bits(self, signature, shape, rows):
         # The sweeps multiply coefficient-major blocks as
-        # multiply_coeffs(sig, a.T, b.T).T.  Batch x batch is the kernel's
-        # own loop, which then copies nothing and returns C-contiguous
-        # rows; batch x one is a BLAS matmul on the F-ordered view.
-        if shape != "batch x batch" and not _on_openblas():
-            pytest.skip("matmul row bits are checked against OpenBLAS only")
+        # multiply_coeffs(sig, a.T, b.T).T.  The kernel's loop then copies
+        # no batch and returns C-contiguous rows.
         sig = Signature.from_string(signature)
         rng = np.random.default_rng(rows)
         a = rng.uniform(-10, 10, (rows, sig.dim))
@@ -255,8 +256,7 @@ class TestBlocks:
         coeff_major = [np.ascontiguousarray(side.T) for side in (a, b)]
         got = multiply_coeffs(sig, coeff_major[0].T, coeff_major[1].T).T
         expected = multiply_coeffs(sig, a, b).T
-        if shape == "batch x batch":
-            assert got.flags.c_contiguous
+        assert got.flags.c_contiguous
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("rows", [7, 1000])
