@@ -13,12 +13,14 @@ where the sign multiplies the squares of the generators shared by the
 two subsets: -1 when an odd number of them square to -1.  ``_odd``
 states that parity once; the tables and the single product derive from it.
 
-An element holds its coefficients as a tuple of Python floats, or of
-exact values such as :class:`fractions.Fraction`, which the test suite
-uses to check projector identities without any rounding.  Single
-elements never touch numpy: their products, sums and norms run on those
-values.  The ``coeffs`` array, the gather table of the batch loop in
-:func:`multiply_coeffs` and the sign table are built with numpy on first use.
+An element is its signature and its values: all Python floats, or all
+:class:`fractions.Fraction` values, which the test suite uses to check
+projector identities without any rounding.  :func:`_held` is the one rule
+on every route in: a ``Fraction`` or an ``object`` array in the input
+makes the values exact, and an exact operand promotes a float one with
+no rounding.  Single elements never touch numpy.  The ``coeffs`` array,
+the gather table of :func:`multiply_coeffs` and the sign table are built
+with numpy when read.
 """
 
 from __future__ import annotations
@@ -154,18 +156,23 @@ def _gather_table(squares: tuple[int, ...]) -> np.ndarray:
     dim = 1 << len(squares)
     dtype = np.intp if dim <= 256 else np.int16 if 2 * dim <= 2**15 else np.int32
     index = np.arange(dim, dtype=dtype)
-    odd = _odd(index[:, None] & ~index, _negative_mask(squares)).view(bool)
+    negative = _negative_mask(squares)
     gather = index[:, None] ^ index
-    np.add(gather, dim, out=gather, where=odd)
+    # The sign temporaries cover a block of about 2**18 entries at a time,
+    # so the build peaks near the table's own size.
+    step = max(1, 2**18 // dim)
+    for lo in range(0, dim, step):
+        block = gather[lo : lo + step]
+        np.add(block, dim, out=block, where=_odd(index[lo : lo + step, None] & ~index, negative).view(bool))
     gather.setflags(write=False)
     return gather
 
 
-def _product(squares: tuple[int, ...], a, b, exact: bool) -> tuple:
-    """The algebra product of one element by one element, as a tuple of coefficients.
+def _product(squares: tuple[int, ...], a, b) -> tuple:
+    """The algebra product of one element's values by another's, held alike.
 
     Each ``out[k]`` adds the terms ``a[s] * sign(s, s ^ k) * b[s ^ k]``
-    in ascending ``s`` to a zero (+0.0, or the integer 0 when exact),
+    in ascending ``s`` to a zero (+0.0, or ``Fraction(0)`` when exact),
     skipping each ``s`` with ``a[s] == 0``, one multiply and one add per
     term: the bits of a row of the loop in :func:`multiply_coeffs`.
     """
@@ -173,9 +180,10 @@ def _product(squares: tuple[int, ...], a, b, exact: bool) -> tuple:
     odd = [_odd(mask, negative) for mask in range(len(a))]
     signed = (b, [-v for v in b])
     terms = [(a_s, s) for s, a_s in enumerate(a) if a_s != 0]
+    zero = Fraction(0) if type(a[0]) is Fraction else 0.0
     out = []
     for k in range(len(a)):
-        total = 0 if exact else 0.0
+        total = zero
         rest = ~k
         for a_s, s in terms:
             total += a_s * signed[odd[s & rest]][s ^ k]
@@ -228,67 +236,56 @@ def basis_sign(left_mask: int, right_mask: int, signature: Signature) -> int:
     return -1 if _odd(shared, _negative_mask(signature.squares)) else 1
 
 
-def _coerce_coeffs(values, dim: int) -> tuple[tuple, bool, np.ndarray | None]:
-    """``(values, exact, array)``: the coefficients as numpy would store them.
+def _held(values, exact: bool) -> tuple:
+    """``values`` as an element holds them: all ``Fraction``s (a float converts with no rounding) or all floats."""
+    return tuple(map(Fraction if exact else float, values))
 
-    A list or tuple of Python floats and ints becomes Python floats; one
-    that also holds a ``Fraction`` keeps its values, exact, as an
-    ``object`` array would.  Anything else, an int past int64 or a numpy
-    scalar among them, goes through ``np.asarray`` and comes back with
-    the read-only array it made.
+
+def _coerce_coeffs(values, dim: int) -> tuple:
+    """The values of a list, tuple or array: exact for an ``object`` array or one holding a ``Fraction``.
+
+    Anything else becomes Python floats, ints past int64 and ``Decimal``s included.
     """
-    if isinstance(values, (list, tuple)):
-        kinds = set(map(type, values))
-        exact = Fraction in kinds
-        if kinds <= {float, int, bool, Fraction} and (
-            exact or int not in kinds or all(-(2**63) <= v < 2**63 for v in values if type(v) is int)
-        ):
-            if len(values) != dim:
-                raise ValueError(f"expected {dim} coefficients, got shape ({len(values)},)")
-            return (tuple(values) if exact else tuple(map(float, values))), exact, None
-    import numpy as np
-
-    array = np.asarray(values)
-    if array.shape != (dim,):
-        raise ValueError(f"expected {dim} coefficients, got shape {array.shape}")
-    array = array.copy() if array.dtype == object else array.astype(np.float64)
-    array.setflags(write=False)
-    return tuple(array.tolist()), array.dtype == object, array
+    array = hasattr(values, "tolist")
+    shape = values.shape if array else (len(values),)
+    if shape != (dim,):
+        raise ValueError(f"expected {dim} coefficients, got shape {shape}")
+    if array:
+        return _held(values.tolist(), values.dtype == object)
+    return _held(values, any(isinstance(v, Fraction) for v in values))
 
 
-def _zero_values(dim: int, exact: bool) -> list:
-    zero = Fraction(0) if exact else 0.0
-    return [zero] * dim
+def _alike(a: AlgebraElement, b: AlgebraElement) -> tuple[tuple, tuple]:
+    """The values of ``a`` and ``b`` held alike: exact when either is."""
+    a._require_same_signature(b)
+    if a.exact == b.exact:
+        return a.values, b.values
+    return _held(a.values, True), _held(b.values, True)
 
 
 class AlgebraElement:
     """Dense real element of a signed abelian group algebra.
 
     ``values[S]`` is the coefficient of the basis element with subset
-    bitmask ``S``: a Python float, or an exact value when ``exact``.
+    bitmask ``S``: all Python floats, or all ``Fraction``s when ``exact``.
     ``AlgebraElement(signature, coeffs)`` takes a list, a tuple or an
-    array.  ``coeffs`` is the same coefficients as a read-only float64
-    (or ``object``) array, built on first access.  Instances are
-    immutable; all arithmetic returns new elements.
+    array.  ``coeffs`` is a fresh read-only float64 (or ``object``) array
+    of the values, built on each access.  Instances are immutable; all
+    arithmetic returns new elements.
     """
 
-    __slots__ = ("signature", "values", "exact", "_array")
+    __slots__ = ("signature", "values")
 
-    def __init__(self, signature: Signature, coeffs) -> None:
-        self._set(signature, *_coerce_coeffs(coeffs, signature.dim))
+    def __new__(cls, signature: Signature, coeffs) -> AlgebraElement:
+        return cls._of(signature, _coerce_coeffs(coeffs, signature.dim))
 
     @classmethod
-    def _of(cls, signature: Signature, values: tuple, exact: bool) -> AlgebraElement:
-        """An element over ``values`` as given, with no coercion."""
+    def _of(cls, signature: Signature, values: tuple) -> AlgebraElement:
+        """An element over ``values``, already held as :func:`_held` holds them."""
         element = object.__new__(cls)
-        element._set(signature, values, exact, None)
+        object.__setattr__(element, "signature", signature)
+        object.__setattr__(element, "values", values)
         return element
-
-    def _set(self, signature: Signature, values: tuple, exact: bool, array) -> None:
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "_array", array)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"AlgebraElement is immutable; cannot set {name!r}")
@@ -296,38 +293,38 @@ class AlgebraElement:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return AlgebraElement._of, (self.signature, self.values, self.exact)
+        return AlgebraElement._of, (self.signature, self.values)
 
     @classmethod
     def zero(cls, signature: Signature, exact: bool = False) -> AlgebraElement:
-        return cls._of(signature, tuple(_zero_values(signature.dim, exact)), exact)
+        return cls._of(signature, _held([0] * signature.dim, exact))
 
     @classmethod
     def basis(cls, signature: Signature, mask: int, exact: bool = False) -> AlgebraElement:
         """The basis element e_S for subset bitmask ``mask`` (e_0 is 1)."""
-        mask = _check_mask(signature, mask)
-        values = _zero_values(signature.dim, exact)
-        values[mask] = Fraction(1) if exact else 1.0
-        return cls._of(signature, tuple(values), exact)
+        values = [0] * signature.dim
+        values[_check_mask(signature, mask)] = 1
+        return cls._of(signature, _held(values, exact))
 
     @classmethod
     def scalar(cls, signature: Signature, value, exact: bool = False) -> AlgebraElement:
         """``value`` times the identity; a ``Fraction`` value makes it exact, as a ``Fraction`` scale does."""
-        exact = exact or isinstance(value, Fraction)
-        values = _zero_values(signature.dim, exact)
-        values[0] = Fraction(value) if exact else float(value)
-        return cls._of(signature, tuple(values), exact)
+        values = [0] * signature.dim
+        values[0] = value
+        return cls._of(signature, _held(values, exact or isinstance(value, Fraction)))
+
+    @property
+    def exact(self) -> bool:
+        """Whether the values are ``Fraction``s rather than Python floats."""
+        return type(self.values[0]) is Fraction
 
     @property
     def coeffs(self) -> np.ndarray:
-        """Read-only float64 array of the coefficients, ``object`` when exact."""
-        array = self._array
-        if array is None:
-            import numpy as np
+        """A fresh read-only float64 array of the values, ``object`` when exact."""
+        import numpy as np
 
-            array = np.array(self.values, dtype=object if self.exact else np.float64)
-            array.setflags(write=False)
-            object.__setattr__(self, "_array", array)
+        array = np.array(self.values, dtype=object if self.exact else np.float64)
+        array.setflags(write=False)
         return array
 
     @property
@@ -353,9 +350,6 @@ class AlgebraElement:
         squares = [v * v for v in self.values]
         return sum(squares) if self.exact else _pairwise_sum(squares)
 
-    def as_float(self) -> AlgebraElement:
-        return AlgebraElement(self.signature, [float(c) for c in self.values])
-
     def _require_same_signature(self, other: AlgebraElement) -> None:
         if self.signature != other.signature:
             raise ValueError(f"signature mismatch: {self.signature} vs {other.signature}")
@@ -365,30 +359,25 @@ class AlgebraElement:
             return NotImplemented
         return self.signature == other.signature and all(x == y for x, y in zip(self.values, other.values))
 
-    def _termwise(self, other: AlgebraElement, op) -> AlgebraElement:
-        self._require_same_signature(other)
-        values = tuple(op(x, y) for x, y in zip(self.values, other.values))
-        return AlgebraElement._of(self.signature, values, self.exact or other.exact)
+    def _termwise(self, other, op) -> AlgebraElement:
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
+        return AlgebraElement._of(self.signature, tuple(map(op, *_alike(self, other))))
 
     def _scaled(self, op, scale) -> AlgebraElement:
         """Each coefficient ``op(value, scale)``; a ``Fraction`` scale makes the result exact."""
         exact = self.exact or isinstance(scale, Fraction)
-        if not exact:
-            scale = float(scale)
-        return AlgebraElement._of(self.signature, tuple(op(v, scale) for v in self.values), exact)
+        scale = (Fraction if exact else float)(scale)
+        return AlgebraElement._of(self.signature, tuple(op(v, scale) for v in _held(self.values, exact)))
 
     def __add__(self, other: AlgebraElement) -> AlgebraElement:
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
         return self._termwise(other, operator.add)
 
     def __sub__(self, other: AlgebraElement) -> AlgebraElement:
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
         return self._termwise(other, operator.sub)
 
     def __neg__(self) -> AlgebraElement:
-        return AlgebraElement._of(self.signature, tuple(-v for v in self.values), self.exact)
+        return AlgebraElement._of(self.signature, tuple(-v for v in self.values))
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -397,10 +386,8 @@ class AlgebraElement:
             return self._scaled(operator.mul, other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, Number):
-            return self._scaled(operator.mul, other)
-        return NotImplemented
+    # A left operand that is an element never reaches __rmul__.
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Number):
@@ -426,7 +413,8 @@ def multiply_coeffs(signature: Signature, a, b) -> np.ndarray:
 
     Either side is one element ``(dim,)`` or a batch ``(..., dim)``; the
     batch shapes broadcast.  The result is ``object`` if either side is,
-    so ``Fraction`` inputs stay exact, and float64 otherwise.
+    and float64 otherwise.  An ``object`` batch follows per-entry Python
+    arithmetic: ``Fraction``s stay exact, a float meets a ``Fraction`` as a float.
 
     Each ``out[k]`` adds the terms ``a[s] * sign(s, s ^ k) * b[s ^ k]``
     in ascending ``s`` from zero, skipping each ``s`` whose column of
@@ -462,9 +450,7 @@ def multiply_coeffs(signature: Signature, a, b) -> np.ndarray:
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Algebra product, the bilinear extension of the basis product rule."""
-    a._require_same_signature(b)
-    exact = a.exact or b.exact
-    return AlgebraElement._of(a.signature, _product(a.signature.squares, a.values, b.values, exact), exact)
+    return AlgebraElement._of(a.signature, _product(a.signature.squares, *_alike(a, b)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -507,10 +493,10 @@ def idempotent_half(mask: int, sign: int, signature: Signature, exact: bool = Fa
             f"(1 ± {labels[mask]})/2 is not idempotent"
         )
     half = Fraction(1, 2) if exact else 0.5
-    values = _zero_values(signature.dim, exact)
-    values[0] = values[0] + half
-    values[mask] = values[mask] + sign * half
-    return Idempotent(AlgebraElement._of(signature, tuple(values), exact))
+    values = [0] * signature.dim
+    values[0] += half
+    values[mask] += sign * half
+    return Idempotent(AlgebraElement._of(signature, _held(values, exact)))
 
 
 def idempotent_pair(mask: int, signature: Signature, exact: bool = False) -> tuple[Idempotent, Idempotent]:

@@ -27,6 +27,7 @@ from .algebra import (
     AlgebraElement,
     Idempotent,
     Signature,
+    _alike,
     _check_mask,
     basis_sign,
     idempotent_half,
@@ -66,9 +67,8 @@ tensor_multiply = multiply
 
 def tensor_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """The two-slot product a (x) b, a rank-one coefficient grid."""
-    a._require_same_signature(b)
-    values = tuple(x * y for x in a.values for y in b.values)
-    return AlgebraElement._of(a.signature.doubled(), values, a.exact or b.exact)
+    left, right = _alike(a, b)
+    return AlgebraElement._of(a.signature.doubled(), tuple(x * y for x in left for y in right))
 
 
 def square_embed(x: AlgebraElement) -> AlgebraElement:

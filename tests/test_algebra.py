@@ -1,5 +1,7 @@
 """Algebra kernel tests: product rule, idempotents, exact mode."""
 
+import copy
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -20,6 +22,7 @@ from fiberalg.algebra import (
     multiply_coeffs,
 )
 from fiberalg.fiber import is_min_action
+from fiberalg.tensor import tensor_product
 
 from oracles import all_signatures, reference_basis_product, reference_multiply
 
@@ -106,6 +109,18 @@ class TestSignature:
         partners = np.arange(dim)[:, None] ^ np.arange(dim)
         signs = np.take_along_axis(table, partners, axis=1)
         assert np.array_equal(gather, partners + dim * (signs < 0))
+
+    def test_gather_table_build_peaks_near_its_size(self):
+        # Doubled signature of six generators: dim 4096, a 32 MiB int16 table.
+        squares = Signature.from_string("+-+-+-").doubled().squares
+        tracemalloc.start()
+        try:
+            gather = algebra._gather_table.__wrapped__(squares)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gather.nbytes == 32 * 2**20
+        assert peak < 40 * 2**20
 
 
 class TestBasisSign:
@@ -358,6 +373,48 @@ class TestElementArithmetic:
     def test_str(self):
         assert str(element(D2, [2, 0, 0, 0.5])) == "2.0 + 0.5*e12"
         assert str(AlgebraElement.zero(D2)) == "0"
+
+
+EXACT = AlgebraElement(D2, [Fraction(1, 3), 1, 2, Fraction(-5, 7)])
+FLOAT = AlgebraElement(D2, [0.1, 0.2, -0.3, 1e-300])
+
+# Every route into an element with an exact side in it.
+EXACT_ROUTES = {
+    "mixed list": lambda: AlgebraElement(D2, [Fraction(1, 2), 0.0, 0.25, 0]),
+    "mixed object array": lambda: AlgebraElement(D2, np.array([Fraction(1, 2), 0.1, 2, -0.0], dtype=object)),
+    "float + exact": lambda: FLOAT + EXACT,
+    "exact - float": lambda: EXACT - FLOAT,
+    "float * Fraction": lambda: FLOAT * Fraction(1, 3),
+    "Fraction * float": lambda: Fraction(1, 3) * FLOAT,
+    "float / Fraction": lambda: FLOAT / Fraction(1, 3),
+    "exact * float scale": lambda: EXACT * 0.1,
+    "multiply exact, float": lambda: multiply(EXACT, FLOAT),
+    "multiply float, exact": lambda: multiply(FLOAT, EXACT),
+    "tensor_product": lambda: tensor_product(EXACT, FLOAT),
+    "exact zero times exact": lambda: multiply(AlgebraElement.zero(D2, exact=True), EXACT),
+    "exact idempotent_half": lambda: idempotent_half(0b10, -1, D2, exact=True).element,
+}
+
+
+class TestExactness:
+    @pytest.mark.parametrize("route", EXACT_ROUTES)
+    def test_exact_means_every_value_is_a_fraction(self, route):
+        x = EXACT_ROUTES[route]()
+        assert x.exact
+        assert x.exact == all(type(v) is Fraction for v in x.values)
+
+    def test_float_side_is_promoted_without_rounding(self):
+        promoted = AlgebraElement(D2, [Fraction(v) for v in FLOAT.values])
+        assert FLOAT + EXACT == promoted + EXACT
+        assert multiply(FLOAT, EXACT) == multiply(promoted, EXACT)
+        assert FLOAT * Fraction(1, 3) == promoted * Fraction(1, 3)
+
+    @pytest.mark.parametrize("x", [FLOAT, EXACT], ids=["float", "exact"])
+    def test_pickle_and_deepcopy_round_trip(self, x):
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert y == x
+            assert y.exact == x.exact
+            assert [type(v) for v in y.values] == [type(v) for v in x.values]
 
 
 class TestNormSquared:

@@ -96,3 +96,17 @@ print(json.dumps({"resolved": resolved, "star": sorted(set(star) - {"__builtins_
     assert got["resolved"] == {name: True for name in EXPORTS}
     assert got["star"] == sorted(EXPORTS)
     assert got["version"] == "0.1.0"
+
+
+def test_exact_elements_never_import_numpy():
+    got = run_child(
+        """
+import json, sys
+from fractions import Fraction
+from fiberalg.algebra import AlgebraElement, Signature, multiply
+x = AlgebraElement(Signature((1, -1)), [Fraction(1, 2), 1, Fraction(-2, 3), 0])
+square = multiply(x, x)
+print(json.dumps({"exact": square.exact, "norm": str(square.norm_squared()), "numpy": "numpy" in sys.modules}))
+"""
+    )
+    assert got == {"exact": True, "norm": "5017/1296", "numpy": False}
