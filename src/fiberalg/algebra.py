@@ -21,12 +21,15 @@ makes the values exact, and an exact operand promotes a float one with
 no rounding.  Single elements never touch numpy.  The ``coeffs`` array,
 the gather table of :func:`multiply_coeffs` and the sign table are built
 with numpy when read.
+
+:class:`Signature`, :class:`Idempotent` and the other modules' results are frozen
+records on :class:`_Record`, which generates no code and needs neither ``dataclasses``
+nor ``inspect``; ``dataclasses.fields``, ``asdict`` and ``replace`` do not apply.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Number
@@ -50,8 +53,62 @@ __all__ = [
 IDEMPOTENT_ATOL = 1e-14
 
 
-@dataclass(frozen=True)
-class Signature:
+class _Record:
+    """A frozen record: the fields are the class annotations, in order; a default is a class attribute.
+
+    ``vars(record)`` is its own dict of the fields: read it, never write it.  Records compare and
+    hash by exact type and fields, or by identity if declared ``eq=False``; nothing is generated.
+    """
+
+    def __init_subclass__(cls, eq: bool = True) -> None:
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """The field values of a call with keywords or defaults; ``TypeError`` as a signature gives."""
+        cls, fields = type(self), self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__qualname__}() takes {len(fields)} positional arguments but {len(args)} were given")
+        given = dict(zip(fields, args))
+        for name in kwargs:
+            if name not in fields or name in given:
+                problem = "multiple values for argument" if name in given else "an unexpected keyword argument"
+                raise TypeError(f"{cls.__qualname__}() got {problem} {name!r}")
+        given.update(kwargs)
+        missing = [repr(name) for name in fields if name not in given and name not in cls.__dict__]
+        if missing:
+            raise TypeError(f"{cls.__qualname__}() missing required arguments: {', '.join(missing)}")
+        return [given[name] if name in given else cls.__dict__[name] for name in fields]
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__qualname__} is frozen; cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    # A record compared by value holds only its fields, in order, in its dict.
+    def __eq__(self, other):
+        return self.__dict__ == other.__dict__ if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Signature(_Record):
     """Squares of the commuting generators, one entry per generator."""
 
     squares: tuple[int, ...]
@@ -287,8 +344,8 @@ class AlgebraElement:
         object.__setattr__(element, "values", values)
         return element
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"AlgebraElement is immutable; cannot set {name!r}")
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"AlgebraElement is immutable; cannot set or delete {name!r}")
 
     __delattr__ = __setattr__
 
@@ -453,8 +510,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return AlgebraElement._of(a.signature, _product(a.signature.squares, *_alike(a, b)))
 
 
-@dataclass(frozen=True, eq=False)
-class Idempotent:
+class Idempotent(_Record, eq=False):
     """An algebra element validated to satisfy p*p == p at construction."""
 
     element: AlgebraElement

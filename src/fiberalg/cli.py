@@ -26,7 +26,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict
 
 from .algebra import AlgebraElement, Signature
 from .fiber import (
@@ -146,8 +145,8 @@ def _fiber_dict(element: AlgebraElement, tol: float) -> dict:
         }
     return {
         "tangent": _tangent_dict(dec.tangent),
-        "momentum": asdict(dec.momentum),
-        "cross": asdict(dec.cross),
+        "momentum": vars(dec.momentum),
+        "cross": vars(dec.cross),
         "dS_dlambda": dec.action_rate,
         "residual": dec.min_action_residual,
         "minimal": minimal,
@@ -158,8 +157,8 @@ def _fiber_dict(element: AlgebraElement, tol: float) -> dict:
 
 def _euclidean_fiber_dict(dec) -> dict:
     return {
-        "tangent": asdict(dec.tangent),
-        "momentum": asdict(dec.momentum),
+        "tangent": vars(dec.tangent),
+        "momentum": vars(dec.momentum),
         "cross": {
             "invariant_1": dec.cross_invariant_1,
             "invariant_e12": dec.cross_invariant_e12,
@@ -185,7 +184,7 @@ def _decompose_payload(signature: Signature, coeffs: list[float], tol: float) ->
     elif signature == FIBER_SIGNATURE:
         payload.update(_fiber_dict(element, tol))
     elif signature == EUCLIDEAN_TANGENT_SIGNATURE:
-        payload["components"] = asdict(decompose_euclidean(element))
+        payload["components"] = vars(decompose_euclidean(element))
     elif signature == EUCLIDEAN_FIBER_SIGNATURE:
         payload["components"] = _euclidean_fiber_dict(decompose_euclidean(element))
     else:
@@ -279,9 +278,7 @@ def _cmd_trajectory(args, parser) -> tuple[dict, int]:
         "rapidity": args.rapidity,
         "span": args.span,
         "steps": args.steps,
-        "numeric_S": record.numeric_S,
-        "analytic_S": record.analytic_S,
-        "error": record.error,
+        **vars(record),
     }
     return payload, 0 if record.error <= TRAJECTORY_GATE * abs(record.analytic_S) else 1
 
@@ -292,16 +289,11 @@ def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, str]]:
         path = f"{prefix}{key}"
         if isinstance(value, dict):
             rows.extend(_flatten(value, f"{path}."))
-        elif isinstance(value, list):
-            if value and isinstance(value[0], dict):
-                for i, item in enumerate(value):
-                    rows.extend(_flatten(item, f"{path}[{i}]."))
-            else:
-                rows.append((path, json.dumps(value, allow_nan=False)))
-        elif isinstance(value, str):
-            rows.append((path, value))
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            for i, item in enumerate(value):
+                rows.extend(_flatten(item, f"{path}[{i}]."))
         else:
-            rows.append((path, json.dumps(value, allow_nan=False)))
+            rows.append((path, value if isinstance(value, str) else json.dumps(value, allow_nan=False)))
     return rows
 
 

@@ -28,17 +28,17 @@ are relabelings: ``-`` and ``-+`` have the closed-form parts of ``+`` and
 ``++`` under other names, and only the carriers shifted by e1 or e12
 change projector half.  One component table per generator count holds
 the name, half, shift and sector of every component for all four.
+The results are frozen records (:class:`fiberalg.algebra._Record`), read with ``vars``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .algebra import AlgebraElement, Signature, idempotent_pair, multiply
+from .algebra import AlgebraElement, Signature, _Record, idempotent_pair, multiply
 
 if TYPE_CHECKING:
     from .tensor import ComponentBasis
@@ -88,8 +88,7 @@ CAUSAL_TOL = 1e-12
 MAX_STEPS = 10**7
 
 
-@dataclass(frozen=True)
-class TangentTriple:
+class TangentTriple(_Record):
     """Rates of time, space, and proper time along a curve parameter.
 
     ``ds`` is stored signed; for triples produced from a real element it
@@ -102,8 +101,7 @@ class TangentTriple:
     ds: float | None = None
 
 
-@dataclass(frozen=True)
-class MomentumTriple:
+class MomentumTriple(_Record):
     """Energy, momentum, and signed mass norm; m**2 == H**2 - p**2."""
 
     H: float
@@ -111,8 +109,7 @@ class MomentumTriple:
     m: float | None = None
 
 
-@dataclass(frozen=True)
-class CrossQuad:
+class CrossQuad(_Record):
     """Signed components of the mixed sector.
 
     ``c_plus_1`` and ``c_plus_e1`` sit in the plus half of the sector and
@@ -129,8 +126,7 @@ class CrossQuad:
     c_minus_e12: float
 
 
-@dataclass(frozen=True)
-class FiberDecomposition:
+class FiberDecomposition(_Record):
     """Full sector decomposition of x (x) x over the fiber algebra.
 
     ``action_rate`` is p dq - H dt.  ``min_action_residual`` is
@@ -145,8 +141,7 @@ class FiberDecomposition:
     min_action_residual: float
 
 
-@dataclass(frozen=True)
-class EuclideanComponents:
+class EuclideanComponents(_Record):
     """Sector components for the one-generator algebra with e1**2 == -1.
 
     ``p_plus_1`` is the rotation invariant x0**2 + x1**2.  The field
@@ -160,8 +155,7 @@ class EuclideanComponents:
     p_minus: float
 
 
-@dataclass(frozen=True)
-class EuclideanSector:
+class EuclideanSector(_Record):
     """One diagonal sector of the Euclidean fiber.
 
     ``invariant`` is unchanged under unit rotations; (vec_1, vec_e1)
@@ -173,8 +167,7 @@ class EuclideanSector:
     vec_e1: float
 
 
-@dataclass(frozen=True)
-class EuclideanFiberDecomposition:
+class EuclideanFiberDecomposition(_Record):
     """Sector decomposition over the two-generator algebra with squares (-1, +1)."""
 
     tangent: EuclideanSector
@@ -191,8 +184,7 @@ class CausalClass(Enum):
     SPACELIKE = "spacelike"
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(_Record):
     """x == scale * first * second with first = x0 + x1 e1, second = x0 + x2 e2."""
 
     first: AlgebraElement
@@ -203,8 +195,7 @@ class Factorization:
         return multiply(self.first, self.second) * self.scale
 
 
-@dataclass(frozen=True)
-class ActionIntegral:
+class ActionIntegral(_Record):
     """Step-summed and closed-form action for a free particle."""
 
     numeric_S: float
@@ -339,9 +330,7 @@ def _require_signature(x: AlgebraElement, expected: Signature, what: str) -> Non
 def decompose_c2(x: AlgebraElement) -> TangentTriple:
     """Tangent triple of x (x) x over the one-generator unit-square algebra."""
     _require_signature(x, TANGENT_SIGNATURE, "decompose_c2")
-    x0, x1 = x.values
-    parts = _tangent_parts(x0, x1)
-    return TangentTriple(parts.dt, parts.dq, parts.ds)
+    return TangentTriple(*_tangent_parts(*x.values))
 
 
 def decompose_d2(x: AlgebraElement) -> FiberDecomposition:
@@ -349,11 +338,11 @@ def decompose_d2(x: AlgebraElement) -> FiberDecomposition:
     _require_signature(x, FIBER_SIGNATURE, "decompose_d2")
     parts = _fiber_parts(*x.values)
     return FiberDecomposition(
-        tangent=TangentTriple(parts.dt, parts.dq, parts.ds),
-        momentum=MomentumTriple(parts.H, parts.p, parts.m),
-        cross=CrossQuad(parts.c_plus_1, parts.c_plus_e1, parts.c_minus_1, parts.c_minus_e12),
-        action_rate=parts.action_rate,
-        min_action_residual=parts.residual,
+        TangentTriple(parts.dt, parts.dq, parts.ds),
+        MomentumTriple(parts.H, parts.p, parts.m),
+        CrossQuad(parts.c_plus_1, parts.c_plus_e1, parts.c_minus_1, parts.c_minus_e12),
+        parts.action_rate,
+        parts.residual,
     )
 
 
@@ -370,16 +359,12 @@ def _euclidean(signature: Signature, comps: dict):
     if signature.n == 1:
         return EuclideanComponents(comps["invariant"], comps["vec_e"], comps["vec_1"])
     return EuclideanFiberDecomposition(
-        tangent=EuclideanSector(
-            comps["tangent_invariant"], comps["tangent_vec_1"], comps["tangent_vec_e1"]
-        ),
-        momentum=EuclideanSector(
-            comps["momentum_invariant"], comps["momentum_vec_1"], comps["momentum_vec_e1"]
-        ),
-        cross_invariant_1=comps["cross_invariant_1"],
-        cross_invariant_e12=comps["cross_invariant_e12"],
-        cross_vec_1=comps["cross_vec_1"],
-        cross_vec_e1=comps["cross_vec_e1"],
+        EuclideanSector(comps["tangent_invariant"], comps["tangent_vec_1"], comps["tangent_vec_e1"]),
+        EuclideanSector(comps["momentum_invariant"], comps["momentum_vec_1"], comps["momentum_vec_e1"]),
+        comps["cross_invariant_1"],
+        comps["cross_invariant_e12"],
+        comps["cross_vec_1"],
+        comps["cross_vec_e1"],
     )
 
 
@@ -427,7 +412,7 @@ def factorize(x: AlgebraElement, tol: float = MIN_ACTION_TOL) -> Factorization:
     sig = x.signature
     first = AlgebraElement(sig, [x0, x1, 0.0, 0.0])
     second = AlgebraElement(sig, [x0, 0.0, x2, 0.0])
-    return Factorization(first=first, second=second, scale=scale)
+    return Factorization(first, second, scale)
 
 
 def transform(x: AlgebraElement, u: AlgebraElement) -> AlgebraElement:
@@ -568,13 +553,12 @@ def trajectory_action(mass: float, rapidity: float, lambda_span: float, steps: i
 
 
 def classify_causal(t: TangentTriple, tol: float = CAUSAL_TOL) -> CausalClass:
-    """Classify a tangent triple by the sign of dt**2 - dq**2.
+    """Classify a tangent triple by the sign of ds**2 = dt**2 - dq**2.
 
-    The interval is recomputed from (dt, dq) so user triples without a
-    stored ds are classified consistently.  Triples produced from a real
-    element are never spacelike.
+    The stored ds is squared, so a triple from a real element is never spacelike, where
+    dt**2 - dq**2 can round below -tol; a user triple without ds recomputes it from (dt, dq).
     """
-    interval = t.dt * t.dt - t.dq * t.dq
+    interval = t.dt * t.dt - t.dq * t.dq if t.ds is None else t.ds * t.ds
     if interval > tol:
         return CausalClass.TIMELIKE
     if interval < -tol:
@@ -658,9 +642,9 @@ def decompose_d2_projected(x: AlgebraElement) -> FiberDecomposition:
     action = comps["p"] * comps["dq"] - comps["H"] * comps["dt"]
     residual = comps["c_minus_e12"] ** 2 / 2.0
     return FiberDecomposition(
-        tangent=TangentTriple(comps["dt"], comps["dq"], comps["ds"]),
-        momentum=MomentumTriple(comps["H"], comps["p"], comps["m"]),
-        cross=CrossQuad(comps["c_plus_1"], comps["c_plus_e1"], comps["c_minus_1"], comps["c_minus_e12"]),
-        action_rate=action,
-        min_action_residual=residual,
+        TangentTriple(comps["dt"], comps["dq"], comps["ds"]),
+        MomentumTriple(comps["H"], comps["p"], comps["m"]),
+        CrossQuad(comps["c_plus_1"], comps["c_plus_e1"], comps["c_minus_1"], comps["c_minus_e12"]),
+        action,
+        residual,
     )

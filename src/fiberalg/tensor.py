@@ -18,7 +18,6 @@ products and a trace pairing, never through the closed forms themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -27,6 +26,7 @@ from .algebra import (
     AlgebraElement,
     Idempotent,
     Signature,
+    _Record,
     _alike,
     _check_mask,
     basis_sign,
@@ -123,8 +123,7 @@ def trace_pairing(a: AlgebraElement, b: AlgebraElement):
     return multiply(a, b).coefficient(0)
 
 
-@dataclass(frozen=True, eq=False)
-class ComponentBasis:
+class ComponentBasis(_Record, eq=False):
     """A trace-orthogonal family of tensors with named components.
 
     ``signature`` is the base signature; the tensors, and every tensor

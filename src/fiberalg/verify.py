@@ -63,13 +63,12 @@ and check the row bits of the transposed views, to check both.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from functools import partial, reduce
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraElement, Signature, basis_sign, idempotent_pair, multiply, multiply_coeffs
+from .algebra import AlgebraElement, Signature, _Record, basis_sign, idempotent_pair, multiply, multiply_coeffs
 from .fiber import (
     EUCLIDEAN_FIBER_SIGNATURE,
     EUCLIDEAN_TANGENT_SIGNATURE,
@@ -102,6 +101,10 @@ MAX_GENERATORS = 6
 BLOCK_VALUES = 2**16
 # Rows checked through the scalar API as well as the batch.
 SPOT_ROWS = 25
+# OpenBLAS leaves its small-matrix path above M*N*K = 10**6: at dim 16,
+# one 4096-row product by a 16 x 16 matrix took 225 us, two 2048-row
+# slices of it 50 us, with the same bits in every row.
+SMALL_GEMM_ROWS = 2048
 
 # Thresholds of the three-way minimum-action equivalence.
 RESIDUAL_GATE = 1e-20
@@ -109,8 +112,7 @@ PRODUCT_GATE = 1e-10
 ROUNDTRIP_GATE = 1e-13
 
 
-@dataclass(frozen=True)
-class PropertyResult:
+class PropertyResult(_Record):
     name: str
     samples: int
     max_abs_residual: float
@@ -129,8 +131,7 @@ class PropertyResult:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     signature: str
     samples: int
     seed: int
@@ -225,14 +226,7 @@ def _product(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _result(name: str, samples: int, abs_res: float, rel_res: float, tol: float) -> PropertyResult:
-    return PropertyResult(
-        name=name,
-        samples=samples,
-        max_abs_residual=float(abs_res),
-        max_rel_residual=float(rel_res),
-        tolerance=tol,
-        passed=bool(rel_res <= tol),
-    )
+    return PropertyResult(name, samples, float(abs_res), float(rel_res), tol, bool(rel_res <= tol))
 
 
 def _sweep(name: str, draws, residuals, cap: int | None = None):
@@ -321,8 +315,13 @@ def _sector_completeness(sig: Signature, blocks):
     for _, (x,) in blocks:
         flat = _embed_flat(x)
         total = np.zeros_like(flat)
-        for matrix in matrices:
-            total += (flat.T @ matrix).T
+        # Equal slices of at most SMALL_GEMM_ROWS rows, so none has one row unless the block has.
+        rows = flat.shape[1]
+        slices = -(-rows // SMALL_GEMM_ROWS)
+        for i in range(slices):
+            cut = slice(rows * i // slices, rows * (i + 1) // slices)
+            for matrix in matrices:
+                total[:, cut] += (flat[:, cut].T @ matrix).T
         total -= flat
         diff = np.max(np.abs(total, out=total), axis=0)
         yield diff, [(diff, np.max(np.abs(flat, out=flat), axis=0))]
@@ -629,11 +628,4 @@ def run_verification(signature: Signature | str, samples: int, seed: int, tol: f
     for index, check in enumerate(_checks_for(signature)):
         rng = np.random.default_rng([seed, index])
         results.append(check(signature, rng, samples, tol))
-    return VerificationReport(
-        signature=str(signature),
-        samples=samples,
-        seed=seed,
-        tolerance=tol,
-        properties=tuple(results),
-        passed=all(r.passed for r in results),
-    )
+    return VerificationReport(str(signature), samples, seed, tol, tuple(results), all(r.passed for r in results))

@@ -417,6 +417,15 @@ class TestExactness:
             assert [type(v) for v in y.values] == [type(v) for v in x.values]
 
 
+def test_element_assignment_and_deletion_raise_attribute_error():
+    x = AlgebraElement(D2, [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(AttributeError, match="immutable"):
+        x.values = (0.0,) * 4
+    with pytest.raises(AttributeError, match="immutable"):
+        del x.values
+    assert x.values == (1.0, 2.0, 3.0, 4.0)
+
+
 class TestNormSquared:
     def test_bits_of_numpy_sum(self):
         rng = np.random.default_rng(23)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # Every name ``fiberalg`` exported while it imported all of its modules.
@@ -35,12 +37,22 @@ SINGLE_ELEMENT_CALLS = [
 BOUNDARY_CALLS = [["decompose", "++", "nan", "1", "1", "1"], ["boost", "++", "1", "0", "0", "0", "1000"]]
 BATCH_CALLS = [["verify", "++", "50", "1"], ["trajectory", "1", "0", "1", "10"]]
 
+# Records, after a bare import, after importing the CLI and after each
+# call, which of WATCHED fiberalg has loaded: a module already in
+# sys.modules before the import (a site hook's, say) does not count.
+WATCHED = ("numpy", "dataclasses", "inspect")
 CHILD = """
 import contextlib, io, json, sys
+watched = json.loads(sys.argv[2])
+before = set(sys.modules)
+
+def loaded_now():
+    return sorted(set(watched) & (set(sys.modules) - before))
+
 import fiberalg
-loaded = ["numpy" in sys.modules]
+loaded = [loaded_now()]
 from fiberalg import cli
-loaded.append("numpy" in sys.modules)
+loaded.append(loaded_now())
 results = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
@@ -49,7 +61,7 @@ for argv in json.loads(sys.argv[1]):
         except SystemExit as exc:
             code = exc.code
     results.append((code, out.getvalue()))
-    loaded.append("numpy" in sys.modules)
+    loaded.append(loaded_now())
 print(json.dumps({"loaded": loaded, "results": results}))
 """
 
@@ -64,16 +76,29 @@ def run_child(code, *args):
     return json.loads(result.stdout)
 
 
-def test_single_element_calls_never_import_numpy():
-    got = run_child(CHILD, json.dumps(SINGLE_ELEMENT_CALLS + BOUNDARY_CALLS + BATCH_CALLS))
-    # After a bare import, after importing the CLI and after each call;
+@pytest.fixture(scope="module")
+def calls():
+    return run_child(CHILD, json.dumps(SINGLE_ELEMENT_CALLS + BOUNDARY_CALLS + BATCH_CALLS), json.dumps(WATCHED))
+
+
+# The stages of CHILD that load none of WATCHED: the bare import, the CLI
+# import, and every single-element and boundary call.
+LIGHT_STAGES = 2 + len(SINGLE_ELEMENT_CALLS) + len(BOUNDARY_CALLS)
+
+
+def test_single_element_calls_never_import_numpy(calls):
     # verify and trajectory load numpy in their command.
-    numpy_free = 2 + len(SINGLE_ELEMENT_CALLS) + len(BOUNDARY_CALLS)
-    assert got["loaded"] == [False] * numpy_free + [True] * len(BATCH_CALLS)
-    codes = [code for code, _ in got["results"]]
+    loaded = [("numpy" in stage) for stage in calls["loaded"]]
+    assert loaded == [False] * LIGHT_STAGES + [True] * len(BATCH_CALLS)
+    codes = [code for code, _ in calls["results"]]
     assert codes == [0] * len(SINGLE_ELEMENT_CALLS) + [2, 2] + [0, 0]
-    for (_, out), argv in zip(got["results"][len(codes) - len(BATCH_CALLS):], BATCH_CALLS):
+    for (_, out), argv in zip(calls["results"][len(codes) - len(BATCH_CALLS):], BATCH_CALLS):
         assert json.loads(out)["command"] == argv[0]
+
+
+def test_single_element_calls_never_import_dataclasses_or_inspect(calls):
+    # Records are plain classes; neither module is needed to define or build them.
+    assert calls["loaded"][:LIGHT_STAGES] == [[]] * LIGHT_STAGES
 
 
 def test_every_export_resolves_and_star_import_keeps_its_names():

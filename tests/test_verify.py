@@ -274,6 +274,13 @@ class TestBlocks:
         monkeypatch.setattr(verify, "BLOCK_VALUES", 160)
         assert run_verification(signature, samples, 5, 1e-10).to_dict() == default
 
+    @pytest.mark.parametrize("signature", ["++", "-+"])
+    def test_report_same_in_sector_slices(self, signature, monkeypatch):
+        default = run_verification(signature, 1001, 5, 1e-10).to_dict()
+        # _sector_completeness then cuts its one 1001-row block into slices of 2 and 3 rows.
+        monkeypatch.setattr(verify, "SMALL_GEMM_ROWS", 3)
+        assert run_verification(signature, 1001, 5, 1e-10).to_dict() == default
+
     def test_memory_bounded_in_samples(self, monkeypatch):
         monkeypatch.setattr(verify, "BLOCK_VALUES", 256 * 16)
         run_verification("++", 64, 0, 1e-10)  # builds the cached tables and bases
