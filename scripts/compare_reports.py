@@ -11,9 +11,12 @@ sample counts.  The small cases run again at ``verify.BLOCK_VALUES =
 160``, where every sweep spans many blocks.  The same child then replays
 a fixed list of CLI calls through ``cli.main``: every format and
 signature of ``decompose``, ``boost``, calls at the edges of the float range,
-and one small ``verify`` and ``trajectory``.  The script prints each
-case whose ``json.dumps(report.to_dict())``, and each call whose exit
-code, stdout or stderr, differs between the trees.  It exits 0 when all
+and one small ``verify`` and ``trajectory``.  Last it replays a fixed list
+of library calls on the ``decompose`` inputs: each closed form and its
+projector twin, and ``norm_squared`` on float and ``Fraction`` elements.
+The script prints each case whose ``json.dumps(report.to_dict())``, each
+CLI call whose exit code, stdout or stderr, and each library call whose
+``repr`` of the result differs between the trees.  It exits 0 when all
 are identical, 1 on any difference, and 2 with one stderr line for a bad
 argument.
 """
@@ -70,11 +73,19 @@ CLI_CALLS = [
     ["verify", "m+", "300", "2"],
     ["trajectory", "1.3", "0.4", "1.7", "1000"],
 ]
+CLOSED_FORMS = {"+": "decompose_c2", "++": "decompose_d2", "m": "decompose_euclidean", "m+": "decompose_euclidean"}
+# (function, signature, coefficients, exact): norm_squared is a method, the rest fiberalg functions.
+LIBRARY_CALLS = [
+    *[(CLOSED_FORMS[sig] + twin, sig, coeffs, False) for sig, coeffs in DECOMPOSE for twin in ("", "_projected")],
+    *[("norm_squared", sig, coeffs, exact) for sig, coeffs in DECOMPOSE for exact in (False, True)],
+]
 
 CHILD = """
 import contextlib, io, json, sys
+from fractions import Fraction
+import fiberalg
 from fiberalg import cli, verify
-runs, calls = json.loads(sys.argv[1])
+runs, calls, library = json.loads(sys.argv[1])
 default = verify.BLOCK_VALUES
 for signature, samples, seed, block in runs:
     verify.BLOCK_VALUES = default if block is None else block
@@ -89,13 +100,16 @@ for argv in calls:
         except SystemExit as exc:
             code = exc.code
     print(json.dumps([code, out.getvalue(), err.getvalue()]))
+for name, signature, coeffs, exact in library:
+    x = fiberalg.AlgebraElement(fiberalg.Signature.from_string(signature), [(Fraction if exact else float)(c) for c in coeffs])
+    print(repr(x.norm_squared() if name == "norm_squared" else getattr(fiberalg, name)(x)))
 """ % TOL
 
 
 def start(tree: Path) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     return subprocess.Popen(
-        [sys.executable, "-c", CHILD, json.dumps([RUNS, CLI_CALLS])],
+        [sys.executable, "-c", CHILD, json.dumps([RUNS, CLI_CALLS, LIBRARY_CALLS])],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -110,11 +124,9 @@ def reports(tree: Path, child: subprocess.Popen) -> list[str] | None:
         print(err, end="", file=sys.stderr)
         return None
     lines = out.splitlines()
-    if len(lines) != len(RUNS) + len(CLI_CALLS):
-        print(
-            f"{tree}: the verify child printed {len(lines)} lines, not {len(RUNS) + len(CLI_CALLS)}",
-            file=sys.stderr,
-        )
+    expected = len(RUNS) + len(CLI_CALLS) + len(LIBRARY_CALLS)
+    if len(lines) != expected:
+        print(f"{tree}: the verify child printed {len(lines)} lines, not {expected}", file=sys.stderr)
         return None
     return lines
 
@@ -132,7 +144,7 @@ def main(argv: list[str]) -> int:
     got = [reports(tree, child) for tree, child in children]
     if None in got:
         return 1
-    differ = calls_differ = 0
+    differ = calls_differ = library_differ = 0
     for run, before, after in zip(RUNS, *got):
         if before != after:
             differ += 1
@@ -142,9 +154,15 @@ def main(argv: list[str]) -> int:
         if before != after:
             calls_differ += 1
             print(f"differs: fiberalg {' '.join(argv)}")
+    for call, before, after in zip(LIBRARY_CALLS, *(lines[len(RUNS) + len(CLI_CALLS):] for lines in got)):
+        if before != after:
+            library_differ += 1
+            name, signature, coeffs, exact = call
+            print(f"differs: {name} {signature} {' '.join(coeffs)}{' exact' if exact else ''}")
     print(f"{len(RUNS) - differ} of {len(RUNS)} reports identical")
     print(f"{len(CLI_CALLS) - calls_differ} of {len(CLI_CALLS)} CLI calls identical")
-    return 1 if differ or calls_differ else 0
+    print(f"{len(LIBRARY_CALLS) - library_differ} of {len(LIBRARY_CALLS)} library calls identical")
+    return 1 if differ or calls_differ or library_differ else 0
 
 
 if __name__ == "__main__":

@@ -15,10 +15,13 @@ states that parity once; the tables and the single product derive from it.
 
 An element is its signature and its values: all Python floats, or all
 :class:`fractions.Fraction` values, which the test suite uses to check
-projector identities without any rounding.  :func:`_held` is the one rule
-on every route in: a ``Fraction`` or an ``object`` array in the input
-makes the values exact, and an exact operand promotes a float one with
-no rounding.  Single elements never touch numpy.  The ``coeffs`` array,
+projector identities without any rounding.  The values alone decide
+exactness, and :func:`_held` is the one rule on every route in: a
+``Fraction`` or an ``object`` array in the input makes the values exact,
+and an exact operand promotes a float one with no rounding.  The
+constructors build floats (a ``Fraction`` value makes ``scalar`` exact);
+an exact basis element or projector is the float one times
+``Fraction(1)``.  Single elements never touch numpy.  The ``coeffs`` array,
 the gather table of :func:`multiply_coeffs` and the sign table are built
 with numpy when read.
 
@@ -157,8 +160,9 @@ class Signature(_Record):
             labels.append("e" + "".join(picked) if picked else "1")
         return tuple(labels)
 
+    @lru_cache(maxsize=None)
     def doubled(self) -> Signature:
-        """Signature of the two-slot product algebra (generators repeated)."""
+        """Signature of the two-slot product algebra (generators repeated), built once per ``squares``."""
         return Signature(self.squares + self.squares)
 
     @property
@@ -248,32 +252,6 @@ def _product(squares: tuple[int, ...], a, b) -> tuple:
     return tuple(out)
 
 
-def _pairwise_sum(values):
-    """numpy's float64 sum: left to right below eight values, else eight lanes and halving.
-
-    The lanes and halves follow numpy's pairwise summation (blocks of at
-    most 128 values), so the result has the bits of ``np.sum``.
-    """
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for v in values:
-            total += v
-        return total
-    if n <= 128:
-        lanes = list(values[:8])
-        whole = n - n % 8
-        for i in range(8, whole, 8):
-            for j in range(8):
-                lanes[j] += values[i + j]
-        total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
-        for v in values[whole:]:
-            total += v
-        return total
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-
-
 def _check_mask(signature: Signature, mask: int) -> int:
     mask = int(mask)
     if not 0 <= mask < signature.dim:
@@ -353,22 +331,22 @@ class AlgebraElement:
         return AlgebraElement._of, (self.signature, self.values)
 
     @classmethod
-    def zero(cls, signature: Signature, exact: bool = False) -> AlgebraElement:
-        return cls._of(signature, _held([0] * signature.dim, exact))
+    def zero(cls, signature: Signature) -> AlgebraElement:
+        return cls._of(signature, (0.0,) * signature.dim)
 
     @classmethod
-    def basis(cls, signature: Signature, mask: int, exact: bool = False) -> AlgebraElement:
+    def basis(cls, signature: Signature, mask: int) -> AlgebraElement:
         """The basis element e_S for subset bitmask ``mask`` (e_0 is 1)."""
-        values = [0] * signature.dim
-        values[_check_mask(signature, mask)] = 1
-        return cls._of(signature, _held(values, exact))
+        values = [0.0] * signature.dim
+        values[_check_mask(signature, mask)] = 1.0
+        return cls._of(signature, tuple(values))
 
     @classmethod
-    def scalar(cls, signature: Signature, value, exact: bool = False) -> AlgebraElement:
+    def scalar(cls, signature: Signature, value) -> AlgebraElement:
         """``value`` times the identity; a ``Fraction`` value makes it exact, as a ``Fraction`` scale does."""
         values = [0] * signature.dim
         values[0] = value
-        return cls._of(signature, _held(values, exact or isinstance(value, Fraction)))
+        return cls._of(signature, _held(values, isinstance(value, Fraction)))
 
     @property
     def exact(self) -> bool:
@@ -403,9 +381,14 @@ class AlgebraElement:
         return self.values[_check_mask(self.signature, mask)]
 
     def norm_squared(self):
-        """Sum of squared coefficients (used to scale tolerances), with the bits of numpy's sum."""
-        squares = [v * v for v in self.values]
-        return sum(squares) if self.exact else _pairwise_sum(squares)
+        """Sum of squared coefficients (used to scale tolerances), added left to right from the held zero.
+
+        Below eight values that is numpy's order, so a float sum has the bits of ``np.sum``.
+        """
+        total = Fraction(0) if self.exact else 0.0
+        for v in self.values:
+            total += v * v
+        return total
 
     def _require_same_signature(self, other: AlgebraElement) -> None:
         if self.signature != other.signature:
@@ -533,7 +516,7 @@ class Idempotent(_Record, eq=False):
         return self.element.signature
 
 
-def idempotent_half(mask: int, sign: int, signature: Signature, exact: bool = False) -> Idempotent:
+def idempotent_half(mask: int, sign: int, signature: Signature) -> Idempotent:
     """The idempotent (1 + sign * e_S) / 2 for a generator subset ``mask``.
 
     Requires e_S to square to +1; otherwise the element squares to
@@ -548,16 +531,12 @@ def idempotent_half(mask: int, sign: int, signature: Signature, exact: bool = Fa
             f"{labels[mask]} squares to -1 under signature {signature}; "
             f"(1 ± {labels[mask]})/2 is not idempotent"
         )
-    half = Fraction(1, 2) if exact else 0.5
-    values = [0] * signature.dim
-    values[0] += half
-    values[mask] += sign * half
-    return Idempotent(AlgebraElement._of(signature, _held(values, exact)))
+    values = [0.0] * signature.dim
+    values[0] += 0.5
+    values[mask] += sign * 0.5
+    return Idempotent(AlgebraElement._of(signature, tuple(values)))
 
 
-def idempotent_pair(mask: int, signature: Signature, exact: bool = False) -> tuple[Idempotent, Idempotent]:
+def idempotent_pair(mask: int, signature: Signature) -> tuple[Idempotent, Idempotent]:
     """The complementary pair (1 + e_S)/2, (1 - e_S)/2."""
-    return (
-        idempotent_half(mask, +1, signature, exact=exact),
-        idempotent_half(mask, -1, signature, exact=exact),
-    )
+    return idempotent_half(mask, +1, signature), idempotent_half(mask, -1, signature)

@@ -322,20 +322,20 @@ def _parts(coeffs):
     return _tangent_parts(*coeffs) if len(coeffs) == 2 else _sector_parts(*coeffs)
 
 
-def _require_signature(x: AlgebraElement, expected: Signature, what: str) -> None:
-    if x.signature != expected:
-        raise ValueError(f"{what} requires signature {expected}, got {x.signature}")
+def _require_signature(x: AlgebraElement, what: str, *expected: Signature) -> None:
+    if x.signature not in expected:
+        raise ValueError(f"{what} requires signature {' or '.join(map(str, expected))}, got {x.signature}")
 
 
 def decompose_c2(x: AlgebraElement) -> TangentTriple:
     """Tangent triple of x (x) x over the one-generator unit-square algebra."""
-    _require_signature(x, TANGENT_SIGNATURE, "decompose_c2")
+    _require_signature(x, "decompose_c2", TANGENT_SIGNATURE)
     return TangentTriple(*_tangent_parts(*x.values))
 
 
 def decompose_d2(x: AlgebraElement) -> FiberDecomposition:
     """Full fiber decomposition of x (x) x over the two-generator algebra."""
-    _require_signature(x, FIBER_SIGNATURE, "decompose_d2")
+    _require_signature(x, "decompose_d2", FIBER_SIGNATURE)
     parts = _fiber_parts(*x.values)
     return FiberDecomposition(
         TangentTriple(parts.dt, parts.dq, parts.ds),
@@ -344,14 +344,6 @@ def decompose_d2(x: AlgebraElement) -> FiberDecomposition:
         parts.action_rate,
         parts.residual,
     )
-
-
-def _require_euclidean(x: AlgebraElement, what: str) -> None:
-    if x.signature not in (EUCLIDEAN_TANGENT_SIGNATURE, EUCLIDEAN_FIBER_SIGNATURE):
-        raise ValueError(
-            f"{what} requires signature {EUCLIDEAN_TANGENT_SIGNATURE} or "
-            f"{EUCLIDEAN_FIBER_SIGNATURE}, got {x.signature}"
-        )
 
 
 def _euclidean(signature: Signature, comps: dict):
@@ -377,7 +369,7 @@ def decompose_euclidean(x: AlgebraElement):
     The components are the closed-form parts of ``+`` and ``++`` under
     their Euclidean names.
     """
-    _require_euclidean(x, "decompose_euclidean")
+    _require_signature(x, "decompose_euclidean", EUCLIDEAN_TANGENT_SIGNATURE, EUCLIDEAN_FIBER_SIGNATURE)
     parts = _parts(x.values)
     return _euclidean(x.signature, {c.name: getattr(parts, c.part) for c in _layout(x.signature)})
 
@@ -388,14 +380,14 @@ def is_min_action(x: AlgebraElement, tol: float = MIN_ACTION_TOL) -> bool:
     The criterion |x0 x3 - x1 x2| <= tol * |x|**2 is total; it matches
     the factorization condition wherever x0 != 0.
     """
-    _require_signature(x, FIBER_SIGNATURE, "is_min_action")
+    _require_signature(x, "is_min_action", FIBER_SIGNATURE)
     x0, x1, x2, x3 = x.values
     return abs(x0 * x3 - x1 * x2) <= tol * x.norm_squared()
 
 
 def factorize(x: AlgebraElement, tol: float = MIN_ACTION_TOL) -> Factorization:
     """Split a minimum-action element into its two single-generator factors (x0 != 0, 1/x0 finite)."""
-    _require_signature(x, FIBER_SIGNATURE, "factorize")
+    _require_signature(x, "factorize", FIBER_SIGNATURE)
     x0, x1, x2, x3 = x.values
     scale = 1.0 / x0 if x0 != 0 else math.inf
     if not math.isfinite(scale):
@@ -619,14 +611,14 @@ def _projected_components(x: AlgebraElement) -> dict[str, float]:
 
 def decompose_c2_projected(x: AlgebraElement) -> TangentTriple:
     """Tangent triple extracted through the grid, never the closed forms."""
-    _require_signature(x, TANGENT_SIGNATURE, "decompose_c2_projected")
+    _require_signature(x, "decompose_c2_projected", TANGENT_SIGNATURE)
     comps = _projected_components(x)
     return TangentTriple(comps["dt"], comps["dq"], comps["ds"])
 
 
 def decompose_euclidean_projected(x: AlgebraElement):
     """Euclidean decompositions extracted through the grid, never the closed forms."""
-    _require_euclidean(x, "decompose_euclidean_projected")
+    _require_signature(x, "decompose_euclidean_projected", EUCLIDEAN_TANGENT_SIGNATURE, EUCLIDEAN_FIBER_SIGNATURE)
     return _euclidean(x.signature, _projected_components(x))
 
 
@@ -637,7 +629,7 @@ def decompose_d2_projected(x: AlgebraElement) -> FiberDecomposition:
     the extracted components alone: dS = p dq - H dt and residual =
     c_minus_e12**2 / 2.
     """
-    _require_signature(x, FIBER_SIGNATURE, "decompose_d2_projected")
+    _require_signature(x, "decompose_d2_projected", FIBER_SIGNATURE)
     comps = _projected_components(x)
     action = comps["p"] * comps["dq"] - comps["H"] * comps["dt"]
     residual = comps["c_minus_e12"] ** 2 / 2.0

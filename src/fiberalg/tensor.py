@@ -76,25 +76,25 @@ def square_embed(x: AlgebraElement) -> AlgebraElement:
     return tensor_product(x, x)
 
 
-def tensor_identity(signature: Signature, exact: bool = False) -> AlgebraElement:
-    return AlgebraElement.basis(signature.doubled(), 0, exact=exact)
+def tensor_identity(signature: Signature) -> AlgebraElement:
+    return AlgebraElement.basis(signature.doubled(), 0)
 
 
-def basis_pair(signature: Signature, left_mask: int, right_mask: int, exact: bool = False) -> AlgebraElement:
+def basis_pair(signature: Signature, left_mask: int, right_mask: int) -> AlgebraElement:
     """The basis tensor e_S (x) e_T."""
     left_mask = _check_mask(signature, left_mask)
     right_mask = _check_mask(signature, right_mask)
-    return AlgebraElement.basis(signature.doubled(), left_mask * signature.dim + right_mask, exact=exact)
+    return AlgebraElement.basis(signature.doubled(), left_mask * signature.dim + right_mask)
 
 
-def diagonal_projector(signature: Signature, mask: int, sign: int, exact: bool = False) -> Idempotent:
+def diagonal_projector(signature: Signature, mask: int, sign: int) -> Idempotent:
     """The projector (1 (x) 1 + sign * e_S (x) e_S) / 2.
 
     Valid for every subset: the diagonal operator squares to the identity
     because the two slots contribute the same square twice.
     """
     mask = _check_mask(signature, mask)
-    return idempotent_half(mask * (signature.dim + 1), sign, signature.doubled(), exact=exact)
+    return idempotent_half(mask * (signature.dim + 1), sign, signature.doubled())
 
 
 def lift_projectors(p: Idempotent, q: Idempotent) -> Idempotent:

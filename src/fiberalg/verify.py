@@ -63,6 +63,7 @@ and check the row bits of the transposed views, to check both.
 from __future__ import annotations
 
 import copy
+from fractions import Fraction
 from functools import partial, reduce
 from typing import NamedTuple
 
@@ -73,6 +74,7 @@ from .fiber import (
     EUCLIDEAN_FIBER_SIGNATURE,
     EUCLIDEAN_TANGENT_SIGNATURE,
     FIBER_SIGNATURE,
+    MIN_ACTION_TOL,
     TANGENT_SIGNATURE,
     MomentumTriple,
     TangentTriple,
@@ -106,9 +108,9 @@ SPOT_ROWS = 25
 # slices of it 50 us, with the same bits in every row.
 SMALL_GEMM_ROWS = 2048
 
-# Thresholds of the three-way minimum-action equivalence.
+# Thresholds of the three-way minimum-action equivalence; the product
+# gate is fiber.MIN_ACTION_TOL, the one that is_min_action applies.
 RESIDUAL_GATE = 1e-20
-PRODUCT_GATE = 1e-10
 ROUNDTRIP_GATE = 1e-13
 
 
@@ -272,15 +274,16 @@ def _product_laws(sig: Signature, blocks):
 def _check_projector_algebra(name: str, sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
     checks = 0
     worst = 0.0
-    for exact in (False, True):
-        one = AlgebraElement.basis(sig, 0, exact=exact)
+    # Times Fraction(1), the same projectors are promoted with no rounding and checked exactly.
+    for scale in (1.0, Fraction(1)):
+        one = AlgebraElement.basis(sig, 0) * scale
         for mask in range(sig.dim):
             if basis_sign(mask, mask, sig) != 1:
                 continue
-            plus, minus = idempotent_pair(mask, sig, exact=exact)
-            total = plus.element + minus.element - one
-            prod = multiply(plus.element, minus.element)
-            sq = multiply(plus.element, plus.element) - plus.element
+            plus, minus = (p.element * scale for p in idempotent_pair(mask, sig))
+            total = plus + minus - one
+            prod = multiply(plus, minus)
+            sq = multiply(plus, plus) - plus
             for elem in (total, prod, sq):
                 worst = max(worst, float(max(abs(v) for v in elem.values)))
                 checks += 1
@@ -455,7 +458,7 @@ def _min_action_flags(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     f = _fiber_parts(*x)
     norm_sq = reduce(np.add, x * x)
     by_residual = f.residual <= RESIDUAL_GATE * norm_sq * norm_sq
-    by_product = np.abs(x[0] * x[3] - x[1] * x[2]) <= PRODUCT_GATE * norm_sq
+    by_product = np.abs(x[0] * x[3] - x[1] * x[2]) <= MIN_ACTION_TOL * norm_sq
     recon_gap = np.abs(x[1] * x[2] / x[0] - x[3])
     by_roundtrip = recon_gap <= ROUNDTRIP_GATE * np.max(np.abs(x), axis=0)
     return by_residual, by_product, by_roundtrip
@@ -478,7 +481,7 @@ def _check_min_action_equivalence(name: str, sig: Signature, rng, samples: int, 
                 disagreements += 1
         for row in generic[:, :spot].T:
             element = AlgebraElement(sig, row)
-            minimal_flag = abs(row[0] * row[3] - row[1] * row[2]) <= PRODUCT_GATE * float(np.sum(row * row))
+            minimal_flag = abs(row[0] * row[3] - row[1] * row[2]) <= MIN_ACTION_TOL * float(np.sum(row * row))
             try:
                 factorize(element)
                 factored = True

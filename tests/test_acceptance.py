@@ -262,26 +262,28 @@ def test_criterion_9_algebra_kernel():
         for s in range(sig.dim):
             for t in range(sig.dim):
                 product = multiply(
-                    AlgebraElement.basis(sig, s, exact=True),
-                    AlgebraElement.basis(sig, t, exact=True),
+                    AlgebraElement.basis(sig, s) * Fraction(1),
+                    AlgebraElement.basis(sig, t) * Fraction(1),
                 )
                 ref_sign, ref_mask = reference_basis_product(s, t, squares)
                 expected = [Fraction(0)] * sig.dim
                 expected[ref_mask] = Fraction(ref_sign)
-                if list(product.coeffs) != expected:
+                if not product.exact or list(product.coeffs) != expected:
                     table_ok = False
     projector_ok = True
     for squares in all_signatures():
         sig = Signature(squares)
-        one = AlgebraElement.basis(sig, 0, exact=True)
-        zero = AlgebraElement.zero(sig, exact=True)
+        one = AlgebraElement.basis(sig, 0) * Fraction(1)
+        zero = AlgebraElement.zero(sig) * Fraction(1)
         for mask in range(sig.dim):
             if basis_sign(mask, mask, sig) != 1:
                 continue
-            plus, minus = idempotent_pair(mask, sig, exact=True)
-            if plus.element + minus.element != one:
+            # Times Fraction(1), the float pair is promoted with no rounding.
+            plus, minus = (p.element * Fraction(1) for p in idempotent_pair(mask, sig))
+            if plus + minus != one:
                 projector_ok = False
-            if multiply(plus.element, minus.element) != zero:
+            product = multiply(plus, minus)
+            if not product.exact or product != zero:
                 projector_ok = False
     ok = table_ok and projector_ok
     assert report(9, "exhaustive tables and exact projectors, n <= 3", ok)

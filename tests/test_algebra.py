@@ -1,6 +1,7 @@
 """Algebra kernel tests: product rule, idempotents, exact mode."""
 
 import copy
+import inspect
 import pickle
 import tracemalloc
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fiberalg
 from fiberalg import algebra
 from fiberalg.algebra import (
     AlgebraElement,
@@ -80,6 +82,12 @@ class TestSignature:
 
     def test_dim(self):
         assert Signature((1, 1, -1)).dim == 8
+
+    def test_doubled_is_built_once_per_squares(self):
+        sig = Signature((1, -1))
+        assert sig.doubled() is sig.doubled()
+        assert Signature((1, -1)).doubled() is sig.doubled()
+        assert sig.doubled() == Signature((1, -1, 1, -1))
 
 
     def test_doubled_sign_table_matches_reference(self):
@@ -175,12 +183,13 @@ class TestMultiply:
             for s in range(sig.dim):
                 for t in range(sig.dim):
                     product = multiply(
-                        AlgebraElement.basis(sig, s, exact=True),
-                        AlgebraElement.basis(sig, t, exact=True),
+                        AlgebraElement.basis(sig, s) * Fraction(1),
+                        AlgebraElement.basis(sig, t) * Fraction(1),
                     )
                     sign, target = reference_basis_product(s, t, squares)
                     expected = [Fraction(0)] * sig.dim
                     expected[target] = Fraction(sign)
+                    assert product.exact
                     assert list(product.coeffs) == expected
 
     @given(st.lists(coeff, min_size=4, max_size=4), st.lists(coeff, min_size=4, max_size=4))
@@ -331,13 +340,13 @@ class TestMultiply:
 
 class TestElementArithmetic:
     def test_scalar_is_all_exact_or_all_float(self):
-        for value, exact, want in (
-            (0.5, True, Fraction(1, 2)),
-            (Fraction(1, 2), False, Fraction(1, 2)),
-            (2, True, Fraction(2)),
-            (Fraction(1, 2), True, Fraction(1, 2)),
+        # A Fraction value makes a scalar exact; times Fraction(1), a float one is promoted.
+        for x, want in (
+            (AlgebraElement.scalar(D2, 0.5) * Fraction(1), Fraction(1, 2)),
+            (AlgebraElement.scalar(D2, Fraction(1, 2)), Fraction(1, 2)),
+            (AlgebraElement.scalar(D2, 2) * Fraction(1), Fraction(2)),
+            (AlgebraElement.scalar(D2, Fraction(1, 2)) * Fraction(1), Fraction(1, 2)),
         ):
-            x = AlgebraElement.scalar(D2, value, exact=exact)
             assert x.exact
             assert x.values == (want, 0, 0, 0)
             assert all(type(v) is Fraction for v in x.values)
@@ -391,8 +400,8 @@ EXACT_ROUTES = {
     "multiply exact, float": lambda: multiply(EXACT, FLOAT),
     "multiply float, exact": lambda: multiply(FLOAT, EXACT),
     "tensor_product": lambda: tensor_product(EXACT, FLOAT),
-    "exact zero times exact": lambda: multiply(AlgebraElement.zero(D2, exact=True), EXACT),
-    "exact idempotent_half": lambda: idempotent_half(0b10, -1, D2, exact=True).element,
+    "exact zero times exact": lambda: multiply(AlgebraElement.zero(D2) * Fraction(1), EXACT),
+    "exact idempotent_half": lambda: Idempotent(idempotent_half(0b10, -1, D2).element * Fraction(1)).element,
 }
 
 
@@ -408,6 +417,19 @@ class TestExactness:
         assert FLOAT + EXACT == promoted + EXACT
         assert multiply(FLOAT, EXACT) == multiply(promoted, EXACT)
         assert FLOAT * Fraction(1, 3) == promoted * Fraction(1, 3)
+
+    def test_no_public_callable_takes_an_exact_parameter(self):
+        # Exactness comes from the values alone, never from a flag.
+        # The public names and the methods of each public class, AlgebraElement's classmethods among them.
+        callables = [getattr(fiberalg, name) for name in fiberalg.__all__]
+        for cls in [c for c in callables if isinstance(c, type)]:
+            callables += [getattr(cls, name) for name in vars(cls) if not name.startswith("_")]
+        checked = 0
+        for target in callables:
+            if callable(target) and not isinstance(target, type):
+                assert "exact" not in inspect.signature(target).parameters, target
+                checked += 1
+        assert checked > 40
 
     @pytest.mark.parametrize("x", [FLOAT, EXACT], ids=["float", "exact"])
     def test_pickle_and_deepcopy_round_trip(self, x):
@@ -437,13 +459,20 @@ class TestNormSquared:
             assert value.tobytes() == (row * row).sum().tobytes()
 
     def test_bits_of_numpy_sum_at_every_dim(self):
-        # numpy sums eight values and more pairwise, in eight lanes.
+        # One left-to-right sum at every dim (cumsum's order); numpy's own sum
+        # takes that order below eight values and goes pairwise above.
         rng = np.random.default_rng(29)
         for n in range(1, 11):
             sig = Signature((1,) * n)
             for row in spread(rng, (20, sig.dim)):
                 got = AlgebraElement(sig, row.tolist()).norm_squared()
-                assert np.float64(got).tobytes() == (row * row).sum().tobytes()
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.cumsum(row * row)[-1].tobytes()
+                if sig.dim < 8:
+                    assert np.float64(got).tobytes() == (row * row).sum().tobytes()
+                exact = AlgebraElement(sig, row.tolist()) * Fraction(1)
+                assert exact.norm_squared() == sum(Fraction(v) ** 2 for v in row.tolist())
+                assert type(exact.norm_squared()) is Fraction
 
     def test_min_action_at_its_tolerance_boundary(self):
         rng = np.random.default_rng(31)
@@ -465,12 +494,14 @@ class TestIdempotents:
     def test_pair_completeness_and_annihilation_exact(self):
         for squares in all_signatures():
             sig = Signature(squares)
-            one = AlgebraElement.basis(sig, 0, exact=True)
-            zero = AlgebraElement.zero(sig, exact=True)
+            one = AlgebraElement.basis(sig, 0) * Fraction(1)
+            zero = AlgebraElement.zero(sig) * Fraction(1)
+            assert one.exact and zero.exact
             for mask in range(sig.dim):
                 if basis_sign(mask, mask, sig) != 1:
                     continue
-                plus, minus = idempotent_pair(mask, sig, exact=True)
+                plus, minus = (Idempotent(p.element * Fraction(1)) for p in idempotent_pair(mask, sig))
+                assert plus.element.exact and minus.element.exact
                 assert plus.element + minus.element == one
                 assert multiply(plus.element, minus.element) == zero
                 assert multiply(plus.element, plus.element) == plus.element

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fiberalg.algebra import AlgebraElement
+from fiberalg.algebra import AlgebraElement, Signature
 from fiberalg.fiber import (
     EUCLIDEAN_FIBER_SIGNATURE,
     EUCLIDEAN_TANGENT_SIGNATURE,
@@ -492,6 +492,35 @@ class TestEuclidean:
             decompose_euclidean(WORKED)
         with pytest.raises(ValueError, match="decompose_euclidean_projected requires"):
             decompose_euclidean_projected(WORKED)
+
+
+@pytest.mark.parametrize(
+    "call, x, message",
+    [
+        (decompose_c2, WORKED, "decompose_c2 requires signature +, got ++"),
+        (decompose_c2_projected, WORKED, "decompose_c2_projected requires signature +, got ++"),
+        (decompose_d2, c2([1, 0]), "decompose_d2 requires signature ++, got +"),
+        (decompose_d2_projected, c2([1, 0]), "decompose_d2_projected requires signature ++, got +"),
+        (is_min_action, c2([1, 0]), "is_min_action requires signature ++, got +"),
+        (factorize, c2([1, 0]), "factorize requires signature ++, got +"),
+        (decompose_euclidean, WORKED, "decompose_euclidean requires signature - or -+, got ++"),
+        (decompose_euclidean_projected, c2([1, 0]), "decompose_euclidean_projected requires signature - or -+, got +"),
+    ],
+)
+def test_signature_errors_name_the_call_and_every_accepted_signature(call, x, message):
+    with pytest.raises(ValueError) as caught:
+        call(x)
+    assert str(caught.value) == message
+
+
+def test_projected_twin_builds_no_signature_after_its_first_call(monkeypatch):
+    decompose_d2_projected(WORKED)
+    built = []
+    post_init = Signature.__post_init__
+    monkeypatch.setattr(Signature, "__post_init__", lambda self: built.append(post_init(self)))
+    for _ in range(3):
+        decompose_d2_projected(WORKED)
+    assert built == []
 
 
 class TestCausal:

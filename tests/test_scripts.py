@@ -60,7 +60,11 @@ def test_run_verification_bad_seed_or_tol_exits_2(arg, message):
 def test_compare_reports_finds_its_own_tree_identical():
     result = run_script("compare_reports.py", str(ROOT))
     assert result.returncode == 0, result.stdout + result.stderr
-    assert result.stdout.splitlines() == ["28 of 28 reports identical", "27 of 27 CLI calls identical"]
+    assert result.stdout.splitlines() == [
+        "28 of 28 reports identical",
+        "27 of 27 CLI calls identical",
+        "16 of 16 library calls identical",
+    ]
 
 
 @pytest.mark.parametrize("args", [(), (str(ROOT / "tests"),)])

@@ -201,10 +201,12 @@ class TestProjectors:
                 assert tensor_multiply(p.element, p.element) == p.element
 
     def test_diagonal_pair_completeness(self):
-        plus = diagonal_projector(D2, 1, +1, exact=True)
-        minus = diagonal_projector(D2, 1, -1, exact=True)
-        assert plus.element + minus.element == tensor_identity(D2, exact=True)
-        product = tensor_multiply(plus.element, minus.element)
+        # Times Fraction(1), the float projectors are promoted with no rounding.
+        plus = diagonal_projector(D2, 1, +1).element * Fraction(1)
+        minus = diagonal_projector(D2, 1, -1).element * Fraction(1)
+        assert plus + minus == tensor_identity(D2) * Fraction(1)
+        product = tensor_multiply(plus, minus)
+        assert product.exact
         assert not np.any(product.grid != 0)
 
     def test_lifted_pair_idempotent(self):
@@ -222,14 +224,15 @@ class TestProjectors:
         np.testing.assert_allclose(left.grid, right.grid, atol=1e-13)
 
     def test_sector_family_resolves_identity(self):
-        plus2, minus2 = idempotent_pair(0b10, D2, exact=True)
+        plus2, minus2 = (Idempotent(p.element * Fraction(1)) for p in idempotent_pair(0b10, D2))
         sectors = [
             lift_projectors(plus2, plus2).element,
             mixed_projector(plus2, minus2).element,
             lift_projectors(minus2, minus2).element,
         ]
         total = sectors[0] + sectors[1] + sectors[2]
-        assert total == tensor_identity(D2, exact=True)
+        assert total.exact
+        assert total == tensor_identity(D2) * Fraction(1)
         for i in range(3):
             for j in range(i + 1, 3):
                 product = tensor_multiply(sectors[i], sectors[j])
