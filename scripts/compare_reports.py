@@ -11,9 +11,11 @@ sample counts.  The small cases run again at ``verify.BLOCK_VALUES =
 160``, where every sweep spans many blocks.  The same child then replays
 a fixed list of CLI calls through ``cli.main``: every format and
 signature of ``decompose``, ``boost``, calls at the edges of the float range,
-and one small ``verify`` and ``trajectory``.  Last it replays a fixed list
-of library calls on the ``decompose`` inputs: each closed form and its
-projector twin, and ``norm_squared`` on float and ``Fraction`` elements.
+one small ``verify`` and ``trajectory``, and one json ``decompose`` per
+signature on an input that rounds.  Last it replays a fixed list of
+library calls on the dyadic ``decompose`` inputs, exact in floats, and on
+those that round: each closed form and its projector twin, and
+``norm_squared`` on float and ``Fraction`` elements.
 The script prints each case whose ``json.dumps(report.to_dict())``, each
 CLI call whose exit code, stdout or stderr, and each library call whose
 ``repr`` of the result differs between the trees.  It exits 0 when all
@@ -52,6 +54,8 @@ CASES = [
 RUNS = [(*case, None) for case in CASES] + [(*case, SMALL_BLOCK) for case in SMALL]
 
 DECOMPOSE = [("+", ["3", "-1.5"]), ("++", ["2", "1", "1", "0.5"]), ("m", ["0.25", "-4"]), ("m+", ["1", "-2", "3.5", "0.125"])]
+# Inputs with no exact float, so a change in the order of a sum or a product shows in the last bits.
+ROUNDING = [(sig, ["0.3", "-1.7", "2.9", "0.11"][: len(coeffs)]) for sig, coeffs in DECOMPOSE]
 CLI_CALLS = [
     *[["decompose", sig, *coeffs, "--format", fmt] for sig, coeffs in DECOMPOSE for fmt in ("json", "csv", "pretty")],
     ["decompose", "++", "1", "2", "3", "4", "--tol", "0.5"],
@@ -72,12 +76,13 @@ CLI_CALLS = [
     ["boost", "++", "1e-310", "0", "0", "0", "0.1"],
     ["verify", "m+", "300", "2"],
     ["trajectory", "1.3", "0.4", "1.7", "1000"],
+    *[["decompose", sig, *coeffs] for sig, coeffs in ROUNDING],
 ]
 CLOSED_FORMS = {"+": "decompose_c2", "++": "decompose_d2", "m": "decompose_euclidean", "m+": "decompose_euclidean"}
 # (function, signature, coefficients, exact): norm_squared is a method, the rest fiberalg functions.
 LIBRARY_CALLS = [
-    *[(CLOSED_FORMS[sig] + twin, sig, coeffs, False) for sig, coeffs in DECOMPOSE for twin in ("", "_projected")],
-    *[("norm_squared", sig, coeffs, exact) for sig, coeffs in DECOMPOSE for exact in (False, True)],
+    *[(CLOSED_FORMS[sig] + twin, sig, coeffs, False) for sig, coeffs in DECOMPOSE + ROUNDING for twin in ("", "_projected")],
+    *[("norm_squared", sig, coeffs, exact) for sig, coeffs in DECOMPOSE + ROUNDING for exact in (False, True)],
 ]
 
 CHILD = """

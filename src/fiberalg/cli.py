@@ -3,7 +3,8 @@
 Four subcommands cover the library surface: ``decompose`` prints the
 sector components of one element, ``verify`` runs the seeded identity
 sweeps, ``boost`` shows a decomposition before and after a hyperbolic
-transformation, and ``trajectory`` integrates the free-particle action.
+transformation and gates the residuals of the boost laws, and
+``trajectory`` integrates the free-particle action.
 
 Reports are emitted as one JSON document per invocation (``--format
 csv`` and ``--format pretty`` flatten the same payload).  Output is
@@ -184,7 +185,8 @@ def _decompose_payload(signature: Signature, coeffs: list[float], tol: float) ->
     elif signature == FIBER_SIGNATURE:
         payload.update(_fiber_dict(element, tol))
     elif signature == EUCLIDEAN_TANGENT_SIGNATURE:
-        payload["components"] = vars(decompose_euclidean(element))
+        sector = decompose_euclidean(element)
+        payload["components"] = {"p_plus_1": sector.invariant, "p_plus_e": sector.vec_e1, "p_minus": sector.vec_1}
     elif signature == EUCLIDEAN_FIBER_SIGNATURE:
         payload["components"] = _euclidean_fiber_dict(decompose_euclidean(element))
     else:
@@ -251,16 +253,22 @@ def _cmd_boost(args, parser) -> tuple[dict, int]:
         parser.error(f"boost requires signature + or ++, got {signature}")
     element = AlgebraElement(signature, coeffs)
     boosted = transform(element, boost_element(signature, rapidity))
+    before = _decompose_payload(signature, coeffs, tol)
+    after = _decompose_payload(signature, list(boosted.values), tol)
+    residuals = boost_residuals(element, rapidity)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "boost",
         "signature": str(signature),
         "rapidity": rapidity,
-        "before": _decompose_payload(signature, coeffs, tol),
-        "after": _decompose_payload(signature, list(boosted.values), tol),
-        "residuals": boost_residuals(element, rapidity),
+        "before": before,
+        "after": after,
+        "residuals": residuals,
     }
-    return payload, 0
+    # A residual's scale is dt + H before plus after (dt alone at +); dS is quadratic in it.
+    size = sum(d["tangent"]["dt_dlambda"] + d.get("momentum", {}).get("H", 0.0) for d in (before, after))
+    passed = all(gap <= tol * (size * size if key == "dS_dlambda" else size) for key, gap in residuals.items())
+    return payload, 0 if passed else 1
 
 
 def _cmd_trajectory(args, parser) -> tuple[dict, int]:

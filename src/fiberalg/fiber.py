@@ -25,9 +25,11 @@ the independent oracle in the verification sweeps.  They import
 :mod:`fiberalg.tensor`, and with it numpy, when first called; the closed
 forms run on the elements' Python floats.  The Euclidean pairs
 are relabelings: ``-`` and ``-+`` have the closed-form parts of ``+`` and
-``++`` under other names, and only the carriers shifted by e1 or e12
-change projector half.  One component table per generator count holds
-the name, half, shift and sector of every component for all four.
+``++``, and only the carriers shifted by e1 or e12 change projector
+half.  One component table per generator count holds the name, half,
+shift and sector of every component for all four; a component's name is
+the part it equals, and ``_euclidean`` alone gives the parts their
+Euclidean record fields.
 The results are frozen records (:class:`fiberalg.algebra._Record`), read with ``vars``.
 """
 
@@ -52,7 +54,6 @@ __all__ = [
     "MomentumTriple",
     "CrossQuad",
     "FiberDecomposition",
-    "EuclideanComponents",
     "EuclideanSector",
     "EuclideanFiberDecomposition",
     "CausalClass",
@@ -141,22 +142,8 @@ class FiberDecomposition(_Record):
     min_action_residual: float
 
 
-class EuclideanComponents(_Record):
-    """Sector components for the one-generator algebra with e1**2 == -1.
-
-    ``p_plus_1`` is the rotation invariant x0**2 + x1**2.  The field
-    names follow the unit-square layout; with a negative-squaring
-    generator the e-carried component actually lives in the minus
-    subspace, paired with ``p_minus`` as a rotating 2-vector.
-    """
-
-    p_plus_1: float
-    p_plus_e: float
-    p_minus: float
-
-
 class EuclideanSector(_Record):
-    """One diagonal sector of the Euclidean fiber.
+    """A diagonal sector of x (x) x when e1**2 == -1: all of it at ``-``, tangent or momentum at ``-+``.
 
     ``invariant`` is unchanged under unit rotations; (vec_1, vec_e1)
     rotate as a plane vector with doubled angle.
@@ -254,34 +241,32 @@ def _fiber_parts(x0, x1, x2, x3) -> _FiberParts:
 
 
 # One component table per generator count, one row per component of
-# x (x) x: (closed-form part, which also names the component when
-# e1**2 == +1; its name when e1**2 == -1; the sign of its e1 projector
-# half when e1**2 == +1; the basis pair that shifts it; its sector).
-# Flipping the square of e1 is a relabeling: the parts stay the same
-# polynomials, and every carrier whose shift holds e1 moves to the other
+# x (x) x: (the closed-form part it equals, which names it; the sign of
+# its e1 projector half when e1**2 == +1; the basis pair that shifts it;
+# its sector).  Flipping the square of e1 keeps every part the same
+# polynomial and moves every carrier whose shift holds e1 to the other
 # projector half.  Sectors count tangent, momentum, cross.
 _TANGENT_TABLE = (
-    ("dt", "invariant", +1, 0b0, 0),
-    ("dq", "vec_e", +1, 0b1, 0),
-    ("ds", "vec_1", -1, 0b0, 0),
+    ("dt", +1, 0b0, 0),
+    ("dq", +1, 0b1, 0),
+    ("ds", -1, 0b0, 0),
 )
 _FIBER_TABLE = (
-    ("dt", "tangent_invariant", +1, 0b00, 0),
-    ("dq", "tangent_vec_e1", +1, 0b01, 0),
-    ("ds", "tangent_vec_1", -1, 0b00, 0),
-    ("H", "momentum_invariant", +1, 0b00, 1),
-    ("p", "momentum_vec_e1", +1, 0b01, 1),
-    ("m", "momentum_vec_1", -1, 0b00, 1),
-    ("c_plus_1", "cross_invariant_1", +1, 0b00, 2),
-    ("c_plus_e1", "cross_vec_e1", +1, 0b01, 2),
-    ("c_minus_1", "cross_vec_1", -1, 0b00, 2),
-    ("c_minus_e12", "cross_invariant_e12", -1, 0b11, 2),
+    ("dt", +1, 0b00, 0),
+    ("dq", +1, 0b01, 0),
+    ("ds", -1, 0b00, 0),
+    ("H", +1, 0b00, 1),
+    ("p", +1, 0b01, 1),
+    ("m", -1, 0b00, 1),
+    ("c_plus_1", +1, 0b00, 2),
+    ("c_plus_e1", +1, 0b01, 2),
+    ("c_minus_1", -1, 0b00, 2),
+    ("c_minus_e12", -1, 0b11, 2),
 )
 
 
 class _Component(NamedTuple):
     name: str
-    part: str
     half: int
     shift: int
     sector: int
@@ -305,14 +290,8 @@ def _layout(signature: Signature) -> tuple[_Component, ...]:
         )
     e1_square = signature.squares[0]
     rows = [
-        _Component(
-            part if e1_square == 1 else euclidean_name,
-            part,
-            half * e1_square if shift & 0b01 else half,
-            shift,
-            sector,
-        )
-        for part, euclidean_name, half, shift, sector in table
+        _Component(name, half * e1_square if shift & 0b01 else half, shift, sector)
+        for name, half, shift, sector in table
     ]
     return tuple(sorted(rows, key=lambda row: (row.sector, -row.half, row.shift)))
 
@@ -346,32 +325,29 @@ def decompose_d2(x: AlgebraElement) -> FiberDecomposition:
     )
 
 
-def _euclidean(signature: Signature, comps: dict):
-    """The Euclidean result for one or two generators, read from named components."""
-    if signature.n == 1:
-        return EuclideanComponents(comps["invariant"], comps["vec_e"], comps["vec_1"])
+def _euclidean(c: dict):
+    """The Euclidean record of the components ``c``, keyed by part: the one place parts get Euclidean names."""
+    tangent = EuclideanSector(c["dt"], c["ds"], c["dq"])
+    if "H" not in c:
+        return tangent
     return EuclideanFiberDecomposition(
-        EuclideanSector(comps["tangent_invariant"], comps["tangent_vec_1"], comps["tangent_vec_e1"]),
-        EuclideanSector(comps["momentum_invariant"], comps["momentum_vec_1"], comps["momentum_vec_e1"]),
-        comps["cross_invariant_1"],
-        comps["cross_invariant_e12"],
-        comps["cross_vec_1"],
-        comps["cross_vec_e1"],
+        tangent, EuclideanSector(c["H"], c["m"], c["p"]), c["c_plus_1"], c["c_minus_e12"], c["c_minus_1"], c["c_plus_e1"]
     )
 
 
 def decompose_euclidean(x: AlgebraElement):
     """Euclidean counterpart decompositions.
 
-    Accepts the one-generator algebra with square -1 (returns
-    :class:`EuclideanComponents`) or the two-generator algebra with
-    squares (-1, +1) (returns :class:`EuclideanFiberDecomposition`).
-    The components are the closed-form parts of ``+`` and ``++`` under
-    their Euclidean names.
+    Accepts the one-generator algebra with square -1 (returns an
+    :class:`EuclideanSector`, the type of the ``tangent`` of a ``-+``
+    result) or the two-generator algebra with squares (-1, +1) (returns
+    :class:`EuclideanFiberDecomposition`).  The components are the
+    closed-form parts of ``+`` and ``++``: the invariants are dt, H and
+    c_plus_1, the plane vectors (ds, dq), (m, p) and (c_minus_1, c_plus_e1),
+    and c_minus_e12 is the second cross invariant.
     """
     _require_signature(x, "decompose_euclidean", EUCLIDEAN_TANGENT_SIGNATURE, EUCLIDEAN_FIBER_SIGNATURE)
-    parts = _parts(x.values)
-    return _euclidean(x.signature, {c.name: getattr(parts, c.part) for c in _layout(x.signature)})
+    return _euclidean(_parts(x.values)._asdict())
 
 
 def is_min_action(x: AlgebraElement, tol: float = MIN_ACTION_TOL) -> bool:
@@ -619,7 +595,7 @@ def decompose_c2_projected(x: AlgebraElement) -> TangentTriple:
 def decompose_euclidean_projected(x: AlgebraElement):
     """Euclidean decompositions extracted through the grid, never the closed forms."""
     _require_signature(x, "decompose_euclidean_projected", EUCLIDEAN_TANGENT_SIGNATURE, EUCLIDEAN_FIBER_SIGNATURE)
-    return _euclidean(x.signature, _projected_components(x))
+    return _euclidean(_projected_components(x))
 
 
 def decompose_d2_projected(x: AlgebraElement) -> FiberDecomposition:

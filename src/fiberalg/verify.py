@@ -80,7 +80,6 @@ from .fiber import (
     TangentTriple,
     _fiber_parts,
     _fiber_sectors,
-    _layout,
     _lift_coeffs,
     _parts,
     _tangent_parts,
@@ -333,12 +332,11 @@ def _sector_completeness(sig: Signature, blocks):
 def _oracle(sig: Signature, blocks):
     """Closed forms against the projector-path extraction, for + ++ - -+."""
     basis = fiber_component_basis(sig)
-    layout = [c.part for c in _layout(sig)]
     for _, (x,) in blocks:
         flat = _embed_flat(x)
         comps = basis.components_batch(flat.T)
         parts = _parts(x)
-        closed = [getattr(parts, part) for part in layout]
+        closed = [getattr(parts, name) for name in basis.names]
         diff = reduce(np.maximum, [np.abs(comps[:, j] - c) for j, c in enumerate(closed)])
         gap = np.maximum(diff, basis.reconstruction_residual_batch(flat.T, comps))
         # the dominant sector magnitude: dt with one generator, dt + H with two
@@ -541,10 +539,7 @@ def _plane_rotation(sig: Signature, blocks):
 
 def _euclidean_fiber_rotation(sig: Signature, blocks):
     basis = fiber_component_basis(sig)
-    tangent, momentum, cross_1, cross_e12 = (
-        basis.names.index(name)
-        for name in ("tangent_invariant", "momentum_invariant", "cross_invariant_1", "cross_invariant_e12")
-    )
+    tangent, momentum, cross_1, cross_e12 = (basis.names.index(name) for name in ("dt", "H", "c_plus_1", "c_minus_e12"))
     for _, (x, theta) in blocks:
         u = np.zeros((4, len(theta)))
         u[0] = np.cos(theta)

@@ -10,12 +10,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
 
-from fiberalg import algebra
+from fiberalg import algebra, fiber
 from fiberalg.cli import main
 from fiberalg.fiber import MAX_STEPS
 
 GOLDEN = Path(__file__).parent / "golden"
+# The committed JSON Schema of every document the CLI prints; one validator serves the module.
+SCHEMA = json.loads((Path(__file__).parent / "cli_schema.json").read_text())
+VALIDATOR = Draft202012Validator(SCHEMA)
 # (signature, fixture) of `fiberalg verify <signature> 2000 0`
 VERIFY_GOLDENS = [
     ("++", "verify_pp.json"),
@@ -112,6 +116,54 @@ class TestGolden:
         }
         assert payload["minimal"] is True
         assert payload["factorization"]["scale"] == 0.5
+
+
+class TestSchema:
+    def test_schema_is_draft_2020_12(self):
+        Draft202012Validator.check_schema(SCHEMA)
+
+    @pytest.mark.parametrize("fixture", sorted(path.name for path in GOLDEN.glob("*.json")))
+    def test_golden_validates(self, fixture):
+        VALIDATOR.validate(json.loads((GOLDEN / fixture).read_text()))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "++", "--labels"],
+            ["decompose", "m", "--labels"],
+            ["decompose", "++", "1", "0", "0", "1"],  # a null factorization
+            ["boost", "+", "3", "1", "0.7"],
+            ["verify", "+-+", "20", "3"],
+            ["trajectory", "1.3", "0.4", "1.7", "100"],
+        ],
+        ids=" ".join,
+    )
+    def test_each_command_validates(self, argv, capsys):
+        out, code = run_cli(argv, capsys)
+        assert code == 0
+        VALIDATOR.validate(json.loads(out))
+
+    @pytest.mark.parametrize(
+        "fixture, path, value",
+        [
+            ("decompose_d2.json", ("causal_class",), "null"),
+            ("decompose_d2.json", ("factorization",), {"scale": 0.5}),
+            ("decompose_d2.json", ("tangent", "dt_dlambda"), "11.25"),
+            ("decompose_d2.json", ("signature",), "-+"),
+            ("decompose_m.json", ("components", "invariant"), 5.0),
+            ("decompose_mp.json", ("components", "cross", "vec_e12"), 0.0),
+            ("verify_p.json", ("config", "seed"), -1),
+            ("boost_pp.json", ("residuals", "matrix_q"), 0.0),
+            ("boost_pp.json", ("schema_version",), "2"),
+        ],
+    )
+    def test_schema_rejects_a_changed_document(self, fixture, path, value):
+        payload = json.loads((GOLDEN / fixture).read_text())
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        assert not VALIDATOR.is_valid(payload)
 
 
 class TestDecompose:
@@ -292,7 +344,7 @@ def _check_main(argv) -> int:
         errors = [line for line in err.getvalue().splitlines() if "error:" in line]
         assert errors == err.getvalue().splitlines()[-1:]
     else:
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
+        VALIDATOR.validate(json.loads(out.getvalue(), parse_constant=_reject_constant))
     return code
 
 
@@ -418,6 +470,28 @@ class TestBoost:
             assert payload["residuals"][key] <= 1e-10
         for key in ("matrix_dt", "matrix_dq", "matrix_H", "matrix_p"):
             assert payload["residuals"][key] <= 1e-10
+
+    def test_wrong_product_exits_1(self, monkeypatch, capsys):
+        product = fiber.multiply
+
+        def last_coefficient_zeroed(x, u):
+            values = list(product(x, u).values)
+            values[-1] = 0.0
+            return algebra.AlgebraElement(x.signature, values)
+
+        monkeypatch.setattr(fiber, "multiply", last_coefficient_zeroed)
+        out, code = run_cli(["boost", "++", "2", "1", "1", "0.5", "1.0"], capsys)
+        payload = json.loads(out)
+        VALIDATOR.validate(payload)
+        assert code == 1
+        assert payload["residuals"]["matrix_dt"] > 1.0
+
+    def test_residuals_are_gated_by_tol(self, capsys):
+        # the golden call's residuals reach 1.4e-14 against a scale of about 96
+        _, code = run_cli(["boost", "++", "2", "1", "1", "0.5", "1.0", "--tol", "1e-15"], capsys)
+        assert code == 0
+        _, code = run_cli(["boost", "++", "2", "1", "1", "0.5", "1.0", "--tol", "1e-17"], capsys)
+        assert code == 1
 
     def test_wrong_value_count_exits_2(self):
         with pytest.raises(SystemExit) as err:

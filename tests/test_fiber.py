@@ -21,6 +21,7 @@ from fiberalg.fiber import (
     MAX_STEPS,
     TANGENT_SIGNATURE,
     CausalClass,
+    EuclideanSector,
     MomentumTriple,
     TangentTriple,
     boost_element,
@@ -412,11 +413,12 @@ class TestTrajectory:
 class TestEuclidean:
     def test_plane_rest(self):
         comps = decompose_euclidean(AlgebraElement(EUCLIDEAN_TANGENT_SIGNATURE, [1.0, 0.0]))
-        assert (comps.p_plus_1, comps.p_plus_e, comps.p_minus) == (1.0, 0.0, 1.0)
+        assert type(comps) is EuclideanSector
+        assert (comps.invariant, comps.vec_e1, comps.vec_1) == (1.0, 0.0, 1.0)
 
     def test_plane_worked(self):
         comps = decompose_euclidean(AlgebraElement(EUCLIDEAN_TANGENT_SIGNATURE, [2.0, 1.0]))
-        assert (comps.p_plus_1, comps.p_plus_e, comps.p_minus) == (5.0, 4.0, 3.0)
+        assert (comps.invariant, comps.vec_e1, comps.vec_1) == (5.0, 4.0, 3.0)
 
     def test_plane_matches_projected(self):
         rng = np.random.default_rng(11)
@@ -424,15 +426,26 @@ class TestEuclidean:
             x = AlgebraElement(EUCLIDEAN_TANGENT_SIGNATURE, rng.uniform(-10, 10, 2))
             closed = decompose_euclidean(x)
             grid = decompose_euclidean_projected(x)
-            assert abs(closed.p_plus_1 - grid.p_plus_1) <= 1e-12 * max(1.0, closed.p_plus_1)
-            assert abs(closed.p_plus_e - grid.p_plus_e) <= 1e-12 * max(1.0, closed.p_plus_1)
-            assert abs(closed.p_minus - grid.p_minus) <= 1e-12 * max(1.0, closed.p_plus_1)
+            assert type(grid) is EuclideanSector
+            assert abs(closed.invariant - grid.invariant) <= 1e-12 * max(1.0, closed.invariant)
+            assert abs(closed.vec_e1 - grid.vec_e1) <= 1e-12 * max(1.0, closed.invariant)
+            assert abs(closed.vec_1 - grid.vec_1) <= 1e-12 * max(1.0, closed.invariant)
 
     def test_plane_rotation_invariance(self):
         x = AlgebraElement(EUCLIDEAN_TANGENT_SIGNATURE, [2.0, 1.0])
         u = AlgebraElement(EUCLIDEAN_TANGENT_SIGNATURE, [0.6, 0.8])
         rotated = decompose_euclidean(transform(x, u))
-        assert abs(rotated.p_plus_1 - 5.0) <= 1e-12
+        assert abs(rotated.invariant - 5.0) <= 1e-12
+
+    # Squares stay below the float range, where a NaN part would not equal itself.
+    @given(st.one_of(st.tuples(*[st.floats(-1e150, 1e150)] * 2), st.tuples(*[st.fractions()] * 2)))
+    def test_one_generator_result_is_the_two_generator_tangent(self, pair):
+        a, b = pair
+        zero = Fraction(0) if isinstance(a, Fraction) else 0.0
+        plane = decompose_euclidean(AlgebraElement(EUCLIDEAN_TANGENT_SIGNATURE, [a, b]))
+        assert plane == decompose_euclidean(AlgebraElement(EUCLIDEAN_FIBER_SIGNATURE, [a, b, zero, zero])).tangent
+        triple = decompose_c2(AlgebraElement(TANGENT_SIGNATURE, [a, b]))
+        assert triple == decompose_d2(AlgebraElement(FIBER_SIGNATURE, [a, b, zero, zero])).tangent
 
     def test_rotation_element_requires_negative_square(self):
         with pytest.raises(ValueError, match="e1\\*\\*2 == -1"):
@@ -468,6 +481,17 @@ class TestEuclidean:
         assert all(math.isfinite(v) for v in closed)
         for a, b in zip(closed, grid):
             assert abs(a - b) <= 1e-12 * 4e160
+
+    def test_component_names_are_the_parts_in_layout_order(self):
+        # e1**2 == -1 moves the carriers shifted by e1 to the minus half, after the unshifted ones
+        assert fiber_component_basis(TANGENT_SIGNATURE).names == ("dt", "dq", "ds")
+        assert fiber_component_basis(EUCLIDEAN_TANGENT_SIGNATURE).names == ("dt", "ds", "dq")
+        assert fiber_component_basis(FIBER_SIGNATURE).names == (
+            "dt", "dq", "ds", "H", "p", "m", "c_plus_1", "c_plus_e1", "c_minus_1", "c_minus_e12"
+        )
+        assert fiber_component_basis(EUCLIDEAN_FIBER_SIGNATURE).names == (
+            "dt", "ds", "dq", "H", "m", "p", "c_plus_1", "c_minus_e12", "c_minus_1", "c_plus_e1"
+        )
 
     def test_fiber_closed_form_builds_no_component_basis(self):
         fiber_component_basis.cache_clear()

@@ -13,8 +13,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # Every name ``fiberalg`` exported while it imported all of its modules.
 EXPORTS = [
     "ActionIntegral", "AlgebraElement", "CausalClass", "ComponentBasis", "CrossQuad",
-    "EUCLIDEAN_FIBER_SIGNATURE", "EUCLIDEAN_TANGENT_SIGNATURE", "EuclideanComponents",
-    "EuclideanFiberDecomposition", "EuclideanSector", "FIBER_SIGNATURE", "Factorization",
+    "EUCLIDEAN_FIBER_SIGNATURE", "EUCLIDEAN_TANGENT_SIGNATURE", "EuclideanFiberDecomposition",
+    "EuclideanSector", "FIBER_SIGNATURE", "Factorization",
     "FiberDecomposition", "Idempotent", "MomentumTriple", "PropertyResult", "Signature",
     "TANGENT_SIGNATURE", "TangentTriple", "VerificationReport", "algebra", "basis_pair",
     "basis_sign", "boost_element", "boost_residuals", "classify_causal", "decompose_c2",

@@ -62,8 +62,8 @@ def test_compare_reports_finds_its_own_tree_identical():
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.splitlines() == [
         "28 of 28 reports identical",
-        "27 of 27 CLI calls identical",
-        "16 of 16 library calls identical",
+        "31 of 31 CLI calls identical",
+        "32 of 32 library calls identical",
     ]
 
 
