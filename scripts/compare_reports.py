@@ -15,7 +15,8 @@ one small ``verify`` and ``trajectory``, and one json ``decompose`` per
 signature on an input that rounds.  Last it replays a fixed list of
 library calls on the dyadic ``decompose`` inputs, exact in floats, and on
 those that round: each closed form and its projector twin, and
-``norm_squared`` on float and ``Fraction`` elements.
+``norm_squared`` on float and ``Fraction`` elements; then, per signature,
+the names and every tensor's values of ``fiber_component_basis``.
 The script prints each case whose ``json.dumps(report.to_dict())``, each
 CLI call whose exit code, stdout or stderr, and each library call whose
 ``repr`` of the result differs between the trees.  It exits 0 when all
@@ -79,10 +80,12 @@ CLI_CALLS = [
     *[["decompose", sig, *coeffs] for sig, coeffs in ROUNDING],
 ]
 CLOSED_FORMS = {"+": "decompose_c2", "++": "decompose_d2", "m": "decompose_euclidean", "m+": "decompose_euclidean"}
-# (function, signature, coefficients, exact): norm_squared is a method, the rest fiberalg functions.
+# (function, signature, coefficients, exact): norm_squared is a method, fiber_component_basis takes
+# the signature alone, the rest are fiberalg functions of an element.
 LIBRARY_CALLS = [
     *[(CLOSED_FORMS[sig] + twin, sig, coeffs, False) for sig, coeffs in DECOMPOSE + ROUNDING for twin in ("", "_projected")],
     *[("norm_squared", sig, coeffs, exact) for sig, coeffs in DECOMPOSE + ROUNDING for exact in (False, True)],
+    *[("fiber_component_basis", sig, [], False) for sig, _ in DECOMPOSE],
 ]
 
 CHILD = """
@@ -106,7 +109,12 @@ for argv in calls:
             code = exc.code
     print(json.dumps([code, out.getvalue(), err.getvalue()]))
 for name, signature, coeffs, exact in library:
-    x = fiberalg.AlgebraElement(fiberalg.Signature.from_string(signature), [(Fraction if exact else float)(c) for c in coeffs])
+    sig = fiberalg.Signature.from_string(signature)
+    if name == "fiber_component_basis":
+        basis = fiberalg.fiber_component_basis(sig)
+        print(repr([basis.names, *(tensor.values for tensor in basis.tensors)]))
+        continue
+    x = fiberalg.AlgebraElement(sig, [(Fraction if exact else float)(c) for c in coeffs])
     print(repr(x.norm_squared() if name == "norm_squared" else getattr(fiberalg, name)(x)))
 """ % TOL
 
@@ -163,7 +171,7 @@ def main(argv: list[str]) -> int:
         if before != after:
             library_differ += 1
             name, signature, coeffs, exact = call
-            print(f"differs: {name} {signature} {' '.join(coeffs)}{' exact' if exact else ''}")
+            print(f"differs: {' '.join([name, signature, *coeffs])}{' exact' if exact else ''}")
     print(f"{len(RUNS) - differ} of {len(RUNS)} reports identical")
     print(f"{len(CLI_CALLS) - calls_differ} of {len(CLI_CALLS)} CLI calls identical")
     print(f"{len(LIBRARY_CALLS) - library_differ} of {len(LIBRARY_CALLS)} library calls identical")

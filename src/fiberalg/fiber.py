@@ -28,17 +28,18 @@ are relabelings: ``-`` and ``-+`` have the closed-form parts of ``+`` and
 ``++``, and only the carriers shifted by e1 or e12 change projector
 half.  One component table per generator count holds the name, half,
 shift and sector of every component for all four; a component's name is
-the part it equals, and ``_euclidean`` alone gives the parts their
-Euclidean record fields.
+the part it equals, the tables alone name the parts, and ``_record``
+alone turns parts into result records, for closed forms and twins.
 The results are frozen records (:class:`fiberalg.algebra._Record`), read with ``vars``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .algebra import AlgebraElement, Signature, _Record, idempotent_pair, multiply
 
@@ -190,25 +191,32 @@ class ActionIntegral(_Record):
     error: float
 
 
-class _TangentParts(NamedTuple):
-    dt: object
-    dq: object
-    ds: object
-
-
-class _FiberParts(NamedTuple):
-    dt: object
-    dq: object
-    ds: object
-    H: object
-    p: object
-    m: object
-    c_plus_1: object
-    c_plus_e1: object
-    c_minus_1: object
-    c_minus_e12: object
-    action_rate: object = None
-    residual: object = None
+# One component table per generator count, one row per component of
+# x (x) x: (the closed-form part it equals, which names it; the sign of
+# its e1 projector half when e1**2 == +1; the basis pair that shifts it;
+# its sector).  Flipping the square of e1 keeps every part the same
+# polynomial and moves every carrier whose shift holds e1 to the other
+# projector half.  Sectors count tangent, momentum, cross.
+_TANGENT_TABLE = (
+    ("dt", +1, 0b0, 0),
+    ("dq", +1, 0b1, 0),
+    ("ds", -1, 0b0, 0),
+)
+_FIBER_TABLE = (
+    *_TANGENT_TABLE,
+    ("H", +1, 0b00, 1),
+    ("p", +1, 0b01, 1),
+    ("m", -1, 0b00, 1),
+    ("c_plus_1", +1, 0b00, 2),
+    ("c_plus_e1", +1, 0b01, 2),
+    ("c_minus_1", -1, 0b00, 2),
+    ("c_minus_e12", -1, 0b11, 2),
+)
+# The closed-form parts, named by the tables, then the action rate and the residual.
+_TangentParts = namedtuple("_TangentParts", [row[0] for row in _TANGENT_TABLE])
+_FiberParts = namedtuple(
+    "_FiberParts", [*(row[0] for row in _FIBER_TABLE), "action_rate", "residual"], defaults=(None, None)
+)
 
 
 def _tangent_parts(u, v) -> _TangentParts:
@@ -240,62 +248,6 @@ def _fiber_parts(x0, x1, x2, x3) -> _FiberParts:
     return _FiberParts(*parts[:10], action, 2 * (x0 * x3 - x1 * x2) ** 2)
 
 
-# One component table per generator count, one row per component of
-# x (x) x: (the closed-form part it equals, which names it; the sign of
-# its e1 projector half when e1**2 == +1; the basis pair that shifts it;
-# its sector).  Flipping the square of e1 keeps every part the same
-# polynomial and moves every carrier whose shift holds e1 to the other
-# projector half.  Sectors count tangent, momentum, cross.
-_TANGENT_TABLE = (
-    ("dt", +1, 0b0, 0),
-    ("dq", +1, 0b1, 0),
-    ("ds", -1, 0b0, 0),
-)
-_FIBER_TABLE = (
-    ("dt", +1, 0b00, 0),
-    ("dq", +1, 0b01, 0),
-    ("ds", -1, 0b00, 0),
-    ("H", +1, 0b00, 1),
-    ("p", +1, 0b01, 1),
-    ("m", -1, 0b00, 1),
-    ("c_plus_1", +1, 0b00, 2),
-    ("c_plus_e1", +1, 0b01, 2),
-    ("c_minus_1", -1, 0b00, 2),
-    ("c_minus_e12", -1, 0b11, 2),
-)
-
-
-class _Component(NamedTuple):
-    name: str
-    half: int
-    shift: int
-    sector: int
-
-
-@lru_cache(maxsize=None)
-def _layout(signature: Signature) -> tuple[_Component, ...]:
-    """The components of x (x) x in the order of the signature's basis.
-
-    Each sector lists its plus projector half before its minus half, and
-    within a half the unshifted carrier first.
-    """
-    if signature.n == 1:
-        table = _TANGENT_TABLE
-    elif signature.n == 2 and signature.squares[1] == 1:
-        table = _FIBER_TABLE
-    else:
-        raise ValueError(
-            "component layout needs one generator, or two with e2**2 == +1, "
-            f"got signature {signature}"
-        )
-    e1_square = signature.squares[0]
-    rows = [
-        _Component(name, half * e1_square if shift & 0b01 else half, shift, sector)
-        for name, half, shift, sector in table
-    ]
-    return tuple(sorted(rows, key=lambda row: (row.sector, -row.half, row.shift)))
-
-
 def _parts(coeffs):
     """Closed-form components of x (x) x; coefficients basis axis first, scalar or array."""
     return _tangent_parts(*coeffs) if len(coeffs) == 2 else _sector_parts(*coeffs)
@@ -306,33 +258,40 @@ def _require_signature(x: AlgebraElement, what: str, *expected: Signature) -> No
         raise ValueError(f"{what} requires signature {' or '.join(map(str, expected))}, got {x.signature}")
 
 
+def _record(signature: Signature, c: dict):
+    """The record at ``signature`` of the part-keyed components ``c``; closed forms and twins alike.
+
+    ``++`` also reads ``action_rate`` and ``residual``; e1**2 == -1 gives the Euclidean records.
+    """
+    if signature.squares[0] == 1:
+        tangent = TangentTriple(c["dt"], c["dq"], c["ds"])
+        if signature.n == 1:
+            return tangent
+        return FiberDecomposition(
+            tangent,
+            MomentumTriple(c["H"], c["p"], c["m"]),
+            CrossQuad(c["c_plus_1"], c["c_plus_e1"], c["c_minus_1"], c["c_minus_e12"]),
+            c["action_rate"],
+            c["residual"],
+        )
+    tangent = EuclideanSector(c["dt"], c["ds"], c["dq"])
+    if signature.n == 1:
+        return tangent
+    return EuclideanFiberDecomposition(
+        tangent, EuclideanSector(c["H"], c["m"], c["p"]), c["c_plus_1"], c["c_minus_e12"], c["c_minus_1"], c["c_plus_e1"]
+    )
+
+
 def decompose_c2(x: AlgebraElement) -> TangentTriple:
     """Tangent triple of x (x) x over the one-generator unit-square algebra."""
     _require_signature(x, "decompose_c2", TANGENT_SIGNATURE)
-    return TangentTriple(*_tangent_parts(*x.values))
+    return _record(TANGENT_SIGNATURE, _tangent_parts(*x.values)._asdict())
 
 
 def decompose_d2(x: AlgebraElement) -> FiberDecomposition:
     """Full fiber decomposition of x (x) x over the two-generator algebra."""
     _require_signature(x, "decompose_d2", FIBER_SIGNATURE)
-    parts = _fiber_parts(*x.values)
-    return FiberDecomposition(
-        TangentTriple(parts.dt, parts.dq, parts.ds),
-        MomentumTriple(parts.H, parts.p, parts.m),
-        CrossQuad(parts.c_plus_1, parts.c_plus_e1, parts.c_minus_1, parts.c_minus_e12),
-        parts.action_rate,
-        parts.residual,
-    )
-
-
-def _euclidean(c: dict):
-    """The Euclidean record of the components ``c``, keyed by part: the one place parts get Euclidean names."""
-    tangent = EuclideanSector(c["dt"], c["ds"], c["dq"])
-    if "H" not in c:
-        return tangent
-    return EuclideanFiberDecomposition(
-        tangent, EuclideanSector(c["H"], c["m"], c["p"]), c["c_plus_1"], c["c_minus_e12"], c["c_minus_1"], c["c_plus_e1"]
-    )
+    return _record(FIBER_SIGNATURE, _fiber_parts(*x.values)._asdict())
 
 
 def decompose_euclidean(x: AlgebraElement):
@@ -347,7 +306,7 @@ def decompose_euclidean(x: AlgebraElement):
     and c_minus_e12 is the second cross invariant.
     """
     _require_signature(x, "decompose_euclidean", EUCLIDEAN_TANGENT_SIGNATURE, EUCLIDEAN_FIBER_SIGNATURE)
-    return _euclidean(_parts(x.values)._asdict())
+    return _record(x.signature, _parts(x.values)._asdict())
 
 
 def is_min_action(x: AlgebraElement, tol: float = MIN_ACTION_TOL) -> bool:
@@ -411,6 +370,7 @@ def boost_element(signature: Signature, rapidity: float) -> AlgebraElement:
 
 def boost_residuals(x: AlgebraElement, rapidity: float) -> dict[str, float]:
     """Gaps in the boost laws between x and x u, u = boost_element(rapidity); + or ++ only."""
+    _require_signature(x, "boost_residuals", TANGENT_SIGNATURE, FIBER_SIGNATURE)
     boosted = transform(x, boost_element(x.signature, rapidity))
     ch, sh = math.cosh(2 * rapidity), math.sinh(2 * rapidity)
     if x.signature == TANGENT_SIGNATURE:
@@ -556,26 +516,39 @@ def fiber_component_basis(signature: Signature) -> ComponentBasis:
 
     A component's carrier is its e1 projector half, shifted by its basis
     pair and, with two generators, cut down to its sector of the split on
-    e2 (which needs e2**2 == +1).  The layout tables give the half, the
-    shift and the sector of each component.
+    e2 (which needs e2**2 == +1).  The component tables give the half, the
+    shift and the sector of each component; the half of a carrier whose
+    shift holds e1 flips with the square of e1.
     """
     from .tensor import ComponentBasis, basis_pair, diagonal_projector
 
-    layout = _layout(signature)
+    if signature.n == 1:
+        table = _TANGENT_TABLE
+    elif signature.n == 2 and signature.squares[1] == 1:
+        table = _FIBER_TABLE
+    else:
+        raise ValueError(f"component layout needs one generator, or two with e2**2 == +1, got signature {signature}")
+    e1_square = signature.squares[0]
+    rows = [
+        (name, half * e1_square if shift & 0b01 else half, shift, sector) for name, half, shift, sector in table
+    ]
+    # Each sector lists its plus projector half before its minus half, and
+    # within a half the unshifted carrier first.
+    rows.sort(key=lambda row: (row[3], -row[1], row[2]))
     halves = {sign: diagonal_projector(signature, 0b01, sign).element for sign in (+1, -1)}
     sectors = ()
     if signature.n == 2:
         tangent, cross, momentum = _fiber_sectors(signature)
         sectors = (tangent, momentum, cross)
     tensors = []
-    for row in layout:
-        carrier = halves[row.half]
-        if row.shift:
-            carrier = multiply(carrier, basis_pair(signature, 0, row.shift))
+    for _, half, shift, sector in rows:
+        carrier = halves[half]
+        if shift:
+            carrier = multiply(carrier, basis_pair(signature, 0, shift))
         if sectors:
-            carrier = multiply(carrier, sectors[row.sector])
+            carrier = multiply(carrier, sectors[sector])
         tensors.append(carrier)
-    return ComponentBasis(signature, tuple(row.name for row in layout), tuple(tensors))
+    return ComponentBasis(signature, tuple(row[0] for row in rows), tuple(tensors))
 
 
 def _projected_components(x: AlgebraElement) -> dict[str, float]:
@@ -588,14 +561,13 @@ def _projected_components(x: AlgebraElement) -> dict[str, float]:
 def decompose_c2_projected(x: AlgebraElement) -> TangentTriple:
     """Tangent triple extracted through the grid, never the closed forms."""
     _require_signature(x, "decompose_c2_projected", TANGENT_SIGNATURE)
-    comps = _projected_components(x)
-    return TangentTriple(comps["dt"], comps["dq"], comps["ds"])
+    return _record(TANGENT_SIGNATURE, _projected_components(x))
 
 
 def decompose_euclidean_projected(x: AlgebraElement):
     """Euclidean decompositions extracted through the grid, never the closed forms."""
     _require_signature(x, "decompose_euclidean_projected", EUCLIDEAN_TANGENT_SIGNATURE, EUCLIDEAN_FIBER_SIGNATURE)
-    return _euclidean(_projected_components(x))
+    return _record(x.signature, _projected_components(x))
 
 
 def decompose_d2_projected(x: AlgebraElement) -> FiberDecomposition:
@@ -606,13 +578,7 @@ def decompose_d2_projected(x: AlgebraElement) -> FiberDecomposition:
     c_minus_e12**2 / 2.
     """
     _require_signature(x, "decompose_d2_projected", FIBER_SIGNATURE)
-    comps = _projected_components(x)
-    action = comps["p"] * comps["dq"] - comps["H"] * comps["dt"]
-    residual = comps["c_minus_e12"] ** 2 / 2.0
-    return FiberDecomposition(
-        TangentTriple(comps["dt"], comps["dq"], comps["ds"]),
-        MomentumTriple(comps["H"], comps["p"], comps["m"]),
-        CrossQuad(comps["c_plus_1"], comps["c_plus_e1"], comps["c_minus_1"], comps["c_minus_e12"]),
-        action,
-        residual,
-    )
+    c = _projected_components(x)
+    c["action_rate"] = c["p"] * c["dq"] - c["H"] * c["dt"]
+    c["residual"] = c["c_minus_e12"] ** 2 / 2.0
+    return _record(FIBER_SIGNATURE, c)

@@ -7,6 +7,7 @@ forms existed; both routes are asserted against the same frozen numbers.
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from fiberalg.fiber import (
     MomentumTriple,
     TangentTriple,
     boost_element,
+    boost_residuals,
     classify_causal,
     decompose_c2,
     decompose_c2_projected,
@@ -529,12 +531,54 @@ class TestEuclidean:
         (factorize, c2([1, 0]), "factorize requires signature ++, got +"),
         (decompose_euclidean, WORKED, "decompose_euclidean requires signature - or -+, got ++"),
         (decompose_euclidean_projected, c2([1, 0]), "decompose_euclidean_projected requires signature - or -+, got +"),
+        (
+            partial(boost_residuals, rapidity=0.5),
+            AlgebraElement(Signature((1, -1)), [1, 0, 0, 0]),
+            "boost_residuals requires signature + or ++, got +-",
+        ),
+        (
+            partial(boost_residuals, rapidity=0.5),
+            AlgebraElement(EUCLIDEAN_TANGENT_SIGNATURE, [1, 0]),
+            "boost_residuals requires signature + or ++, got -",
+        ),
     ],
 )
 def test_signature_errors_name_the_call_and_every_accepted_signature(call, x, message):
     with pytest.raises(ValueError) as caught:
         call(x)
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("signature", ["+-", "--", "+++"])
+def test_component_basis_without_a_table_names_the_signature(signature):
+    with pytest.raises(ValueError) as caught:
+        fiber_component_basis(Signature.from_string(signature))
+    assert str(caught.value) == (
+        f"component layout needs one generator, or two with e2**2 == +1, got signature {signature}"
+    )
+
+
+@pytest.mark.parametrize(
+    "signature, closed_form, twin",
+    [
+        (TANGENT_SIGNATURE, decompose_c2, decompose_c2_projected),
+        (FIBER_SIGNATURE, decompose_d2, decompose_d2_projected),
+        (EUCLIDEAN_TANGENT_SIGNATURE, decompose_euclidean, decompose_euclidean_projected),
+        (EUCLIDEAN_FIBER_SIGNATURE, decompose_euclidean, decompose_euclidean_projected),
+    ],
+    ids=["+", "++", "-", "-+"],
+)
+@given(values=st.lists(coeff, min_size=4, max_size=4))
+def test_each_twin_returns_its_closed_form_record_type(signature, closed_form, twin, values):
+    x = AlgebraElement(signature, values[: signature.dim])
+    closed, projected = closed_form(x), twin(x)
+    assert type(projected) is type(closed)
+    assert vars(projected).keys() == vars(closed).keys()
+    for field, value in vars(closed).items():
+        nested = getattr(projected, field)
+        assert type(nested) is type(value)
+        if not isinstance(value, float):
+            assert vars(nested).keys() == vars(value).keys()
 
 
 def test_projected_twin_builds_no_signature_after_its_first_call(monkeypatch):
