@@ -16,7 +16,11 @@ signature on an input that rounds.  Last it replays a fixed list of
 library calls on the dyadic ``decompose`` inputs, exact in floats, and on
 those that round: each closed form and its projector twin, and
 ``norm_squared`` on float and ``Fraction`` elements; then, per signature,
-the names and every tensor's values of ``fiber_component_basis``.
+the names and every tensor's values of ``fiber_component_basis``; then
+seeded ``multiply_coeffs`` batches, printed as the hex of their bytes, so
+a kernel that moves one bit of one row shows.  The batches cover the
+doubled paper signatures, dims 64 and 4096, a broadcast shape, and one
+row of infinities, signed zeros and subnormals.
 The script prints each case whose ``json.dumps(report.to_dict())``, each
 CLI call whose exit code, stdout or stderr, and each library call whose
 ``repr`` of the result differs between the trees.  It exits 0 when all
@@ -80,19 +84,37 @@ CLI_CALLS = [
     *[["decompose", sig, *coeffs] for sig, coeffs in ROUNDING],
 ]
 CLOSED_FORMS = {"+": "decompose_c2", "++": "decompose_d2", "m": "decompose_euclidean", "m+": "decompose_euclidean"}
+# (signature, shape of a, shape of b) of seeded multiply_coeffs calls: the batch axes before the
+# basis axis ("64", "3x1"), "" for one element, "edge" for one row of the EDGE values.
+KERNEL_CALLS = [
+    ("++++", "64", "64"),
+    ("-+-+", "64", "64"),
+    ("+-++-+", "16", "16"),
+    ("+-+-+-+-+-+-", "2", "2"),
+    ("-+-+", "3x1", ""),
+    ("-+-+", "edge", "edge"),
+]
 # (function, signature, coefficients, exact): norm_squared is a method, fiber_component_basis takes
-# the signature alone, the rest are fiberalg functions of an element.
+# the signature alone, multiply_coeffs takes the two shapes of KERNEL_CALLS, the rest are fiberalg
+# functions of an element.
 LIBRARY_CALLS = [
     *[(CLOSED_FORMS[sig] + twin, sig, coeffs, False) for sig, coeffs in DECOMPOSE + ROUNDING for twin in ("", "_projected")],
     *[("norm_squared", sig, coeffs, exact) for sig, coeffs in DECOMPOSE + ROUNDING for exact in (False, True)],
     *[("fiber_component_basis", sig, [], False) for sig, _ in DECOMPOSE],
+    *[("multiply_coeffs", sig, shapes, False) for sig, *shapes in KERNEL_CALLS],
 ]
 
 CHILD = """
 import contextlib, io, json, sys
 from fractions import Fraction
+import numpy as np
 import fiberalg
-from fiberalg import cli, verify
+from fiberalg import algebra, cli, verify
+EDGE = [float("inf"), float("-inf"), 0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -3.25]
+def operand(rng, shape, dim):
+    if shape == "edge":
+        return rng.choice(EDGE, dim)
+    return rng.uniform(-10, 10, tuple(int(n) for n in shape.split("x") if n) + (dim,))
 runs, calls, library = json.loads(sys.argv[1])
 default = verify.BLOCK_VALUES
 for signature, samples, seed, block in runs:
@@ -110,6 +132,12 @@ for argv in calls:
     print(json.dumps([code, out.getvalue(), err.getvalue()]))
 for name, signature, coeffs, exact in library:
     sig = fiberalg.Signature.from_string(signature)
+    if name == "multiply_coeffs":
+        rng = np.random.default_rng(11)
+        left, right = (operand(rng, shape, sig.dim) for shape in coeffs)
+        with np.errstate(all="ignore"):
+            print(algebra.multiply_coeffs(sig, left, right).tobytes().hex())
+        continue
     if name == "fiber_component_basis":
         basis = fiberalg.fiber_component_basis(sig)
         print(repr([basis.names, *(tensor.values for tensor in basis.tensors)]))

@@ -11,7 +11,8 @@ to
 
 where the sign multiplies the squares of the generators shared by the
 two subsets: -1 when an odd number of them square to -1.  ``_odd``
-states that parity once; the tables and the single product derive from it.
+states that parity once; the sign table, the signs of the batch product
+and the single product derive from it.
 
 An element is its signature and its values: all Python floats, or all
 :class:`fractions.Fraction` values, which the test suite uses to check
@@ -21,9 +22,9 @@ exactness, and :func:`_held` is the one rule on every route in: a
 and an exact operand promotes a float one with no rounding.  The
 constructors build floats (a ``Fraction`` value makes ``scalar`` exact);
 an exact basis element or projector is the float one times
-``Fraction(1)``.  Single elements never touch numpy.  The ``coeffs`` array,
-the gather table of :func:`multiply_coeffs` and the sign table are built
-with numpy when read.
+``Fraction(1)``.  Single elements never touch numpy.  The ``coeffs`` array
+and the sign table are built with numpy when read; the batch product,
+:func:`multiply_coeffs`, holds no table.
 
 :class:`Signature`, :class:`Idempotent` and the other modules' results are frozen
 records on :class:`_Record`, which generates no code and needs neither ``dataclasses``
@@ -32,6 +33,7 @@ nor ``inspect``; ``dataclasses.fields``, ``asdict`` and ``replace`` do not apply
 
 from __future__ import annotations
 
+import itertools
 import operator
 from fractions import Fraction
 from functools import lru_cache
@@ -197,36 +199,6 @@ def _sign_table(squares: tuple[int, ...]) -> np.ndarray:
     table = 1 - 2 * _odd(index[:, None] & index, _negative_mask(squares)).astype(np.int8)
     table.setflags(write=False)
     return table
-
-
-@lru_cache(maxsize=None)
-def _gather_table(squares: tuple[int, ...]) -> np.ndarray:
-    """The batch loop's gather rows of one signature, built once.
-
-    Row ``gather[s, k]`` of the stacked ``[b, -b]`` is ``sign(s, s ^ k) * b[s ^ k]``,
-    the partner of ``a[s]`` in ``out[k]``; ``s`` and ``s ^ k`` share ``s & ~k``.
-
-    The indices are below ``2 * dim``.  Above 256 x 256 they are stored
-    in the narrowest dtype that holds them, int16 up to ``dim = 16384``:
-    32 MiB at ``dim = 4096`` against 128 MiB as int64.  A smaller table
-    stays ``intp``, because numpy casts a narrower index row on every
-    gather, about a microsecond a row.
-    """
-    import numpy as np
-
-    dim = 1 << len(squares)
-    dtype = np.intp if dim <= 256 else np.int16 if 2 * dim <= 2**15 else np.int32
-    index = np.arange(dim, dtype=dtype)
-    negative = _negative_mask(squares)
-    gather = index[:, None] ^ index
-    # The sign temporaries cover a block of about 2**18 entries at a time,
-    # so the build peaks near the table's own size.
-    step = max(1, 2**18 // dim)
-    for lo in range(0, dim, step):
-        block = gather[lo : lo + step]
-        np.add(block, dim, out=block, where=_odd(index[lo : lo + step, None] & ~index, negative).view(bool))
-    gather.setflags(write=False)
-    return gather
 
 
 def _product(squares: tuple[int, ...], a, b) -> tuple:
@@ -458,10 +430,19 @@ def multiply_coeffs(signature: Signature, a, b) -> np.ndarray:
 
     Each ``out[k]`` adds the terms ``a[s] * sign(s, s ^ k) * b[s ^ k]``
     in ascending ``s`` from zero, skipping each ``s`` whose column of
-    ``a`` is all zero, so every row has the bits of :func:`multiply` on
-    its two rows.  The loop runs basis axis first: a batch passed as the
-    transpose of a C-contiguous ``(dim, rows)`` array is read without a
-    copy, and the transpose of the result is C-contiguous.
+    ``a`` is all zero.  A term reads its partner rows ``b[s ^ k]`` as a
+    view of ``b`` and its signs as a view of one row of ``dim`` signs, so
+    the loop holds no table: besides the result it allocates one term of
+    the same size and ``2 * dim`` index tuples, 1.3 MiB in all for two
+    rows at dim 4096 passed basis axis first.  Every row without a NaN
+    has the bits of :func:`multiply` on its two rows, and an exact row
+    equals it.  A negative sign multiplies ``a[s]`` here, where
+    :func:`multiply` negates ``b[s ^ k]``, so a NaN of ``b`` met by one
+    may keep its sign bit here.
+
+    The loop runs basis axis first: a batch passed as the transpose of a
+    C-contiguous ``(dim, rows)`` array is read without a copy, and the
+    transpose of the result is C-contiguous.
     """
     import numpy as np
 
@@ -472,20 +453,30 @@ def multiply_coeffs(signature: Signature, a, b) -> np.ndarray:
             f"expected {dim} coefficients on the last axis, got shapes {a.shape} and {b.shape}"
         )
     dtype = object if object in (a.dtype, b.dtype) else np.float64
-    gather = _gather_table(signature.squares)
-    # Basis axis first and contiguous: a[s] is one batch row, and
-    # out[k] the batch of coefficient k.
+    n, negative = signature.n, _negative_mask(signature.squares)
+    # Basis axis first, split into one axis of two per generator, the
+    # highest bit first: a[s] is one batch row, and reversing the axes of
+    # the bits of s maps each b[k] to b[s ^ k], a view.
+    axes = (2,) * n
     batch = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
     a = np.ascontiguousarray(np.moveaxis(a, -1, 0), dtype=dtype)
     b = np.ascontiguousarray(np.moveaxis(b, -1, 0), dtype=dtype)
-    b = b.reshape((dim,) + (1,) * (len(batch) - b.ndim + 1) + b.shape[1:])
-    signed = np.concatenate([b, -b])
-    out = np.zeros((dim,) + batch, dtype=dtype)
+    b = b.reshape(axes + (1,) * (len(batch) - b.ndim + 1) + b.shape[1:])
+    # product() counts in binary, first axis highest: flips[s] reverses the
+    # axes of the bits of s, and picks[m] keeps the axes of the bits of m
+    # and fixes the others at bit 1.
+    flips = list(itertools.product((slice(None), slice(None, None, -1)), repeat=n))
+    picks = list(itertools.product((slice(1, 2), slice(None)), repeat=n))
+    # signs[k] is (-1) ** |negative & ~k|, so signs[picks[s & negative]]
+    # is (-1) ** |s & negative & ~k|: sign(s, s ^ k), as s & (s ^ k) = s & ~k.
+    signs = (1 - 2 * _odd(~np.arange(dim), negative).astype(dtype)).reshape(axes + (1,) * len(batch))
+    out = np.zeros(axes + batch, dtype=dtype)
     term = np.empty_like(out)
-    for s in np.flatnonzero((a != 0).reshape(dim, -1).any(axis=1)):
-        np.multiply(a[s], signed[gather[s]], out=term)
+    for s in np.flatnonzero((a != 0).reshape(dim, -1).any(axis=1)).tolist():
+        scaled = a[s] * signs[picks[s & negative]] if s & negative else a[s]
+        np.multiply(scaled, b[flips[s]], out=term)
         out += term
-    return np.moveaxis(out, 0, -1)
+    return np.moveaxis(out.reshape((dim,) + batch), 0, -1)
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

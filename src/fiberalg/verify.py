@@ -49,7 +49,9 @@ The same bytes at any block size also rely on every kernel treating rows
 independently.  Elementwise numpy arithmetic does, and so does the loop
 of ``multiply_coeffs``, which ``_product`` hands the transposed views of
 its blocks; the loop runs basis axis first, so it reads them without a
-copy and returns the transpose of a coefficient-major block.  The BLAS
+copy and returns the transpose of a coefficient-major block.  It reads
+each term's partner rows as a view of the block and holds no table, so
+a product needs its result and one term of the same size.  The BLAS
 calls (``components_batch``, the reconstruction residual, and the matmul
 of ``_sector_completeness`` by each sector's multiplication matrix) get
 the F-ordered transpose of a coefficient-major block; on OpenBLAS a
@@ -87,16 +89,17 @@ from .fiber import (
     fiber_component_basis,
     lift_kinematics,
 )
-from .tensor import tensor_identity
+from .tensor import row_max, tensor_identity
 
 __all__ = ["PropertyResult", "VerificationReport", "run_verification"]
 
 COEFF_RANGE = 10.0
 RAPIDITY_RANGE = 3.0
 LOOP_CAP = 20000
-# The embed sweeps multiply over the doubled signature, whose cached
-# product tables hold (4**n)**2 entries: 32 MiB of int16 gather indices
-# at six generators, 512 MiB at seven.
+# The embed sweeps multiply over the doubled signature, of dim 4**n, in
+# blocks of at least two rows.  The product holds no table, so the limit
+# bounds time: on a two-core Xeon one product of two rows took 0.5 s at
+# six generators (dim 4096), and one of four rows 8.6 s at seven.
 MAX_GENERATORS = 6
 # Values of x (x) x per block: 4096 rows at two generators, 16 at six.
 BLOCK_VALUES = 2**16
@@ -316,16 +319,17 @@ def _sector_completeness(sig: Signature, blocks):
     matrices = [np.ascontiguousarray(multiply_coeffs(doubled, eye, p.coeffs)) for p in _fiber_sectors(sig)]
     for _, (x,) in blocks:
         flat = _embed_flat(x)
-        total = np.zeros_like(flat)
+        # Row-major like each product, so every add runs over contiguous memory.
+        total = np.zeros(flat.shape[::-1])
         # Equal slices of at most SMALL_GEMM_ROWS rows, so none has one row unless the block has.
         rows = flat.shape[1]
         slices = -(-rows // SMALL_GEMM_ROWS)
         for i in range(slices):
             cut = slice(rows * i // slices, rows * (i + 1) // slices)
             for matrix in matrices:
-                total[:, cut] += (flat[:, cut].T @ matrix).T
-        total -= flat
-        diff = np.max(np.abs(total, out=total), axis=0)
+                total[cut] += flat[:, cut].T @ matrix
+        total -= flat.T
+        diff = row_max(np.abs(total, out=total))
         yield diff, [(diff, np.max(np.abs(flat, out=flat), axis=0))]
 
 

@@ -12,7 +12,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fiberalg
-from fiberalg import algebra
 from fiberalg.algebra import (
     AlgebraElement,
     Idempotent,
@@ -103,32 +102,6 @@ class TestSignature:
         with pytest.raises(ValueError):
             table[0, 0] = -1
         assert Signature((1, -1, 1)).sign_table is table
-
-    @pytest.mark.parametrize("base, dtype", [("+-+-", np.intp), ("+-+-+", np.int16)])
-    def test_gather_table_dtype_size_and_entries(self, base, dtype):
-        # Doubled signatures of eight and ten generators: dim 256 keeps
-        # intp indices, dim 1024 stores them as int16.
-        squares = Signature.from_string(base).doubled().squares
-        table, gather = Signature(squares).sign_table, algebra._gather_table(squares)
-        dim = len(table)
-        assert gather.dtype == dtype
-        assert gather.nbytes == dim * dim * np.dtype(dtype).itemsize
-        assert not gather.flags.writeable
-        partners = np.arange(dim)[:, None] ^ np.arange(dim)
-        signs = np.take_along_axis(table, partners, axis=1)
-        assert np.array_equal(gather, partners + dim * (signs < 0))
-
-    def test_gather_table_build_peaks_near_its_size(self):
-        # Doubled signature of six generators: dim 4096, a 32 MiB int16 table.
-        squares = Signature.from_string("+-+-+-").doubled().squares
-        tracemalloc.start()
-        try:
-            gather = algebra._gather_table.__wrapped__(squares)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert gather.nbytes == 32 * 2**20
-        assert peak < 40 * 2**20
 
 
 class TestBasisSign:
@@ -269,7 +242,7 @@ class TestMultiply:
                     assert row.tobytes() == single.coeffs.tobytes()
 
     def test_single_product_holds_no_table(self):
-        # dim 256: the kernel's gather table alone would be 512 KiB.
+        # dim 256: a dim x dim table of int64 partner indices would be 512 KiB.
         sig = Signature.from_string("+-+-").doubled()
         rng = np.random.default_rng(13)
         a, b = (AlgebraElement(sig, rng.uniform(-10, 10, sig.dim).tolist()) for _ in range(2))
@@ -280,6 +253,52 @@ class TestMultiply:
         finally:
             tracemalloc.stop()
         assert peak < 256 * 1024
+
+    def test_batch_product_holds_no_table(self):
+        # Doubled signature of six generators: dim 4096, where a dim x dim
+        # table is 32 MiB of int16 partner indices or 16 MiB of int8 signs.
+        sig = Signature.from_string("+-+-+-").doubled()
+        a, b = np.random.default_rng(23).uniform(-10, 10, (2, 2, sig.dim))
+        tracemalloc.start()
+        try:
+            multiply_coeffs(sig, a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("base", ["+", "++", "-", "-+"])
+    def test_coeffs_doubled_paper_rows_have_the_single_product_bits(self, base):
+        sig = Signature.from_string(base).doubled()
+        rng = np.random.default_rng(29)
+        a, b = spread(rng, (6, sig.dim)), spread(rng, (6, sig.dim))
+        a[:, 1] = 0.0
+        stacked = multiply_coeffs(sig, a[:3, None], b[0])
+        assert stacked.shape == (3, 1, sig.dim)
+        cases = (
+            (multiply_coeffs(sig, a, b), list(zip(a, b))),
+            (stacked.reshape(3, sig.dim), [(x, b[0]) for x in a[:3]]),
+        )
+        for got, pairs in cases:
+            for row, (x, y) in zip(got, pairs):
+                single = multiply(AlgebraElement(sig, x.tolist()), AlgebraElement(sig, y.tolist()))
+                assert row.tobytes() == single.coeffs.tobytes()
+
+    def test_coeffs_nan_met_by_a_negative_sign_differs_at_most_in_its_sign_bit(self):
+        # e1 squares to -1: b[1] meets a[1] with a negative sign in out[0],
+        # and a[0] with a positive one in out[1].
+        sig = Signature.from_string("-+").doubled()
+        a, b = np.random.default_rng(31).uniform(-10, 10, (2, sig.dim))
+        a[2:] = 0.0
+        b[1] = np.nan
+        single = multiply(AlgebraElement(sig, a.tolist()), AlgebraElement(sig, b.tolist())).coeffs
+        row = multiply_coeffs(sig, a, b)
+        nan = np.isnan(single)
+        assert np.flatnonzero(nan).tolist() == [0, 1]
+        assert np.array_equal(np.isnan(row), nan)
+        flipped = row.view(np.uint64) ^ single.view(np.uint64)
+        assert not flipped[~nan].any()
+        assert set(flipped[nan].tolist()) <= {0, 1 << 63}
 
     def test_coeffs_batch_row_matches_single_product_bits(self):
         rng = np.random.default_rng(7)

@@ -35,6 +35,18 @@ MULTI_BLOCK_GOLDENS = [
 ]
 
 
+def forbid_products(monkeypatch):
+    """Make every product entry fail, and return the size of the one table cache to compare after."""
+    from fiberalg import tensor, verify
+
+    def product(*args):
+        raise AssertionError("a product was built")
+
+    for module, name in [(algebra, "_product"), (algebra, "multiply_coeffs"), (tensor, "multiply_coeffs"), (verify, "multiply_coeffs")]:
+        monkeypatch.setattr(module, name, product)
+    return algebra._sign_table.cache_info().currsize
+
+
 def run_cli(argv, capsys):
     code = main(argv)
     return capsys.readouterr().out, code
@@ -427,15 +439,15 @@ class TestVerify:
             main(["verify", "++", "0", "1", "1e-10"])
         assert err.value.code == 2
 
-    def test_too_many_generators_exits_2(self, capsys):
-        cached = algebra._gather_table.cache_info().currsize
+    def test_too_many_generators_exits_2(self, capsys, monkeypatch):
+        cached = forbid_products(monkeypatch)
         with pytest.raises(SystemExit) as err:
             main(["verify", "+++++++", "10", "0"])
         out, stderr = capsys.readouterr()
         assert err.value.code == 2
         assert out == ""
         assert stderr == "fiberalg: error: verify supports at most 6 generators, got 7 in +++++++\n"
-        assert algebra._gather_table.cache_info().currsize == cached
+        assert algebra._sign_table.cache_info().currsize == cached
 
     def test_impossible_tolerance_exits_1(self, capsys):
         out, code = run_cli(["verify", "++", "200", "1", "1e-30"], capsys)

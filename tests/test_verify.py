@@ -13,7 +13,7 @@ from fiberalg.algebra import Signature, multiply_coeffs
 from fiberalg.cli import main
 from fiberalg.fiber import _fiber_sectors, fiber_component_basis
 from fiberalg.verify import _Draw, _embed_flat, _rel, _sample_blocks, run_verification
-from test_cli import VERIFY_GOLDENS
+from test_cli import VERIFY_GOLDENS, forbid_products
 from test_tensor import fold_rows
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -108,11 +108,11 @@ class TestFailureWiring:
         with pytest.raises(ValueError, match=f"tol must be a finite number of at least 0, got {tol}"):
             run_verification("++", 10, 0, tol)
 
-    def test_too_many_generators_rejected_before_tables(self):
-        cached = algebra._gather_table.cache_info().currsize
+    def test_too_many_generators_rejected_before_tables(self, monkeypatch):
+        cached = forbid_products(monkeypatch)
         with pytest.raises(ValueError, match="at most 6 generators, got 7"):
             run_verification("+++++++", 10, 0, 1e-10)
-        assert algebra._gather_table.cache_info().currsize == cached
+        assert algebra._sign_table.cache_info().currsize == cached
 
 
 class TestReportShape:
