@@ -11,15 +11,10 @@ from .fiber import *  # noqa: F403
 _LAZY = {
     "tensor": (
         "ComponentBasis",
-        "basis_pair",
         "diagonal_projector",
-        "lift_projectors",
-        "mixed_projector",
         "square_embed",
-        "tensor_identity",
         "tensor_multiply",
         "tensor_product",
-        "trace_pairing",
     ),
     "verify": ("PropertyResult", "VerificationReport", "run_verification"),
 }

@@ -61,8 +61,10 @@ IDEMPOTENT_ATOL = 1e-14
 class _Record:
     """A frozen record: the fields are the class annotations, in order; a default is a class attribute.
 
-    ``vars(record)`` is its own dict of the fields: read it, never write it.  Records compare and
-    hash by exact type and fields, or by identity if declared ``eq=False``; nothing is generated.
+    ``vars(record)`` is its own dict of the fields: read it, never write it.  A ``__post_init__`` may
+    cache private values there too (``ComponentBasis`` holds ``_flat`` and ``_dual``), after the fields.
+    Records compare and hash by exact type and fields, or by identity if declared ``eq=False``;
+    nothing is generated.
     """
 
     def __init_subclass__(cls, eq: bool = True) -> None:
@@ -348,10 +350,6 @@ class AlgebraElement:
         side = 1 << half
         return self.coeffs.reshape(side, side)
 
-    def coefficient(self, mask: int):
-        """Coefficient of e_S; a Python float unless the element is exact."""
-        return self.values[_check_mask(self.signature, mask)]
-
     def norm_squared(self):
         """Sum of squared coefficients (used to scale tolerances), added left to right from the held zero.
 
@@ -501,10 +499,6 @@ class Idempotent(_Record, eq=False):
                 raise ValueError(
                     f"element is not idempotent: max |p*p - p| = {deviation:.3e}"
                 )
-
-    @property
-    def signature(self) -> Signature:
-        return self.element.signature
 
 
 def idempotent_half(mask: int, sign: int, signature: Signature) -> Idempotent:

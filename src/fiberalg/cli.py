@@ -12,6 +12,10 @@ byte-deterministic for a fixed invocation including the seed.  Exit
 codes: 0 success, 1 property or tolerance failure, 2 usage error, which
 includes non-finite number arguments and results beyond the float range.
 
+``verify`` takes its values positionally, as ``verify SIGNATURE [SAMPLES]
+[SEED] [TOL]``; ``decompose`` and ``boost`` take a tolerance as ``--tol``.
+Every value left out takes its default, shown by ``--help``.
+
 Signatures are written as '+'/'-' strings ('++' is the fiber algebra).
 Because a leading '-' reads as a flag, signatures that start with a
 minus can be written with the 'm'/'p' aliases (for example ``m+``) or
@@ -93,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "csv", "pretty"), default="json", help="output format"
     )
     with_tol = argparse.ArgumentParser(add_help=False, parents=[common])
-    with_tol.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
+    with_tol.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="tolerance (default: %(default)s)")
 
     parser = _Parser(
         prog="fiberalg",
@@ -107,13 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("coeffs", nargs="*", type=_finite_float, help="coefficients in subset-bitmask order")
     p.add_argument("--labels", action="store_true", help="print the basis order and exit")
 
-    p = sub.add_parser("verify", parents=[with_tol], help="run the identity sweeps")
+    p = sub.add_parser("verify", parents=[common], help="run the identity sweeps")
     p.add_argument("signature", type=_signature_arg)
-    p.add_argument("samples_pos", nargs="?", type=int, metavar="samples")
-    p.add_argument("seed_pos", nargs="?", type=int, metavar="seed")
-    p.add_argument("tol_pos", nargs="?", type=_tolerance, metavar="tol")
-    p.add_argument("--seed", type=int, default=None, help="PRNG seed")
-    p.add_argument("--samples", type=int, default=None, help="sample count")
+    p.add_argument("samples", nargs="?", type=int, default=DEFAULT_SAMPLES, help="sample count (default: %(default)s)")
+    p.add_argument("seed", nargs="?", type=int, default=DEFAULT_SEED, help="PRNG seed (default: %(default)s)")
+    p.add_argument("tol", nargs="?", type=_tolerance, default=DEFAULT_TOL, help="tolerance (default: %(default)s)")
 
     p = sub.add_parser("boost", parents=[with_tol], help="decompose before and after a boost")
     p.add_argument("signature", type=_signature_arg)
@@ -210,28 +212,21 @@ def _cmd_decompose(args, parser) -> tuple[dict, int]:
         parser.error(
             f"signature {signature} needs {signature.dim} coefficients, got {len(args.coeffs)}"
         )
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
     try:
-        payload = _decompose_payload(signature, list(args.coeffs), tol)
+        payload = _decompose_payload(signature, list(args.coeffs), args.tol)
     except ValueError as exc:
         parser.error(str(exc))
     return payload, 0
 
 
 def _cmd_verify(args, parser) -> tuple[dict, int]:
-    settings = []
-    for name, default in (("samples", DEFAULT_SAMPLES), ("seed", DEFAULT_SEED), ("tol", DEFAULT_TOL)):
-        given = [v for v in (getattr(args, f"{name}_pos"), getattr(args, name)) if v is not None]
-        if len(given) > 1:
-            parser.exit(2, f"{parser.prog}: error: {name} is given both as an argument and as --{name}\n")
-        settings.append(given[0] if given else default)
     import numpy as np
 
     from .verify import run_verification
 
     try:
         with np.errstate(all="ignore"):
-            report = run_verification(args.signature, *settings)
+            report = run_verification(args.signature, args.samples, args.seed, args.tol)
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     payload = {"schema_version": SCHEMA_VERSION, "command": "verify"}
@@ -248,13 +243,12 @@ def _cmd_boost(args, parser) -> tuple[dict, int]:
         )
     coeffs = list(args.values[:-1])
     rapidity = args.values[-1]
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
     if signature not in (TANGENT_SIGNATURE, FIBER_SIGNATURE):
         parser.error(f"boost requires signature + or ++, got {signature}")
     element = AlgebraElement(signature, coeffs)
     boosted = transform(element, boost_element(signature, rapidity))
-    before = _decompose_payload(signature, coeffs, tol)
-    after = _decompose_payload(signature, list(boosted.values), tol)
+    before = _decompose_payload(signature, coeffs, args.tol)
+    after = _decompose_payload(signature, list(boosted.values), args.tol)
     residuals = boost_residuals(element, rapidity)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -267,7 +261,7 @@ def _cmd_boost(args, parser) -> tuple[dict, int]:
     }
     # A residual's scale is dt + H before plus after (dt alone at +); dS is quadratic in it.
     size = sum(d["tangent"]["dt_dlambda"] + d.get("momentum", {}).get("H", 0.0) for d in (before, after))
-    passed = all(gap <= tol * (size * size if key == "dS_dlambda" else size) for key, gap in residuals.items())
+    passed = all(gap <= args.tol * (size * size if key == "dS_dlambda" else size) for key, gap in residuals.items())
     return payload, 0 if passed else 1
 
 

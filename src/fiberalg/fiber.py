@@ -499,14 +499,17 @@ def classify_causal(t: TangentTriple, tol: float = CAUSAL_TOL) -> CausalClass:
 
 
 def _fiber_sectors(signature: Signature) -> tuple[AlgebraElement, AlgebraElement, AlgebraElement]:
-    """The tangent, cross and momentum sector projectors of the split on e2."""
-    from .tensor import lift_projectors, mixed_projector
+    """The tangent, cross and momentum sector projectors of the split on e2.
 
-    plus2, minus2 = idempotent_pair(0b10, signature)
+    With p, q = (1 +- e2) / 2 they are p (x) p, p (x) q + q (x) p and q (x) q.
+    """
+    from .tensor import tensor_product
+
+    plus2, minus2 = (p.element for p in idempotent_pair(0b10, signature))
     return (
-        lift_projectors(plus2, plus2).element,
-        mixed_projector(plus2, minus2).element,
-        lift_projectors(minus2, minus2).element,
+        tensor_product(plus2, plus2),
+        tensor_product(plus2, minus2) + tensor_product(minus2, plus2),
+        tensor_product(minus2, minus2),
     )
 
 
@@ -514,13 +517,13 @@ def _fiber_sectors(signature: Signature) -> tuple[AlgebraElement, AlgebraElement
 def fiber_component_basis(signature: Signature) -> ComponentBasis:
     """Component carriers of x (x) x for the signatures + ++ - -+.
 
-    A component's carrier is its e1 projector half, shifted by its basis
-    pair and, with two generators, cut down to its sector of the split on
-    e2 (which needs e2**2 == +1).  The component tables give the half, the
-    shift and the sector of each component; the half of a carrier whose
-    shift holds e1 flips with the square of e1.
+    A component's carrier is its e1 projector half, shifted by the basis
+    tensor 1 (x) e_T of its shift T and, with two generators, cut down to
+    its sector of the split on e2 (which needs e2**2 == +1).  The component
+    tables give the half, the shift and the sector of each component; the
+    half of a carrier whose shift holds e1 flips with the square of e1.
     """
-    from .tensor import ComponentBasis, basis_pair, diagonal_projector
+    from .tensor import ComponentBasis, diagonal_projector
 
     if signature.n == 1:
         table = _TANGENT_TABLE
@@ -544,7 +547,7 @@ def fiber_component_basis(signature: Signature) -> ComponentBasis:
     for _, half, shift, sector in rows:
         carrier = halves[half]
         if shift:
-            carrier = multiply(carrier, basis_pair(signature, 0, shift))
+            carrier = multiply(carrier, AlgebraElement.basis(signature.doubled(), shift))
         if sectors:
             carrier = multiply(carrier, sectors[sector])
         tensors.append(carrier)

@@ -12,8 +12,9 @@ is then the algebra product of the doubled signature, so the same
 kernel that multiplies base elements multiplies tensors.
 
 The tensors double as the verification oracle for the closed-form fiber
-decompositions: sector components are extracted here through projector
-products and a trace pairing, never through the closed forms themselves.
+decompositions: a :class:`ComponentBasis` reads sector components off a
+tensor through the 1 (x) 1 coefficient of a product, never through the
+closed forms themselves.
 """
 
 from __future__ import annotations
@@ -39,12 +40,7 @@ __all__ = [
     "tensor_product",
     "square_embed",
     "tensor_multiply",
-    "tensor_identity",
-    "basis_pair",
     "diagonal_projector",
-    "lift_projectors",
-    "mixed_projector",
-    "trace_pairing",
     "ComponentBasis",
     "row_max",
 ]
@@ -76,17 +72,6 @@ def square_embed(x: AlgebraElement) -> AlgebraElement:
     return tensor_product(x, x)
 
 
-def tensor_identity(signature: Signature) -> AlgebraElement:
-    return AlgebraElement.basis(signature.doubled(), 0)
-
-
-def basis_pair(signature: Signature, left_mask: int, right_mask: int) -> AlgebraElement:
-    """The basis tensor e_S (x) e_T."""
-    left_mask = _check_mask(signature, left_mask)
-    right_mask = _check_mask(signature, right_mask)
-    return AlgebraElement.basis(signature.doubled(), left_mask * signature.dim + right_mask)
-
-
 def diagonal_projector(signature: Signature, mask: int, sign: int) -> Idempotent:
     """The projector (1 (x) 1 + sign * e_S (x) e_S) / 2.
 
@@ -95,32 +80,6 @@ def diagonal_projector(signature: Signature, mask: int, sign: int) -> Idempotent
     """
     mask = _check_mask(signature, mask)
     return idempotent_half(mask * (signature.dim + 1), sign, signature.doubled())
-
-
-def lift_projectors(p: Idempotent, q: Idempotent) -> Idempotent:
-    """The slotwise lift p (x) q of two base idempotents."""
-    return Idempotent(tensor_product(p.element, q.element))
-
-
-def mixed_projector(p: Idempotent, q: Idempotent) -> Idempotent:
-    """The swap-symmetric sector projector p (x) q + q (x) p.
-
-    For a complementary pair this is idempotent because the two lifts
-    annihilate each other; it is exposed as one named projector since the
-    two halves are never used separately.
-    """
-    return Idempotent(tensor_product(p.element, q.element) + tensor_product(q.element, p.element))
-
-
-def trace_pairing(a: AlgebraElement, b: AlgebraElement):
-    """Coefficient of 1 (x) 1 in a*b, the symmetric pairing of the algebra.
-
-    On basis tensors the pairing is diagonal:
-    <e_S (x) e_T, e_U (x) e_V> equals sign(S,S)*sign(T,T) when (S,T) == (U,V)
-    and vanishes otherwise, which makes it the natural dual for component
-    extraction.
-    """
-    return multiply(a, b).coefficient(0)
 
 
 class ComponentBasis(_Record, eq=False):
@@ -182,15 +141,8 @@ class ComponentBasis(_Record, eq=False):
         # transpose did not.
         return flat_grids @ self._dual.T
 
-    def reconstruction_residual(self, t: AlgebraElement) -> float:
-        """Max coefficient gap between t and its span reconstruction."""
-        self._require_doubled(t)
-        flat = t.coeffs.astype(np.float64)
-        comps = self._dual @ flat
-        return float(np.max(np.abs(flat - comps @ self._flat)))
-
     def reconstruction_residual_batch(self, flat_grids: np.ndarray, components: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`reconstruction_residual`, given ``components_batch(flat_grids)``."""
+        """Each row's max coefficient gap to its span reconstruction, given ``components_batch(flat_grids)``."""
         # One buffer for the gap: every fresh batch-sized temporary is
         # faulted in page by page, which costs more than the arithmetic.
         gap = components @ self._flat

@@ -89,7 +89,7 @@ from .fiber import (
     fiber_component_basis,
     lift_kinematics,
 )
-from .tensor import row_max, tensor_identity
+from .tensor import row_max
 
 __all__ = ["PropertyResult", "VerificationReport", "run_verification"]
 
@@ -291,7 +291,7 @@ def _check_projector_algebra(name: str, sig: Signature, rng, samples: int, tol: 
                 checks += 1
     if sig.n == 2 and sig.squares[1] == 1:
         sectors = _fiber_sectors(sig)
-        total = sectors[0] + sectors[1] + sectors[2] - tensor_identity(sig)
+        total = sectors[0] + sectors[1] + sectors[2] - AlgebraElement.basis(sig.doubled(), 0)
         worst = max(worst, float(np.max(np.abs(total.coeffs))))
         for i in range(3):
             for j in range(i + 1, 3):

@@ -266,12 +266,15 @@ BOUNDARY_CALLS = [
     ["decompose", "++", "1", "0", "0", "0", "--tol", "-1"],
     ["boost", "++", "1", "0", "0", "0", "0.5", "--tol", "-1e-300"],
     ["verify", "+", "50", "0", "-1"],
-    ["verify", "+", "50", "--tol", "-1"],
-    # an option the subcommand does not read
+    # an option the subcommand does not read: verify takes its values positionally only
     ["trajectory", "1", "0", "1", "10", "--tol", "1e-30"],
     ["decompose", "++", "1", "0", "0", "0", "--seed", "5"],
     ["decompose", "++", "1", "0", "0", "0", "--samples", "9"],
     ["boost", "++", "1", "0", "0", "0", "0.5", "--seed", "5"],
+    ["verify", "+", "50", "--tol", "-1"],
+    ["verify", "++", "--seed", "5"],
+    ["verify", "++", "--samples", "10"],
+    ["verify", "++", "10", "--tol", "0.5"],
 ]
 
 
@@ -410,29 +413,6 @@ class TestVerify:
             "seed": 1,
             "tol": 1e-10,
         }
-
-    def test_flag_form_matches_positional(self, capsys):
-        out1, _ = run_cli(["verify", "++", "200", "9", "1e-10"], capsys)
-        out2, _ = run_cli(
-            ["verify", "++", "--samples", "200", "--seed", "9", "--tol", "1e-10"], capsys
-        )
-        assert out1 == out2
-
-    @pytest.mark.parametrize(
-        "argv, name",
-        [
-            (["verify", "++", "10", "--samples", "10"], "samples"),
-            (["verify", "++", "10", "0", "--seed", "5"], "seed"),
-            (["verify", "++", "10", "0", "1e-10", "--tol", "0.5"], "tol"),
-        ],
-    )
-    def test_value_given_twice_exits_2(self, argv, name, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        out, stderr = capsys.readouterr()
-        assert err.value.code == 2
-        assert out == ""
-        assert stderr == f"fiberalg: error: {name} is given both as an argument and as --{name}\n"
 
     def test_zero_samples_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -1,5 +1,9 @@
-"""Single-element CLI calls never import numpy; the batch modules load on first use."""
+"""Single-element CLI calls never import numpy; the batch modules load on first use.
 
+No module of the package imports a name it never uses.
+"""
+
+import ast
 import json
 import os
 import subprocess
@@ -14,17 +18,16 @@ ROOT = Path(__file__).resolve().parent.parent
 EXPORTS = [
     "ActionIntegral", "AlgebraElement", "CausalClass", "ComponentBasis", "CrossQuad",
     "EUCLIDEAN_FIBER_SIGNATURE", "EUCLIDEAN_TANGENT_SIGNATURE", "EuclideanFiberDecomposition",
-    "EuclideanSector", "FIBER_SIGNATURE", "Factorization",
-    "FiberDecomposition", "Idempotent", "MomentumTriple", "PropertyResult", "Signature",
-    "TANGENT_SIGNATURE", "TangentTriple", "VerificationReport", "algebra", "basis_pair",
-    "basis_sign", "boost_element", "boost_residuals", "classify_causal", "decompose_c2",
-    "decompose_c2_projected", "decompose_d2", "decompose_d2_projected", "decompose_euclidean",
-    "decompose_euclidean_projected", "diagonal_projector", "factorize", "fiber",
-    "fiber_component_basis", "free_particle_element", "idempotent_half", "idempotent_pair",
-    "is_min_action", "lift_kinematics", "lift_projectors", "mixed_projector", "multiply",
-    "multiply_coeffs", "rotation_element", "run_verification", "square_embed", "tensor",
-    "tensor_identity", "tensor_multiply", "tensor_product", "trace_pairing",
-    "trajectory_action", "transform", "verify",
+    "EuclideanSector", "FIBER_SIGNATURE", "Factorization", "FiberDecomposition", "Idempotent",
+    "MomentumTriple", "PropertyResult", "Signature", "TANGENT_SIGNATURE", "TangentTriple",
+    "VerificationReport", "algebra", "basis_sign", "boost_element", "boost_residuals",
+    "classify_causal", "decompose_c2", "decompose_c2_projected", "decompose_d2",
+    "decompose_d2_projected", "decompose_euclidean", "decompose_euclidean_projected",
+    "diagonal_projector", "factorize", "fiber", "fiber_component_basis",
+    "free_particle_element", "idempotent_half", "idempotent_pair", "is_min_action",
+    "lift_kinematics", "multiply", "multiply_coeffs", "rotation_element", "run_verification",
+    "square_embed", "tensor", "tensor_multiply", "tensor_product", "trajectory_action",
+    "transform", "verify",
 ]
 
 DECOMPOSE = [("+", ["2", "1"]), ("++", ["2", "1", "1", "0.5"]), ("m", ["1", "-3"]), ("m+", ["1", "2", "3", "4"])]
@@ -135,3 +138,40 @@ print(json.dumps({"exact": square.exact, "norm": str(square.norm_squared()), "nu
 """
     )
     assert got == {"exact": True, "norm": "5017/1296", "numpy": False}
+
+
+def _imports_without_use(scope: ast.AST) -> list[str]:
+    """Names bound by an import in ``scope``, or in a function nested in it, that the binding scope never reads.
+
+    A nested function reads the names of the scopes around it; an
+    annotation reads its names, a string annotation included.
+    """
+    imported, unused = {}, []
+
+    def bind(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                unused.extend(_imports_without_use(child))
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                if getattr(child, "module", None) != "__future__":
+                    imported.update({alias.asname or alias.name.split(".")[0]: child.lineno for alias in child.names})
+            else:
+                bind(child)
+
+    bind(scope)
+    used = set()
+    for node in ast.walk(scope):
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(annotation.value, mode="eval")) if isinstance(n, ast.Name))
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+    return unused + [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+MODULES = sorted(p for p in (ROOT / "src" / "fiberalg").glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_import(path):
+    assert _imports_without_use(ast.parse(path.read_text(), filename=str(path))) == []

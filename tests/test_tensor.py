@@ -8,24 +8,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fiberalg.algebra import AlgebraElement, Idempotent, Signature, idempotent_pair, multiply
-from fiberalg.fiber import fiber_component_basis
+from fiberalg.fiber import _fiber_sectors, fiber_component_basis
 from fiberalg.tensor import (
     ComponentBasis,
-    basis_pair,
     diagonal_projector,
-    lift_projectors,
-    mixed_projector,
     row_max,
     square_embed,
-    tensor_identity,
     tensor_multiply,
     tensor_product,
-    trace_pairing,
 )
 
 C2 = Signature((1,))
 D2 = Signature((1, 1))
 E2 = Signature((-1,))
+
+
 
 coeff = st.floats(-10, 10, allow_nan=False, allow_infinity=False).map(
     lambda v: 0.0 if abs(v) < 1e-100 else v
@@ -86,7 +83,7 @@ class TestEmbed:
 
     def test_identity_embeds_to_identity(self):
         one = AlgebraElement.basis(C2, 0)
-        assert square_embed(one) == tensor_identity(C2)
+        assert square_embed(one) == AlgebraElement.basis(C2.doubled(), 0)
 
     @given(st.lists(coeff, min_size=2, max_size=2))
     def test_swap_symmetry(self, values):
@@ -103,12 +100,13 @@ class TestEmbed:
 
 class TestTensorMultiply:
     def test_diagonal_times_slot(self):
-        # (e (x) e)(1 (x) e) = e (x) 1 when e squares to +1
-        assert tensor_multiply(basis_pair(C2, 1, 1), basis_pair(C2, 0, 1)) == basis_pair(C2, 1, 0)
+        # (e (x) e)(1 (x) e) = e (x) 1 when e squares to +1; e_S (x) e_T sits at S * 2 + T
+        e_e, one_e, e_one = (AlgebraElement.basis(C2.doubled(), i) for i in (3, 1, 2))
+        assert tensor_multiply(e_e, one_e) == e_one
 
     def test_identity(self):
         t = square_embed(AlgebraElement(C2, [2.0, 1.0]))
-        assert tensor_multiply(tensor_identity(C2), t) == t
+        assert tensor_multiply(AlgebraElement.basis(C2.doubled(), 0), t) == t
 
     def test_homomorphism_worked_pair(self):
         x = AlgebraElement(C2, [2.0, 1.0])
@@ -131,12 +129,12 @@ class TestTensorMultiply:
 
     def test_slotwise_signs(self):
         # (e1 (x) e1)(e1 (x) 1) = e1^2 (x) e1 = -(1 (x) e1) when e1^2 = -1
-        got = tensor_multiply(basis_pair(E2, 1, 1), basis_pair(E2, 1, 0))
-        assert got == -1 * basis_pair(E2, 0, 1)
+        e_e, e_one, one_e = (AlgebraElement.basis(E2.doubled(), i) for i in (3, 2, 1))
+        assert tensor_multiply(e_e, e_one) == -1 * one_e
 
     def test_signature_mismatch(self):
         with pytest.raises(ValueError, match="signature mismatch"):
-            tensor_multiply(tensor_identity(C2), tensor_identity(E2))
+            tensor_multiply(AlgebraElement.basis(C2.doubled(), 0), AlgebraElement.basis(E2.doubled(), 0))
 
     def test_exact_grid_multiply(self):
         half = Fraction(1, 2)
@@ -154,11 +152,11 @@ class TestExtract:
         assert t.grid[1, 1] == 1.0
 
     def test_identity_coefficient(self):
-        assert tensor_identity(C2).grid[0, 0] == 1.0
+        assert AlgebraElement.basis(C2.doubled(), 0).grid[0, 0] == 1.0
 
     def test_range_check(self):
         with pytest.raises(ValueError, match="out of range"):
-            basis_pair(C2, 2, 0)
+            AlgebraElement.basis(C2.doubled(), 4)
 
 
 class TestGrid:
@@ -169,7 +167,7 @@ class TestGrid:
             for t in range(sig.dim):
                 expected = np.zeros((sig.dim, sig.dim))
                 expected[s, t] = 1.0
-                np.testing.assert_array_equal(basis_pair(sig, s, t).grid, expected)
+                np.testing.assert_array_equal(AlgebraElement.basis(sig.doubled(), s * sig.dim + t).grid, expected)
 
     def test_read_only(self):
         grid = square_embed(AlgebraElement(C2, [2.0, 1.0])).grid
@@ -204,62 +202,67 @@ class TestProjectors:
         # Times Fraction(1), the float projectors are promoted with no rounding.
         plus = diagonal_projector(D2, 1, +1).element * Fraction(1)
         minus = diagonal_projector(D2, 1, -1).element * Fraction(1)
-        assert plus + minus == tensor_identity(D2) * Fraction(1)
+        assert plus + minus == AlgebraElement.basis(D2.doubled(), 0) * Fraction(1)
         product = tensor_multiply(plus, minus)
         assert product.exact
         assert not np.any(product.grid != 0)
 
     def test_lifted_pair_idempotent(self):
-        plus2, minus2 = idempotent_pair(0b10, D2)
+        plus2, minus2 = (p.element for p in idempotent_pair(0b10, D2))
         for p, q in ((plus2, plus2), (plus2, minus2), (minus2, minus2)):
-            lifted = lift_projectors(p, q)
+            lifted = Idempotent(tensor_product(p, q))
             assert isinstance(lifted, Idempotent)
 
     def test_embed_splits_through_lifted_projectors(self):
         # (x (x) x)(p (x) p) = (xp) (x) (xp)
         x = AlgebraElement(D2, [2.0, 1.0, 1.0, 0.5])
-        plus2, _ = idempotent_pair(0b10, D2)
-        left = tensor_multiply(square_embed(x), lift_projectors(plus2, plus2).element)
-        right = square_embed(multiply(x, plus2.element))
+        plus2, _ = (p.element for p in idempotent_pair(0b10, D2))
+        left = tensor_multiply(square_embed(x), tensor_product(plus2, plus2))
+        right = square_embed(multiply(x, plus2))
         np.testing.assert_allclose(left.grid, right.grid, atol=1e-13)
 
     def test_sector_family_resolves_identity(self):
-        plus2, minus2 = (Idempotent(p.element * Fraction(1)) for p in idempotent_pair(0b10, D2))
+        # The sector projectors of fiber._fiber_sectors, in Fractions: they sum
+        # to 1 (x) 1, annihilate pairwise and so are each idempotent.
+        plus2, minus2 = (p.element * Fraction(1) for p in idempotent_pair(0b10, D2))
         sectors = [
-            lift_projectors(plus2, plus2).element,
-            mixed_projector(plus2, minus2).element,
-            lift_projectors(minus2, minus2).element,
+            tensor_product(plus2, plus2),
+            tensor_product(plus2, minus2) + tensor_product(minus2, plus2),
+            tensor_product(minus2, minus2),
         ]
         total = sectors[0] + sectors[1] + sectors[2]
         assert total.exact
-        assert total == tensor_identity(D2) * Fraction(1)
+        assert total == AlgebraElement.basis(D2.doubled(), 0) * Fraction(1)
         for i in range(3):
             for j in range(i + 1, 3):
                 product = tensor_multiply(sectors[i], sectors[j])
                 assert not np.any(product.grid != 0)
+        for sector in sectors:
+            assert Idempotent(sector).element == sector
+        assert [s * Fraction(1) for s in _fiber_sectors(D2)] == sectors
 
     def test_mixed_projector_is_single_idempotent(self):
-        plus2, minus2 = idempotent_pair(0b10, D2)
-        q = mixed_projector(plus2, minus2)
-        assert tensor_multiply(q.element, q.element) == q.element
+        plus2, minus2 = (p.element for p in idempotent_pair(0b10, D2))
+        q = tensor_product(plus2, minus2) + tensor_product(minus2, plus2)
+        assert tensor_multiply(q, q) == q
 
     def test_non_idempotent_rejected(self):
         with pytest.raises(ValueError, match="not idempotent"):
-            Idempotent(basis_pair(D2, 0, 1))
+            Idempotent(AlgebraElement.basis(D2.doubled(), 1))
 
 
 class TestTracePairing:
     def test_identity_pairing_reads_scalar_slot(self):
         t = square_embed(AlgebraElement(C2, [2.0, 1.0]))
-        assert trace_pairing(tensor_identity(C2), t) == t.grid[0, 0]
+        assert multiply(AlgebraElement.basis(C2.doubled(), 0), t).values[0] == t.grid[0, 0]
 
     def test_basis_orthogonality(self):
         for sig in (C2, E2):
             for s in range(sig.dim):
                 for t in range(sig.dim):
-                    left = basis_pair(sig, s, s)
-                    right = basis_pair(sig, t, t)
-                    value = trace_pairing(left, right)
+                    left = AlgebraElement.basis(sig.doubled(), s * sig.dim + s)
+                    right = AlgebraElement.basis(sig.doubled(), t * sig.dim + t)
+                    value = multiply(left, right).values[0]
                     if s == t:
                         assert value in (1.0, -1.0)
                     else:
@@ -268,7 +271,7 @@ class TestTracePairing:
 
 class TestComponentBasis:
     def test_rejects_non_orthogonal_family(self):
-        family = (tensor_identity(D2), diagonal_projector(D2, 1, +1).element)
+        family = (AlgebraElement.basis(D2.doubled(), 0), diagonal_projector(D2, 1, +1).element)
         with pytest.raises(ValueError, match="not trace-orthogonal"):
             ComponentBasis(D2, ("a", "b"), family)
 
@@ -281,11 +284,17 @@ class TestComponentBasis:
         # + and - (++ and -+) share their dims; only the signature tells them apart
         for base, other in ((C2, E2), (D2, Signature((-1, 1)))):
             basis = fiber_component_basis(base)
-            t = square_embed(AlgebraElement(other, np.arange(1.0, other.dim + 1)))
+            values = np.arange(1.0, other.dim + 1)
+            t = square_embed(AlgebraElement(other, values))
             with pytest.raises(ValueError, match="needs tensors over"):
                 basis.components(t)
-            with pytest.raises(ValueError, match="needs tensors over"):
-                basis.reconstruction_residual(t)
+            # A batch row carries no signature: it is read as a tensor over the
+            # basis's own doubling, whose x (x) x has the same coefficients.
+            own = square_embed(AlgebraElement(base, values))
+            flat = t.coeffs[None, :]
+            components = basis.components_batch(flat)
+            np.testing.assert_array_equal(components, basis.components_batch(own.coeffs[None, :]))
+            assert basis.reconstruction_residual_batch(flat, components).tolist() == [0.0]
         with pytest.raises(ValueError, match="needs tensors over"):
             ComponentBasis(C2, ("plus",), (diagonal_projector(E2, 1, +1).element,))
 
@@ -296,7 +305,15 @@ class TestComponentBasis:
         target = 3.0 * plus + (-2.0) * minus
         comps = family.components(target)
         assert comps == {"plus": 3.0, "minus": -2.0}
-        assert family.reconstruction_residual(target) == 0.0
+        flat = target.coeffs[None, :]
+        assert family.reconstruction_residual_batch(flat, family.components_batch(flat)).tolist() == [0.0]
+
+    def test_residual_measures_what_the_span_misses(self):
+        plus = diagonal_projector(C2, 1, +1).element
+        family = ComponentBasis(C2, ("plus",), (plus,))
+        # 1 (x) e is orthogonal to the plus projector, so none of it is reconstructed
+        flat = (3.0 * plus + 2.0 * AlgebraElement.basis(C2.doubled(), 1)).coeffs[None, :]
+        assert family.reconstruction_residual_batch(flat, family.components_batch(flat)).tolist() == [2.0]
 
     def test_batch_matches_scalar_path(self):
         plus = diagonal_projector(C2, 1, +1).element
