@@ -11,8 +11,8 @@ sample counts.  The small cases run again at ``verify.BLOCK_VALUES =
 160``, where every sweep spans many blocks.  The same child then replays
 a fixed list of CLI calls through ``cli.main``: every format and
 signature of ``decompose``, ``boost``, calls at the edges of the float range,
-``verify`` on its defaults, a small sample count and a failing positional
-tol, one ``trajectory``, and one json ``decompose`` per
+``verify`` on its defaults, a small sample count (with its option first,
+too) and a failing positional tol, one ``trajectory``, and one json ``decompose`` per
 signature on an input that rounds.  Last it replays a fixed list of
 library calls on the dyadic ``decompose`` inputs, exact in floats, and on
 those that round: each closed form and its projector twin, and
@@ -81,6 +81,8 @@ CLI_CALLS = [
     ["decompose", "++", "1e-310", "0", "0", "0"],
     ["boost", "++", "1e-310", "0", "0", "0", "0.1"],
     ["verify", "m+", "300", "2"],
+    # options before the values
+    ["verify", "m+", "--format", "csv", "300", "2"],
     # verify's three defaults, and a positional tol that fails the sweep (exit 1)
     ["verify", "m"],
     ["verify", "+", "200", "1", "1e-30"],

@@ -23,8 +23,8 @@ and an exact operand promotes a float one with no rounding.  The
 constructors build floats (a ``Fraction`` value makes ``scalar`` exact);
 an exact basis element or projector is the float one times
 ``Fraction(1)``.  Single elements never touch numpy.  The ``coeffs`` array
-and the sign table are built with numpy when read; the batch product,
-:func:`multiply_coeffs`, holds no table.
+and the sign table are built with numpy on each read and cached nowhere;
+the batch product, :func:`multiply_coeffs`, holds no table.
 
 :class:`Signature`, :class:`Idempotent` and the other modules' results are frozen
 records on :class:`_Record`, which generates no code and needs neither ``dataclasses``
@@ -62,7 +62,7 @@ class _Record:
     """A frozen record: the fields are the class annotations, in order; a default is a class attribute.
 
     ``vars(record)`` is its own dict of the fields: read it, never write it.  A ``__post_init__`` may
-    cache private values there too (``ComponentBasis`` holds ``_flat`` and ``_dual``), after the fields.
+    cache private values there too (``ComponentBasis`` holds ``_dual``), after the fields.
     Records compare and hash by exact type and fields, or by identity if declared ``eq=False``;
     nothing is generated.
     """
@@ -171,8 +171,13 @@ class Signature(_Record):
 
     @property
     def sign_table(self) -> np.ndarray:
-        """``sign_table[S, T]`` is the product of squares over ``S & T`` (read-only int8)."""
-        return _sign_table(self.squares)
+        """``sign_table[S, T]`` is the product of squares over ``S & T``: a fresh read-only int8 array."""
+        import numpy as np
+
+        index = np.arange(self.dim, dtype=np.int32)
+        table = 1 - 2 * _odd(index[:, None] & index, _negative_mask(self.squares)).astype(np.int8)
+        table.setflags(write=False)
+        return table
 
 
 def _negative_mask(squares: tuple[int, ...]) -> int:
@@ -191,16 +196,6 @@ def _odd(mask, negative: int):
     import numpy as np
 
     return np.bitwise_count(mask & negative) & 1
-
-
-@lru_cache(maxsize=None)
-def _sign_table(squares: tuple[int, ...]) -> np.ndarray:
-    import numpy as np
-
-    index = np.arange(1 << len(squares), dtype=np.int32)
-    table = 1 - 2 * _odd(index[:, None] & index, _negative_mask(squares)).astype(np.int8)
-    table.setflags(write=False)
-    return table
 
 
 def _product(squares: tuple[int, ...], a, b) -> tuple:

@@ -14,7 +14,9 @@ includes non-finite number arguments and results beyond the float range.
 
 ``verify`` takes its values positionally, as ``verify SIGNATURE [SAMPLES]
 [SEED] [TOL]``; ``decompose`` and ``boost`` take a tolerance as ``--tol``.
-Every value left out takes its default, shown by ``--help``.
+Every value left out takes its default, shown by ``--help``.  Options may
+stand anywhere after the subcommand, between its values too, except in a
+call that holds a ``--``: there they come before the values.
 
 Signatures are written as '+'/'-' strings ('++' is the fiber algebra).
 Because a leading '-' reads as a flag, signatures that start with a
@@ -60,11 +62,27 @@ TRAJECTORY_GATE = 1e-9
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser, subparsers included, that reads "-2e-3" as a number; Python 3.11's reads a flag."""
+    """A parser, subparsers included, that reads "-2e-3" as a number; Python 3.11's reads a flag.
+
+    A subcommand's parser reads options between its values: a plain parse
+    closes every "?" and "*" value at the first option.
+    """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+        self._intermixing = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        # The intermixed parse calls back in here; it refuses the top-level
+        # parser, and on Python 3.11 it drops the value after a "--".
+        if self._intermixing or self._subparsers is not None or "--" in args:
+            return super().parse_known_args(args, namespace)
+        self._intermixing = True
+        try:
+            return self.parse_known_intermixed_args(args, namespace)
+        finally:
+            self._intermixing = False
 
 
 def _signature_arg(text: str) -> Signature:
@@ -113,9 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run the identity sweeps")
     p.add_argument("signature", type=_signature_arg)
-    p.add_argument("samples", nargs="?", type=int, default=DEFAULT_SAMPLES, help="sample count (default: %(default)s)")
-    p.add_argument("seed", nargs="?", type=int, default=DEFAULT_SEED, help="PRNG seed (default: %(default)s)")
-    p.add_argument("tol", nargs="?", type=_tolerance, default=DEFAULT_TOL, help="tolerance (default: %(default)s)")
+    # The intermixed parse hides these defaults from the options it reads, "--help" too.
+    p.add_argument("samples", nargs="?", type=int, default=DEFAULT_SAMPLES, help=f"sample count (default: {DEFAULT_SAMPLES})")
+    p.add_argument("seed", nargs="?", type=int, default=DEFAULT_SEED, help=f"PRNG seed (default: {DEFAULT_SEED})")
+    p.add_argument("tol", nargs="?", type=_tolerance, default=DEFAULT_TOL, help=f"tolerance (default: {DEFAULT_TOL})")
 
     p = sub.add_parser("boost", parents=[with_tol], help="decompose before and after a boost")
     p.add_argument("signature", type=_signature_arg)

@@ -221,7 +221,8 @@ _FiberParts = namedtuple(
 
 def _tangent_parts(u, v) -> _TangentParts:
     """(u**2 + v**2, 2uv, u**2 - v**2); accepts scalars or arrays."""
-    return _TangentParts(u * u + v * v, 2 * u * v, u * u - v * v)
+    uu, vv = u * u, v * v
+    return _TangentParts(uu + vv, 2 * u * v, uu - vv)
 
 
 def _sector_parts(x0, x1, x2, x3) -> _FiberParts:
@@ -234,11 +235,8 @@ def _sector_parts(x0, x1, x2, x3) -> _FiberParts:
     c, d = x0 - x2, x1 - x3
     dt, dq, ds = _tangent_parts(a, b)
     energy, momentum, mass = _tangent_parts(c, d)
-    cp1 = c * a + d * b
-    cpe = c * b + d * a
-    cm1 = c * a - d * b
-    cme = c * b - d * a
-    return _FiberParts(dt, dq, ds, energy, momentum, mass, cp1, cpe, cm1, cme)
+    ca, db, cb, da = c * a, d * b, c * b, d * a
+    return _FiberParts(dt, dq, ds, energy, momentum, mass, ca + db, cb + da, ca - db, cb - da)
 
 
 def _fiber_parts(x0, x1, x2, x3) -> _FiberParts:

@@ -14,12 +14,10 @@ kernel that multiplies base elements multiplies tensors.
 The tensors double as the verification oracle for the closed-form fiber
 decompositions: a :class:`ComponentBasis` reads sector components off a
 tensor through the 1 (x) 1 coefficient of a product, never through the
-closed forms themselves.
+closed forms themselves; :mod:`fiberalg.verify` measures what their span misses.
 """
 
 from __future__ import annotations
-
-from functools import reduce
 
 import numpy as np
 
@@ -42,19 +40,7 @@ __all__ = [
     "tensor_multiply",
     "diagonal_projector",
     "ComponentBasis",
-    "row_max",
 ]
-
-
-def row_max(a: np.ndarray) -> np.ndarray:
-    """``np.max(a, axis=1)``, folded over the columns when a row holds at most 16 values.
-
-    numpy reduces a short last axis row by row, so a fold is several times
-    faster there; a fold pays per column, so it is slower on wider rows.
-    The values are the same.  So are the bits on absolute values; with
-    signed zeros or NaNs, the sign of a folded maximum may differ.
-    """
-    return reduce(np.maximum, a.T) if a.shape[1] <= 16 else np.max(a, axis=1)
 
 
 # The two-slot product is the algebra product of the doubled signature.
@@ -115,10 +101,8 @@ class ComponentBasis(_Record, eq=False):
         if np.min(np.abs(np.diag(gram))) <= 1e-12 * scale:
             raise ValueError("component basis contains a tensor with vanishing self-pairing")
 
-        flat = coeffs.astype(np.float64)
-        dual = flat * [basis_sign(s, s, doubled) for s in range(doubled.dim)] / np.diag(gram)[:, None]
-        object.__setattr__(self, "_flat", flat)
-        object.__setattr__(self, "_dual", dual)
+        signs = [basis_sign(s, s, doubled) for s in range(doubled.dim)]
+        object.__setattr__(self, "_dual", coeffs.astype(np.float64) * signs / np.diag(gram)[:, None])
 
     def _require_doubled(self, t: AlgebraElement) -> None:
         # + and ++ share their dims with - and -+, so no shape check catches a mix-up.
@@ -140,11 +124,3 @@ class ComponentBasis(_Record, eq=False):
         # blocked verify sweeps rely on; a C-contiguous copy of the
         # transpose did not.
         return flat_grids @ self._dual.T
-
-    def reconstruction_residual_batch(self, flat_grids: np.ndarray, components: np.ndarray) -> np.ndarray:
-        """Each row's max coefficient gap to its span reconstruction, given ``components_batch(flat_grids)``."""
-        # One buffer for the gap: every fresh batch-sized temporary is
-        # faulted in page by page, which costs more than the arithmetic.
-        gap = components @ self._flat
-        np.subtract(flat_grids, gap, out=gap)
-        return row_max(np.abs(gap, out=gap))

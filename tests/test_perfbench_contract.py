@@ -26,3 +26,12 @@ def test_element_chain_and_probes(monkeypatch):
     basis = layers._fresh_basis(FIBER_SIGNATURE)
     assert basis.components_batch(np.eye(16)).shape == (16, 10)
     diagonal_projector(FIBER_SIGNATURE, 0b01, 1)
+
+
+def test_verify_sweeps_final_check(monkeypatch):
+    # final_check compares Signature.sign_table with the benchmark's own
+    # popcount parity table on every signature of a plan and its doubling.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    for plan in (workloads.PAPER_PLAN, workloads.WIDE_PLAN):
+        workloads.VerifySweeps(0, plan).final_check()

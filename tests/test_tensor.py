@@ -12,59 +12,19 @@ from fiberalg.fiber import _fiber_sectors, fiber_component_basis
 from fiberalg.tensor import (
     ComponentBasis,
     diagonal_projector,
-    row_max,
     square_embed,
     tensor_multiply,
     tensor_product,
 )
+from test_verify import span_gap
 
 C2 = Signature((1,))
 D2 = Signature((1, 1))
 E2 = Signature((-1,))
 
-
-
 coeff = st.floats(-10, 10, allow_nan=False, allow_infinity=False).map(
     lambda v: 0.0 if abs(v) < 1e-100 else v
 )
-
-ROW_WIDTHS = [1, 2, 4, 9, 16, 17, 64]
-_SPECIAL_VALUES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308]
-
-
-def fold_rows(width: int) -> np.ndarray:
-    """Rows of ``width`` values: random ones, and each special value in the first, middle and last column."""
-    rng = np.random.default_rng(width)
-    rows = list(rng.uniform(-10, 10, (5, width)))
-    for column in sorted({0, width // 2, width - 1}):
-        for value in _SPECIAL_VALUES:
-            row = rng.uniform(-10, 10, width)
-            row[column] = value
-            rows.append(row)
-    rows += [np.full(width, value) for value in _SPECIAL_VALUES]
-    return np.array(rows)
-
-
-class TestRowMax:
-    @pytest.mark.parametrize("width", ROW_WIDTHS)
-    def test_bits_of_np_max_on_absolute_values(self, width):
-        # every caller passes absolute values: no zero or NaN carries a sign
-        a = np.abs(fold_rows(width))
-        assert row_max(a).tobytes() == np.max(a, axis=1).tobytes()
-
-    @pytest.mark.parametrize("width", ROW_WIDTHS)
-    def test_values_of_np_max_on_signed_values(self, width):
-        # With signed zeros the sign of a zero maximum follows the order of
-        # the comparisons, which the fold and np.max need not share.
-        a = fold_rows(width)
-        got, expected = row_max(a), np.max(a, axis=1)
-        assert np.array_equal(np.isnan(got), np.isnan(expected))
-        assert np.array_equal(got, expected, equal_nan=True)
-
-    @pytest.mark.parametrize("width", [2, 4, 16])
-    def test_returns_a_new_array(self, width):
-        a = fold_rows(width)
-        assert not np.shares_memory(row_max(a), a)
 
 
 class TestEmbed:
@@ -294,7 +254,7 @@ class TestComponentBasis:
             flat = t.coeffs[None, :]
             components = basis.components_batch(flat)
             np.testing.assert_array_equal(components, basis.components_batch(own.coeffs[None, :]))
-            assert basis.reconstruction_residual_batch(flat, components).tolist() == [0.0]
+            assert span_gap(basis, flat).tolist() == [0.0]
         with pytest.raises(ValueError, match="needs tensors over"):
             ComponentBasis(C2, ("plus",), (diagonal_projector(E2, 1, +1).element,))
 
@@ -305,15 +265,14 @@ class TestComponentBasis:
         target = 3.0 * plus + (-2.0) * minus
         comps = family.components(target)
         assert comps == {"plus": 3.0, "minus": -2.0}
-        flat = target.coeffs[None, :]
-        assert family.reconstruction_residual_batch(flat, family.components_batch(flat)).tolist() == [0.0]
+        assert span_gap(family, target.coeffs[None, :]).tolist() == [0.0]
 
     def test_residual_measures_what_the_span_misses(self):
         plus = diagonal_projector(C2, 1, +1).element
         family = ComponentBasis(C2, ("plus",), (plus,))
         # 1 (x) e is orthogonal to the plus projector, so none of it is reconstructed
         flat = (3.0 * plus + 2.0 * AlgebraElement.basis(C2.doubled(), 1)).coeffs[None, :]
-        assert family.reconstruction_residual_batch(flat, family.components_batch(flat)).tolist() == [2.0]
+        assert span_gap(family, flat).tolist() == [2.0]
 
     def test_batch_matches_scalar_path(self):
         plus = diagonal_projector(C2, 1, +1).element

@@ -8,15 +8,37 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fiberalg import algebra, verify
+from fiberalg import verify
 from fiberalg.algebra import Signature, multiply_coeffs
 from fiberalg.cli import main
-from fiberalg.fiber import _fiber_sectors, fiber_component_basis
-from fiberalg.verify import _Draw, _embed_flat, _rel, _sample_blocks, run_verification
+from fiberalg.fiber import _fiber_sectors, _parts, fiber_component_basis
+from fiberalg.verify import _Draw, _embed_flat, _oracle, _rel, _row_max, _sample_blocks, run_verification
 from test_cli import VERIFY_GOLDENS, forbid_products
-from test_tensor import fold_rows
 
 GOLDEN = Path(__file__).parent / "golden"
+
+ROW_WIDTHS = [1, 2, 4, 9, 16]
+_SPECIAL_VALUES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308]
+
+
+def fold_rows(width: int) -> np.ndarray:
+    """Rows of ``width`` values: random ones, and each special value in the first, middle and last column."""
+    rng = np.random.default_rng(width)
+    rows = list(rng.uniform(-10, 10, (5, width)))
+    for column in sorted({0, width // 2, width - 1}):
+        for value in _SPECIAL_VALUES:
+            row = rng.uniform(-10, 10, width)
+            row[column] = value
+            rows.append(row)
+    rows += [np.full(width, value) for value in _SPECIAL_VALUES]
+    return np.array(rows)
+
+
+def span_gap(basis, rows: np.ndarray) -> np.ndarray:
+    """Each row's largest coefficient gap to its reconstruction from ``basis``, as ``_oracle`` takes it."""
+    span = basis.components_batch(rows) @ np.stack([t.coeffs for t in basis.tensors])
+    np.subtract(rows, span, out=span)
+    return _row_max(np.abs(span, out=span))
 
 
 def _on_openblas() -> bool:
@@ -109,10 +131,9 @@ class TestFailureWiring:
             run_verification("++", 10, 0, tol)
 
     def test_too_many_generators_rejected_before_tables(self, monkeypatch):
-        cached = forbid_products(monkeypatch)
+        forbid_products(monkeypatch)
         with pytest.raises(ValueError, match="at most 6 generators, got 7"):
             run_verification("+++++++", 10, 0, 1e-10)
-        assert algebra._sign_table.cache_info().currsize == cached
 
 
 class TestReportShape:
@@ -158,6 +179,41 @@ def test_rel_has_the_bits_of_a_masked_divide():
         assert _rel(diff, scale).tobytes() == masked(diff, scale).tobytes()
     positive = np.random.default_rng(5).uniform(0.5, 2.0, (2, 100))
     assert _rel(*positive).tobytes() == masked(*positive).tobytes()
+
+
+class TestRowMax:
+    @pytest.mark.parametrize("width", ROW_WIDTHS)
+    def test_bits_of_np_max_on_absolute_values(self, width):
+        # every caller passes absolute values: no zero or NaN carries a sign
+        a = np.abs(fold_rows(width))
+        assert _row_max(a).tobytes() == np.max(a, axis=1).tobytes()
+
+    @pytest.mark.parametrize("width", ROW_WIDTHS)
+    def test_values_of_np_max_on_signed_values(self, width):
+        # With signed zeros the sign of a zero maximum follows the order of
+        # the comparisons, which the fold and np.max need not share.
+        a = fold_rows(width)
+        got, expected = _row_max(a), np.max(a, axis=1)
+        assert np.array_equal(np.isnan(got), np.isnan(expected))
+        assert np.array_equal(got, expected, equal_nan=True)
+
+    @pytest.mark.parametrize("width", [2, 4, 16])
+    def test_returns_a_new_array(self, width):
+        a = fold_rows(width)
+        assert not np.shares_memory(_row_max(a), a)
+
+
+@pytest.mark.parametrize("signature", ["+", "++", "-", "-+"])
+def test_oracle_gap_is_the_larger_of_the_closed_form_and_span_gaps(signature):
+    sig = Signature.from_string(signature)
+    basis = fiber_component_basis(sig)
+    x = np.random.default_rng(6).uniform(-10, 10, (sig.dim, 50))
+    [(gap, _)] = _oracle(sig, [(0, [x])])
+    flat = _embed_flat(x).T
+    parts = _parts(x)
+    closed = np.stack([getattr(parts, name) for name in basis.names], axis=1)
+    diff = np.max(np.abs(basis.components_batch(flat) - closed), axis=1)
+    assert gap.tobytes() == np.maximum(diff, span_gap(basis, flat)).tobytes()
 
 
 def test_norm_fold_has_the_bits_of_the_row_sum():
@@ -216,7 +272,7 @@ class TestBlocks:
         flat = np.ascontiguousarray(coeff_major.T)
         kernels = [
             basis.components_batch,
-            lambda rows: basis.reconstruction_residual_batch(rows, basis.components_batch(rows)),
+            lambda rows: span_gap(basis, rows),
         ]
         if sig.n == 2:
             # _sector_completeness' matmul by each sector's multiplication matrix
