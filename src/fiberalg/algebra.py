@@ -429,7 +429,7 @@ def multiply_coeffs(signature: Signature, a, b) -> np.ndarray:
     the same size and ``2 * dim`` index tuples, 1.3 MiB in all for two
     rows at dim 4096 passed basis axis first.  Every row without a NaN
     has the bits of :func:`multiply` on its two rows, and an exact row
-    equals it.  A negative sign multiplies ``a[s]`` here, where
+    equals it.  A negative sign multiplies the term here, in place, where
     :func:`multiply` negates ``b[s ^ k]``, so a NaN of ``b`` met by one
     may keep its sign bit here.
 
@@ -452,24 +452,28 @@ def multiply_coeffs(signature: Signature, a, b) -> np.ndarray:
     # the bits of s maps each b[k] to b[s ^ k], a view.
     axes = (2,) * n
     batch = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    a = np.ascontiguousarray(np.moveaxis(a, -1, 0), dtype=dtype)
-    b = np.ascontiguousarray(np.moveaxis(b, -1, 0), dtype=dtype)
+    # transpose, not np.moveaxis: the same view at a sixth of the call cost
+    a = np.ascontiguousarray(a.transpose(-1, *range(a.ndim - 1)), dtype=dtype)
+    b = np.ascontiguousarray(b.transpose(-1, *range(b.ndim - 1)), dtype=dtype)
     b = b.reshape(axes + (1,) * (len(batch) - b.ndim + 1) + b.shape[1:])
     # product() counts in binary, first axis highest: flips[s] reverses the
     # axes of the bits of s, and picks[m] keeps the axes of the bits of m
     # and fixes the others at bit 1.
     flips = list(itertools.product((slice(None), slice(None, None, -1)), repeat=n))
     picks = list(itertools.product((slice(1, 2), slice(None)), repeat=n))
-    # signs[k] is (-1) ** |negative & ~k|, so signs[picks[s & negative]]
-    # is (-1) ** |s & negative & ~k|: sign(s, s ^ k), as s & (s ^ k) = s & ~k.
-    signs = (1 - 2 * _odd(~np.arange(dim), negative).astype(dtype)).reshape(axes + (1,) * len(batch))
+    live = np.flatnonzero(a.reshape(dim, -1).any(axis=1)).tolist()
+    if any(s & negative for s in live):
+        # signs[k] is (-1) ** |negative & ~k|, so signs[picks[s & negative]]
+        # is (-1) ** |s & negative & ~k|: sign(s, s ^ k), as s & (s ^ k) = s & ~k.
+        signs = (1 - 2 * _odd(~np.arange(dim), negative).astype(dtype)).reshape(axes + (1,) * len(batch))
     out = np.zeros(axes + batch, dtype=dtype)
     term = np.empty_like(out)
-    for s in np.flatnonzero((a != 0).reshape(dim, -1).any(axis=1)).tolist():
-        scaled = a[s] * signs[picks[s & negative]] if s & negative else a[s]
-        np.multiply(scaled, b[flips[s]], out=term)
+    for s in live:
+        np.multiply(a[s], b[flips[s]], out=term)
+        if s & negative:
+            term *= signs[picks[s & negative]]
         out += term
-    return np.moveaxis(out.reshape((dim,) + batch), 0, -1)
+    return out.reshape((dim,) + batch).transpose(*range(1, len(batch) + 1), 0)
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

@@ -220,6 +220,8 @@ def _decompose_payload(signature: Signature, coeffs: list[float], tol: float) ->
 def _cmd_decompose(args, parser) -> tuple[dict, int]:
     signature = args.signature
     if args.labels:
+        if args.coeffs:
+            parser.error(f"--labels takes no coefficients, got {len(args.coeffs)}")
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": "labels",

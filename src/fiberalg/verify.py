@@ -24,9 +24,9 @@ A property is a generator over the blocks, not a function called per
 block, so its arrays live on from one block to the next: a function
 frees them all on return, the allocator may give the pages back, and
 the next block faults them in again.  Driving each block through a
-fresh generator, as a function would, took 21k minor faults to verify
+fresh generator, as a function would, took 42k minor faults to verify
 + ++ - -+ at 100 000 samples each, against 9.5k for one generator per
-sweep (means over 48 heap layouts, glibc 2.36, numpy 2.4, a two-core
+sweep (means over 12 heap layouts, glibc 2.36, numpy 2.4, a two-core
 Xeon).  The count is the allocator trimming and regrowing the heap; it
 moves by a few thousand with the layout alone.  A block holds about
 ``BLOCK_VALUES`` values of the widest array a row feeds, the ``x (x) x``
@@ -99,17 +99,16 @@ RAPIDITY_RANGE = 3.0
 LOOP_CAP = 20000
 # The embed sweeps multiply over the doubled signature, of dim 4**n, in
 # blocks of at least two rows.  The product holds no table, so the limit
-# bounds time: on a two-core Xeon one product of two rows took 0.5 s at
-# six generators (dim 4096), and one of four rows 8.6 s at seven.
+# bounds time: on a two-core Xeon one product of a six-generator block,
+# 8 rows at dim 4096, took 0.5 s, and one of four rows 8.6 s at seven.
 MAX_GENERATORS = 6
-# Values of x (x) x per block: 4096 rows at two generators, 16 at six.
-BLOCK_VALUES = 2**16
+# Values of x (x) x per block: 2048 rows at two generators, 8 at six.
+# A block of at most 2049 rows at dim 4 keeps each 16 x 16 matmul of
+# _sector_completeness on OpenBLAS's small-matrix path (M*N*K < 10**6):
+# at 4096 rows it took 225 us against 50 us for two 2048-row halves.
+BLOCK_VALUES = 2**15
 # Rows checked through the scalar API as well as the batch.
 SPOT_ROWS = 25
-# OpenBLAS leaves its small-matrix path above M*N*K = 10**6: at dim 16,
-# one 4096-row product by a 16 x 16 matrix took 225 us, two 2048-row
-# slices of it 50 us, with the same bits in every row.
-SMALL_GEMM_ROWS = 2048
 
 # Thresholds of the three-way minimum-action equivalence; the product
 # gate is fiber.MIN_ACTION_TOL, the one that is_min_action applies.
@@ -219,6 +218,14 @@ def _rel(diff: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return out
 
 
+def _worst_rel(diff: np.ndarray, scale) -> np.float64:
+    """``np.max(_rel(diff, scale))``: one quotient pass where every scale is positive."""
+    scale = np.asarray(scale)
+    if scale.min() > 0:
+        return (np.abs(diff) / scale).max()
+    return _rel(diff, scale).max()
+
+
 def _embed_flat(x: np.ndarray) -> np.ndarray:
     """Coefficient-major flattened grids of x (x) x: row ``S * dim + T`` holds ``x[S] * x[T]``."""
     dim, rows = x.shape
@@ -254,10 +261,11 @@ def _sweep(name: str, draws, residuals, cap: int | None = None):
     def check(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
         n = samples if cap is None else min(samples, cap)
         abs_res = rel_res = -np.inf
-        for abs_row, terms in residuals(sig, _sample_blocks(sig, rng, n, draws)):
-            abs_res = np.maximum(abs_res, np.max(abs_row))
-            for diff, scale in terms:
-                rel_res = np.maximum(rel_res, np.max(_rel(diff, scale)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for abs_row, terms in residuals(sig, _sample_blocks(sig, rng, n, draws)):
+                abs_res = np.maximum(abs_res, np.max(abs_row))
+                for diff, scale in terms:
+                    rel_res = np.maximum(rel_res, _worst_rel(diff, scale))
         return _result(name, n, abs_res, rel_res, tol)
 
     return check
@@ -327,13 +335,8 @@ def _sector_completeness(sig: Signature, blocks):
         flat = _embed_flat(x)
         # Row-major like each product, so every add runs over contiguous memory.
         total = np.zeros(flat.shape[::-1])
-        # Equal slices of at most SMALL_GEMM_ROWS rows, so none has one row unless the block has.
-        rows = flat.shape[1]
-        slices = -(-rows // SMALL_GEMM_ROWS)
-        for i in range(slices):
-            cut = slice(rows * i // slices, rows * (i + 1) // slices)
-            for matrix in matrices:
-                total[cut] += flat[:, cut].T @ matrix
+        for matrix in matrices:
+            total += flat.T @ matrix
         total -= flat.T
         diff = _row_max(np.abs(total, out=total))
         yield diff, [(diff, np.max(np.abs(flat, out=flat), axis=0))]

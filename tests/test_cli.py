@@ -210,6 +210,13 @@ class TestDecompose:
         assert code == 0
         assert payload["basis"] == ["1", "e1", "e2", "e12"]
 
+    @pytest.mark.parametrize("argv", [["decompose", "++", "1", "--labels"], ["decompose", "++", "--labels", "1"]])
+    def test_labels_with_coefficients_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "fiberalg: error: --labels takes no coefficients, got 1"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -274,6 +281,11 @@ BOUNDARY_CALLS = [
     ["verify", "++", "--seed", "5"],
     ["verify", "++", "--samples", "10"],
     ["verify", "++", "10", "--tol", "0.5"],
+    # --labels beside coefficients, of the right count or not
+    ["decompose", "++", "1", "--labels"],
+    ["decompose", "++", "--labels", "1"],
+    ["decompose", "+", "1", "2", "--labels"],
+    ["decompose", "++", "--labels", "--", "1", "0", "0", "0"],
 ]
 
 

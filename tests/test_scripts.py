@@ -67,6 +67,16 @@ def test_compare_reports_finds_its_own_tree_identical():
     ]
 
 
+def test_ab_verify_finds_its_own_tree_identical():
+    result = run_script("ab_verify.py", str(ROOT), "--pairs", "2", "--samples", "200")
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "2 pairs of + ++ - -+ at 200 samples, seed 5: reports identical"
+    assert lines[1].startswith("time this/other: median ")
+    assert lines[1].endswith(" of 2")
+    assert [line.split(":")[0] for line in lines[2:]] == ["peak RSS MB", "minor faults per operation"]
+
+
 @pytest.mark.parametrize("args", [(), (str(ROOT / "tests"),)])
 def test_compare_reports_bad_argument_exits_2(args):
     result = run_script("compare_reports.py", *args)

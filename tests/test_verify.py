@@ -12,7 +12,7 @@ from fiberalg import verify
 from fiberalg.algebra import Signature, multiply_coeffs
 from fiberalg.cli import main
 from fiberalg.fiber import _fiber_sectors, _parts, fiber_component_basis
-from fiberalg.verify import _Draw, _embed_flat, _oracle, _rel, _row_max, _sample_blocks, run_verification
+from fiberalg.verify import _Draw, _embed_flat, _oracle, _rel, _row_max, _sample_blocks, _worst_rel, run_verification
 from test_cli import VERIFY_GOLDENS, forbid_products
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -181,6 +181,23 @@ def test_rel_has_the_bits_of_a_masked_divide():
     assert _rel(*positive).tobytes() == masked(*positive).tobytes()
 
 
+def test_worst_rel_has_the_bits_of_the_max_of_rel():
+    # _sweep divides once where every scale is positive and falls back to _rel otherwise.
+    special = [0.0, -0.0, 1e-300, 5e-324, 1.0, -1.0, 1e300, np.inf, -np.inf, np.nan]
+    grid = [np.array(v) for v in zip(*itertools.product(special, repeat=2))]
+    rng = np.random.default_rng(7)
+    cases = [(np.array([d]), np.array([s])) for d, s in zip(*grid)]
+    cases += [(np.array(special), np.full(len(special), s)) for s in special]
+    cases += [(np.array(special), 1.0), (rng.uniform(-1, 1, 50), 1.0), tuple(grid)]
+    for _ in range(200):
+        diff = rng.uniform(-1e3, 1e3, 20)
+        diff[rng.integers(0, 20, 2)] = rng.choice(special, 2)
+        cases.append((diff, rng.uniform(1e-3, 1e3, 20)))
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e300 / 5e-324, inf / inf
+        for diff, scale in cases:
+            assert _worst_rel(diff, scale).tobytes() == np.max(_rel(diff, scale)).tobytes(), (diff, scale)
+
+
 class TestRowMax:
     @pytest.mark.parametrize("width", ROW_WIDTHS)
     def test_bits_of_np_max_on_absolute_values(self, width):
@@ -330,12 +347,11 @@ class TestBlocks:
         monkeypatch.setattr(verify, "BLOCK_VALUES", 160)
         assert run_verification(signature, samples, 5, 1e-10).to_dict() == default
 
-    @pytest.mark.parametrize("signature", ["++", "-+"])
-    def test_report_same_in_sector_slices(self, signature, monkeypatch):
-        default = run_verification(signature, 1001, 5, 1e-10).to_dict()
-        # _sector_completeness then cuts its one 1001-row block into slices of 2 and 3 rows.
-        monkeypatch.setattr(verify, "SMALL_GEMM_ROWS", 3)
-        assert run_verification(signature, 1001, 5, 1e-10).to_dict() == default
+    def test_sector_blocks_stay_on_the_small_gemm_path(self):
+        # A two-generator block holds at most BLOCK_VALUES // 16 + 1 rows, and
+        # _sector_completeness multiplies it by 16 x 16 matrices; OpenBLAS
+        # leaves its small-matrix path above M*N*K = 10**6, four times slower.
+        assert (verify.BLOCK_VALUES // 16 + 1) * 16 * 16 < 10**6
 
     def test_memory_bounded_in_samples(self, monkeypatch):
         monkeypatch.setattr(verify, "BLOCK_VALUES", 256 * 16)
