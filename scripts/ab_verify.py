@@ -14,7 +14,11 @@ OTHER_TREE, and the count of pairs this tree won, and then the peak
 resident set (``ru_maxrss``) and the minor page faults per operation
 after a warm-up operation of one child per tree.  The children run one
 after the other before either tree loads here: a child's ``ru_maxrss``
-starts from this process's resident set at the fork.
+starts from this process's resident set at the fork.  Each figure is
+given for the child itself (``RUSAGE_SELF``) and for the sweep children
+that ``run_verification`` forks in it (``RUSAGE_CHILDREN``: the largest
+peak of any, and their faults summed); a tree that forks none reads 0
+there.  A sweep child's peak, too, starts from its caller's resident set.
 
 The trees share this process's heap and caches, unlike perfbench's one
 worker per tree, so the ratio can disagree with perfbench's: halving
@@ -47,11 +51,12 @@ def op():
     for signature in %r:
         run_verification(signature, samples, seed, %r)
 op()
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+whos = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+before = [resource.getrusage(who).ru_minflt for who in whos]
 for _ in range(ops):
     op()
-usage = resource.getrusage(resource.RUSAGE_SELF)
-print(json.dumps([usage.ru_maxrss / 1024, (usage.ru_minflt - before) / ops]))
+usage = [resource.getrusage(who) for who in whos]
+print(json.dumps([[u.ru_maxrss / 1024, (u.ru_minflt - b) / ops] for u, b in zip(usage, before)]))
 """ % (SIGNATURES, TOL)
 
 
@@ -125,8 +130,10 @@ def main() -> int:
     print(f"{args.pairs} pairs of {' '.join(SIGNATURES)} at {args.samples} samples, seed {args.seed}: reports identical")
     print(f"time this/other: median {statistics.median(ratios):.3f} (quartiles {low:.3f}-{high:.3f}), "
           f"this tree faster in {won} of {args.pairs}")
-    print(f"peak RSS MB: this {usage['this'][0]:.2f}, other {usage['other'][0]:.2f}")
-    print(f"minor faults per operation: this {usage['this'][1]:.0f}, other {usage['other'][1]:.0f}")
+    for index, what, digits in ((0, "peak RSS MB", 2), (1, "minor faults per operation", 0)):
+        for row, who in enumerate(("caller", "sweep children")):
+            this, other = (usage[side][row][index] for side in ("this", "other"))
+            print(f"{what}, {who}: this {this:.{digits}f}, other {other:.{digits}f}")
     return 0
 
 

@@ -239,11 +239,15 @@ def _sector_parts(x0, x1, x2, x3) -> _FiberParts:
     return _FiberParts(dt, dq, ds, energy, momentum, mass, ca + db, cb + da, ca - db, cb - da)
 
 
+def _rated_parts(x0, x1, x2, x3) -> _FiberParts:
+    """Sector components plus the action rate p dq - H dt; scalar or array."""
+    parts = _sector_parts(x0, x1, x2, x3)
+    return parts._replace(action_rate=parts.p * parts.dq - parts.H * parts.dt)
+
+
 def _fiber_parts(x0, x1, x2, x3) -> _FiberParts:
     """Sector components plus action rate and minimum-action residual; scalar or array."""
-    parts = _sector_parts(x0, x1, x2, x3)
-    action = parts.p * parts.dq - parts.H * parts.dt
-    return _FiberParts(*parts[:10], action, 2 * (x0 * x3 - x1 * x2) ** 2)
+    return _rated_parts(x0, x1, x2, x3)._replace(residual=2 * (x0 * x3 - x1 * x2) ** 2)
 
 
 def _parts(coeffs):

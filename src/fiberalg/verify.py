@@ -34,6 +34,13 @@ embed.  The blocks are cut from the same sample streams as one
 full-size draw (see ``_sample_blocks``), so the samples, and the report,
 are the same at any block size.
 
+``run_verification`` forks one child per call to run the checks at odd
+positions while the caller runs the even ones, and reaps it before it
+returns or raises.  The report keeps its bytes, since a check's stream
+is fixed by its position, but the caller's ``RUSAGE_SELF`` no longer
+holds the child's half.  Python 3.12 and later warn on ``os.fork`` in a
+process with threads, as numpy's OpenBLAS pool is; that is untested.
+
 A block is coefficient-major: each array is drawn as ``(rows, width)``
 and transposed once to ``(width, rows)``, one contiguous row per
 coefficient, so numpy's inner loops run over the rows of a block, not
@@ -66,6 +73,9 @@ and check the row bits of the transposed views, to check both.
 from __future__ import annotations
 
 import copy
+import os
+import pickle
+import signal
 from fractions import Fraction
 from functools import partial, reduce
 from typing import NamedTuple
@@ -81,10 +91,10 @@ from .fiber import (
     TANGENT_SIGNATURE,
     MomentumTriple,
     TangentTriple,
-    _fiber_parts,
     _fiber_sectors,
     _lift_coeffs,
     _parts,
+    _rated_parts,
     _sector_parts,
     _tangent_parts,
     factorize,
@@ -392,7 +402,7 @@ def _max_speed(sig: Signature, blocks):
 def _boost(sig: Signature, blocks):
     """x u with u = cosh phi + sinh phi e1 keeps each invariant and turns each vector pair by 2 phi."""
     fiber = sig.n == 2
-    parts = _fiber_parts if fiber else _tangent_parts
+    parts = _rated_parts if fiber else _tangent_parts
     for _, (x, phi) in blocks:
         u = np.zeros_like(x)
         u[:2] = np.cosh(phi), np.sinh(phi)
@@ -471,7 +481,7 @@ def _exact_minimal_samples(coin, power, x1, x2) -> np.ndarray:
 
 
 def _min_action_flags(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # 2 * det**2 is the minimum-action residual of _fiber_parts
+    # 2 * det**2 is the minimum-action residual of fiber._fiber_parts
     det = x[0] * x[3] - x[1] * x[2]
     norm_sq = reduce(np.add, x * x)
     by_residual = 2 * det**2 <= RESIDUAL_GATE * norm_sq * norm_sq
@@ -512,7 +522,7 @@ def _check_min_action_equivalence(name: str, sig: Signature, rng, samples: int, 
 
 def _min_action_rate(sig: Signature, blocks):
     for _, arrays in blocks:
-        f = _fiber_parts(*_exact_minimal_samples(*arrays))
+        f = _rated_parts(*_exact_minimal_samples(*arrays))
         diff = f.action_rate + f.m * f.ds
         yield np.abs(diff), [(diff, f.H * f.dt + 1e-300)]
 
@@ -620,12 +630,13 @@ def _checks_for(sig: Signature):
 def run_verification(signature: Signature | str, samples: int, seed: int, tol: float) -> VerificationReport:
     """Run every identity sweep applicable to the signature.
 
-    Deterministic for a fixed (signature, samples, seed, tol): each
-    property draws from its own seed stream, so adding or removing
-    properties never perturbs the others.  Raises ``ValueError`` for
-    more than ``MAX_GENERATORS`` generators, before any table is built,
-    and for a sample count below 1, a negative seed, or a tolerance that
-    is negative or not finite, before any draw.
+    Deterministic for a fixed (signature, samples, seed, tol): each property
+    draws from its own seed stream, so adding or removing properties, or
+    running half of them in a forked child, never perturbs the others.
+    Raises ``ValueError`` for more than ``MAX_GENERATORS`` generators,
+    before any table is built, and for a sample count below 1, a negative
+    seed, or a tolerance that is negative or not finite, before any draw.
+    A property's exception is raised here, the caller's if both halves raise.
     """
     if isinstance(signature, str):
         signature = Signature.from_string(signature)
@@ -640,8 +651,37 @@ def run_verification(signature: Signature | str, samples: int, seed: int, tol: f
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if not (tol >= 0 and np.isfinite(tol)):
         raise ValueError(f"tol must be a finite number of at least 0, got {tol}")
-    results = []
-    for index, check in enumerate(_checks_for(signature)):
-        rng = np.random.default_rng([seed, index])
-        results.append(check(signature, rng, samples, tol))
+    checks = _checks_for(signature)
+    results = _run_halves(len(checks), lambda i: checks[i](signature, np.random.default_rng([seed, i]), samples, tol))
     return VerificationReport(str(signature), samples, seed, tol, tuple(results), all(r.passed for r in results))
+
+
+def _run_halves(count: int, run) -> list:
+    """``[run(i) for i in range(count)]``, the odd ``i`` in a forked child that is reaped before this returns."""
+    if not hasattr(os, "fork"):
+        return [run(i) for i in range(count)]
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child leaves only through os._exit: no exit handler, no inherited buffer flushed
+        try:
+            with open(write, "wb") as pipe:
+                try:
+                    pipe.write(pickle.dumps([run(i) for i in range(1, count, 2)]))
+                except BaseException as exc:  # raised again in the caller
+                    pipe.write(pickle.dumps(exc))
+        finally:
+            os._exit(0)
+    os.close(write)
+    try:
+        with open(read, "rb") as pipe:
+            even = [run(i) for i in range(0, count, 2)]
+            data = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    odd = pickle.loads(data) if data else ChildProcessError(f"verify child sent nothing, exit code {code}")
+    if isinstance(odd, BaseException):
+        raise odd
+    return [(odd if i % 2 else even)[i // 2] for i in range(count)]

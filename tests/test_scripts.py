@@ -74,7 +74,12 @@ def test_ab_verify_finds_its_own_tree_identical():
     assert lines[0] == "2 pairs of + ++ - -+ at 200 samples, seed 5: reports identical"
     assert lines[1].startswith("time this/other: median ")
     assert lines[1].endswith(" of 2")
-    assert [line.split(":")[0] for line in lines[2:]] == ["peak RSS MB", "minor faults per operation"]
+    assert [line.split(":")[0] for line in lines[2:]] == [
+        "peak RSS MB, caller",
+        "peak RSS MB, sweep children",
+        "minor faults per operation, caller",
+        "minor faults per operation, sweep children",
+    ]
 
 
 @pytest.mark.parametrize("args", [(), (str(ROOT / "tests"),)])

@@ -1,6 +1,7 @@
 """Verification sweep tests: determinism, coverage, pass/fail wiring, blocking."""
 
 import itertools
+import os
 import tracemalloc
 from functools import reduce
 from pathlib import Path
@@ -134,6 +135,70 @@ class TestFailureWiring:
         forbid_products(monkeypatch)
         with pytest.raises(ValueError, match="at most 6 generators, got 7"):
             run_verification("+++++++", 10, 0, 1e-10)
+
+
+class TestFork:
+    """run_verification runs the checks at odd positions in one forked child."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids that ``os.fork`` returns to the caller."""
+        pids = []
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        return pids
+
+    @staticmethod
+    def assert_reaped(pids):
+        assert len(pids) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pids[0], os.WNOHANG)
+
+    def test_report_of_both_halves_in_order(self, forks, monkeypatch):
+        report = run_verification("++", 300, 123, 1e-10)
+        self.assert_reaped(forks)
+        monkeypatch.delattr(os, "fork")
+        assert run_verification("++", 300, 123, 1e-10) == report
+
+    # sector_completeness runs at an odd position of ++, in the child;
+    # norm_identities at an even one, in the caller.
+    @pytest.mark.parametrize("residuals, parity", [("_sector_completeness", 1), ("_norm_identities", 0)])
+    def test_exception_of_either_half_is_raised(self, forks, monkeypatch, capsys, residuals, parity):
+        name = residuals.lstrip("_")
+        assert names(run_verification("++", 10, 0, 1e-10)).index(name) % 2 == parity
+        forks.clear()
+
+        def boom(sig, blocks):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(verify, residuals, boom)
+        with pytest.raises(ValueError, match="^boom$"):
+            run_verification("++", 100, 0, 1e-10)
+        self.assert_reaped(forks)
+        forks.clear()
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "++", "100", "0"])
+        out, stderr = capsys.readouterr()
+        assert err.value.code == 2
+        assert out == ""
+        assert stderr == "fiberalg: error: boom\n"
+        self.assert_reaped(forks)
+
+    def test_child_that_sends_nothing(self, forks, monkeypatch):
+        def leave(sig, blocks):
+            os._exit(3)
+
+        monkeypatch.setattr(verify, "_sector_completeness", leave)
+        with pytest.raises(ChildProcessError, match="^verify child sent nothing, exit code 3$"):
+            run_verification("++", 100, 0, 1e-10)
+        self.assert_reaped(forks)
 
 
 class TestReportShape:
@@ -354,13 +419,22 @@ class TestBlocks:
         assert (verify.BLOCK_VALUES // 16 + 1) * 16 * 16 < 10**6
 
     def test_memory_bounded_in_samples(self, monkeypatch):
+        # Every check runs here: run_verification would run half of them in a
+        # forked child, out of tracemalloc's sight.
         monkeypatch.setattr(verify, "BLOCK_VALUES", 256 * 16)
-        run_verification("++", 64, 0, 1e-10)  # builds the cached tables and bases
+        sig = Signature.from_string("++")
+        checks = verify._checks_for(sig)
+
+        def sweep(samples):
+            for index, check in enumerate(checks):
+                check(sig, np.random.default_rng([0, index]), samples, 1e-10)
+
+        sweep(64)  # builds the cached tables and bases
         peaks = []
         for samples in (2048, 16384):
             tracemalloc.start()
             try:
-                run_verification("++", samples, 0, 1e-10)
+                sweep(samples)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
