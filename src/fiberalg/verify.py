@@ -34,12 +34,14 @@ embed.  The blocks are cut from the same sample streams as one
 full-size draw (see ``_sample_blocks``), so the samples, and the report,
 are the same at any block size.
 
-``run_verification`` forks one child per call to run the checks at odd
-positions while the caller runs the even ones, and reaps it before it
-returns or raises.  The report keeps its bytes, since a check's stream
-is fixed by its position, but the caller's ``RUSAGE_SELF`` no longer
-holds the child's half.  Python 3.12 and later warn on ``os.fork`` in a
-process with threads, as numpy's OpenBLAS pool is; that is untested.
+Past one block of rows, ``_block_rows``, ``run_verification`` forks a
+child to run the checks at odd positions while the caller runs the even
+ones, and reaps it before it returns or raises; within one block the
+fork costs more than the second CPU saves, and the caller runs both.
+The report keeps its bytes, since a check's stream is fixed by its
+position, but a forking caller's ``RUSAGE_SELF`` lacks the child's half.
+Python 3.12 and later warn on ``os.fork`` in a process with threads, as
+numpy's OpenBLAS pool is; that is untested.
 
 A block is coefficient-major: each array is drawn as ``(rows, width)``
 and transposed once to ``(width, rows)``, one contiguous row per
@@ -191,6 +193,10 @@ def _block_bounds(samples: int, rows: int):
         lo = hi
 
 
+def _block_rows(sig: Signature) -> int:
+    return max(2, BLOCK_VALUES // sig.dim**2)
+
+
 def _sample_blocks(sig: Signature, rng: np.random.Generator, samples: int, draws):
     """Yield ``(lo, arrays)``: rows ``[lo, hi)`` of each of ``draws``, block by block.
 
@@ -204,7 +210,7 @@ def _sample_blocks(sig: Signature, rng: np.random.Generator, samples: int, draws
     one draw, ``integers`` rejections and spare 32-bit halves included.
     Consumes ``rng``.
     """
-    rows = max(2, BLOCK_VALUES // sig.dim**2)
+    rows = _block_rows(sig)
     streams = []
     for draw in draws[:-1]:
         streams.append(copy.deepcopy(rng))
@@ -633,6 +639,8 @@ def run_verification(signature: Signature | str, samples: int, seed: int, tol: f
     Deterministic for a fixed (signature, samples, seed, tol): each property
     draws from its own seed stream, so adding or removing properties, or
     running half of them in a forked child, never perturbs the others.
+    The child is forked only for more samples than one block of rows,
+    ``_block_rows(signature)``; a smaller sweep runs in the caller alone.
     Raises ``ValueError`` for more than ``MAX_GENERATORS`` generators,
     before any table is built, and for a sample count below 1, a negative
     seed, or a tolerance that is negative or not finite, before any draw.
@@ -652,13 +660,17 @@ def run_verification(signature: Signature | str, samples: int, seed: int, tol: f
     if not (tol >= 0 and np.isfinite(tol)):
         raise ValueError(f"tol must be a finite number of at least 0, got {tol}")
     checks = _checks_for(signature)
-    results = _run_halves(len(checks), lambda i: checks[i](signature, np.random.default_rng([seed, i]), samples, tol))
+    results = _run_halves(
+        len(checks),
+        lambda i: checks[i](signature, np.random.default_rng([seed, i]), samples, tol),
+        samples > _block_rows(signature),
+    )
     return VerificationReport(str(signature), samples, seed, tol, tuple(results), all(r.passed for r in results))
 
 
-def _run_halves(count: int, run) -> list:
-    """``[run(i) for i in range(count)]``, the odd ``i`` in a forked child that is reaped before this returns."""
-    if not hasattr(os, "fork"):
+def _run_halves(count: int, run, fork: bool) -> list:
+    """``[run(i) for i in range(count)]``, if ``fork`` the odd ``i`` in a forked child that is reaped before this returns."""
+    if not (fork and hasattr(os, "fork")):
         return [run(i) for i in range(count)]
     read, write = os.pipe()
     pid = os.fork()

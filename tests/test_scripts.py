@@ -82,6 +82,15 @@ def test_ab_verify_finds_its_own_tree_identical():
     ]
 
 
+@pytest.mark.parametrize("args", [(str(ROOT / "tests"),), (str(ROOT), "--pairs", "0"), (str(ROOT), "--seed", "-1")])
+def test_ab_verify_bad_argument_exits_2(args):
+    result = run_script("ab_verify.py", *args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("ab_verify.py: error: ")
+
+
 @pytest.mark.parametrize("args", [(), (str(ROOT / "tests"),)])
 def test_compare_reports_bad_argument_exits_2(args):
     result = run_script("compare_reports.py", *args)

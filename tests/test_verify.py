@@ -138,7 +138,10 @@ class TestFailureWiring:
 
 
 class TestFork:
-    """run_verification runs the checks at odd positions in one forked child."""
+    """run_verification runs the checks at odd positions in one forked child past one block of rows.
+
+    At ``++`` a block holds 2048 rows, so the forked cases sweep 3000 samples.
+    """
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -162,10 +165,20 @@ class TestFork:
             os.waitpid(pids[0], os.WNOHANG)
 
     def test_report_of_both_halves_in_order(self, forks, monkeypatch):
-        report = run_verification("++", 300, 123, 1e-10)
+        report = run_verification("++", 3000, 123, 1e-10)
         self.assert_reaped(forks)
         monkeypatch.delattr(os, "fork")
-        assert run_verification("++", 300, 123, 1e-10) == report
+        assert run_verification("++", 3000, 123, 1e-10) == report
+
+    def test_forks_only_past_one_block(self, forks, monkeypatch):
+        rows = verify._block_rows(Signature.from_string("++"))
+        reports = []
+        for samples, forked in ((rows, 0), (rows + 1, 1)):
+            reports.append(run_verification("++", samples, 7, 1e-10))
+            assert len(forks) == forked
+        self.assert_reaped(forks)
+        monkeypatch.delattr(os, "fork")
+        assert [run_verification("++", samples, 7, 1e-10) for samples in (rows, rows + 1)] == reports
 
     # sector_completeness runs at an odd position of ++, in the child;
     # norm_identities at an even one, in the caller.
@@ -180,11 +193,11 @@ class TestFork:
 
         monkeypatch.setattr(verify, residuals, boom)
         with pytest.raises(ValueError, match="^boom$"):
-            run_verification("++", 100, 0, 1e-10)
+            run_verification("++", 3000, 0, 1e-10)
         self.assert_reaped(forks)
         forks.clear()
         with pytest.raises(SystemExit) as err:
-            main(["verify", "++", "100", "0"])
+            main(["verify", "++", "3000", "0"])
         out, stderr = capsys.readouterr()
         assert err.value.code == 2
         assert out == ""
@@ -197,7 +210,7 @@ class TestFork:
 
         monkeypatch.setattr(verify, "_sector_completeness", leave)
         with pytest.raises(ChildProcessError, match="^verify child sent nothing, exit code 3$"):
-            run_verification("++", 100, 0, 1e-10)
+            run_verification("++", 3000, 0, 1e-10)
         self.assert_reaped(forks)
 
 
