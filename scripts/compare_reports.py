@@ -15,8 +15,9 @@ signature of ``decompose``, ``boost``, calls at the edges of the float range,
 too) and a failing positional tol, one ``trajectory``, and one json ``decompose`` per
 signature on an input that rounds.  Last it replays a fixed list of
 library calls on the dyadic ``decompose`` inputs, exact in floats, and on
-those that round: each closed form and its projector twin, and
-``norm_squared`` on float and ``Fraction`` elements; then, per signature,
+those that round: each closed form and its projector twin,
+``norm_squared`` on float and ``Fraction`` elements, and at ``+`` and
+``++`` ``boost_residuals`` at rapidity ``BOOST_RAPIDITY``; then, per signature,
 the names and every tensor's values of ``fiber_component_basis``; then
 seeded ``multiply_coeffs`` batches, printed as the hex of their bytes, so
 a kernel that moves one bit of one row shows.  The batches cover the
@@ -89,6 +90,7 @@ CLI_CALLS = [
     ["trajectory", "1.3", "0.4", "1.7", "1000"],
     *[["decompose", sig, *coeffs] for sig, coeffs in ROUNDING],
 ]
+BOOST_RAPIDITY = -1.25
 CLOSED_FORMS = {"+": "decompose_c2", "++": "decompose_d2", "m": "decompose_euclidean", "m+": "decompose_euclidean"}
 # (signature, shape of a, shape of b) of seeded multiply_coeffs calls: the batch axes before the
 # basis axis ("64", "3x1"), "" for one element, "edge" for one row of the EDGE values.
@@ -101,11 +103,12 @@ KERNEL_CALLS = [
     ("-+-+", "edge", "edge"),
 ]
 # (function, signature, coefficients, exact): norm_squared is a method, fiber_component_basis takes
-# the signature alone, multiply_coeffs takes the two shapes of KERNEL_CALLS, the rest are fiberalg
-# functions of an element.
+# the signature alone, multiply_coeffs takes the two shapes of KERNEL_CALLS, boost_residuals takes an
+# element and BOOST_RAPIDITY, the rest are fiberalg functions of an element.
 LIBRARY_CALLS = [
     *[(CLOSED_FORMS[sig] + twin, sig, coeffs, False) for sig, coeffs in DECOMPOSE + ROUNDING for twin in ("", "_projected")],
     *[("norm_squared", sig, coeffs, exact) for sig, coeffs in DECOMPOSE + ROUNDING for exact in (False, True)],
+    *[("boost_residuals", sig, coeffs, False) for sig, coeffs in DECOMPOSE + ROUNDING if sig in ("+", "++")],
     *[("fiber_component_basis", sig, [], False) for sig, _ in DECOMPOSE],
     *[("multiply_coeffs", sig, shapes, False) for sig, *shapes in KERNEL_CALLS],
 ]
@@ -149,8 +152,13 @@ for name, signature, coeffs, exact in library:
         print(repr([basis.names, *(tensor.values for tensor in basis.tensors)]))
         continue
     x = fiberalg.AlgebraElement(sig, [(Fraction if exact else float)(c) for c in coeffs])
-    print(repr(x.norm_squared() if name == "norm_squared" else getattr(fiberalg, name)(x)))
-""" % TOL
+    if name == "norm_squared":
+        print(repr(x.norm_squared()))
+    elif name == "boost_residuals":
+        print(repr(fiberalg.boost_residuals(x, %r)))
+    else:
+        print(repr(getattr(fiberalg, name)(x)))
+""" % (TOL, BOOST_RAPIDITY)
 
 
 def start(tree: Path) -> subprocess.Popen:

@@ -240,16 +240,21 @@ def _cmd_decompose(args, parser) -> tuple[dict, int]:
     return payload, 0
 
 
-def _cmd_verify(args, parser) -> tuple[dict, int]:
+def _numpy_call(parser, call, *args):
+    """``call(*args)`` with numpy's warnings off; a ``ValueError`` exits 2 with one stderr line."""
     import numpy as np
-
-    from .verify import run_verification
 
     try:
         with np.errstate(all="ignore"):
-            report = run_verification(args.signature, args.samples, args.seed, args.tol)
+            return call(*args)
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
+
+
+def _cmd_verify(args, parser) -> tuple[dict, int]:
+    from .verify import run_verification
+
+    report = _numpy_call(parser, run_verification, args.signature, args.samples, args.seed, args.tol)
     payload = {"schema_version": SCHEMA_VERSION, "command": "verify"}
     payload.update(report.to_dict())
     return payload, 0 if report.passed else 1
@@ -287,13 +292,7 @@ def _cmd_boost(args, parser) -> tuple[dict, int]:
 
 
 def _cmd_trajectory(args, parser) -> tuple[dict, int]:
-    import numpy as np
-
-    try:
-        with np.errstate(all="ignore"):
-            record = trajectory_action(args.mass, args.rapidity, args.span, args.steps)
-    except ValueError as exc:
-        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    record = _numpy_call(parser, trajectory_action, args.mass, args.rapidity, args.span, args.steps)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "trajectory",
@@ -346,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     out_of_range = f"{parser.prog}: error: result out of float range: {{}}\n"
     try:
         # Out-of-range results end in exit 2 here, not in warnings; the
-        # verify and trajectory handlers silence numpy's.
+        # verify and trajectory handlers silence numpy's through _numpy_call.
         payload, code = handlers[args.command](args, parser)
     except OverflowError as exc:
         parser.exit(2, out_of_range.format(exc))

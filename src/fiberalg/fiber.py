@@ -375,26 +375,23 @@ def boost_residuals(x: AlgebraElement, rapidity: float) -> dict[str, float]:
     _require_signature(x, "boost_residuals", TANGENT_SIGNATURE, FIBER_SIGNATURE)
     boosted = transform(x, boost_element(x.signature, rapidity))
     ch, sh = math.cosh(2 * rapidity), math.sinh(2 * rapidity)
-    if x.signature == TANGENT_SIGNATURE:
-        t0, t1 = decompose_c2(x), decompose_c2(boosted)
-        return {
-            "ds_dlambda": abs(t1.ds - t0.ds),
-            "matrix_dt": abs(t1.dt - (ch * t0.dt + sh * t0.dq)),
-            "matrix_dq": abs(t1.dq - (sh * t0.dt + ch * t0.dq)),
-        }
-    d0, d1 = decompose_d2(x), decompose_d2(boosted)
-    t0, t1, m0, m1 = d0.tangent, d1.tangent, d0.momentum, d1.momentum
-    return {
-        "ds_dlambda": abs(t1.ds - t0.ds),
-        "m": abs(m1.m - m0.m),
-        "dS_dlambda": abs(d1.action_rate - d0.action_rate),
-        "c_minus_1": abs(d1.cross.c_minus_1 - d0.cross.c_minus_1),
-        "c_minus_e12": abs(d1.cross.c_minus_e12 - d0.cross.c_minus_e12),
-        "matrix_dt": abs(t1.dt - (ch * t0.dt + sh * t0.dq)),
-        "matrix_dq": abs(t1.dq - (sh * t0.dt + ch * t0.dq)),
-        "matrix_H": abs(m1.H - (ch * m0.H + sh * m0.p)),
-        "matrix_p": abs(m1.p - (sh * m0.H + ch * m0.p)),
-    }
+    fiber = x.signature == FIBER_SIGNATURE
+    parts = _rated_parts if fiber else _tangent_parts
+    f0, f1 = parts(*x.values), parts(*boosted.values)
+    gaps = {"ds_dlambda": abs(f1.ds - f0.ds)}
+    if fiber:
+        gaps.update(
+            m=abs(f1.m - f0.m),
+            dS_dlambda=abs(f1.action_rate - f0.action_rate),
+            c_minus_1=abs(f1.c_minus_1 - f0.c_minus_1),
+            c_minus_e12=abs(f1.c_minus_e12 - f0.c_minus_e12),
+        )
+    # Each vector pair against its turn by twice the rapidity.
+    for first, second in (("dt", "dq"), ("H", "p")) if fiber else (("dt", "dq"),):
+        a, b = getattr(f0, first), getattr(f0, second)
+        gaps["matrix_" + first] = abs(getattr(f1, first) - (ch * a + sh * b))
+        gaps["matrix_" + second] = abs(getattr(f1, second) - (sh * a + ch * b))
+    return gaps
 
 
 def rotation_element(signature: Signature, angle: float) -> AlgebraElement:

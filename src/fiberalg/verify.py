@@ -18,7 +18,7 @@ running maxima, so a sweep needs the same memory at any sample count.
 For each block a property yields ``abs_row``, its absolute residual per
 row, and a list of ``(diff, scale)`` terms, each a residual and the
 sector magnitude it is measured against; ``_sweep`` alone applies
-``_rel`` to them.  One table in ``_checks_for`` lists every check.
+``_worst_rel`` to them.  One table in ``_checks_for`` lists every check.
 
 A property is a generator over the blocks, not a function called per
 block, so its arrays live on from one block to the next: a function
@@ -34,10 +34,12 @@ embed.  The blocks are cut from the same sample streams as one
 full-size draw (see ``_sample_blocks``), so the samples, and the report,
 are the same at any block size.
 
-Past one block of rows, ``_block_rows``, ``run_verification`` forks a
-child to run the checks at odd positions while the caller runs the even
-ones, and reaps it before it returns or raises; within one block the
-fork costs more than the second CPU saves, and the caller runs both.
+Past one block of rows, ``_block_rows``, and where the process may run
+on at least two CPUs, ``run_verification`` forks a child to run the
+checks at odd positions while the caller runs the even ones, and reaps
+it before it returns or raises.  Within one block the fork costs more
+than the second CPU saves, and on one CPU the child only takes turns
+with its caller; there the caller runs both halves.
 The report keeps its bytes, since a check's stream is fixed by its
 position, but a forking caller's ``RUSAGE_SELF`` lacks the child's half.
 Python 3.12 and later warn on ``os.fork`` in a process with threads, as
@@ -115,9 +117,12 @@ LOOP_CAP = 20000
 # 8 rows at dim 4096, took 0.5 s, and one of four rows 8.6 s at seven.
 MAX_GENERATORS = 6
 # Values of x (x) x per block: 2048 rows at two generators, 8 at six.
-# A block of at most 2049 rows at dim 4 keeps each 16 x 16 matmul of
-# _sector_completeness on OpenBLAS's small-matrix path (M*N*K < 10**6):
-# at 4096 rows it took 225 us against 50 us for two 2048-row halves.
+# At most 2049 rows at dim 4 keep each 16 x 16 matmul of _sector_completeness
+# on OpenBLAS's small-matrix path (M*N*K < 10**6).  Off it the product is four
+# times slower (225 us at 4096 rows against 50 us for two 2048-row halves), and
+# OpenBLAS runs its thread pool, which costs more in the forked sweeps: with
+# every block doubled the four paper sweeps took 395-442 ms, 240-290 ms with
+# OPENBLAS_NUM_THREADS=1 (no change at this size; two-core Xeon).
 BLOCK_VALUES = 2**15
 # Rows checked through the scalar API as well as the batch.
 SPOT_ROWS = 25
@@ -221,25 +226,17 @@ def _sample_blocks(sig: Signature, rng: np.random.Generator, samples: int, draws
         yield lo, [np.ascontiguousarray(draw.take(stream, hi - lo).T) for draw, stream in zip(draws, streams)]
 
 
-def _rel(diff: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """``|diff| / scale``; where the scale is not positive (or NaN), 0 for a
-    zero or NaN diff and inf for any other."""
-    diff = np.abs(np.asarray(diff, dtype=np.float64))
-    scale = np.asarray(scale, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = diff / scale
-    cold = ~(scale > 0)
-    if cold.any():
-        out[cold] = np.where(diff[cold] > 0, np.inf, 0.0)
-    return out
-
-
 def _worst_rel(diff: np.ndarray, scale) -> np.float64:
-    """``np.max(_rel(diff, scale))``: one quotient pass where every scale is positive."""
-    scale = np.asarray(scale)
+    """The largest ``|diff| / scale``.
+
+    Where a scale is not positive (or NaN) the row reads 0 for a zero or
+    NaN diff and inf for any other.  Where every scale is positive it
+    divides once and keeps every quotient.
+    """
+    diff, scale = np.abs(diff), np.asarray(scale)
     if scale.min() > 0:
-        return (np.abs(diff) / scale).max()
-    return _rel(diff, scale).max()
+        return (diff / scale).max()
+    return np.where(scale > 0, diff / scale, np.where(diff > 0, np.inf, 0.0)).max()
 
 
 def _embed_flat(x: np.ndarray) -> np.ndarray:
@@ -270,8 +267,8 @@ def _sweep(name: str, draws, residuals, cap: int | None = None):
     absolute residual per row, and each ``(diff, scale)`` of ``terms``
     residuals and the scales they are measured against, for every row
     of the block or for its first rows.  The report keeps the worst
-    ``abs_row`` and the worst ``_rel(diff, scale)`` over all terms.  At
-    most ``cap`` samples are drawn.
+    ``abs_row`` and the worst ``_worst_rel(diff, scale)`` over all terms.
+    At most ``cap`` samples are drawn.
     """
 
     def check(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
@@ -304,8 +301,8 @@ def _product_laws(sig: Signature, blocks):
 
 
 def _check_projector_algebra(name: str, sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    checks = 0
-    worst = 0.0
+    # Elements that vanish in exact arithmetic; the largest coefficient of any is the residual.
+    gaps = []
     # Times Fraction(1), the same projectors are promoted with no rounding and checked exactly.
     for scale in (1.0, Fraction(1)):
         one = AlgebraElement.basis(sig, 0) * scale
@@ -313,23 +310,13 @@ def _check_projector_algebra(name: str, sig: Signature, rng, samples: int, tol: 
             if basis_sign(mask, mask, sig) != 1:
                 continue
             plus, minus = (p.element * scale for p in idempotent_pair(mask, sig))
-            total = plus + minus - one
-            prod = multiply(plus, minus)
-            sq = multiply(plus, plus) - plus
-            for elem in (total, prod, sq):
-                worst = max(worst, float(max(abs(v) for v in elem.values)))
-                checks += 1
+            gaps += [plus + minus - one, multiply(plus, minus), multiply(plus, plus) - plus]
     if sig.n == 2 and sig.squares[1] == 1:
         sectors = _fiber_sectors(sig)
-        total = sectors[0] + sectors[1] + sectors[2] - AlgebraElement.basis(sig.doubled(), 0)
-        worst = max(worst, float(np.max(np.abs(total.coeffs))))
-        for i in range(3):
-            for j in range(i + 1, 3):
-                prod = multiply(sectors[i], sectors[j])
-                worst = max(worst, float(np.max(np.abs(prod.coeffs))))
-                checks += 1
-        checks += 1
-    return _result(name, checks, worst, worst, tol)
+        gaps.append(sectors[0] + sectors[1] + sectors[2] - AlgebraElement.basis(sig.doubled(), 0))
+        gaps += [multiply(sectors[i], sectors[j]) for i in range(3) for j in range(i + 1, 3)]
+    worst = max(float(max(abs(v) for v in gap.values)) for gap in gaps)
+    return _result(name, len(gaps), worst, worst, tol)
 
 
 def _embed_homomorphism(sig: Signature, blocks):
@@ -503,20 +490,18 @@ def _check_min_action_equivalence(name: str, sig: Signature, rng, samples: int, 
     for lo, (x, coin, size, generic) in _sample_blocks(sig, rng, half, [*_MINIMAL_DRAWS, _coeffs(4)]):
         minimal = _minimal_samples(x, coin, size)
         for block in (minimal, generic):
-            a, b, c = _min_action_flags(block)
-            disagreements += int(np.sum(a != b)) + int(np.sum(b != c))
-        # Spot-check the scalar API against the vectorized gates.
+            by_residual, by_product, by_roundtrip = _min_action_flags(block)
+            disagreements += int(np.sum(by_residual != by_product)) + int(np.sum(by_product != by_roundtrip))
+        # Spot-check the scalar API against the vectorized gates; by_product is the generic block's.
         spot = max(SPOT_ROWS - lo, 0)
         for row in minimal[:, :spot].T:
             factorization = factorize(AlgebraElement(sig, row))
             gap = np.max(np.abs(factorization.reconstruct().coeffs - row))
             if gap > ROUNDTRIP_GATE * np.max(np.abs(row)):
                 disagreements += 1
-        for row in generic[:, :spot].T:
-            element = AlgebraElement(sig, row)
-            minimal_flag = abs(row[0] * row[3] - row[1] * row[2]) <= MIN_ACTION_TOL * float(np.sum(row * row))
+        for row, minimal_flag in zip(generic[:, :spot].T, by_product):
             try:
-                factorize(element)
+                factorize(AlgebraElement(sig, row))
                 factored = True
             except ValueError:
                 factored = False
@@ -640,7 +625,9 @@ def run_verification(signature: Signature | str, samples: int, seed: int, tol: f
     draws from its own seed stream, so adding or removing properties, or
     running half of them in a forked child, never perturbs the others.
     The child is forked only for more samples than one block of rows,
-    ``_block_rows(signature)``; a smaller sweep runs in the caller alone.
+    ``_block_rows(signature)``, and only where the process may run on at
+    least two CPUs (``os.sched_getaffinity``, else ``os.cpu_count``);
+    otherwise the sweep runs in the caller alone.
     Raises ``ValueError`` for more than ``MAX_GENERATORS`` generators,
     before any table is built, and for a sample count below 1, a negative
     seed, or a tolerance that is negative or not finite, before any draw.
@@ -660,10 +647,11 @@ def run_verification(signature: Signature | str, samples: int, seed: int, tol: f
     if not (tol >= 0 and np.isfinite(tol)):
         raise ValueError(f"tol must be a finite number of at least 0, got {tol}")
     checks = _checks_for(signature)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     results = _run_halves(
         len(checks),
         lambda i: checks[i](signature, np.random.default_rng([seed, i]), samples, tol),
-        samples > _block_rows(signature),
+        samples > _block_rows(signature) and cpus > 1,
     )
     return VerificationReport(str(signature), samples, seed, tol, tuple(results), all(r.passed for r in results))
 

@@ -337,6 +337,46 @@ class TestTransform:
             assert abs(got - (ch * pair[0] + sh * pair[1])) <= 1e-10 * scale
 
 
+def record_boost_residuals(x, rapidity):
+    """The boost gaps read from two decomposition records, as boost_residuals once built them."""
+    boosted = transform(x, boost_element(x.signature, rapidity))
+    ch, sh = math.cosh(2 * rapidity), math.sinh(2 * rapidity)
+    if x.signature == TANGENT_SIGNATURE:
+        t0, t1 = decompose_c2(x), decompose_c2(boosted)
+        return {
+            "ds_dlambda": abs(t1.ds - t0.ds),
+            "matrix_dt": abs(t1.dt - (ch * t0.dt + sh * t0.dq)),
+            "matrix_dq": abs(t1.dq - (sh * t0.dt + ch * t0.dq)),
+        }
+    d0, d1 = decompose_d2(x), decompose_d2(boosted)
+    t0, t1, m0, m1 = d0.tangent, d1.tangent, d0.momentum, d1.momentum
+    return {
+        "ds_dlambda": abs(t1.ds - t0.ds),
+        "m": abs(m1.m - m0.m),
+        "dS_dlambda": abs(d1.action_rate - d0.action_rate),
+        "c_minus_1": abs(d1.cross.c_minus_1 - d0.cross.c_minus_1),
+        "c_minus_e12": abs(d1.cross.c_minus_e12 - d0.cross.c_minus_e12),
+        "matrix_dt": abs(t1.dt - (ch * t0.dt + sh * t0.dq)),
+        "matrix_dq": abs(t1.dq - (sh * t0.dt + ch * t0.dq)),
+        "matrix_H": abs(m1.H - (ch * m0.H + sh * m0.p)),
+        "matrix_p": abs(m1.p - (sh * m0.H + ch * m0.p)),
+    }
+
+
+@pytest.mark.parametrize("signature", [TANGENT_SIGNATURE, FIBER_SIGNATURE])
+def test_boost_residuals_have_the_keys_and_bits_of_the_record_gaps(signature):
+    rng = np.random.default_rng(signature.dim)
+    # the input of tests/golden/boost_pp.json, then random elements and rapidities
+    cases = [([2.0, 1.0, 1.0, 0.5][: signature.dim], 1.0)]
+    cases += [(list(rng.uniform(-10, 10, signature.dim)), float(rng.uniform(-3, 3))) for _ in range(300)]
+    for coeffs, rapidity in cases:
+        x = AlgebraElement(signature, coeffs)
+        got, expected = boost_residuals(x, rapidity), record_boost_residuals(x, rapidity)
+        assert [(key, value.hex()) for key, value in got.items()] == [
+            (key, value.hex()) for key, value in expected.items()
+        ], (coeffs, rapidity)
+
+
 class TestLiftKinematics:
     def test_worked_inversion(self):
         element = lift_kinematics(TangentTriple(11.25, 9.0), MomentumTriple(1.25, 1.0))

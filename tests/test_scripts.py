@@ -63,7 +63,7 @@ def test_compare_reports_finds_its_own_tree_identical():
     assert result.stdout.splitlines() == [
         "28 of 28 reports identical",
         "34 of 34 CLI calls identical",
-        "42 of 42 library calls identical",
+        "46 of 46 library calls identical",
     ]
 
 

@@ -13,7 +13,7 @@ from fiberalg import verify
 from fiberalg.algebra import Signature, multiply_coeffs
 from fiberalg.cli import main
 from fiberalg.fiber import _fiber_sectors, _parts, fiber_component_basis
-from fiberalg.verify import _Draw, _embed_flat, _oracle, _rel, _row_max, _sample_blocks, _worst_rel, run_verification
+from fiberalg.verify import _Draw, _embed_flat, _oracle, _row_max, _sample_blocks, _worst_rel, run_verification
 from test_cli import VERIFY_GOLDENS, forbid_products
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -140,12 +140,15 @@ class TestFailureWiring:
 class TestFork:
     """run_verification runs the checks at odd positions in one forked child past one block of rows.
 
-    At ``++`` a block holds 2048 rows, so the forked cases sweep 3000 samples.
+    It forks only where the process may run on two CPUs or more, as the
+    ``forks`` fixture reports.  At ``++`` a block holds 2048 rows, so the
+    forked cases sweep 3000 samples.
     """
 
     @pytest.fixture
     def forks(self, monkeypatch):
-        """The pids that ``os.fork`` returns to the caller."""
+        """The pids that ``os.fork`` returns to the caller, on a process that may run on two CPUs."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         pids = []
         fork = os.fork
 
@@ -179,6 +182,17 @@ class TestFork:
         self.assert_reaped(forks)
         monkeypatch.delattr(os, "fork")
         assert [run_verification("++", samples, 7, 1e-10) for samples in (rows, rows + 1)] == reports
+
+    def test_one_cpu_forks_nothing(self, forks, monkeypatch):
+        report = run_verification("++", 3000, 123, 1e-10)
+        assert len(forks) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert run_verification("++", 3000, 123, 1e-10) == report
+        # where the affinity cannot be read, the CPU count decides
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert run_verification("++", 3000, 123, 1e-10) == report
+        assert len(forks) == 1
 
     # sector_completeness runs at an odd position of ++, in the child;
     # norm_identities at an even one, in the caller.
@@ -241,39 +255,31 @@ class TestReportShape:
             assert np.isfinite(p.max_rel_residual)
 
 
-def test_rel_has_the_bits_of_a_masked_divide():
-    # _rel divides everywhere and repairs the rows whose scale is not
-    # positive; the reference divides only where it is.
+def test_worst_rel_has_the_bits_of_the_max_of_a_masked_divide():
+    # _sweep divides once where every scale is positive; the reference
+    # divides only where a scale is positive and sets the other rows.
     def masked(diff, scale):
         diff = np.abs(diff)
-        hot = scale > 0
+        hot = np.asarray(scale) > 0
         out = np.divide(diff, scale, out=np.zeros_like(diff), where=hot)
         np.copyto(out, np.inf, where=~hot & (diff > 0))
         return out
 
-    special = [0.0, -0.0, 1e-300, 5e-324, 1.0, -1.0, 1e300, np.inf, -np.inf, np.nan]
-    diff, scale = (np.array(v) for v in zip(*itertools.product(special, repeat=2)))
-    with np.errstate(over="ignore", invalid="ignore"):  # 1e300 / 5e-324, inf / inf
-        assert _rel(diff, scale).tobytes() == masked(diff, scale).tobytes()
-    positive = np.random.default_rng(5).uniform(0.5, 2.0, (2, 100))
-    assert _rel(*positive).tobytes() == masked(*positive).tobytes()
-
-
-def test_worst_rel_has_the_bits_of_the_max_of_rel():
-    # _sweep divides once where every scale is positive and falls back to _rel otherwise.
     special = [0.0, -0.0, 1e-300, 5e-324, 1.0, -1.0, 1e300, np.inf, -np.inf, np.nan]
     grid = [np.array(v) for v in zip(*itertools.product(special, repeat=2))]
     rng = np.random.default_rng(7)
     cases = [(np.array([d]), np.array([s])) for d, s in zip(*grid)]
     cases += [(np.array(special), np.full(len(special), s)) for s in special]
     cases += [(np.array(special), 1.0), (rng.uniform(-1, 1, 50), 1.0), tuple(grid)]
+    cases.append(tuple(np.random.default_rng(5).uniform(0.5, 2.0, (2, 100))))
     for _ in range(200):
         diff = rng.uniform(-1e3, 1e3, 20)
         diff[rng.integers(0, 20, 2)] = rng.choice(special, 2)
         cases.append((diff, rng.uniform(1e-3, 1e3, 20)))
-    with np.errstate(over="ignore", invalid="ignore"):  # 1e300 / 5e-324, inf / inf
+    # _sweep's own errstate: 0 / 0, 1 / 0 and inf / inf; 1e300 / 5e-324 overflows
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for diff, scale in cases:
-            assert _worst_rel(diff, scale).tobytes() == np.max(_rel(diff, scale)).tobytes(), (diff, scale)
+            assert _worst_rel(diff, scale).tobytes() == np.max(masked(diff, scale)).tobytes(), (diff, scale)
 
 
 class TestRowMax:
@@ -427,8 +433,10 @@ class TestBlocks:
 
     def test_sector_blocks_stay_on_the_small_gemm_path(self):
         # A two-generator block holds at most BLOCK_VALUES // 16 + 1 rows, and
-        # _sector_completeness multiplies it by 16 x 16 matrices; OpenBLAS
-        # leaves its small-matrix path above M*N*K = 10**6, four times slower.
+        # _sector_completeness multiplies it by 16 x 16 matrices.  OpenBLAS
+        # leaves its small-matrix path above M*N*K = 10**6: the product is
+        # four times slower there, and it runs OpenBLAS's thread pool, which
+        # costs more still in the forked sweeps (see verify.BLOCK_VALUES).
         assert (verify.BLOCK_VALUES // 16 + 1) * 16 * 16 < 10**6
 
     def test_memory_bounded_in_samples(self, monkeypatch):
