@@ -442,7 +442,7 @@ def free_particle_element(mass: float, rapidity: float) -> AlgebraElement:
     is (cosh 2 phi, sinh 2 phi) and the momentum pair is mass times the
     same vector; the coordinate velocity is dq/dt = tanh(2 phi).
     """
-    if mass <= 0:
+    if not mass > 0:
         raise ValueError(f"mass must be positive, got {mass}")
     ch, sh = math.cosh(2 * rapidity), math.sinh(2 * rapidity)
     return lift_kinematics(TangentTriple(ch, sh), MomentumTriple(mass * ch, mass * sh))
@@ -461,9 +461,9 @@ def trajectory_action(mass: float, rapidity: float, lambda_span: float, steps: i
     large.  At most ``MAX_STEPS`` steps are summed; more raise
     ``ValueError`` before any allocation.
     """
-    if mass <= 0:
+    if not mass > 0:
         raise ValueError(f"mass must be positive, got {mass}")
-    if lambda_span <= 0:
+    if not lambda_span > 0:
         raise ValueError(f"lambda_span must be positive, got {lambda_span}")
     steps = int(steps)
     if not 1 <= steps <= MAX_STEPS:

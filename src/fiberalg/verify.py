@@ -39,11 +39,13 @@ on at least two CPUs, ``run_verification`` forks a child to run the
 checks at odd positions while the caller runs the even ones, and reaps
 it before it returns or raises.  Within one block the fork costs more
 than the second CPU saves, and on one CPU the child only takes turns
-with its caller; there the caller runs both halves.
-The report keeps its bytes, since a check's stream is fixed by its
-position, but a forking caller's ``RUSAGE_SELF`` lacks the child's half.
-Python 3.12 and later warn on ``os.fork`` in a process with threads, as
-numpy's OpenBLAS pool is; that is untested.
+with its caller.  The caller runs whatever the child does not send back:
+both halves where it forks none or no child starts, the odd half where
+the child sends nothing (a check raised there, or it died).  The report
+keeps its bytes, since a check's stream is fixed by its position, but a
+forking caller's ``RUSAGE_SELF`` lacks the child's half.  Python 3.12
+and later warn on ``os.fork`` while threads run, as numpy's OpenBLAS
+pool does; the rule catches ``OSError`` only, not that untested warning.
 
 A block is coefficient-major: each array is drawn as ``(rows, width)``
 and transposed once to ``(width, rows)``, one contiguous row per
@@ -627,11 +629,13 @@ def run_verification(signature: Signature | str, samples: int, seed: int, tol: f
     The child is forked only for more samples than one block of rows,
     ``_block_rows(signature)``, and only where the process may run on at
     least two CPUs (``os.sched_getaffinity``, else ``os.cpu_count``);
-    otherwise the sweep runs in the caller alone.
+    otherwise the sweep runs in the caller alone.  The caller runs what the
+    child does not send back: both halves if ``os.pipe`` or ``os.fork``
+    raises ``OSError``, the odd half if the child sends nothing; so a
+    property's exception is raised from the caller's own run of its check.
     Raises ``ValueError`` for more than ``MAX_GENERATORS`` generators,
     before any table is built, and for a sample count below 1, a negative
     seed, or a tolerance that is negative or not finite, before any draw.
-    A property's exception is raised here, the caller's if both halves raise.
     """
     if isinstance(signature, str):
         signature = Signature.from_string(signature)
@@ -658,30 +662,31 @@ def run_verification(signature: Signature | str, samples: int, seed: int, tol: f
 
 def _run_halves(count: int, run, fork: bool) -> list:
     """``[run(i) for i in range(count)]``, if ``fork`` the odd ``i`` in a forked child that is reaped before this returns."""
-    if not (fork and hasattr(os, "fork")):
+    pid, pipe = None, ()
+    if fork and hasattr(os, "fork"):
+        try:
+            pipe = os.pipe()
+            pid = os.fork()
+        except OSError:  # no child starts: the caller runs both halves
+            for fd in pipe:
+                os.close(fd)
+    if pid is None:
         return [run(i) for i in range(count)]
-    read, write = os.pipe()
-    pid = os.fork()
     if pid == 0:  # the child leaves only through os._exit: no exit handler, no inherited buffer flushed
         try:
-            with open(write, "wb") as pipe:
-                try:
-                    pipe.write(pickle.dumps([run(i) for i in range(1, count, 2)]))
-                except BaseException as exc:  # raised again in the caller
-                    pipe.write(pickle.dumps(exc))
+            # At most 543 bytes (the odd half at ++), under PIPE_BUF (4096): one atomic write, whole or absent.
+            os.write(pipe[1], pickle.dumps([run(i) for i in range(1, count, 2)]))
         finally:
             os._exit(0)
-    os.close(write)
+    os.close(pipe[1])
     try:
-        with open(read, "rb") as pipe:
+        with open(pipe[0], "rb") as reader:
             even = [run(i) for i in range(0, count, 2)]
-            data = pipe.read()
+            data = reader.read()  # empty if a check raised in the child, or it died
     except BaseException:
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    odd = pickle.loads(data) if data else ChildProcessError(f"verify child sent nothing, exit code {code}")
-    if isinstance(odd, BaseException):
-        raise odd
+        os.waitpid(pid, 0)
+    odd = pickle.loads(data) if data else [run(i) for i in range(1, count, 2)]
     return [(odd if i % 2 else even)[i // 2] for i in range(count)]

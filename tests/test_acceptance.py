@@ -31,6 +31,7 @@ from fiberalg.fiber import (
 from fiberalg.verify import _embed_flat
 
 from oracles import all_signatures, reference_basis_product
+from test_cli import child_env
 from test_verify import span_gap
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -306,6 +307,8 @@ def test_criterion_10_cli_contract(capsys):
             [sys.executable, "-m", "fiberalg", "decompose", "++", "2", "1", "1", "0.5"],
             capture_output=True,
             text=True,
+            env=child_env(),
+            timeout=120,
         )
         for _ in range(2)
     ]

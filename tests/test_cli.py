@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -51,9 +53,17 @@ def run_cli(argv, capsys):
     return capsys.readouterr().out, code
 
 
+def child_env():
+    """The environment with this tree's ``src`` first on ``PYTHONPATH``, for a child that imports fiberalg."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def run_process(argv):
     return subprocess.run(
-        [sys.executable, "-m", "fiberalg", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "fiberalg", *argv], capture_output=True, text=True, env=child_env(), timeout=120
     )
 
 
@@ -443,6 +453,33 @@ class TestVerify:
         out, code = run_cli(["verify", "++", "200", "1", "1e-30"], capsys)
         assert code == 1
         assert json.loads(out)["pass"] is False
+
+    @pytest.mark.parametrize("fault", ["fork fails", "child killed"])
+    def test_fork_fault_prints_the_unforked_report(self, capsys, monkeypatch, fault):
+        # 3000 samples are past one block of ++, so a process on two CPUs forks
+        argv = ["verify", "++", "3000", "1"]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        fork, pids = os.fork, []
+
+        def faulty_fork():
+            if fault == "fork fails":
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            pid = fork()
+            if pid == 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", faulty_fork)
+        code = main(argv)
+        out, stderr = capsys.readouterr()
+        assert (code, stderr) == (0, "")
+        assert len(pids) == (fault == "child killed")
+        for pid in pids:  # reaped
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        monkeypatch.delattr(os, "fork")
+        assert out == run_cli(argv, capsys)[0]
 
 
 class TestBoost:

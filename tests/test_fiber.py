@@ -451,6 +451,16 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="steps must be"):
             trajectory_action(1.0, 0.0, 1.0, MAX_STEPS + 1)
 
+    def test_nan_mass_or_span_is_rejected(self):
+        # NaN fails every comparison, so `mass <= 0` let it through to NaN fields.
+        nan = float("nan")
+        with pytest.raises(ValueError, match="^mass must be positive, got nan$"):
+            trajectory_action(nan, 0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="^lambda_span must be positive, got nan$"):
+            trajectory_action(1.0, 0.0, nan, 5)
+        with pytest.raises(ValueError, match="^mass must be positive, got nan$"):
+            free_particle_element(nan, 0.0)
+
 
 class TestEuclidean:
     def test_plane_rest(self):

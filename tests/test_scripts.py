@@ -1,23 +1,22 @@
 """Smoke tests for the scripts: each runs to completion as a fresh process."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from test_cli import child_env
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_script(name, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
         timeout=120,
     )
 

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import signal
 import tracemalloc
 from functools import reduce
 from pathlib import Path
@@ -137,6 +138,14 @@ class TestFailureWiring:
             run_verification("+++++++", 10, 0, 1e-10)
 
 
+class TwoArguments(Exception):
+    """An exception that pickles but does not unpickle: ``args`` holds one message, ``__init__`` takes two."""
+
+    def __init__(self, name, value):
+        super().__init__(f"{name} = {value}")
+        self.value = value
+
+
 class TestFork:
     """run_verification runs the checks at odd positions in one forked child past one block of rows.
 
@@ -194,6 +203,23 @@ class TestFork:
         assert run_verification("++", 3000, 123, 1e-10) == report
         assert len(forks) == 1
 
+    @staticmethod
+    def unforked(monkeypatch, *args):
+        monkeypatch.delattr(os, "fork")
+        return run_verification(*args)
+
+    @staticmethod
+    def in_child(monkeypatch, action):
+        """Make sector_completeness, at an odd position of ++, call ``action`` first in a forked child only."""
+        caller, residuals = os.getpid(), verify._sector_completeness
+
+        def patched(sig, blocks):
+            if os.getpid() != caller:
+                action()
+            return residuals(sig, blocks)
+
+        monkeypatch.setattr(verify, "_sector_completeness", patched)
+
     # sector_completeness runs at an odd position of ++, in the child;
     # norm_identities at an even one, in the caller.
     @pytest.mark.parametrize("residuals, parity", [("_sector_completeness", 1), ("_norm_identities", 0)])
@@ -206,8 +232,10 @@ class TestFork:
             raise ValueError("boom")
 
         monkeypatch.setattr(verify, residuals, boom)
-        with pytest.raises(ValueError, match="^boom$"):
+        with pytest.raises(ValueError, match="^boom$") as err:
             run_verification("++", 3000, 0, 1e-10)
+        # raised by the caller's own run of the check, so its traceback ends in the check
+        assert err.traceback[-1].name == "boom"
         self.assert_reaped(forks)
         forks.clear()
         with pytest.raises(SystemExit) as err:
@@ -218,13 +246,39 @@ class TestFork:
         assert stderr == "fiberalg: error: boom\n"
         self.assert_reaped(forks)
 
-    def test_child_that_sends_nothing(self, forks, monkeypatch):
-        def leave(sig, blocks):
-            os._exit(3)
+    @pytest.mark.parametrize(
+        "leave",
+        [lambda: os._exit(3), lambda: os.kill(os.getpid(), signal.SIGKILL)],
+        ids=["exits", "killed"],
+    )
+    def test_child_that_sends_nothing(self, forks, monkeypatch, leave):
+        # the caller runs the child's half itself, where the check returns
+        self.in_child(monkeypatch, leave)
+        report = run_verification("++", 3000, 0, 1e-10)
+        self.assert_reaped(forks)
+        assert report == self.unforked(monkeypatch, "++", 3000, 0, 1e-10)
 
-        monkeypatch.setattr(verify, "_sector_completeness", leave)
-        with pytest.raises(ChildProcessError, match="^verify child sent nothing, exit code 3$"):
+    @pytest.mark.parametrize("call", ["fork", "pipe"])
+    def test_no_child_starts(self, forks, monkeypatch, call):
+        def refuse():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, call, refuse)
+        fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
+        report = run_verification("++", 3000, 0, 1e-10)
+        if fds is not None:  # the pipe of a fork that failed is closed
+            assert len(os.listdir("/proc/self/fd")) == len(fds)
+        assert forks == []
+        assert report == self.unforked(monkeypatch, "++", 3000, 0, 1e-10)
+
+    def test_exception_that_does_not_pickle_back_is_raised_as_itself(self, forks, monkeypatch):
+        def raising(sig, blocks):
+            raise TwoArguments("x", 3)
+
+        monkeypatch.setattr(verify, "_sector_completeness", raising)
+        with pytest.raises(TwoArguments, match="^x = 3$") as err:
             run_verification("++", 3000, 0, 1e-10)
+        assert err.value.value == 3
         self.assert_reaped(forks)
 
 
