@@ -9,11 +9,16 @@ one after the other, and the tree that goes first alternates from pair
 to pair.  A child imports its own tree's ``fiberalg``, runs one warm-up
 operation and then ``OPS`` timed ones, and returns their median time,
 its report bytes (``json.dumps`` of ``to_dict()``), and its peak
-resident set (``ru_maxrss``) and minor page faults per timed operation,
-for itself (``RUSAGE_SELF``) and for the sweep children that
-``run_verification`` forks in it (``RUSAGE_CHILDREN``: the largest peak
-of any, and their faults summed; 0 for a tree that forks none).  A
-forked child's peak starts from its caller's resident set.
+resident set (``ru_maxrss``) and minor page faults per operation, for
+itself over the timed operations (``RUSAGE_SELF``), and for the sweep
+processes that ``run_verification`` forks in it over every operation,
+warm-up included (``RUSAGE_CHILDREN``: the largest peak of any, and
+their faults summed; 0 for a tree that forks none).  A tree with one
+long-lived sweep helper forks it in the warm-up and keeps it to the end,
+and the kernel counts it in ``RUSAGE_CHILDREN`` only once it is reaped,
+so the child retires it (``verify._retire``, where the tree has one)
+before it reads those figures.  A forked process's peak starts from its
+caller's resident set.
 
 Each pair's reports must have identical bytes.  The script prints the
 median and quartiles of the per-pair time ratio, this tree over
@@ -39,6 +44,7 @@ OPS = 3
 
 CHILD = """
 import json, resource, statistics, sys, time
+from fiberalg import verify
 from fiberalg.verify import run_verification
 samples, seed = (int(v) for v in sys.argv[1:])
 def op():
@@ -46,10 +52,12 @@ def op():
     reports = [run_verification(signature, samples, seed, %r) for signature in %r]
     return time.perf_counter() - start, reports
 op()
-whos = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
-before = [resource.getrusage(who).ru_minflt for who in whos]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 times, reports = zip(*(op() for _ in range(%d)))
-usage = [[u.ru_maxrss / 1024, (u.ru_minflt - b) / len(times)] for u, b in zip(map(resource.getrusage, whos), before)]
+mine = resource.getrusage(resource.RUSAGE_SELF)
+getattr(verify, "_retire", lambda: None)()
+theirs = resource.getrusage(resource.RUSAGE_CHILDREN)
+usage = [[mine.ru_maxrss / 1024, (mine.ru_minflt - before) / len(times)], [theirs.ru_maxrss / 1024, theirs.ru_minflt / (len(times) + 1)]]
 print(json.dumps([statistics.median(times), [json.dumps(r.to_dict()) for r in reports[-1]], usage]))
 """ % (TOL, SIGNATURES, OPS)
 

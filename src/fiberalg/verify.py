@@ -35,17 +35,28 @@ full-size draw (see ``_sample_blocks``), so the samples, and the report,
 are the same at any block size.
 
 Past one block of rows, ``_block_rows``, and where the process may run
-on at least two CPUs, ``run_verification`` forks a child to run the
-checks at odd positions while the caller runs the even ones, and reaps
-it before it returns or raises.  Within one block the fork costs more
-than the second CPU saves, and on one CPU the child only takes turns
-with its caller.  The caller runs whatever the child does not send back:
-both halves where it forks none or no child starts, the odd half where
-the child sends nothing (a check raised there, or it died).  The report
-keeps its bytes, since a check's stream is fixed by its position, but a
-forking caller's ``RUSAGE_SELF`` lacks the child's half.  Python 3.12
-and later warn on ``os.fork`` while threads run, as numpy's OpenBLAS
-pool does; the rule catches ``OSError`` only, not that untested warning.
+on at least two CPUs, ``run_verification`` shares the checks with one
+helper process.  The first such call forks it; later calls reuse it, so
+its heap and caches stay warm from one call to the next.  Within one
+block the helper costs more than the second CPU saves, and on one CPU
+it only takes turns with its caller.  Each call writes the check
+positions into a pipe in descending order, so the costliest checks,
+last in ``_checks_for``'s table, go out first; the caller and the
+helper each take the next position until none are left, and the helper
+sends back its results.  The caller runs whatever does not come back:
+every check where no helper starts (``os.pipe`` or ``os.fork`` raises
+``OSError``), the rest where the helper dies or a check raises there.
+It kills and reaps the helper at interpreter exit, when its own check
+raises, when the helper's pipe ends early, and on ``OSError``; the next
+call forks a fresh one.  A process forked from the caller never talks
+to the caller's helper.  The helper runs the code as it stood at its
+fork: patching this module later changes the caller's checks, not its.
+The report keeps its bytes, since a check's stream is fixed by its
+position, but the caller's ``RUSAGE_SELF`` lacks the helper's share,
+and its ``RUSAGE_CHILDREN`` holds it only once the helper is reaped.
+Python 3.12 and later warn on ``os.fork`` while threads run, as numpy's
+OpenBLAS pool does; the rule catches ``OSError`` only, not that
+untested warning.
 
 A block is coefficient-major: each array is drawn as ``(rows, width)``
 and transposed once to ``(width, rows)``, one contiguous row per
@@ -78,13 +89,16 @@ and check the row bits of the transposed views, to check both.
 
 from __future__ import annotations
 
+import atexit
 import copy
+import itertools
 import os
 import pickle
 import signal
+import threading
 from fractions import Fraction
 from functools import partial, reduce
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
@@ -625,14 +639,20 @@ def run_verification(signature: Signature | str, samples: int, seed: int, tol: f
 
     Deterministic for a fixed (signature, samples, seed, tol): each property
     draws from its own seed stream, so adding or removing properties, or
-    running half of them in a forked child, never perturbs the others.
-    The child is forked only for more samples than one block of rows,
+    running some of them in the helper process, never perturbs the others.
+    The helper takes part only for more samples than one block of rows,
     ``_block_rows(signature)``, and only where the process may run on at
     least two CPUs (``os.sched_getaffinity``, else ``os.cpu_count``);
-    otherwise the sweep runs in the caller alone.  The caller runs what the
-    child does not send back: both halves if ``os.pipe`` or ``os.fork``
-    raises ``OSError``, the odd half if the child sends nothing; so a
-    property's exception is raised from the caller's own run of its check.
+    otherwise the sweep runs in the caller alone.  The first such call
+    forks the helper, and later ones reuse it.  The caller writes the
+    check positions into a pipe in descending order, costliest first,
+    and it and the helper take them one at a time until none are left.
+    The caller runs every position whose result does not come back: all
+    of them if ``os.pipe`` or ``os.fork`` raises ``OSError``, the rest if
+    the helper dies or a check raises there; so a property's exception is
+    raised from the caller's own run of its check.  The helper lives until
+    the interpreter exits, or until a fault of a call ends it, and runs
+    the code as it stood when it was forked.  See ``_run_tickets``.
     Raises ``ValueError`` for more than ``MAX_GENERATORS`` generators,
     before any table is built, and for a sample count below 1, a negative
     seed, or a tolerance that is negative or not finite, before any draw.
@@ -650,43 +670,160 @@ def run_verification(signature: Signature | str, samples: int, seed: int, tol: f
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if not (tol >= 0 and np.isfinite(tol)):
         raise ValueError(f"tol must be a finite number of at least 0, got {tol}")
-    checks = _checks_for(signature)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    results = _run_halves(
-        len(checks),
-        lambda i: checks[i](signature, np.random.default_rng([seed, i]), samples, tol),
-        samples > _block_rows(signature) and cpus > 1,
-    )
+    results = _run_tickets((signature, samples, seed, tol), samples > _block_rows(signature) and cpus > 1)
     return VerificationReport(str(signature), samples, seed, tol, tuple(results), all(r.passed for r in results))
 
 
-def _run_halves(count: int, run, fork: bool) -> list:
-    """``[run(i) for i in range(count)]``, if ``fork`` the odd ``i`` in a forked child that is reaped before this returns."""
-    pid, pipe = None, ()
-    if fork and hasattr(os, "fork"):
+# ---------------------------------------------------------------------------
+# The helper process.
+
+
+class _Helper(NamedTuple):
+    """What the caller holds of its helper process."""
+
+    pid: int
+    owner: int  # the pid of the process that forked it, the only one that talks to it
+    take: int  # the read end of the ticket pipe, non-blocking, shared by both processes
+    give: int  # its write end, the caller's
+    requests: int  # the caller's write end of the jobs pipe
+    results: BinaryIO  # the caller's read end of the results pipe
+
+
+_helper: _Helper | None = None
+# Held by the call that uses the helper; a call in another thread meanwhile runs alone.
+_helper_lock = threading.Lock()
+
+
+def _checks_of(signature: Signature, samples: int, seed: int, tol: float):
+    """``(count, run)``: the number of checks of a job and ``run(position)``, the result of one."""
+    checks = _checks_for(signature)
+    return len(checks), lambda i: checks[i](signature, np.random.default_rng([seed, i]), samples, tol)
+
+
+def _run_tickets(job: tuple, share: bool) -> list:
+    """The results of ``job``'s checks in report order; if ``share``, the helper runs some of them.
+
+    The caller writes every position, in descending order, into the
+    ticket pipe, one byte each, then sends the job, and it and the helper
+    each take the next position until the pipe is empty.  The helper
+    sends back a ``(position, result)`` pair for each position it ran and
+    ``None`` at the end.  The caller runs every position whose result did
+    not come back.  It retires the helper when its own run raises, when
+    the helper's pipe ends before the ``None`` (a check raised there, or
+    it died) and on ``OSError``; the next call forks a fresh one.
+    """
+    count, run = _checks_of(*job)
+    results = {}
+    if share and _helper_lock.acquire(blocking=False):
         try:
-            pipe = os.pipe()
-            pid = os.fork()
-        except OSError:  # no child starts: the caller runs both halves
-            for fd in pipe:
+            helper = _current_helper()
+            if helper is not None:
+                os.write(helper.give, bytes(range(count - 1, -1, -1)))
+                _send(helper.requests, job)
+                for i in iter(partial(_take, helper.take), None):
+                    results[i] = run(i)
+                for i, result in iter(partial(_receive, helper.results), None):
+                    results[i] = result
+        except (OSError, EOFError):
+            _retire()
+        except BaseException:
+            _retire()
+            raise
+        finally:
+            _helper_lock.release()
+    return [results[i] if i in results else run(i) for i in range(count)]
+
+
+def _current_helper() -> _Helper | None:
+    """This process's live helper, forked if it has none; ``None`` where none can start."""
+    global _helper
+    if _helper is not None and (_helper.owner != os.getpid() or os.waitpid(_helper.pid, os.WNOHANG)[0]):
+        _retire(reaped=True)  # inherited through a fork, or dead since the last call and now reaped
+    if _helper is None and hasattr(os, "fork"):
+        _helper = _fork_helper()
+    return _helper
+
+
+def _fork_helper() -> _Helper | None:
+    """Fork a helper with its three pipes; ``None``, every pipe closed, where ``os.pipe`` or ``os.fork`` raises."""
+    pipes = []
+    try:
+        for _ in range(3):
+            pipes.append(os.pipe())
+        (take, give), (jobs_in, jobs_out), (results_in, results_out) = pipes
+        os.set_blocking(take, False)
+        pid = os.fork()
+    except OSError:
+        for fd in itertools.chain.from_iterable(pipes):
+            os.close(fd)
+        return None
+    if pid == 0:  # the helper leaves only through os._exit: no exit handler, no inherited buffer flushed
+        try:
+            for fd in (give, jobs_out, results_in):
                 os.close(fd)
-    if pid is None:
-        return [run(i) for i in range(count)]
-    if pid == 0:  # the child leaves only through os._exit: no exit handler, no inherited buffer flushed
-        try:
-            # At most 543 bytes (the odd half at ++), under PIPE_BUF (4096): one atomic write, whole or absent.
-            os.write(pipe[1], pickle.dumps([run(i) for i in range(1, count, 2)]))
+            _serve(take, open(jobs_in, "rb"), results_out)
         finally:
             os._exit(0)
-    os.close(pipe[1])
+    os.close(jobs_in)
+    os.close(results_out)
+    return _Helper(pid, os.getpid(), take, give, jobs_out, open(results_in, "rb"))
+
+
+def _serve(take: int, jobs: BinaryIO, results: int) -> None:
+    """The helper's loop: run the positions it takes of each job until the jobs pipe ends."""
+    while True:
+        try:
+            job = _receive(jobs)
+        except EOFError:
+            return
+        run = _checks_of(*job)[1]
+        for i in iter(partial(_take, take), None):
+            _send(results, (i, run(i)))
+        _send(results, None)
+
+
+def _retire(reaped: bool = False) -> None:
+    """Drop this process's helper and close its pipes; its owner kills and reaps it unless ``reaped``.
+
+    Runs at interpreter exit.  A process forked from the owner only
+    closes its copies of the pipes.
+    """
+    global _helper
+    helper, _helper = _helper, None
+    if helper is None:
+        return
+    for fd in (helper.take, helper.give, helper.requests):
+        os.close(fd)
+    helper.results.close()
+    if helper.owner == os.getpid() and not reaped:
+        os.kill(helper.pid, signal.SIGKILL)
+        os.waitpid(helper.pid, 0)
+
+
+atexit.register(_retire)
+
+
+def _take(fd: int) -> int | None:
+    """The next position in the ticket pipe, or ``None`` when none is left."""
     try:
-        with open(pipe[0], "rb") as reader:
-            even = [run(i) for i in range(0, count, 2)]
-            data = reader.read()  # empty if a check raised in the child, or it died
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.waitpid(pid, 0)
-    odd = pickle.loads(data) if data else [run(i) for i in range(1, count, 2)]
-    return [(odd if i % 2 else even)[i // 2] for i in range(count)]
+        ticket = os.read(fd, 1)
+    except BlockingIOError:
+        return None
+    return ticket[0] if ticket else None
+
+
+def _send(fd: int, value) -> None:
+    """Write ``value`` pickled after its length, in one write: a few hundred bytes, under ``PIPE_BUF``."""
+    data = pickle.dumps(value)
+    os.write(fd, len(data).to_bytes(4, "little") + data)
+
+
+def _receive(reader: BinaryIO):
+    """The next value ``_send`` wrote to ``reader``'s pipe; ``EOFError`` if the pipe ends first."""
+    head = reader.read(4)
+    size = int.from_bytes(head, "little")
+    data = reader.read(size)
+    if len(head) < 4 or len(data) < size:
+        raise EOFError
+    return pickle.loads(data)

@@ -454,9 +454,9 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["pass"] is False
 
-    @pytest.mark.parametrize("fault", ["fork fails", "child killed"])
-    def test_fork_fault_prints_the_unforked_report(self, capsys, monkeypatch, fault):
-        # 3000 samples are past one block of ++, so a process on two CPUs forks
+    @pytest.mark.parametrize("fault", ["fork fails", "helper killed"])
+    def test_helper_fault_prints_the_unforked_report(self, capsys, monkeypatch, fault):
+        # 3000 samples are past one block of ++, so a process on two CPUs starts a helper
         argv = ["verify", "++", "3000", "1"]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         fork, pids = os.fork, []
@@ -474,12 +474,20 @@ class TestVerify:
         code = main(argv)
         out, stderr = capsys.readouterr()
         assert (code, stderr) == (0, "")
-        assert len(pids) == (fault == "child killed")
+        assert len(pids) == (fault == "helper killed")
         for pid in pids:  # reaped
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
         monkeypatch.delattr(os, "fork")
         assert out == run_cli(argv, capsys)[0]
+
+    def test_process_with_a_helper_exits_and_prints_the_unforked_report(self, capsys, monkeypatch):
+        # on two CPUs the child starts a helper; the pipe of its output ends only once no process holds it
+        argv = ["verify", "++", "3000", "0"]
+        result = run_process(argv)
+        assert (result.returncode, result.stderr) == (0, "")
+        monkeypatch.delattr(os, "fork")
+        assert result.stdout == run_cli(argv, capsys)[0]
 
 
 class TestBoost:

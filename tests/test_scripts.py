@@ -1,5 +1,6 @@
 """Smoke tests for the scripts: each runs to completion as a fresh process."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +80,18 @@ def test_ab_verify_finds_its_own_tree_identical():
         "minor faults per operation, caller",
         "minor faults per operation, sweep children",
     ]
+
+
+@pytest.mark.skipif(hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2, reason="a sweep helper starts only on two CPUs or more")
+def test_ab_verify_counts_the_sweep_helper():
+    # 3000 samples are past one block of ++ and -+: the helper starts, and its figures show once it is reaped
+    result = run_script("ab_verify.py", str(ROOT), "--pairs", "1", "--samples", "3000")
+    assert result.returncode == 0, result.stdout + result.stderr
+    children = [line for line in result.stdout.splitlines() if ", sweep children: " in line]
+    assert len(children) == 2
+    for line in children:
+        this, other = (float(side.split()[1]) for side in line.split(": ")[1].split(", "))
+        assert this > 0 and other > 0, line
 
 
 @pytest.mark.parametrize("args", [(str(ROOT / "tests"),), (str(ROOT), "--pairs", "0"), (str(ROOT), "--seed", "-1")])

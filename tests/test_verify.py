@@ -2,8 +2,12 @@
 
 import itertools
 import os
+import select
 import signal
+import subprocess
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 from pathlib import Path
 
@@ -15,7 +19,7 @@ from fiberalg.algebra import Signature, multiply_coeffs
 from fiberalg.cli import main
 from fiberalg.fiber import _fiber_sectors, _parts, fiber_component_basis
 from fiberalg.verify import _Draw, _embed_flat, _oracle, _row_max, _sample_blocks, _worst_rel, run_verification
-from test_cli import VERIFY_GOLDENS, forbid_products
+from test_cli import VERIFY_GOLDENS, child_env, forbid_products
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -146,12 +150,13 @@ class TwoArguments(Exception):
         self.value = value
 
 
-class TestFork:
-    """run_verification runs the checks at odd positions in one forked child past one block of rows.
+class TestHelper:
+    """run_verification shares its checks with one long-lived helper process past one block of rows.
 
-    It forks only where the process may run on two CPUs or more, as the
-    ``forks`` fixture reports.  At ``++`` a block holds 2048 rows, so the
-    forked cases sweep 3000 samples.
+    A helper starts only where the process may run on two CPUs or more,
+    as the ``forks`` fixture reports.  At ``++`` a block holds 2048 rows,
+    so the shared cases sweep 3000 samples.  The first ticket of a ``++``
+    call is position 11, ``lift_round_trip``.
     """
 
     @pytest.fixture
@@ -170,116 +175,241 @@ class TestFork:
         monkeypatch.setattr(os, "fork", recording_fork)
         return pids
 
+    @pytest.fixture
+    def take_first(self, monkeypatch):
+        """``take_first(who)`` makes ``who``, "caller" or "helper", take the first ticket of a call.
+
+        The other process waits until ``who`` has taken one, and raises
+        ``AssertionError`` if that takes 10 s.  ``who`` writes each
+        position it takes to a pipe, and ``take_first`` returns a function
+        that reads the positions taken so far.
+        """
+        caller, (taken, write) = os.getpid(), os.pipe()
+        os.set_blocking(taken, False)
+        take = verify._take
+
+        def arrange(who):
+            def ordered_take(fd):
+                if (os.getpid() == caller) != (who == "caller"):
+                    assert select.select([taken], [], [], 10)[0], f"the {who} took no ticket in 10 s"
+                    return take(fd)
+                position = take(fd)
+                if position is not None:
+                    os.write(write, bytes([position]))
+                return position
+
+            monkeypatch.setattr(verify, "_take", ordered_take)
+            return lambda: list(os.read(taken, 64))
+
+        yield arrange
+        os.close(taken)
+        os.close(write)
+
     @staticmethod
-    def assert_reaped(pids):
-        assert len(pids) == 1
+    def assert_reaped(pid):
         with pytest.raises(ChildProcessError):
-            os.waitpid(pids[0], os.WNOHANG)
+            os.waitpid(pid, os.WNOHANG)
 
-    def test_report_of_both_halves_in_order(self, forks, monkeypatch):
+    @staticmethod
+    def assert_serving(pid):
+        assert verify._helper.pid == pid
+        assert os.waitpid(pid, os.WNOHANG) == (0, 0)
+
+    @staticmethod
+    def unforked(monkeypatch, *args):
+        verify._retire()
+        monkeypatch.delattr(os, "fork", raising=False)
+        return run_verification(*args)
+
+    def test_report_equals_the_unforked_one(self, forks, take_first, monkeypatch):
+        helper_took = take_first("helper")
         report = run_verification("++", 3000, 123, 1e-10)
-        self.assert_reaped(forks)
-        monkeypatch.delattr(os, "fork")
-        assert run_verification("++", 3000, 123, 1e-10) == report
+        taken = helper_took()
+        # the helper took the first ticket, the costliest check, and the rest in descending order
+        assert taken[0] == len(report.properties) - 1
+        assert taken == sorted(set(taken), reverse=True)
+        self.assert_serving(*forks)
+        assert report == self.unforked(monkeypatch, "++", 3000, 123, 1e-10)
+        self.assert_reaped(*forks)
 
-    def test_forks_only_past_one_block(self, forks, monkeypatch):
+    def test_one_fork_serves_several_calls(self, forks, monkeypatch):
+        calls = [("++", 3000, 1, 1e-10), ("-+", 5000, 2, 1e-10), ("+", 9000, 3, 1e-10), ("++", 3000, 1, 1e-10)]
+        reports = [run_verification(*call) for call in calls]
+        self.assert_serving(*forks)
+        assert reports == [self.unforked(monkeypatch, *call) for call in calls]
+
+    def test_starts_only_past_one_block(self, forks, monkeypatch):
         rows = verify._block_rows(Signature.from_string("++"))
         reports = []
         for samples, forked in ((rows, 0), (rows + 1, 1)):
             reports.append(run_verification("++", samples, 7, 1e-10))
             assert len(forks) == forked
-        self.assert_reaped(forks)
-        monkeypatch.delattr(os, "fork")
-        assert [run_verification("++", samples, 7, 1e-10) for samples in (rows, rows + 1)] == reports
+        self.assert_serving(*forks)
+        assert [self.unforked(monkeypatch, "++", samples, 7, 1e-10) for samples in (rows, rows + 1)] == reports
 
-    def test_one_cpu_forks_nothing(self, forks, monkeypatch):
-        report = run_verification("++", 3000, 123, 1e-10)
-        assert len(forks) == 1
+    def test_one_cpu_starts_no_helper(self, forks, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert run_verification("++", 3000, 123, 1e-10) == report
+        report = run_verification("++", 3000, 123, 1e-10)
         # where the affinity cannot be read, the CPU count decides
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert run_verification("++", 3000, 123, 1e-10) == report
+        assert forks == []
+        assert verify._helper is None
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert run_verification("++", 3000, 123, 1e-10) == report
         assert len(forks) == 1
 
-    @staticmethod
-    def unforked(monkeypatch, *args):
-        monkeypatch.delattr(os, "fork")
-        return run_verification(*args)
-
-    @staticmethod
-    def in_child(monkeypatch, action):
-        """Make sector_completeness, at an odd position of ++, call ``action`` first in a forked child only."""
-        caller, residuals = os.getpid(), verify._sector_completeness
-
-        def patched(sig, blocks):
-            if os.getpid() != caller:
-                action()
-            return residuals(sig, blocks)
-
-        monkeypatch.setattr(verify, "_sector_completeness", patched)
-
-    # sector_completeness runs at an odd position of ++, in the child;
-    # norm_identities at an even one, in the caller.
-    @pytest.mark.parametrize("residuals, parity", [("_sector_completeness", 1), ("_norm_identities", 0)])
-    def test_exception_of_either_half_is_raised(self, forks, monkeypatch, capsys, residuals, parity):
-        name = residuals.lstrip("_")
-        assert names(run_verification("++", 10, 0, 1e-10)).index(name) % 2 == parity
-        forks.clear()
-
+    # lift_round_trip, position 11 of ++, is the first ticket: the process
+    # that takes it first runs it first.
+    @pytest.mark.parametrize("first", ["helper", "caller"])
+    def test_exception_of_either_process_is_raised_by_the_caller(self, forks, take_first, monkeypatch, capsys, first):
         def boom(sig, blocks):
             raise ValueError("boom")
 
-        monkeypatch.setattr(verify, residuals, boom)
+        monkeypatch.setattr(verify, "_lift_round_trip", boom)
+        take_first(first)
         with pytest.raises(ValueError, match="^boom$") as err:
             run_verification("++", 3000, 0, 1e-10)
         # raised by the caller's own run of the check, so its traceback ends in the check
         assert err.traceback[-1].name == "boom"
-        self.assert_reaped(forks)
-        forks.clear()
+        assert verify._helper is None
+        self.assert_reaped(*forks)
         with pytest.raises(SystemExit) as err:
             main(["verify", "++", "3000", "0"])
         out, stderr = capsys.readouterr()
         assert err.value.code == 2
         assert out == ""
         assert stderr == "fiberalg: error: boom\n"
-        self.assert_reaped(forks)
+        assert len(forks) == 2
+        self.assert_reaped(forks[1])
 
+    def test_exception_raised_in_the_helper_alone_leaves_the_report(self, forks, take_first, monkeypatch):
+        caller, residuals = os.getpid(), verify._lift_round_trip
+
+        def patched(sig, blocks):
+            if os.getpid() != caller:
+                raise TwoArguments("x", 3)
+            return residuals(sig, blocks)
+
+        monkeypatch.setattr(verify, "_lift_round_trip", patched)
+        take_first("helper")
+        report = run_verification("++", 3000, 0, 1e-10)
+        self.assert_reaped(*forks)
+        assert report == self.unforked(monkeypatch, "++", 3000, 0, 1e-10)
+
+    def test_exception_that_does_not_pickle_is_raised_as_itself(self, forks, take_first, monkeypatch):
+        def raising(sig, blocks):
+            raise TwoArguments("x", 3)
+
+        monkeypatch.setattr(verify, "_lift_round_trip", raising)
+        take_first("helper")
+        with pytest.raises(TwoArguments, match="^x = 3$") as err:
+            run_verification("++", 3000, 0, 1e-10)
+        assert err.value.value == 3
+        self.assert_reaped(*forks)
+
+    @pytest.mark.parametrize("when", ["at the job", "after one result"])
     @pytest.mark.parametrize(
         "leave",
         [lambda: os._exit(3), lambda: os.kill(os.getpid(), signal.SIGKILL)],
         ids=["exits", "killed"],
     )
-    def test_child_that_sends_nothing(self, forks, monkeypatch, leave):
-        # the caller runs the child's half itself, where the check returns
-        self.in_child(monkeypatch, leave)
+    def test_helper_that_dies_is_reaped_and_replaced(self, forks, take_first, monkeypatch, leave, when):
+        # the caller runs what the helper did not send back, and the next call forks a fresh helper
+        caller = os.getpid()
+        name = "_checks_of" if when == "at the job" else "_send"
+        wrapped = getattr(verify, name)
+
+        def patched(*args):
+            value = wrapped(*args)
+            if os.getpid() != caller:
+                leave()
+            return value
+
+        monkeypatch.setattr(verify, name, patched)
+        if when == "after one result":
+            take_first("helper")
         report = run_verification("++", 3000, 0, 1e-10)
-        self.assert_reaped(forks)
+        assert verify._helper is None
+        self.assert_reaped(*forks)
+        monkeypatch.setattr(verify, name, wrapped)
+        assert run_verification("++", 3000, 0, 1e-10) == report
+        self.assert_serving(forks[1])
         assert report == self.unforked(monkeypatch, "++", 3000, 0, 1e-10)
 
+    def test_dead_helper_is_replaced_on_the_next_call(self, forks, monkeypatch):
+        report = run_verification("++", 3000, 0, 1e-10)
+        os.kill(forks[0], signal.SIGKILL)
+        os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+        assert run_verification("++", 3000, 0, 1e-10) == report
+        self.assert_reaped(forks[0])
+        self.assert_serving(forks[1])
+
     @pytest.mark.parametrize("call", ["fork", "pipe"])
-    def test_no_child_starts(self, forks, monkeypatch, call):
-        def refuse():
-            raise BlockingIOError(11, "Resource temporarily unavailable")
+    def test_no_helper_starts(self, forks, monkeypatch, call):
+        real, calls = getattr(os, call), []
+
+        def refuse():  # the fork, or the third of the helper's three pipes
+            calls.append(call)
+            if call == "fork" or len(calls) == 3:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return real()
 
         monkeypatch.setattr(os, call, refuse)
         fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
         report = run_verification("++", 3000, 0, 1e-10)
-        if fds is not None:  # the pipe of a fork that failed is closed
+        if fds is not None:  # the pipes of a helper that did not start are closed
             assert len(os.listdir("/proc/self/fd")) == len(fds)
         assert forks == []
+        assert verify._helper is None
         assert report == self.unforked(monkeypatch, "++", 3000, 0, 1e-10)
 
-    def test_exception_that_does_not_pickle_back_is_raised_as_itself(self, forks, monkeypatch):
-        def raising(sig, blocks):
-            raise TwoArguments("x", 3)
+    def test_forked_child_never_uses_the_callers_helper(self, forks, monkeypatch):
+        report = run_verification("++", 3000, 0, 1e-10)
+        helper = verify._helper.pid
+        read, write = os.pipe()
+        child = os.fork()
+        if child == 0:  # the child leaves only through os._exit, whatever it meets
+            try:
+                os.close(read)
+                same = run_verification("++", 3000, 0, 1e-10) == report
+                own = verify._helper.pid not in (helper, os.getpid())
+                verify._retire()
+                os.write(write, bytes([same, own]))
+            finally:
+                os._exit(0)
+        os.close(write)
+        with open(read, "rb") as reader:
+            answer = reader.read()
+        os.waitpid(child, 0)
+        assert answer == bytes([True, True])
+        # the caller's helper still serves it
+        mine = run_verification("-+", 3000, 0, 1e-10)
+        self.assert_serving(helper)
+        assert forks == [helper, child]
+        assert mine == self.unforked(monkeypatch, "-+", 3000, 0, 1e-10)
 
-        monkeypatch.setattr(verify, "_sector_completeness", raising)
-        with pytest.raises(TwoArguments, match="^x = 3$") as err:
-            run_verification("++", 3000, 0, 1e-10)
-        assert err.value.value == 3
-        self.assert_reaped(forks)
+    def test_calls_from_two_threads_give_their_own_reports(self, forks, monkeypatch):
+        # one call at a time uses the helper; a call in the other thread meanwhile runs alone
+        calls = [("++", 3000, 4, 1e-10), ("-+", 3000, 5, 1e-10)] * 3
+        with ThreadPoolExecutor(2) as pool:
+            reports = list(pool.map(lambda call: run_verification(*call), calls))
+        assert len(forks) == 1
+        assert reports == [self.unforked(monkeypatch, *call) for call in calls]
+
+    def test_no_helper_outlives_its_caller(self):
+        code = (
+            "import os\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from fiberalg import verify\n"
+            "verify.run_verification('++', 3000, 0, 1e-10)\n"
+            "print(verify._helper.pid)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=120)
+        assert result.returncode == 0, result.stderr
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(result.stdout), 0)
 
 
 class TestReportShape:
@@ -494,8 +624,8 @@ class TestBlocks:
         assert (verify.BLOCK_VALUES // 16 + 1) * 16 * 16 < 10**6
 
     def test_memory_bounded_in_samples(self, monkeypatch):
-        # Every check runs here: run_verification would run half of them in a
-        # forked child, out of tracemalloc's sight.
+        # Every check runs here: run_verification would run some of them in
+        # its helper process, out of tracemalloc's sight.
         monkeypatch.setattr(verify, "BLOCK_VALUES", 256 * 16)
         sig = Signature.from_string("++")
         checks = verify._checks_for(sig)
