@@ -8,7 +8,9 @@ that tree's ``src``, a fixed list of ``run_verification`` cases: the
 paper's four signatures at 100 000 samples, wider signatures, small and
 odd sample counts around the block edges, and the verify goldens'
 sample counts.  The small cases run again at ``verify.BLOCK_VALUES =
-160``, where every sweep spans many blocks.  The same child then replays
+160``, where every sweep spans many blocks; the child retires verify's
+helper process at each change of the block size, since the helper runs
+the code as it stood at its fork.  The same child then replays
 a fixed list of CLI calls through ``cli.main``: every format and
 signature of ``decompose``, ``boost``, calls at the edges of the float range,
 ``verify`` on its defaults, a small sample count (with its option first,
@@ -126,11 +128,15 @@ def operand(rng, shape, dim):
     return rng.uniform(-10, 10, tuple(int(n) for n in shape.split("x") if n) + (dim,))
 runs, calls, library = json.loads(sys.argv[1])
 default = verify.BLOCK_VALUES
+def block_values(values):
+    if values != verify.BLOCK_VALUES:
+        verify.BLOCK_VALUES = values
+        getattr(verify, "_retire", lambda: None)()
 for signature, samples, seed, block in runs:
-    verify.BLOCK_VALUES = default if block is None else block
+    block_values(default if block is None else block)
     report = verify.run_verification(signature, samples, seed, %r)
     print(json.dumps(report.to_dict()))
-verify.BLOCK_VALUES = default
+block_values(default)
 for argv in calls:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

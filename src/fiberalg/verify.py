@@ -11,14 +11,16 @@ The sweep for each of + ++ - -+ pits the closed polynomial forms
 against the projector-path extraction from the two-slot tensor, which
 keeps the two routes honest against each other.
 
-Every sampled property except the minimum-action equivalence, which
-counts disagreements, runs through one driver, ``_sweep``: it draws the
-samples in blocks of rows and folds the residuals of each row into
-running maxima, so a sweep needs the same memory at any sample count.
-For each block a property yields ``abs_row``, its absolute residual per
-row, and a list of ``(diff, scale)`` terms, each a residual and the
-sector magnitude it is measured against; ``_sweep`` alone applies
-``_worst_rel`` to them.  One table in ``_checks_for`` lists every check.
+Every check runs through one driver, ``_run_check``.  For a sampled
+property it draws the samples in blocks of rows and folds the residuals
+of each row into running maxima, so a sweep needs the same memory at any
+sample count.  For each block a property yields ``abs_row``, its
+absolute residual per row, and a list of ``(diff, scale)`` terms, each a
+residual and the sector magnitude it is measured against;
+``_run_check`` alone applies ``_worst_rel`` to them.  The minimum-action
+equivalence, which counts disagreements, and the projector algebra,
+which draws nothing, are whole checks that it calls as they are.  One
+table in ``_checks_for`` lists every check.
 
 A property is a generator over the blocks, not a function called per
 block, so its arrays live on from one block to the next: a function
@@ -35,28 +37,33 @@ full-size draw (see ``_sample_blocks``), so the samples, and the report,
 are the same at any block size.
 
 Past one block of rows, ``_block_rows``, and where the process may run
-on at least two CPUs, ``run_verification`` shares the checks with one
-helper process.  The first such call forks it; later calls reuse it, so
-its heap and caches stay warm from one call to the next.  Within one
-block the helper costs more than the second CPU saves, and on one CPU
-it only takes turns with its caller.  Each call writes the check
-positions into a pipe in descending order, so the costliest checks,
-last in ``_checks_for``'s table, go out first; the caller and the
-helper each take the next position until none are left, and the helper
-sends back its results.  The caller runs whatever does not come back:
-every check where no helper starts (``os.pipe`` or ``os.fork`` raises
-``OSError``), the rest where the helper dies or a check raises there.
-It kills and reaps the helper at interpreter exit, when its own check
-raises, when the helper's pipe ends early, and on ``OSError``; the next
-call forks a fresh one.  A process forked from the caller never talks
-to the caller's helper.  The helper runs the code as it stood at its
-fork: patching this module later changes the caller's checks, not its.
-The report keeps its bytes, since a check's stream is fixed by its
-position, but the caller's ``RUSAGE_SELF`` lacks the helper's share,
-and its ``RUSAGE_CHILDREN`` holds it only once the helper is reaped.
-Python 3.12 and later warn on ``os.fork`` while threads run, as numpy's
-OpenBLAS pool does; the rule catches ``OSError`` only, not that
-untested warning.
+on two CPUs or more (``os.sched_getaffinity``, else ``os.cpu_count``),
+``run_verification`` shares the checks with one helper process; within
+one block, or on one CPU, the helper costs more than it saves.  The first
+such call forks it and later calls reuse it, so its heap and caches stay
+warm.  Each call writes the check positions into a ticket pipe, one byte
+each, in descending order, so the costliest checks, last in
+``_checks_for``'s table, go out first, and pickles the job into a jobs
+pipe; the caller and the helper each take the next position until none
+are left, and the helper pickles back ``(position, result)`` for each,
+then ``None``.  Each pickle is one ``os.write`` of at most a few hundred
+bytes, under ``PIPE_BUF``, so a helper that dies leaves whole values
+only.  The caller runs whatever does not come back: every check where no
+helper starts (``os.pipe`` or ``os.fork`` raises ``OSError``), the rest
+where the helper dies or a check raises there, so a property's exception
+is raised from the caller's own run of its check.  The caller kills and
+reaps the helper at interpreter exit, when its own check raises, when
+the results pipe ends early and on ``OSError``; it drops without a
+signal a helper that died or that something else reaped.  The next call
+forks a fresh one.  A process forked from the caller closes its copies of
+the pipes at the fork, and a call made while another thread uses the
+helper runs alone.  The helper runs the code as it stood at its fork:
+patch this module, then ``_retire()``.  The report keeps its bytes, since
+a check's stream is fixed by its position; the caller's ``RUSAGE_SELF``
+lacks the helper's share, and its ``RUSAGE_CHILDREN`` holds it only once
+the helper is reaped.  Python 3.12 and later warn on ``os.fork`` while
+threads run, as numpy's OpenBLAS pool does; only ``OSError`` is caught,
+not that untested warning.
 
 A block is coefficient-major: each array is drawn as ``(rows, width)``
 and transposed once to ``(width, rows)``, one contiguous row per
@@ -273,31 +280,6 @@ def _row_max(a: np.ndarray) -> np.ndarray:
 
 def _result(name: str, samples: int, abs_res: float, rel_res: float, tol: float) -> PropertyResult:
     return PropertyResult(name, samples, float(abs_res), float(rel_res), tol, bool(rel_res <= tol))
-
-
-def _sweep(name: str, draws, residuals, cap: int | None = None):
-    """The check of one sampled property: the block loop, the scaling and the running maxima.
-
-    ``residuals(sig, blocks)`` takes the ``_sample_blocks`` of ``draws``
-    and yields ``(abs_row, terms)`` for each block: ``abs_row`` holds one
-    absolute residual per row, and each ``(diff, scale)`` of ``terms``
-    residuals and the scales they are measured against, for every row
-    of the block or for its first rows.  The report keeps the worst
-    ``abs_row`` and the worst ``_worst_rel(diff, scale)`` over all terms.
-    At most ``cap`` samples are drawn.
-    """
-
-    def check(sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-        n = samples if cap is None else min(samples, cap)
-        abs_res = rel_res = -np.inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for abs_row, terms in residuals(sig, _sample_blocks(sig, rng, n, draws)):
-                abs_res = np.maximum(abs_res, np.max(abs_row))
-                for diff, scale in terms:
-                    rel_res = np.maximum(rel_res, _worst_rel(diff, scale))
-        return _result(name, n, abs_res, rel_res, tol)
-
-    return check
 
 
 # ---------------------------------------------------------------------------
@@ -596,13 +578,11 @@ def _euclidean_fiber_rotation(sig: Signature, blocks):
 
 
 def _checks_for(sig: Signature):
-    """The checks of ``sig`` in report order; a check's position seeds its sample stream.
+    """The checks of ``sig`` in report order, as ``(name, draws, residuals, cap)`` rows.
 
-    One row per check, ``(name, signatures, draws, residuals, cap)``: the
-    check runs on the signatures listed, or on every one for ``None``.
-    ``_sweep`` runs ``residuals`` on the blocks of ``draws``; a row whose
-    draws are ``None`` is a whole check that draws for itself.  The rows
-    keep the report order of each signature.
+    A table row runs on the signatures it lists, or on every one for
+    ``None``.  A row whose draws are ``None`` is a whole check that draws
+    for itself.  A check's position seeds its sample stream.
     """
     x = _coeffs(sig.dim)
     phi = _Draw("uniform", -RAPIDITY_RANGE, RAPIDITY_RANGE)
@@ -627,11 +607,31 @@ def _checks_for(sig: Signature):
         ("lift_round_trip", fiber, (x,), _lift_round_trip, None),
         ("rotation_invariance", euclidean_fiber, (x, theta), _euclidean_fiber_rotation, None),
     )
-    return [
-        partial(residuals, name) if draws is None else _sweep(name, draws, residuals, cap)
-        for name, signatures, draws, residuals, cap in table
-        if signatures is None or sig in signatures
-    ]
+    return [(name, *rest) for name, signatures, *rest in table if signatures is None or sig in signatures]
+
+
+def _run_check(job: tuple, position: int) -> PropertyResult:
+    """The result of the check at ``position`` of ``job``, ``(signature, samples, seed, tol)``.
+
+    It draws from ``default_rng([seed, position])``.  A whole check is
+    called as it is; any other runs ``residuals(sig, blocks)`` on the
+    ``_sample_blocks`` of its draws, at most ``cap`` samples, and keeps
+    the worst ``abs_row`` and the worst ``_worst_rel(diff, scale)`` of the
+    ``(abs_row, terms)`` that it yields for each block.
+    """
+    sig, samples, seed, tol = job
+    name, draws, residuals, cap = _checks_for(sig)[position]
+    rng = np.random.default_rng([seed, position])
+    if draws is None:
+        return residuals(name, sig, rng, samples, tol)
+    samples = samples if cap is None else min(samples, cap)
+    abs_res = rel_res = -np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for abs_row, terms in residuals(sig, _sample_blocks(sig, rng, samples, draws)):
+            abs_res = np.maximum(abs_res, np.max(abs_row))
+            for diff, scale in terms:
+                rel_res = np.maximum(rel_res, _worst_rel(diff, scale))
+    return _result(name, samples, abs_res, rel_res, tol)
 
 
 def run_verification(signature: Signature | str, samples: int, seed: int, tol: float) -> VerificationReport:
@@ -640,19 +640,8 @@ def run_verification(signature: Signature | str, samples: int, seed: int, tol: f
     Deterministic for a fixed (signature, samples, seed, tol): each property
     draws from its own seed stream, so adding or removing properties, or
     running some of them in the helper process, never perturbs the others.
-    The helper takes part only for more samples than one block of rows,
-    ``_block_rows(signature)``, and only where the process may run on at
-    least two CPUs (``os.sched_getaffinity``, else ``os.cpu_count``);
-    otherwise the sweep runs in the caller alone.  The first such call
-    forks the helper, and later ones reuse it.  The caller writes the
-    check positions into a pipe in descending order, costliest first,
-    and it and the helper take them one at a time until none are left.
-    The caller runs every position whose result does not come back: all
-    of them if ``os.pipe`` or ``os.fork`` raises ``OSError``, the rest if
-    the helper dies or a check raises there; so a property's exception is
-    raised from the caller's own run of its check.  The helper lives until
-    the interpreter exits, or until a fault of a call ends it, and runs
-    the code as it stood when it was forked.  See ``_run_tickets``.
+    The module docstring says when the helper takes part and what the
+    caller does when it fails.
     Raises ``ValueError`` for more than ``MAX_GENERATORS`` generators,
     before any table is built, and for a sample count below 1, a negative
     seed, or a tolerance that is negative or not finite, before any draw.
@@ -676,18 +665,17 @@ def run_verification(signature: Signature | str, samples: int, seed: int, tol: f
 
 
 # ---------------------------------------------------------------------------
-# The helper process.
+# The helper process (see the module docstring).
 
 
 class _Helper(NamedTuple):
     """What the caller holds of its helper process."""
 
     pid: int
-    owner: int  # the pid of the process that forked it, the only one that talks to it
     take: int  # the read end of the ticket pipe, non-blocking, shared by both processes
     give: int  # its write end, the caller's
     requests: int  # the caller's write end of the jobs pipe
-    results: BinaryIO  # the caller's read end of the results pipe
+    results: BinaryIO  # the caller's read end of the results pipe, unbuffered: no lock that a fork could inherit held
 
 
 _helper: _Helper | None = None
@@ -695,35 +683,19 @@ _helper: _Helper | None = None
 _helper_lock = threading.Lock()
 
 
-def _checks_of(signature: Signature, samples: int, seed: int, tol: float):
-    """``(count, run)``: the number of checks of a job and ``run(position)``, the result of one."""
-    checks = _checks_for(signature)
-    return len(checks), lambda i: checks[i](signature, np.random.default_rng([seed, i]), samples, tol)
-
-
 def _run_tickets(job: tuple, share: bool) -> list:
-    """The results of ``job``'s checks in report order; if ``share``, the helper runs some of them.
-
-    The caller writes every position, in descending order, into the
-    ticket pipe, one byte each, then sends the job, and it and the helper
-    each take the next position until the pipe is empty.  The helper
-    sends back a ``(position, result)`` pair for each position it ran and
-    ``None`` at the end.  The caller runs every position whose result did
-    not come back.  It retires the helper when its own run raises, when
-    the helper's pipe ends before the ``None`` (a check raised there, or
-    it died) and on ``OSError``; the next call forks a fresh one.
-    """
-    count, run = _checks_of(*job)
+    """The results of ``job``'s checks in report order; if ``share``, the helper runs some (see the module docstring)."""
+    count = len(_checks_for(job[0]))
     results = {}
     if share and _helper_lock.acquire(blocking=False):
         try:
             helper = _current_helper()
             if helper is not None:
                 os.write(helper.give, bytes(range(count - 1, -1, -1)))
-                _send(helper.requests, job)
+                os.write(helper.requests, pickle.dumps(job))
                 for i in iter(partial(_take, helper.take), None):
-                    results[i] = run(i)
-                for i, result in iter(partial(_receive, helper.results), None):
+                    results[i] = _run_check(job, i)
+                for i, result in iter(partial(pickle.load, helper.results), None):
                     results[i] = result
         except (OSError, EOFError):
             _retire()
@@ -732,14 +704,14 @@ def _run_tickets(job: tuple, share: bool) -> list:
             raise
         finally:
             _helper_lock.release()
-    return [results[i] if i in results else run(i) for i in range(count)]
+    return [results[i] if i in results else _run_check(job, i) for i in range(count)]
 
 
 def _current_helper() -> _Helper | None:
     """This process's live helper, forked if it has none; ``None`` where none can start."""
     global _helper
-    if _helper is not None and (_helper.owner != os.getpid() or os.waitpid(_helper.pid, os.WNOHANG)[0]):
-        _retire(reaped=True)  # inherited through a fork, or dead since the last call and now reaped
+    if _helper is not None and not _alive(_helper.pid):
+        _retire()  # dead since the last call, or reaped elsewhere
     if _helper is None and hasattr(os, "fork"):
         _helper = _fork_helper()
     return _helper
@@ -767,27 +739,25 @@ def _fork_helper() -> _Helper | None:
             os._exit(0)
     os.close(jobs_in)
     os.close(results_out)
-    return _Helper(pid, os.getpid(), take, give, jobs_out, open(results_in, "rb"))
+    return _Helper(pid, take, give, jobs_out, open(results_in, "rb", buffering=0))
 
 
 def _serve(take: int, jobs: BinaryIO, results: int) -> None:
     """The helper's loop: run the positions it takes of each job until the jobs pipe ends."""
     while True:
         try:
-            job = _receive(jobs)
+            job = pickle.load(jobs)
         except EOFError:
             return
-        run = _checks_of(*job)[1]
         for i in iter(partial(_take, take), None):
-            _send(results, (i, run(i)))
-        _send(results, None)
+            os.write(results, pickle.dumps((i, _run_check(job, i))))
+        os.write(results, pickle.dumps(None))
 
 
-def _retire(reaped: bool = False) -> None:
-    """Drop this process's helper and close its pipes; its owner kills and reaps it unless ``reaped``.
+def _retire() -> None:
+    """Drop this process's helper and close its pipes; kill and reap it if it still runs as this process's child.
 
-    Runs at interpreter exit.  A process forked from the owner only
-    closes its copies of the pipes.
+    Runs at interpreter exit, and in the child at a fork, which only closes its copies of the pipes.
     """
     global _helper
     helper, _helper = _helper, None
@@ -796,12 +766,26 @@ def _retire(reaped: bool = False) -> None:
     for fd in (helper.take, helper.give, helper.requests):
         os.close(fd)
     helper.results.close()
-    if helper.owner == os.getpid() and not reaped:
+    if _alive(helper.pid):
         os.kill(helper.pid, signal.SIGKILL)
         os.waitpid(helper.pid, 0)
 
 
 atexit.register(_retire)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_retire)
+
+
+def _alive(pid: int) -> bool:
+    """Whether the child ``pid`` still runs; one that ended is reaped.
+
+    ``False`` for a pid that is no child of this process: something else
+    may have reaped it (an ``os.wait()``), and it may now name another process.
+    """
+    try:
+        return os.waitpid(pid, os.WNOHANG)[0] == 0
+    except ChildProcessError:
+        return False
 
 
 def _take(fd: int) -> int | None:
@@ -811,19 +795,3 @@ def _take(fd: int) -> int | None:
     except BlockingIOError:
         return None
     return ticket[0] if ticket else None
-
-
-def _send(fd: int, value) -> None:
-    """Write ``value`` pickled after its length, in one write: a few hundred bytes, under ``PIPE_BUF``."""
-    data = pickle.dumps(value)
-    os.write(fd, len(data).to_bytes(4, "little") + data)
-
-
-def _receive(reader: BinaryIO):
-    """The next value ``_send`` wrote to ``reader``'s pipe; ``EOFError`` if the pipe ends first."""
-    head = reader.read(4)
-    size = int.from_bytes(head, "little")
-    data = reader.read(size)
-    if len(head) < 4 or len(data) < size:
-        raise EOFError
-    return pickle.loads(data)

@@ -38,14 +38,17 @@ SINGLE_ELEMENT_CALLS = [
     ["boost", "++", "2", "1", "1", "0.5", "1.0"],
 ]
 BOUNDARY_CALLS = [["decompose", "++", "nan", "1", "1", "1"], ["boost", "++", "1", "0", "0", "0", "1000"]]
-BATCH_CALLS = [["verify", "++", "50", "1"], ["trajectory", "1", "0", "1", "10"]]
+# The last call shares its checks with verify's helper process: the child may run on two CPUs.
+BATCH_CALLS = [["verify", "++", "50", "1"], ["trajectory", "1", "0", "1", "10"], ["verify", "++", "3000", "1"]]
 
 # Records, after a bare import, after importing the CLI and after each
 # call, which of WATCHED fiberalg has loaded: a module already in
 # sys.modules before the import (a site hook's, say) does not count.
-WATCHED = ("numpy", "dataclasses", "inspect")
+POOLS = ("multiprocessing", "socket", "concurrent.futures")
+WATCHED = ("numpy", "dataclasses", "inspect", *POOLS)
 CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
 watched = json.loads(sys.argv[2])
 before = set(sys.modules)
 
@@ -65,7 +68,8 @@ for argv in json.loads(sys.argv[1]):
             code = exc.code
     results.append((code, out.getvalue()))
     loaded.append(loaded_now())
-print(json.dumps({"loaded": loaded, "results": results}))
+helper = getattr(sys.modules.get("fiberalg.verify"), "_helper", None) is not None
+print(json.dumps({"loaded": loaded, "results": results, "helper": helper}))
 """
 
 
@@ -94,7 +98,7 @@ def test_single_element_calls_never_import_numpy(calls):
     loaded = [("numpy" in stage) for stage in calls["loaded"]]
     assert loaded == [False] * LIGHT_STAGES + [True] * len(BATCH_CALLS)
     codes = [code for code, _ in calls["results"]]
-    assert codes == [0] * len(SINGLE_ELEMENT_CALLS) + [2, 2] + [0, 0]
+    assert codes == [0] * len(SINGLE_ELEMENT_CALLS) + [2, 2] + [0] * len(BATCH_CALLS)
     for (_, out), argv in zip(calls["results"][len(codes) - len(BATCH_CALLS):], BATCH_CALLS):
         assert json.loads(out)["command"] == argv[0]
 
@@ -102,6 +106,12 @@ def test_single_element_calls_never_import_numpy(calls):
 def test_single_element_calls_never_import_dataclasses_or_inspect(calls):
     # Records are plain classes; neither module is needed to define or build them.
     assert calls["loaded"][:LIGHT_STAGES] == [[]] * LIGHT_STAGES
+
+
+def test_sharing_a_verify_sweep_loads_no_process_pool_or_socket(calls):
+    # verify's helper is one os.fork with plain pipes
+    assert calls["helper"]
+    assert [sorted(set(POOLS) & set(stage)) for stage in calls["loaded"]] == [[]] * len(calls["loaded"])
 
 
 def test_every_export_resolves_and_star_import_keeps_its_names():

@@ -2,10 +2,13 @@
 
 import itertools
 import os
+import pickle
 import select
 import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
@@ -317,23 +320,31 @@ class TestHelper:
     )
     def test_helper_that_dies_is_reaped_and_replaced(self, forks, take_first, monkeypatch, leave, when):
         # the caller runs what the helper did not send back, and the next call forks a fresh helper
-        caller = os.getpid()
-        name = "_checks_of" if when == "at the job" else "_send"
-        wrapped = getattr(verify, name)
+        caller, load, dumps, pickled = os.getpid(), pickle.load, pickle.dumps, []
 
-        def patched(*args):
-            value = wrapped(*args)
+        def load_then_leave(file):  # the helper leaves once it has read the job
+            value = load(file)
             if os.getpid() != caller:
                 leave()
             return value
 
-        monkeypatch.setattr(verify, name, patched)
-        if when == "after one result":
+        def leave_at_the_second_value(value):  # the helper leaves as it pickles its second value
+            if os.getpid() != caller:
+                pickled.append(value)
+                if len(pickled) == 2:
+                    leave()
+            return dumps(value)
+
+        if when == "at the job":
+            monkeypatch.setattr(pickle, "load", load_then_leave)
+        else:
+            monkeypatch.setattr(pickle, "dumps", leave_at_the_second_value)
             take_first("helper")
         report = run_verification("++", 3000, 0, 1e-10)
         assert verify._helper is None
         self.assert_reaped(*forks)
-        monkeypatch.setattr(verify, name, wrapped)
+        monkeypatch.setattr(pickle, "load", load)
+        monkeypatch.setattr(pickle, "dumps", dumps)
         assert run_verification("++", 3000, 0, 1e-10) == report
         self.assert_serving(forks[1])
         assert report == self.unforked(monkeypatch, "++", 3000, 0, 1e-10)
@@ -345,6 +356,27 @@ class TestHelper:
         assert run_verification("++", 3000, 0, 1e-10) == report
         self.assert_reaped(forks[0])
         self.assert_serving(forks[1])
+
+    def test_helper_reaped_elsewhere_is_replaced_and_never_signalled(self, forks, monkeypatch):
+        # Reaped by an os.wait() outside verify, say: its pid may since name another process.
+        report = run_verification("++", 3000, 0, 1e-10)
+        kill, signalled = os.kill, []
+
+        def recording_kill(pid, sig):
+            signalled.append(pid)
+            kill(pid, sig)
+
+        monkeypatch.setattr(os, "kill", recording_kill)
+        kill(forks[0], signal.SIGKILL)
+        os.waitpid(forks[0], 0)
+        assert run_verification("++", 3000, 0, 1e-10) == report
+        self.assert_serving(forks[1])
+        kill(forks[1], signal.SIGKILL)
+        os.waitpid(forks[1], 0)
+        verify._retire()
+        assert verify._helper is None
+        assert signalled == []
+        assert report == self.unforked(monkeypatch, "++", 3000, 0, 1e-10)
 
     @pytest.mark.parametrize("call", ["fork", "pipe"])
     def test_no_helper_starts(self, forks, monkeypatch, call):
@@ -366,29 +398,81 @@ class TestHelper:
         assert report == self.unforked(monkeypatch, "++", 3000, 0, 1e-10)
 
     def test_forked_child_never_uses_the_callers_helper(self, forks, monkeypatch):
+        def is_open(fd):
+            try:
+                os.fstat(fd)
+            except OSError:
+                return False
+            return True
+
         report = run_verification("++", 3000, 0, 1e-10)
         helper = verify._helper.pid
+        inherited = [verify._helper.take, verify._helper.give, verify._helper.requests, verify._helper.results.fileno()]
         read, write = os.pipe()
         child = os.fork()
         if child == 0:  # the child leaves only through os._exit, whatever it meets
             try:
+                # the fork dropped the caller's helper and closed the child's copies of its pipes
+                dropped = verify._helper is None and not any(map(is_open, inherited))
                 os.close(read)
                 same = run_verification("++", 3000, 0, 1e-10) == report
                 own = verify._helper.pid not in (helper, os.getpid())
                 verify._retire()
-                os.write(write, bytes([same, own]))
+                os.write(write, bytes([dropped, same, own]))
             finally:
                 os._exit(0)
         os.close(write)
         with open(read, "rb") as reader:
             answer = reader.read()
         os.waitpid(child, 0)
-        assert answer == bytes([True, True])
+        assert answer == bytes([True, True, True])
         # the caller's helper still serves it
         mine = run_verification("-+", 3000, 0, 1e-10)
         self.assert_serving(helper)
         assert forks == [helper, child]
         assert mine == self.unforked(monkeypatch, "-+", 3000, 0, 1e-10)
+
+    def test_fork_while_a_thread_waits_on_the_helper(self, forks, take_first, monkeypatch):
+        # The child closes its copy of the results pipe at the fork.  A
+        # buffered reader would hang there: its lock, held by the thread
+        # blocked in the read, is never released in the child.
+        caller, residuals, load = os.getpid(), verify._lift_round_trip, pickle.load
+        hold, release = os.pipe()
+        reading = threading.Event()
+
+        def held(sig, blocks):  # the helper's first check waits until the test releases it
+            if os.getpid() != caller:
+                os.read(hold, 1)
+            return residuals(sig, blocks)
+
+        def signalled_load(file):
+            reading.set()
+            return load(file)
+
+        monkeypatch.setattr(verify, "_lift_round_trip", held)
+        monkeypatch.setattr(pickle, "load", signalled_load)
+        take_first("helper")
+        with ThreadPoolExecutor(1) as pool:
+            call = pool.submit(run_verification, "++", 3000, 0, 1e-10)
+            try:
+                assert reading.wait(10)
+                time.sleep(0.1)  # into the read
+                child = os.fork()
+                if child == 0:
+                    os._exit(0)
+                deadline = time.monotonic() + 10
+                while os.waitpid(child, os.WNOHANG) == (0, 0):
+                    if time.monotonic() > deadline:
+                        os.kill(child, signal.SIGKILL)
+                        os.waitpid(child, 0)
+                        pytest.fail("the child hung at the fork")
+                    time.sleep(0.01)
+            finally:
+                os.write(release, b"x")
+            report = call.result()
+        os.close(hold)
+        os.close(release)
+        assert report == self.unforked(monkeypatch, "++", 3000, 0, 1e-10)
 
     def test_calls_from_two_threads_give_their_own_reports(self, forks, monkeypatch):
         # one call at a time uses the helper; a call in the other thread meanwhile runs alone
@@ -440,7 +524,7 @@ class TestReportShape:
 
 
 def test_worst_rel_has_the_bits_of_the_max_of_a_masked_divide():
-    # _sweep divides once where every scale is positive; the reference
+    # _run_check divides once where every scale is positive; the reference
     # divides only where a scale is positive and sets the other rows.
     def masked(diff, scale):
         diff = np.abs(diff)
@@ -460,7 +544,7 @@ def test_worst_rel_has_the_bits_of_the_max_of_a_masked_divide():
         diff = rng.uniform(-1e3, 1e3, 20)
         diff[rng.integers(0, 20, 2)] = rng.choice(special, 2)
         cases.append((diff, rng.uniform(1e-3, 1e3, 20)))
-    # _sweep's own errstate: 0 / 0, 1 / 0 and inf / inf; 1e300 / 5e-324 overflows
+    # _run_check's own errstate: 0 / 0, 1 / 0 and inf / inf; 1e300 / 5e-324 overflows
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for diff, scale in cases:
             assert _worst_rel(diff, scale).tobytes() == np.max(masked(diff, scale)).tobytes(), (diff, scale)
@@ -628,11 +712,11 @@ class TestBlocks:
         # its helper process, out of tracemalloc's sight.
         monkeypatch.setattr(verify, "BLOCK_VALUES", 256 * 16)
         sig = Signature.from_string("++")
-        checks = verify._checks_for(sig)
+        count = len(verify._checks_for(sig))
 
         def sweep(samples):
-            for index, check in enumerate(checks):
-                check(sig, np.random.default_rng([0, index]), samples, 1e-10)
+            for position in range(count):
+                verify._run_check((sig, samples, 0, 1e-10), position)
 
         sweep(64)  # builds the cached tables and bases
         peaks = []
