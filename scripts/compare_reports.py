@@ -14,8 +14,9 @@ the code as it stood at its fork.  The same child then replays
 a fixed list of CLI calls through ``cli.main``: every format and
 signature of ``decompose``, ``boost``, calls at the edges of the float range,
 ``verify`` on its defaults, a small sample count (with its option first,
-too) and a failing positional tol, one ``trajectory``, and one json ``decompose`` per
-signature on an input that rounds.  Last it replays a fixed list of
+too) and a failing positional tol, one ``trajectory``, a failing ``boost``
+and ``trajectory``, and one json ``decompose`` per signature on an input
+that rounds.  Last it replays a fixed list of
 library calls on the dyadic ``decompose`` inputs, exact in floats, and on
 those that round: each closed form and its projector twin,
 ``norm_squared`` on float and ``Fraction`` elements, and at ``+`` and
@@ -90,6 +91,9 @@ CLI_CALLS = [
     ["verify", "m"],
     ["verify", "+", "200", "1", "1e-30"],
     ["trajectory", "1.3", "0.4", "1.7", "1000"],
+    # a boost whose gaps fail their tol and a trajectory off its closed form (exit 1)
+    ["boost", "++", "0.3", "-1.7", "2.9", "0.11", "-1.25", "--tol", "1e-30"],
+    ["trajectory", "1e20", "0.3", "1", "1000"],
     *[["decompose", sig, *coeffs] for sig, coeffs in ROUNDING],
 ]
 BOOST_RAPIDITY = -1.25

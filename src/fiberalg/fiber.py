@@ -70,6 +70,7 @@ __all__ = [
     "factorize",
     "transform",
     "boost_element",
+    "boost_check",
     "boost_residuals",
     "rotation_element",
     "lift_kinematics",
@@ -88,6 +89,7 @@ MIN_ACTION_TOL = 1e-10
 CAUSAL_TOL = 1e-12
 # trajectory_action sums one float64 per step: 80 MB at this bound.
 MAX_STEPS = 10**7
+TRAJECTORY_GATE = 1e-9
 
 
 class TangentTriple(_Record):
@@ -184,11 +186,15 @@ class Factorization(_Record):
 
 
 class ActionIntegral(_Record):
-    """Step-summed and closed-form action for a free particle."""
+    """Step-summed and closed-form action for a free particle; ``passed`` if error <= TRAJECTORY_GATE * |analytic_S|."""
 
     numeric_S: float
     analytic_S: float
     error: float
+
+    @property
+    def passed(self) -> bool:
+        return self.error <= TRAJECTORY_GATE * abs(self.analytic_S)
 
 
 # One component table per generator count, one row per component of
@@ -370,9 +376,9 @@ def boost_element(signature: Signature, rapidity: float) -> AlgebraElement:
     return AlgebraElement(signature, coeffs)
 
 
-def boost_residuals(x: AlgebraElement, rapidity: float) -> dict[str, float]:
-    """Gaps in the boost laws between x and x u, u = boost_element(rapidity); + or ++ only."""
-    _require_signature(x, "boost_residuals", TANGENT_SIGNATURE, FIBER_SIGNATURE)
+def boost_check(x: AlgebraElement, rapidity: float, tol: float) -> tuple[AlgebraElement, dict[str, float], bool]:
+    """(x u, u = boost_element(rapidity); the boost-law gaps; whether each is within tol of its scale); + or ++."""
+    _require_signature(x, "boost_check", TANGENT_SIGNATURE, FIBER_SIGNATURE)
     boosted = transform(x, boost_element(x.signature, rapidity))
     ch, sh = math.cosh(2 * rapidity), math.sinh(2 * rapidity)
     fiber = x.signature == FIBER_SIGNATURE
@@ -391,7 +397,16 @@ def boost_residuals(x: AlgebraElement, rapidity: float) -> dict[str, float]:
         a, b = getattr(f0, first), getattr(f0, second)
         gaps["matrix_" + first] = abs(getattr(f1, first) - (ch * a + sh * b))
         gaps["matrix_" + second] = abs(getattr(f1, second) - (sh * a + ch * b))
-    return gaps
+    # A gap's scale is dt + H of x plus that of x u (dt alone at +), squared for the quadratic dS.
+    size = sum(f.dt + getattr(f, "H", 0.0) for f in (f0, f1))
+    passed = all(gap <= tol * (size * size if key == "dS_dlambda" else size) for key, gap in gaps.items())
+    return boosted, gaps, passed
+
+
+def boost_residuals(x: AlgebraElement, rapidity: float) -> dict[str, float]:
+    """The gaps of :func:`boost_check`, without its verdict."""
+    _require_signature(x, "boost_residuals", TANGENT_SIGNATURE, FIBER_SIGNATURE)
+    return boost_check(x, rapidity, 0.0)[1]
 
 
 def rotation_element(signature: Signature, angle: float) -> AlgebraElement:

@@ -15,16 +15,20 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fiberalg.algebra import AlgebraElement, Signature
+from fiberalg.cli import _decompose_payload
 from fiberalg.fiber import (
     EUCLIDEAN_FIBER_SIGNATURE,
     EUCLIDEAN_TANGENT_SIGNATURE,
     FIBER_SIGNATURE,
     MAX_STEPS,
     TANGENT_SIGNATURE,
+    TRAJECTORY_GATE,
+    ActionIntegral,
     CausalClass,
     EuclideanSector,
     MomentumTriple,
     TangentTriple,
+    boost_check,
     boost_element,
     boost_residuals,
     classify_causal,
@@ -377,6 +381,35 @@ def test_boost_residuals_have_the_keys_and_bits_of_the_record_gaps(signature):
         ], (coeffs, rapidity)
 
 
+def payload_boost_scales(x, rapidity):
+    """Each gap's scale as the CLI once read it: dt + H from its rendered before and after payloads."""
+    boosted = transform(x, boost_element(x.signature, rapidity))
+    before, after = (_decompose_payload(x.signature, list(y.values), 0.0) for y in (x, boosted))
+    size = sum(d["tangent"]["dt_dlambda"] + d.get("momentum", {}).get("H", 0.0) for d in (before, after))
+    return {key: size * size if key == "dS_dlambda" else size for key in record_boost_residuals(x, rapidity)}
+
+
+@pytest.mark.parametrize("signature", [TANGENT_SIGNATURE, FIBER_SIGNATURE])
+def test_boost_check_passes_where_the_payload_rule_did(signature):
+    rng = np.random.default_rng(signature.dim + 7)
+    # the input of tests/golden/boost_pp.json, then random elements and rapidities
+    cases = [([2.0, 1.0, 1.0, 0.5][: signature.dim], 1.0)]
+    cases += [(list(rng.uniform(-10, 10, signature.dim)), float(rng.uniform(-3, 3))) for _ in range(300)]
+    verdicts = set()
+    for coeffs, rapidity in cases:
+        x = AlgebraElement(signature, coeffs)
+        gaps, scales = record_boost_residuals(x, rapidity), payload_boost_scales(x, rapidity)
+        threshold = max(gaps[key] / scales[key] for key in gaps)
+        neighbours = (math.nextafter(threshold, -math.inf), math.nextafter(threshold, math.inf))
+        for tol in (0.0, 1e-30, 1e-10, threshold, *neighbours):
+            expected = all(gaps[key] <= tol * scales[key] for key in gaps)
+            boosted, got_gaps, passed = boost_check(x, rapidity, tol)
+            assert passed is expected, (coeffs, rapidity, tol)
+            assert got_gaps == gaps and boosted == transform(x, boost_element(signature, rapidity))
+            verdicts.add(passed)
+    assert verdicts == {True, False}
+
+
 class TestLiftKinematics:
     def test_worked_inversion(self):
         element = lift_kinematics(TangentTriple(11.25, 9.0), MomentumTriple(1.25, 1.0))
@@ -440,6 +473,18 @@ class TestTrajectory:
     def test_large_step_agreement(self):
         record = trajectory_action(1.0, 0.3, 1.0, 10**6)
         assert record.error <= 1e-9
+
+    def test_passed_holds_at_the_gate_and_fails_one_float_above(self):
+        analytic = -0.75 * 6.75
+        at_gate = TRAJECTORY_GATE * abs(analytic)
+        above = math.nextafter(at_gate, math.inf)
+        assert ActionIntegral(analytic + at_gate, analytic, at_gate).passed
+        assert not ActionIntegral(analytic + above, analytic, above).passed
+        # passed is a property, so the payload the CLI renders from vars() keeps three keys
+        record = trajectory_action(1.3, 0.4, 1.7, 1000)
+        assert record.passed
+        assert list(vars(record)) == ["numeric_S", "analytic_S", "error"]
+        assert not trajectory_action(1e20, 0.3, 1.0, 1000).passed
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError, match="mass must be positive"):
@@ -590,6 +635,11 @@ class TestEuclidean:
             partial(boost_residuals, rapidity=0.5),
             AlgebraElement(EUCLIDEAN_TANGENT_SIGNATURE, [1, 0]),
             "boost_residuals requires signature + or ++, got -",
+        ),
+        (
+            partial(boost_check, rapidity=0.5, tol=0.0),
+            AlgebraElement(EUCLIDEAN_TANGENT_SIGNATURE, [1, 0]),
+            "boost_check requires signature + or ++, got -",
         ),
     ],
 )

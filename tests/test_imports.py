@@ -20,7 +20,7 @@ EXPORTS = [
     "EUCLIDEAN_FIBER_SIGNATURE", "EUCLIDEAN_TANGENT_SIGNATURE", "EuclideanFiberDecomposition",
     "EuclideanSector", "FIBER_SIGNATURE", "Factorization", "FiberDecomposition", "Idempotent",
     "MomentumTriple", "PropertyResult", "Signature", "TANGENT_SIGNATURE", "TangentTriple",
-    "VerificationReport", "algebra", "basis_sign", "boost_element", "boost_residuals",
+    "VerificationReport", "algebra", "basis_sign", "boost_check", "boost_element", "boost_residuals",
     "classify_causal", "decompose_c2", "decompose_c2_projected", "decompose_d2",
     "decompose_d2_projected", "decompose_euclidean", "decompose_euclidean_projected",
     "diagonal_projector", "factorize", "fiber", "fiber_component_basis",

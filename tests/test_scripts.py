@@ -62,7 +62,7 @@ def test_compare_reports_finds_its_own_tree_identical():
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.splitlines() == [
         "28 of 28 reports identical",
-        "34 of 34 CLI calls identical",
+        "36 of 36 CLI calls identical",
         "46 of 46 library calls identical",
     ]
 
