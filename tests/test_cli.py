@@ -1,6 +1,7 @@
 """CLI tests: golden outputs, exit codes, formats, determinism."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -636,19 +637,72 @@ class TestOptionsAnywhere:
                 assert run_cli([*argv[:gap], *option, *argv[gap:]], capsys) == (expected, 0), (option, gap)
 
 
-class TestFormats:
-    def test_csv(self, capsys):
-        out, code = run_cli(["decompose", "+", "2", "1", "--format", "csv"], capsys)
-        assert code == 0
+# (argv, one row that its csv and pretty documents hold)
+FORMAT_CALLS = [
+    (["decompose", "+", "2", "1"], ("tangent.dt_dlambda", "5.0")),
+    *[(["verify", signature, "200", "1"], ("pass", "true")) for signature in ("+", "++", "m", "m+")],
+]
+
+
+def flat_rows(out, fmt):
+    """The ``(key, value)`` rows of a csv or pretty document."""
+    if fmt == "csv":
         lines = out.splitlines()
         assert lines[0] == "field,value"
-        assert "tangent.dt_dlambda,5.0" in lines
+        return [tuple(row) for row in csv.reader(lines[1:])]
+    return [tuple(line.split(maxsplit=1)) for line in out.splitlines()]
 
-    def test_pretty(self, capsys):
-        out, code = run_cli(["decompose", "+", "2", "1", "--format", "pretty"], capsys)
+
+def as_text(text):
+    """The json in ``text`` with each number kept as its text: ``1`` and ``1.0`` differ, ``1`` and ``"1"`` do not."""
+    return json.loads(text, parse_float=str, parse_int=str)
+
+
+def unflatten(rows):
+    """The document whose flat rows are ``rows``: ``a.b`` names a key of ``a``, ``a[i].b`` one of item ``i``."""
+    document = {}
+    for key, text in rows:
+        node = document
+        *parents, leaf = key.split(".")
+        for part in parents:
+            name, _, index = part.partition("[")
+            node = node.setdefault(name, [] if index else {})
+            if index:
+                if len(node) == int(index[:-1]):
+                    node.append({})
+                node = node[int(index[:-1])]
+        try:
+            node[leaf] = as_text(text)
+        except json.JSONDecodeError:  # a string value is printed bare
+            node[leaf] = text
+    return document
+
+
+class TestFormats:
+    @pytest.mark.parametrize("argv, row", FORMAT_CALLS, ids=[" ".join(argv) for argv, _ in FORMAT_CALLS])
+    def test_csv(self, argv, row, capsys):
+        out, code = run_cli([*argv, "--format", "csv"], capsys)
         assert code == 0
-        assert "tangent.dt_dlambda" in out
-        assert "5.0" in out
+        assert ",".join(row) in out.splitlines()
+        # the rows rebuild the json document, each value as its json text
+        assert json.dumps(unflatten(flat_rows(out, "csv"))) == json.dumps(as_text(run_cli(argv, capsys)[0]))
+
+    @pytest.mark.parametrize("argv, row", FORMAT_CALLS, ids=[" ".join(argv) for argv, _ in FORMAT_CALLS])
+    def test_pretty(self, argv, row, capsys):
+        out, code = run_cli([*argv, "--format", "pretty"], capsys)
+        assert code == 0
+        rows = flat_rows(out, "pretty")
+        assert row in rows
+        assert json.dumps(unflatten(rows)) == json.dumps(as_text(run_cli(argv, capsys)[0]))
+        # every value starts in one column
+        assert len({len(line) - len(value) for line, (_, value) in zip(out.splitlines(), rows)}) == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_failing_verify_exits_1(self, fmt, capsys):
+        out, code = run_cli(["verify", "+", "200", "1", "1e-30", "--format", fmt], capsys)
+        assert code == 1
+        document = json.loads(out) if fmt == "json" else unflatten(flat_rows(out, fmt))
+        assert document["pass"] is False
 
     def test_csv_round_trips_values(self, capsys):
         out, _ = run_cli(["decompose", "++", "2", "1", "1", "0.5", "--format", "csv"], capsys)

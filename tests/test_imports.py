@@ -1,11 +1,13 @@
 """Single-element CLI calls never import numpy; the batch modules load on first use.
 
-No module of the package imports a name it never uses.
+No module of the package imports a name it never uses, and every module
+and script parses as the oldest Python that pyproject.toml accepts.
 """
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -185,3 +187,14 @@ MODULES = sorted(p for p in (ROOT / "src" / "fiberalg").glob("*.py") if p.name !
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert _imports_without_use(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+# pyproject's requires-python floor, as (major, minor)
+FLOOR = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text()).groups()))
+SOURCES = sorted([*(ROOT / "src" / "fiberalg").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_parses_as_the_oldest_supported_python(path):
+    # the tests run on a newer Python; feature_version rejects its syntax, such as except* and PEP 695 generics
+    ast.parse(path.read_text(), filename=str(path), feature_version=FLOOR)

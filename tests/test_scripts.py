@@ -1,6 +1,10 @@
-"""Smoke tests for the scripts: each runs to completion as a fresh process."""
+"""Smoke tests for the scripts: each runs to completion as a fresh process.
+
+README's Scripts section lists every script, and no other.
+"""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,39 +26,14 @@ def run_script(name, *args):
     )
 
 
-def test_run_verification_passes():
-    result = run_script("run_verification.py", "--samples", "2000")
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.rstrip().endswith("overall: pass")
-
-
-def test_action_convergence_runs():
-    result = run_script("action_convergence.py")
-    assert result.returncode == 0, result.stderr
-    assert "steps" in result.stdout
-
-
-def test_run_verification_zero_samples_exits_2():
-    result = run_script("run_verification.py", "--samples", "0")
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert result.stderr.splitlines() == ["run_verification.py: error: samples must be at least 1, got 0"]
-
-
-@pytest.mark.parametrize(
-    "arg, message",
-    [
-        ("--seed=-1", "seed must be a non-negative integer, got -1"),
-        ("--tol=-1e-10", "tol must be a finite number of at least 0, got -1e-10"),
-        ("--tol=inf", "tol must be a finite number of at least 0, got inf"),
-        ("--tol=nan", "tol must be a finite number of at least 0, got nan"),
-    ],
-)
-def test_run_verification_bad_seed_or_tol_exits_2(arg, message):
-    result = run_script("run_verification.py", arg)
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert result.stderr.splitlines() == [f"run_verification.py: error: {message}"]
+def test_readme_lists_exactly_the_scripts_that_exist():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Scripts\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^python scripts/(\S+)", section, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(path.name for path in (ROOT / "scripts").glob("*.py"))
+    # prose elsewhere names no script that is gone either
+    for name in re.findall(r"\bscripts/(\w+\.py)", readme):
+        assert (ROOT / "scripts" / name).is_file(), name
 
 
 def test_compare_reports_finds_its_own_tree_identical():
