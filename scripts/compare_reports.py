@@ -20,7 +20,8 @@ that rounds.  Last it replays a fixed list of
 library calls on the dyadic ``decompose`` inputs, exact in floats, and on
 those that round: each closed form and its projector twin,
 ``norm_squared`` on float and ``Fraction`` elements, and at ``+`` and
-``++`` ``boost_residuals`` at rapidity ``BOOST_RAPIDITY``; then, per signature,
+``++`` ``boost_check`` at rapidity ``BOOST_RAPIDITY`` and tol ``TOL``, its
+boosted element, gaps and verdict; then, per signature,
 the names and every tensor's values of ``fiber_component_basis``; then
 seeded ``multiply_coeffs`` batches, printed as the hex of their bytes, so
 a kernel that moves one bit of one row shows.  The batches cover the
@@ -109,12 +110,12 @@ KERNEL_CALLS = [
     ("-+-+", "edge", "edge"),
 ]
 # (function, signature, coefficients, exact): norm_squared is a method, fiber_component_basis takes
-# the signature alone, multiply_coeffs takes the two shapes of KERNEL_CALLS, boost_residuals takes an
-# element and BOOST_RAPIDITY, the rest are fiberalg functions of an element.
+# the signature alone, multiply_coeffs takes the two shapes of KERNEL_CALLS, boost_check takes an
+# element, BOOST_RAPIDITY and TOL, the rest are fiberalg functions of an element.
 LIBRARY_CALLS = [
     *[(CLOSED_FORMS[sig] + twin, sig, coeffs, False) for sig, coeffs in DECOMPOSE + ROUNDING for twin in ("", "_projected")],
     *[("norm_squared", sig, coeffs, exact) for sig, coeffs in DECOMPOSE + ROUNDING for exact in (False, True)],
-    *[("boost_residuals", sig, coeffs, False) for sig, coeffs in DECOMPOSE + ROUNDING if sig in ("+", "++")],
+    *[("boost_check", sig, coeffs, False) for sig, coeffs in DECOMPOSE + ROUNDING if sig in ("+", "++")],
     *[("fiber_component_basis", sig, [], False) for sig, _ in DECOMPOSE],
     *[("multiply_coeffs", sig, shapes, False) for sig, *shapes in KERNEL_CALLS],
 ]
@@ -164,11 +165,11 @@ for name, signature, coeffs, exact in library:
     x = fiberalg.AlgebraElement(sig, [(Fraction if exact else float)(c) for c in coeffs])
     if name == "norm_squared":
         print(repr(x.norm_squared()))
-    elif name == "boost_residuals":
-        print(repr(fiberalg.boost_residuals(x, %r)))
+    elif name == "boost_check":
+        print(repr(fiberalg.boost_check(x, %r, %r)))
     else:
         print(repr(getattr(fiberalg, name)(x)))
-""" % (TOL, BOOST_RAPIDITY)
+""" % (TOL, BOOST_RAPIDITY, TOL)
 
 
 def start(tree: Path) -> subprocess.Popen:

@@ -71,7 +71,6 @@ __all__ = [
     "transform",
     "boost_element",
     "boost_check",
-    "boost_residuals",
     "rotation_element",
     "lift_kinematics",
     "free_particle_element",
@@ -401,12 +400,6 @@ def boost_check(x: AlgebraElement, rapidity: float, tol: float) -> tuple[Algebra
     size = sum(f.dt + getattr(f, "H", 0.0) for f in (f0, f1))
     passed = all(gap <= tol * (size * size if key == "dS_dlambda" else size) for key, gap in gaps.items())
     return boosted, gaps, passed
-
-
-def boost_residuals(x: AlgebraElement, rapidity: float) -> dict[str, float]:
-    """The gaps of :func:`boost_check`, without its verdict."""
-    _require_signature(x, "boost_residuals", TANGENT_SIGNATURE, FIBER_SIGNATURE)
-    return boost_check(x, rapidity, 0.0)[1]
 
 
 def rotation_element(signature: Signature, angle: float) -> AlgebraElement:

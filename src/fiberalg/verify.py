@@ -11,16 +11,17 @@ The sweep for each of + ++ - -+ pits the closed polynomial forms
 against the projector-path extraction from the two-slot tensor, which
 keeps the two routes honest against each other.
 
-Every check runs through one driver, ``_run_check``.  For a sampled
-property it draws the samples in blocks of rows and folds the residuals
-of each row into running maxima, so a sweep needs the same memory at any
-sample count.  For each block a property yields ``abs_row``, its
-absolute residual per row, and a list of ``(diff, scale)`` terms, each a
-residual and the sector magnitude it is measured against;
-``_run_check`` alone applies ``_worst_rel`` to them.  The minimum-action
-equivalence, which counts disagreements, and the projector algebra,
-which draws nothing, are whole checks that it calls as they are.  One
-table in ``_checks_for`` lists every check.
+Every check runs through one driver, ``_run_check``.  It draws the
+samples in blocks of rows and folds the residuals of each row into
+running maxima, so a sweep needs the same memory at any sample count.
+For each block a property yields ``abs_row``, its absolute residual per
+row, and a list of ``(diff, scale)`` terms, each a residual and the
+sector magnitude it is measured against; ``_run_check`` alone applies
+``_worst_rel`` to them, and reports the rows of every ``abs_row`` as the
+samples.  The projector algebra draws nothing and yields a row per
+element that vanishes; the minimum-action equivalence yields two rows
+per drawn row, each the count of disagreements so far.  One table in
+``_checks_for`` lists every check.
 
 A property is a generator over the blocks, not a function called per
 block, so its arrays live on from one block to the next: a function
@@ -66,8 +67,10 @@ patch this module, then ``_retire()``.  The report keeps its bytes, since
 a check's stream is fixed by its position; the caller's ``RUSAGE_SELF``
 lacks the helper's share, and its ``RUSAGE_CHILDREN`` holds it only once
 the helper is reaped.  Python 3.12 and later warn on ``os.fork`` while
-threads run, as numpy's OpenBLAS pool does; only ``OSError`` is caught,
-not that untested warning.
+threads run, as numpy's OpenBLAS pool does.  On 3.12.1 and 3.13.0 a
+fork beside one ``threading`` thread went ahead, and under ``-W
+error::DeprecationWarning`` raised nothing, so the warning cannot end a
+sweep; that probe had no numpy, so it did not run the OpenBLAS pool.
 
 A block is coefficient-major: each array is drawn as ``(rows, width)``
 and transposed once to ``(width, rows)``, one contiguous row per
@@ -282,10 +285,6 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return reduce(np.maximum, a.T)
 
 
-def _result(name: str, samples: int, abs_res: float, rel_res: float, tol: float) -> PropertyResult:
-    return PropertyResult(name, samples, float(abs_res), float(rel_res), tol, bool(rel_res <= tol))
-
-
 # ---------------------------------------------------------------------------
 # Generic algebra and tensor properties.
 
@@ -302,8 +301,8 @@ def _product_laws(sig: Signature, blocks):
         yield reduce(np.maximum, [assoc, comm, ident]), [(assoc, scale), (comm, ab_size + 1.0), (ident, 1.0)]
 
 
-def _check_projector_algebra(name: str, sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    # Elements that vanish in exact arithmetic; the largest coefficient of any is the residual.
+def _projector_algebra(sig: Signature, blocks):
+    # Elements that vanish in exact arithmetic; the largest coefficient of each is its residual.
     gaps = []
     # Times Fraction(1), the same projectors are promoted with no rounding and checked exactly.
     for scale in (1.0, Fraction(1)):
@@ -317,8 +316,8 @@ def _check_projector_algebra(name: str, sig: Signature, rng, samples: int, tol: 
         sectors = _fiber_sectors(sig)
         gaps.append(sectors[0] + sectors[1] + sectors[2] - AlgebraElement.basis(sig.doubled(), 0))
         gaps += [multiply(sectors[i], sectors[j]) for i in range(3) for j in range(i + 1, 3)]
-    worst = max(float(max(abs(v) for v in gap.values)) for gap in gaps)
-    return _result(name, len(gaps), worst, worst, tol)
+    worst = np.array([float(max(abs(v) for v in gap.values)) for gap in gaps])
+    yield worst, [(worst, 1.0)]
 
 
 def _embed_homomorphism(sig: Signature, blocks):
@@ -486,10 +485,9 @@ def _min_action_flags(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return by_residual, by_product, by_roundtrip
 
 
-def _check_min_action_equivalence(name: str, sig: Signature, rng, samples: int, tol: float) -> PropertyResult:
-    half = max(samples // 2, 1)
+def _min_action_equivalence(sig: Signature, blocks):
     disagreements = 0
-    for lo, (x, coin, size, generic) in _sample_blocks(sig, rng, half, [*_MINIMAL_DRAWS, _coeffs(4)]):
+    for lo, (x, coin, size, generic) in blocks:
         minimal = _minimal_samples(x, coin, size)
         for block in (minimal, generic):
             by_residual, by_product, by_roundtrip = _min_action_flags(block)
@@ -509,8 +507,8 @@ def _check_min_action_equivalence(name: str, sig: Signature, rng, samples: int, 
                 factored = False
             if factored != minimal_flag:
                 disagreements += 1
-    residual = float(disagreements)
-    return _result(name, 2 * half, residual, residual, tol if tol >= 1 else 0.5)
+        counts = np.full(2 * len(coin), float(disagreements))
+        yield counts, [(counts, 1.0)]
 
 
 def _min_action_rate(sig: Signature, blocks):
@@ -582,28 +580,32 @@ def _euclidean_fiber_rotation(sig: Signature, blocks):
 
 
 def _checks_for(sig: Signature):
-    """The checks of ``sig`` in report order, as ``(name, draws, residuals, cap)`` rows.
+    """The checks of ``sig`` in report order, as ``(name, draws, residuals, limits)`` rows.
 
     A table row runs on the signatures it lists, or on every one for
-    ``None``.  A row whose draws are ``None`` is a whole check that draws
-    for itself.  A check's position seeds its sample stream.
+    ``None``.  ``limits``, where it is not ``None``, maps the call's
+    ``(samples, tol)`` to the rows that the check draws and the tolerance
+    that it is held to.  A check's position seeds its sample stream.
     """
     x = _coeffs(sig.dim)
     phi = _Draw("uniform", -RAPIDITY_RANGE, RAPIDITY_RANGE)
     theta = _Draw("uniform", -np.pi, np.pi)
     tangent, fiber = (TANGENT_SIGNATURE,), (FIBER_SIGNATURE,)
     plane, euclidean_fiber = (EUCLIDEAN_TANGENT_SIGNATURE,), (EUCLIDEAN_FIBER_SIGNATURE,)
+    capped = lambda samples, tol: (min(samples, LOOP_CAP), tol)  # noqa: E731
+    # Half the rows, each a minimal and a generic element; below tol 1 only a count of 0 passes.
+    halved = lambda samples, tol: (max(samples // 2, 1), tol if tol >= 1 else 0.5)  # noqa: E731
     table = (
-        ("product_laws", None, (x, x, x), _product_laws, LOOP_CAP),
-        ("projector_algebra", None, None, _check_projector_algebra, None),
-        ("embed_homomorphism", None, (x, x), _embed_homomorphism, LOOP_CAP),
+        ("product_laws", None, (x, x, x), _product_laws, capped),
+        ("projector_algebra", None, (), _projector_algebra, None),
+        ("embed_homomorphism", None, (x, x), _embed_homomorphism, capped),
         ("tangent_norm_identity", tangent, (x,), _norm_identities, None),
         ("tangent_max_speed", tangent, (x,), _max_speed, None),
         ("sector_completeness", fiber + euclidean_fiber, (x,), _sector_completeness, None),
         ("norm_identities", fiber, (x,), _norm_identities, None),
         ("max_speed", fiber, (x,), _max_speed, None),
         ("cross_square_identities", fiber, (x,), _cross_squares, None),
-        ("min_action_equivalence", fiber, None, _check_min_action_equivalence, None),
+        ("min_action_equivalence", fiber, (*_MINIMAL_DRAWS, x), _min_action_equivalence, halved),
         ("min_action_rate", fiber, _EXACT_MINIMAL_DRAWS, _min_action_rate, None),
         ("rotation_invariance", plane, (x, theta), _plane_rotation, None),
         ("boost_invariance", tangent + fiber, (x, phi), _boost, None),
@@ -617,25 +619,26 @@ def _checks_for(sig: Signature):
 def _run_check(job: tuple, position: int) -> PropertyResult:
     """The result of the check at ``position`` of ``job``, ``(signature, samples, seed, tol)``.
 
-    It draws from ``default_rng([seed, position])``.  A whole check is
-    called as it is; any other runs ``residuals(sig, blocks)`` on the
-    ``_sample_blocks`` of its draws, at most ``cap`` samples, and keeps
-    the worst ``abs_row`` and the worst ``_worst_rel(diff, scale)`` of the
-    ``(abs_row, terms)`` that it yields for each block.
+    It draws from ``default_rng([seed, position])``, with the samples and
+    tolerance that the check's ``limits`` set, and runs ``residuals(sig,
+    blocks)`` on the ``_sample_blocks`` of its draws.  It keeps the worst
+    ``abs_row`` and the worst ``_worst_rel(diff, scale)`` of the
+    ``(abs_row, terms)`` that it yields for each block, and reports the
+    rows of every ``abs_row`` as the samples.
     """
     sig, samples, seed, tol = job
-    name, draws, residuals, cap = _checks_for(sig)[position]
+    name, draws, residuals, limits = _checks_for(sig)[position]
+    if limits is not None:
+        samples, tol = limits(samples, tol)
     rng = np.random.default_rng([seed, position])
-    if draws is None:
-        return residuals(name, sig, rng, samples, tol)
-    samples = samples if cap is None else min(samples, cap)
-    abs_res = rel_res = -np.inf
+    rows, abs_res, rel_res = 0, -np.inf, -np.inf
     with np.errstate(divide="ignore", invalid="ignore"):
         for abs_row, terms in residuals(sig, _sample_blocks(sig, rng, samples, draws)):
+            rows += len(abs_row)
             abs_res = np.maximum(abs_res, np.max(abs_row))
             for diff, scale in terms:
                 rel_res = np.maximum(rel_res, _worst_rel(diff, scale))
-    return _result(name, samples, abs_res, rel_res, tol)
+    return PropertyResult(name, rows, float(abs_res), float(rel_res), tol, bool(rel_res <= tol))
 
 
 def run_verification(signature: Signature | str, samples: int, seed: int, tol: float) -> VerificationReport:

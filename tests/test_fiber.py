@@ -30,7 +30,6 @@ from fiberalg.fiber import (
     TangentTriple,
     boost_check,
     boost_element,
-    boost_residuals,
     classify_causal,
     decompose_c2,
     decompose_c2_projected,
@@ -342,7 +341,7 @@ class TestTransform:
 
 
 def record_boost_residuals(x, rapidity):
-    """The boost gaps read from two decomposition records, as boost_residuals once built them."""
+    """The boost gaps read from two decomposition records, as the library once built them."""
     boosted = transform(x, boost_element(x.signature, rapidity))
     ch, sh = math.cosh(2 * rapidity), math.sinh(2 * rapidity)
     if x.signature == TANGENT_SIGNATURE:
@@ -375,7 +374,7 @@ def test_boost_residuals_have_the_keys_and_bits_of_the_record_gaps(signature):
     cases += [(list(rng.uniform(-10, 10, signature.dim)), float(rng.uniform(-3, 3))) for _ in range(300)]
     for coeffs, rapidity in cases:
         x = AlgebraElement(signature, coeffs)
-        got, expected = boost_residuals(x, rapidity), record_boost_residuals(x, rapidity)
+        got, expected = boost_check(x, rapidity, 0.0)[1], record_boost_residuals(x, rapidity)
         assert [(key, value.hex()) for key, value in got.items()] == [
             (key, value.hex()) for key, value in expected.items()
         ], (coeffs, rapidity)
@@ -627,14 +626,9 @@ class TestEuclidean:
         (decompose_euclidean, WORKED, "decompose_euclidean requires signature - or -+, got ++"),
         (decompose_euclidean_projected, c2([1, 0]), "decompose_euclidean_projected requires signature - or -+, got +"),
         (
-            partial(boost_residuals, rapidity=0.5),
+            partial(boost_check, rapidity=0.5, tol=0.0),
             AlgebraElement(Signature((1, -1)), [1, 0, 0, 0]),
-            "boost_residuals requires signature + or ++, got +-",
-        ),
-        (
-            partial(boost_residuals, rapidity=0.5),
-            AlgebraElement(EUCLIDEAN_TANGENT_SIGNATURE, [1, 0]),
-            "boost_residuals requires signature + or ++, got -",
+            "boost_check requires signature + or ++, got +-",
         ),
         (
             partial(boost_check, rapidity=0.5, tol=0.0),

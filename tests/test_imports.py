@@ -1,13 +1,16 @@
 """Single-element CLI calls never import numpy; the batch modules load on first use.
 
 No module of the package imports a name it never uses, and every module
-and script parses as the oldest Python that pyproject.toml accepts.
+and script parses as the oldest Python that pyproject.toml accepts.  The
+replay net's ``decompose`` and ``boost`` calls give the same bytes under
+every other interpreter found from that floor up.
 """
 
 import ast
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +25,7 @@ EXPORTS = [
     "EUCLIDEAN_FIBER_SIGNATURE", "EUCLIDEAN_TANGENT_SIGNATURE", "EuclideanFiberDecomposition",
     "EuclideanSector", "FIBER_SIGNATURE", "Factorization", "FiberDecomposition", "Idempotent",
     "MomentumTriple", "PropertyResult", "Signature", "TANGENT_SIGNATURE", "TangentTriple",
-    "VerificationReport", "algebra", "basis_sign", "boost_check", "boost_element", "boost_residuals",
+    "VerificationReport", "algebra", "basis_sign", "boost_check", "boost_element",
     "classify_causal", "decompose_c2", "decompose_c2_projected", "decompose_d2",
     "decompose_d2_projected", "decompose_euclidean", "decompose_euclidean_projected",
     "diagonal_projector", "factorize", "fiber", "fiber_component_basis",
@@ -75,11 +78,11 @@ print(json.dumps({"loaded": loaded, "results": results, "helper": helper}))
 """
 
 
-def run_child(code, *args):
+def run_child(code, *args, python=sys.executable):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
+        [str(python), "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
     )
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout)
@@ -198,3 +201,49 @@ SOURCES = sorted([*(ROOT / "src" / "fiberalg").glob("*.py"), *(ROOT / "scripts")
 def test_parses_as_the_oldest_supported_python(path):
     # the tests run on a newer Python; feature_version rejects its syntax, such as except* and PEP 695 generics
     ast.parse(path.read_text(), filename=str(path), feature_version=FLOOR)
+
+
+def other_interpreters() -> dict[str, Path]:
+    """pyenv's ``bin/python`` of the newest build of each minor version from FLOOR up, this one's left out.
+
+    Found by path: a ``python3.1x`` shim may fail, or resolve to another build.
+    """
+    versions = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+    found = {}
+    for python in versions.glob("*/bin/python"):
+        match = re.fullmatch(r"(\d+)\.(\d+)\.(\d+)", python.parent.parent.name)
+        if match:
+            found[tuple(map(int, match.groups()))] = python
+    newest = {version[:2]: python for version, python in sorted(found.items())}
+    return {
+        f"{major}.{minor}": python
+        for (major, minor), python in newest.items()
+        if (major, minor) >= FLOOR and (major, minor) != sys.version_info[:2]
+    }
+
+
+OTHER_INTERPRETERS = other_interpreters()
+
+
+# The decompose and boost calls of scripts/compare_reports.py, run through cli.main in one CHILD.
+REPLAY_CALLS = [
+    argv for argv in runpy.run_path(str(ROOT / "scripts" / "compare_reports.py"))["CLI_CALLS"]
+    if argv[0] in ("decompose", "boost")
+]
+
+
+def replay(python=sys.executable):
+    return run_child(CHILD, json.dumps(REPLAY_CALLS), json.dumps(["numpy"]), python=python)
+
+
+@pytest.fixture(scope="module")
+def replayed_here():
+    return replay()
+
+
+# Skipped, as an empty parameter set, where no other interpreter is found.
+@pytest.mark.parametrize("python", OTHER_INTERPRETERS.values(), ids=OTHER_INTERPRETERS.keys())
+def test_other_interpreters_replay_the_same_bytes_without_numpy(python, replayed_here):
+    # CHILD keeps stdout and exit codes: stderr holds argparse's and json's wording, which is the interpreter's
+    assert replayed_here["loaded"] == [[]] * (2 + len(REPLAY_CALLS))
+    assert replay(python) == replayed_here

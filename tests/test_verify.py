@@ -145,6 +145,64 @@ class TestFailureWiring:
             run_verification("+++++++", 10, 0, 1e-10)
 
 
+def check_result(report, name):
+    return next(p for p in report.properties if p.name == name)
+
+
+class TestCountingChecks:
+    """The two checks whose rows are not one per drawn sample.
+
+    ``min_action_equivalence`` draws half the rows and yields two per row,
+    each the count of disagreements so far; ``projector_algebra`` draws
+    nothing and yields one row per element that vanishes.
+    """
+
+    @pytest.mark.parametrize("samples, reported", [(1, 2), (1001, 1000)])
+    def test_min_action_reports_two_rows_per_drawn_row(self, samples, reported):
+        report = run_verification("++", samples, 3, 1e-10)
+        assert check_result(report, "min_action_equivalence").samples == reported
+
+    @pytest.mark.parametrize("tol, gate", [(1e-10, 0.5), (0.9, 0.5), (1, 1), (3, 3)])
+    def test_min_action_gate_is_half_below_tol_1(self, tol, gate):
+        report = run_verification("++", 10, 3, tol)
+        assert check_result(report, "min_action_equivalence").tolerance == gate
+
+    def test_min_action_reports_the_total_over_every_block(self, monkeypatch):
+        k, samples = 3, 80
+        monkeypatch.setattr(verify, "BLOCK_VALUES", 160)  # 10 rows a block at two generators
+        sig = Signature.from_string("++")
+        blocks = len(list(verify._block_bounds(samples // 2, verify._block_rows(sig))))
+        assert blocks >= 3
+        assert check_result(run_verification(sig, samples, 3, 1e-10), "min_action_equivalence").max_abs_residual == 0
+        flags = verify._min_action_flags
+
+        def disagreeing(x):
+            by_residual, by_product, by_roundtrip = flags(x)
+            by_residual = by_residual.copy()
+            by_residual[:k] = ~by_product[:k]
+            return by_residual, by_product, by_roundtrip
+
+        monkeypatch.setattr(verify, "_min_action_flags", disagreeing)
+        verify._retire()
+        # Each block checks its minimal and its generic rows: 2 * k disagreements a block.
+        total = 2 * k * blocks
+        for tol in (total - 1, total):
+            result = check_result(run_verification(sig, samples, 3, tol), "min_action_equivalence")
+            assert result.max_abs_residual == result.max_rel_residual == total
+            assert result.passed == (total <= tol)
+
+    @pytest.mark.parametrize("signature, elements", [("+", 12), ("++", 28), ("-", 6), ("-+", 16)])
+    def test_projector_algebra_counts_its_elements_and_draws_nothing(self, signature, elements, monkeypatch):
+        def take(self, rng, rows):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(_Draw, "take", take)
+        sig = Signature.from_string(signature)
+        position = [name for name, *_ in verify._checks_for(sig)].index("projector_algebra")
+        result = verify._run_check((sig, 1000, 0, 1e-10), position)
+        assert (result.name, result.samples, result.passed) == ("projector_algebra", elements, True)
+
+
 class TwoArguments(Exception):
     """An exception that pickles but does not unpickle: ``args`` holds one message, ``__init__`` takes two."""
 
