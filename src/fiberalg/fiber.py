@@ -488,15 +488,21 @@ def trajectory_action(mass: float, rapidity: float, lambda_span: float, steps: i
 
 
 def classify_causal(t: TangentTriple, tol: float = CAUSAL_TOL) -> CausalClass:
-    """Classify a tangent triple by the sign of ds**2 = dt**2 - dq**2.
+    """Classify a tangent triple by the sign of ds**2 = dt**2 - dq**2, relative to dt**2.
 
-    The stored ds is squared, so a triple from a real element is never spacelike, where
-    dt**2 - dq**2 can round below -tol; a user triple without ds recomputes it from (dt, dq).
+    Timelike above tol * dt**2, spacelike below -tol * dt**2, lightlike between, so x and
+    x * 2**j share a class.  The triple is first scaled by the power of two that brings its
+    largest entry into [0.5, 1): that is exact, and no square overflows or underflows.  The
+    stored ds is squared, so a triple from a real element is never spacelike, where
+    dt**2 - dq**2 can round below zero; a user triple without ds recomputes it from (dt, dq).
     """
-    interval = t.dt * t.dt - t.dq * t.dq if t.ds is None else t.ds * t.ds
-    if interval > tol:
+    _, shift = math.frexp(max(abs(t.dt), abs(t.dq), 0.0 if t.ds is None else abs(t.ds)))
+    dt, dq = math.ldexp(t.dt, -shift), math.ldexp(t.dq, -shift)
+    interval = dt * dt - dq * dq if t.ds is None else math.ldexp(t.ds, -shift) ** 2
+    band = tol * dt * dt
+    if interval > band:
         return CausalClass.TIMELIKE
-    if interval < -tol:
+    if interval < -band:
         return CausalClass.SPACELIKE
     return CausalClass.LIGHTLIKE
 

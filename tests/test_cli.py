@@ -198,6 +198,24 @@ class TestDecompose:
         assert payload["factorization"] is None
         assert payload["causal_class"] == "lightlike"
 
+    # A scalar has ds = dt, so it is timelike at any magnitude, also where ds**2 leaves the float range.
+    @pytest.mark.parametrize(
+        "coeffs",
+        [("+", "1e-3", "0"), ("+", "1e-4", "0"), ("+", "1e-6", "0"), ("++", "1e-4", "0", "0", "0"),
+         ("+", "1e100", "0"), ("+", "1e-160", "0")],
+        ids=" ".join,
+    )
+    def test_scalar_is_timelike_at_any_scale(self, coeffs, capsys):
+        out, code = run_cli(["decompose", *coeffs], capsys)
+        assert code == 0
+        assert json.loads(out)["causal_class"] == "timelike"
+
+    def test_causal_tol_is_relative_to_dt_squared(self, capsys):
+        # ds**2 = 400 sits inside 0.5 * dt**2 = 1352 and outside 0.1 * dt**2 = 270.4
+        classes = [json.loads(run_cli(["decompose", "++", "1", "2", "3", "4", "--tol", tol], capsys)[0])["causal_class"]
+                   for tol in ("0.5", "0.1")]
+        assert classes == ["lightlike", "timelike"]
+
     def test_euclidean_plane(self, capsys):
         out, code = run_cli(["decompose", "m", "2", "1"], capsys)
         payload = json.loads(out)

@@ -699,8 +699,29 @@ class TestCausal:
         assert classify_causal(TangentTriple(1.0, 1.0 - 1e-9), tol=1e-6) is CausalClass.LIGHTLIKE
         assert classify_causal(TangentTriple(1.0, 1.0 - 1e-2), tol=1e-6) is CausalClass.TIMELIKE
 
+    @pytest.mark.parametrize(
+        "width, tangent",
+        [(2, lambda row: decompose_c2(c2(row))), (4, lambda row: decompose_d2(d2(row)).tangent)],
+        ids=["decompose_c2", "decompose_d2"],
+    )
+    def test_class_is_the_same_at_every_power_of_two_scale(self, width, tangent):
+        # Half the rows put the tangent's halves at b = +-a (1 + eps), eps from 1e-9 to 1e-3, near
+        # the light cone, so both sides of the tol * dt**2 band are drawn.
+        rng = np.random.default_rng(17)
+        rows = rng.uniform(-10, 10, (200, width))
+        a = rows[:100, 0] + (rows[:100, 2] if width == 4 else 0.0)
+        b = a * (1 + 10 ** rng.uniform(-9, -3, 100) * rng.choice([-1, 1], 100)) * rng.choice([-1, 1], 100)
+        rows[:100, -1] = b - (rows[:100, 1] if width == 4 else 0.0)
+        classes = []
+        for row in rows.tolist():
+            base = classify_causal(tangent(row))
+            for j in range(-60, 61):
+                assert classify_causal(tangent([v * 2.0**j for v in row])) is base, (row, j)
+            classes.append(base)
+        assert {CausalClass.TIMELIKE, CausalClass.LIGHTLIKE} <= set(classes)
+
     @given(st.lists(coeff, min_size=4, max_size=4))
-    # dt**2 - dq**2 rounds to -1.09e-11 here, past the absolute tolerance.
+    # dt**2 - dq**2 rounds below zero here, to -1.09e-11; the stored ds is squared.
     @example([0.0, 1.5625, 8.5625, 7.000000000001])
     def test_real_elements_never_spacelike(self, values):
         dec = decompose_d2(d2(values))

@@ -3,7 +3,6 @@
 README's Scripts section lists every script, and no other.
 """
 
-import os
 import re
 import subprocess
 import sys
@@ -44,42 +43,6 @@ def test_compare_reports_finds_its_own_tree_identical():
         "36 of 36 CLI calls identical",
         "46 of 46 library calls identical",
     ]
-
-
-def test_ab_verify_finds_its_own_tree_identical():
-    result = run_script("ab_verify.py", str(ROOT), "--pairs", "2", "--samples", "200")
-    assert result.returncode == 0, result.stdout + result.stderr
-    lines = result.stdout.splitlines()
-    assert lines[0] == "2 pairs of + ++ - -+ at 200 samples, seed 5: reports identical"
-    assert lines[1].startswith("time this/other: median ")
-    assert lines[1].endswith(" of 2")
-    assert [line.split(":")[0] for line in lines[2:]] == [
-        "peak RSS MB, caller",
-        "peak RSS MB, sweep children",
-        "minor faults per operation, caller",
-        "minor faults per operation, sweep children",
-    ]
-
-
-@pytest.mark.skipif(hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2, reason="a sweep helper starts only on two CPUs or more")
-def test_ab_verify_counts_the_sweep_helper():
-    # 3000 samples are past one block of ++ and -+: the helper starts, and its figures show once it is reaped
-    result = run_script("ab_verify.py", str(ROOT), "--pairs", "1", "--samples", "3000")
-    assert result.returncode == 0, result.stdout + result.stderr
-    children = [line for line in result.stdout.splitlines() if ", sweep children: " in line]
-    assert len(children) == 2
-    for line in children:
-        this, other = (float(side.split()[1]) for side in line.split(": ")[1].split(", "))
-        assert this > 0 and other > 0, line
-
-
-@pytest.mark.parametrize("args", [(str(ROOT / "tests"),), (str(ROOT), "--pairs", "0"), (str(ROOT), "--seed", "-1")])
-def test_ab_verify_bad_argument_exits_2(args):
-    result = run_script("ab_verify.py", *args)
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert len(result.stderr.splitlines()) == 1
-    assert result.stderr.startswith("ab_verify.py: error: ")
 
 
 @pytest.mark.parametrize("args", [(), (str(ROOT / "tests"),)])
