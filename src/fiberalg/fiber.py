@@ -316,15 +316,35 @@ def decompose_euclidean(x: AlgebraElement):
     return _record(x.signature, _parts(x.values)._asdict())
 
 
+def _exponent(values) -> int:
+    """The ``math.frexp`` exponent of the largest |value|: 0 where that is zero, infinite or NaN."""
+    return math.frexp(max(map(abs, values)))[1]
+
+
+def _scaled(x: AlgebraElement) -> AlgebraElement:
+    """A float x times the power of two that brings its largest |coefficient| into [0.5, 1); an exact x as it is.
+
+    The scaling is exact, so a homogeneous verdict reads the same at x and x * 2**j, and no
+    square of a coefficient overflows or underflows.  ``math.ldexp`` scales: a multiply by
+    2.0**-shift overflows for subnormal input.
+    """
+    if x.exact:
+        return x
+    shift = _exponent(x.values)
+    return AlgebraElement(x.signature, [math.ldexp(v, -shift) for v in x.values])
+
+
 def is_min_action(x: AlgebraElement, tol: float = MIN_ACTION_TOL) -> bool:
     """True when the null component of the mixed sector vanishes.
 
     The criterion |x0 x3 - x1 x2| <= tol * |x|**2 is total; it matches
-    the factorization condition wherever x0 != 0.
+    the factorization condition wherever x0 != 0.  It reads the scaled x
+    of ``_scaled``, so it holds at x exactly when it holds at x * 2**j.
     """
     _require_signature(x, "is_min_action", FIBER_SIGNATURE)
-    x0, x1, x2, x3 = x.values
-    return abs(x0 * x3 - x1 * x2) <= tol * x.norm_squared()
+    scaled = _scaled(x)
+    x0, x1, x2, x3 = scaled.values
+    return abs(x0 * x3 - x1 * x2) <= tol * scaled.norm_squared()
 
 
 def factorize(x: AlgebraElement, tol: float = MIN_ACTION_TOL) -> Factorization:
@@ -338,7 +358,9 @@ def factorize(x: AlgebraElement, tol: float = MIN_ACTION_TOL) -> Factorization:
             "is still decidable through the x0-free criterion x0*x3 == x1*x2"
         )
     if not is_min_action(x, tol):
-        residual = 2 * (x0 * x3 - x1 * x2) ** 2
+        # det * det reads inf where a float square overflows; det ** 2 would raise OverflowError
+        det = x0 * x3 - x1 * x2
+        residual = 2 * det * det
         raise ValueError(
             f"element is not minimum-action (residual {residual:.3e}); it does not "
             "factor into single-generator parts"
@@ -375,10 +397,8 @@ def boost_element(signature: Signature, rapidity: float) -> AlgebraElement:
     return AlgebraElement(signature, coeffs)
 
 
-def boost_check(x: AlgebraElement, rapidity: float, tol: float) -> tuple[AlgebraElement, dict[str, float], bool]:
-    """(x u, u = boost_element(rapidity); the boost-law gaps; whether each is within tol of its scale); + or ++."""
-    _require_signature(x, "boost_check", TANGENT_SIGNATURE, FIBER_SIGNATURE)
-    boosted = transform(x, boost_element(x.signature, rapidity))
+def _boost_gaps(x: AlgebraElement, boosted: AlgebraElement, rapidity: float, tol: float) -> tuple[dict, bool]:
+    """The boost-law gaps between x and boosted = x u, and whether each is within tol of its scale."""
     ch, sh = math.cosh(2 * rapidity), math.sinh(2 * rapidity)
     fiber = x.signature == FIBER_SIGNATURE
     parts = _rated_parts if fiber else _tangent_parts
@@ -398,7 +418,22 @@ def boost_check(x: AlgebraElement, rapidity: float, tol: float) -> tuple[Algebra
         gaps["matrix_" + second] = abs(getattr(f1, second) - (sh * a + ch * b))
     # A gap's scale is dt + H of x plus that of x u (dt alone at +), squared for the quadratic dS.
     size = sum(f.dt + getattr(f, "H", 0.0) for f in (f0, f1))
-    passed = all(gap <= tol * (size * size if key == "dS_dlambda" else size) for key, gap in gaps.items())
+    return gaps, all(gap <= tol * (size * size if key == "dS_dlambda" else size) for key, gap in gaps.items())
+
+
+def boost_check(x: AlgebraElement, rapidity: float, tol: float) -> tuple[AlgebraElement, dict[str, float], bool]:
+    """(x u, u = boost_element(rapidity); the boost-law gaps; whether each is within tol of its scale); + or ++.
+
+    The verdict reads the gaps of the scaled x of ``_scaled`` and its x u, where no gap or
+    scale underflows or overflows, so it is the same at x and x * 2**j; x u and the gaps are
+    returned unscaled.
+    """
+    _require_signature(x, "boost_check", TANGENT_SIGNATURE, FIBER_SIGNATURE)
+    u = boost_element(x.signature, rapidity)
+    boosted = transform(x, u)
+    gaps, _ = _boost_gaps(x, boosted, rapidity, tol)
+    scaled = _scaled(x)
+    _, passed = _boost_gaps(scaled, transform(scaled, u), rapidity, tol)
     return boosted, gaps, passed
 
 
@@ -496,7 +531,7 @@ def classify_causal(t: TangentTriple, tol: float = CAUSAL_TOL) -> CausalClass:
     stored ds is squared, so a triple from a real element is never spacelike, where
     dt**2 - dq**2 can round below zero; a user triple without ds recomputes it from (dt, dq).
     """
-    _, shift = math.frexp(max(abs(t.dt), abs(t.dq), 0.0 if t.ds is None else abs(t.ds)))
+    shift = _exponent([t.dt, t.dq, 0.0 if t.ds is None else t.ds])
     dt, dq = math.ldexp(t.dt, -shift), math.ldexp(t.dq, -shift)
     interval = dt * dt - dq * dq if t.ds is None else math.ldexp(t.ds, -shift) ** 2
     band = tol * dt * dt

@@ -210,6 +210,11 @@ class TestDecompose:
         assert code == 0
         assert json.loads(out)["causal_class"] == "timelike"
 
+    def test_minimality_where_squares_underflow(self, capsys):
+        # x0 x3 - x1 x2 and |x|**2 both underflow to 0; the factors would rebuild [1, 2, 3, 6] * 1e-170
+        payload = json.loads(run_cli(["decompose", "++", "1e-170", "2e-170", "3e-170", "4e-170"], capsys)[0])
+        assert (payload["minimal"], payload["factorization"]) == (False, None)
+
     def test_causal_tol_is_relative_to_dt_squared(self, capsys):
         # ds**2 = 400 sits inside 0.5 * dt**2 = 1352 and outside 0.1 * dt**2 = 270.4
         classes = [json.loads(run_cli(["decompose", "++", "1", "2", "3", "4", "--tol", tol], capsys)[0])["causal_class"]
@@ -558,6 +563,11 @@ class TestBoost:
         assert code == 0
         _, code = run_cli(["boost", "++", "2", "1", "1", "0.5", "1.0", "--tol", "1e-17"], capsys)
         assert code == 1
+
+    def test_passes_where_gaps_and_scale_underflow(self, capsys):
+        # the largest gaps read 5e-324, and tol times their scale underflows to 0
+        _, code = run_cli(["boost", "++", "2e-160", "1e-160", "1e-160", "5e-161", "0.7"], capsys)
+        assert code == 0
 
     def test_wrong_value_count_exits_2(self):
         with pytest.raises(SystemExit) as err:

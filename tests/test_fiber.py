@@ -210,6 +210,19 @@ class TestMinAction:
         with pytest.raises(ValueError, match="requires signature"):
             is_min_action(c2([1.0, 0.0]))
 
+    def test_exact_element_is_read_as_it_is(self):
+        # 1/7 * 7/143 == 1/11 * 1/13; through floats the two products differ by 8.7e-19
+        element = d2([Fraction(1, 7), Fraction(1, 11), Fraction(1, 13), Fraction(7, 143)])
+        assert is_min_action(element, tol=0.0)
+        assert factorize(element, tol=0.0).reconstruct() == element
+
+    def test_underflowing_squares_do_not_make_an_element_minimal(self):
+        # x0 x3 - x1 x2 and |x|**2 both underflow to 0; the factors would rebuild [1, 2, 3, 6] * 1e-170
+        element = d2([1e-170, 2e-170, 3e-170, 4e-170])
+        assert not is_min_action(element)
+        with pytest.raises(ValueError, match="not minimum-action"):
+            factorize(element)
+
     # Dyadic samples keep x3 = x1*x2/x0 exact in floats, so the identity
     # is tested at exact minimality rather than against construction
     # rounding (which dominates when the momentum sector is nearly null).
@@ -245,6 +258,10 @@ class TestFactorize:
     def test_non_minimal_rejected(self):
         with pytest.raises(ValueError, match="not minimum-action"):
             factorize(d2([1.0, 0.0, 0.0, 1.0]))
+
+    def test_non_minimal_rejected_where_the_residual_overflows(self):
+        with pytest.raises(ValueError, match=r"not minimum-action \(residual inf\)"):
+            factorize(d2([1e160, 0.0, 0.0, 1e160]))
 
     def test_zero_scalar_part_rejected(self):
         with pytest.raises(ValueError, match="x0-free criterion"):
@@ -407,6 +424,40 @@ def test_boost_check_passes_where_the_payload_rule_did(signature):
             assert got_gaps == gaps and boosted == transform(x, boost_element(signature, rapidity))
             verdicts.add(passed)
     assert verdicts == {True, False}
+
+
+def test_verdicts_are_the_same_at_every_power_of_two_scale():
+    # A third of the elements are +; half the ++ ones are exactly minimal, dyadic as verify's
+    # _exact_minimal_samples draws them.  j steps across the range where every nonzero
+    # coefficient stays normal with 60 bits to spare: m * 2**e, m in [0.5, 1), is normal for
+    # -1021 <= e <= 1024.
+    rng = np.random.default_rng(23)
+    elements = [c2(rng.uniform(-10, 10, 2).tolist()) for _ in range(100)]
+    elements += [d2(rng.uniform(-10, 10, 4).tolist()) for _ in range(100)]
+    for _ in range(100):
+        x0 = float(rng.choice([-1.0, 1.0])) * 2.0 ** int(rng.integers(-3, 4))
+        x1, x2 = (rng.integers(-2560, 2561, 2) / 256.0).tolist()
+        elements.append(d2([x0, x1, x2, x1 * x2 / x0]))
+
+    def verdicts(x, rapidity):
+        boosted = boost_check(x, rapidity, 1e-10)[2]
+        if x.signature == TANGENT_SIGNATURE:
+            return boosted
+        try:
+            factorize(x)
+        except ValueError:
+            return boosted, is_min_action(x), False
+        return boosted, is_min_action(x), True
+
+    seen = set()
+    for x, rapidity in zip(elements, rng.uniform(-3, 3, len(elements)).tolist()):
+        base = verdicts(x, rapidity)
+        exponents = [math.frexp(v)[1] for v in x.values if v]
+        for j in range(-961 - min(exponents), 965 - max(exponents), 41):
+            scaled = AlgebraElement(x.signature, [math.ldexp(v, j) for v in x.values])
+            assert verdicts(scaled, rapidity) == base, (x.values, rapidity, j)
+        seen.add(base)
+    assert {(True, True, True), (True, False, False)} <= seen
 
 
 class TestLiftKinematics:

@@ -2,20 +2,22 @@
 
 No module of the package imports a name it never uses, and every module
 and script parses as the oldest Python that pyproject.toml accepts.  The
-replay net's ``decompose`` and ``boost`` calls give the same bytes under
-every other interpreter found from that floor up.
+replay net's ``decompose`` and ``boost`` calls give, under every other
+interpreter found from that floor up, the exit codes and stdout that
+``tests/golden/replay.txt`` holds.
 """
 
 import ast
 import json
 import os
 import re
-import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from test_scripts import REPLAY, labelled
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -225,25 +227,19 @@ def other_interpreters() -> dict[str, Path]:
 OTHER_INTERPRETERS = other_interpreters()
 
 
-# The decompose and boost calls of scripts/compare_reports.py, run through cli.main in one CHILD.
+# The replay net's decompose and boost calls, each argv split back from its label, with the exit
+# code and stdout that tests/golden/replay.txt holds for it; stderr holds argparse's and json's
+# wording, which is the interpreter's.
 REPLAY_CALLS = [
-    argv for argv in runpy.run_path(str(ROOT / "scripts" / "compare_reports.py"))["CLI_CALLS"]
-    if argv[0] in ("decompose", "boost")
+    (label.split()[1:], json.loads(value)[:2])
+    for label, value in labelled(REPLAY.read_text())[1]
+    if label.split()[:2] in (["fiberalg", "decompose"], ["fiberalg", "boost"])
 ]
-
-
-def replay(python=sys.executable):
-    return run_child(CHILD, json.dumps(REPLAY_CALLS), json.dumps(["numpy"]), python=python)
-
-
-@pytest.fixture(scope="module")
-def replayed_here():
-    return replay()
 
 
 # Skipped, as an empty parameter set, where no other interpreter is found.
 @pytest.mark.parametrize("python", OTHER_INTERPRETERS.values(), ids=OTHER_INTERPRETERS.keys())
-def test_other_interpreters_replay_the_same_bytes_without_numpy(python, replayed_here):
-    # CHILD keeps stdout and exit codes: stderr holds argparse's and json's wording, which is the interpreter's
-    assert replayed_here["loaded"] == [[]] * (2 + len(REPLAY_CALLS))
-    assert replay(python) == replayed_here
+def test_other_interpreters_replay_the_same_bytes_without_numpy(python):
+    got = run_child(CHILD, json.dumps([argv for argv, _ in REPLAY_CALLS]), json.dumps(WATCHED), python=python)
+    assert got["loaded"] == [[]] * (2 + len(REPLAY_CALLS))
+    assert got["results"] == [result for _, result in REPLAY_CALLS]

@@ -1,14 +1,13 @@
-"""Smoke tests for the scripts: each runs to completion as a fresh process.
+"""Tests of the scripts, each run as a fresh process.
 
-README's Scripts section lists every script, and no other.
+README's Scripts section lists every script, and no other.  The replay
+net prints the lines that ``tests/golden/replay.txt`` holds.
 """
 
 import re
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 from test_cli import child_env
 
@@ -35,20 +34,28 @@ def test_readme_lists_exactly_the_scripts_that_exist():
         assert (ROOT / "scripts" / name).is_file(), name
 
 
-def test_compare_reports_finds_its_own_tree_identical():
-    result = run_script("compare_reports.py", str(ROOT))
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert result.stdout.splitlines() == [
-        "28 of 28 reports identical",
-        "36 of 36 CLI calls identical",
-        "46 of 46 library calls identical",
+REPLAY = ROOT / "tests" / "golden" / "replay.txt"
+
+
+def labelled(text):
+    """The ``#`` lines of a replay printout, and the (label, value) pair of each other line."""
+    lines = text.splitlines()
+    return [line for line in lines if line.startswith("#")], [
+        tuple(line.split("\t", 1)) for line in lines if not line.startswith("#")
     ]
 
 
-@pytest.mark.parametrize("args", [(), (str(ROOT / "tests"),)])
-def test_compare_reports_bad_argument_exits_2(args):
-    result = run_script("compare_reports.py", *args)
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert len(result.stderr.splitlines()) == 1
-    assert result.stderr.startswith("compare_reports.py: error: ")
+def test_replay_prints_the_committed_lines():
+    # A change that means to move a line regenerates the file: python scripts/replay.py > tests/golden/replay.txt
+    result = run_script("replay.py")
+    assert result.returncode == 0, result.stderr
+    header, expected = labelled(REPLAY.read_text())
+    _, got = labelled(result.stdout)
+    for pairs in (expected, got):
+        labels = [label for label, _ in pairs]
+        assert len(set(labels)) == len(labels)
+    expected, got = dict(expected), dict(got)
+    problems = [f"differs: {label}" for label in expected if label in got and got[label] != expected[label]]
+    problems += [f"missing: {label}" for label in expected if label not in got]
+    problems += [f"extra: {label}" for label in got if label not in expected]
+    assert problems == [], "\n".join([*header, *problems])
