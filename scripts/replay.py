@@ -5,37 +5,40 @@ Usage: replay.py
 
 The script imports ``fiberalg`` from this checkout's ``src`` and runs, in
 one process, a fixed list of ``run_verification`` cases: the paper's
-four signatures at 100 000 samples, wider signatures, small and odd
-sample counts around the block edges, and the verify goldens' sample
-counts.  The small cases run again at ``verify.BLOCK_VALUES = 160``,
-where every sweep spans many blocks; verify's helper process is retired
-at each change of the block size, since the helper runs the code as it
-stood at its fork.  It then replays a fixed list of CLI calls through
-``cli.main``: every format and signature of ``decompose``, ``boost``,
-calls at the edges of the float range and at scales where a square
-underflows, ``verify`` on its defaults, a small sample count (with its
-option first, too) and a failing positional tol, one ``trajectory``, a
-failing ``boost`` and ``trajectory``, and one json ``decompose`` per
-signature on an input that rounds.  Last it replays a fixed list of
-library calls on the dyadic ``decompose`` inputs, exact in floats, and
-on those that round: each closed form and its projector twin,
-``norm_squared`` on float and ``Fraction`` elements, and at ``+`` and
-``++`` ``boost_check`` at rapidity ``BOOST_RAPIDITY`` and tol ``TOL``,
-its boosted element, gaps and verdict; then, per signature, the names
-and every tensor's values of ``fiber_component_basis``; then seeded
-``multiply_coeffs`` batches, printed as the sha256 of their bytes, so a
-kernel that moves one bit of one row shows.  The batches cover the
-doubled paper signatures, dims 64 and 4096, a broadcast shape, and one
-row of infinities, signed zeros and subnormals.
+four signatures at 100 000 samples, wider signatures, and small and odd
+sample counts around the block edges.  The small cases run again at
+``verify.BLOCK_VALUES = 160``, where every sweep spans many blocks;
+verify's helper process is retired at each change of the block size,
+since the helper runs the code as it stood at its fork.  It then replays
+a fixed list of CLI calls through ``cli.main``: every format and
+signature of ``decompose``, ``boost``, calls at the edges of the float
+range and at scales where a square underflows, ``verify`` on its
+defaults, a small sample count (with its option first, too) and a
+failing positional tol, two ``trajectory`` calls, one at mass 1e20, a
+failing ``boost``, one json ``decompose`` per signature on an input that
+rounds, and the calls whose stdout the tests pin: a ``decompose`` per
+signature, a ``boost``, and ``verify`` at 2000 and 20 000 samples.  Last
+it replays a fixed list of library calls on the dyadic ``decompose``
+inputs, exact in floats, and on those that round: each closed form and
+its projector twin, ``norm_squared`` on float and ``Fraction`` elements,
+and at ``+`` and ``++`` ``boost_check`` at rapidity ``BOOST_RAPIDITY``
+and tol ``TOL``, its boosted element, gaps and verdict; then, per
+signature, the names and every tensor's values of
+``fiber_component_basis``; then seeded ``multiply_coeffs`` batches,
+printed as the sha256 of their bytes, so a kernel that moves one bit of
+one row shows.  The batches cover the doubled paper signatures, dims 64
+and 4096, a broadcast shape, and one row of infinities, signed zeros and
+subnormals.
 
 A report's value is ``json.dumps(report.to_dict())``, a CLI call's is
 ``json.dumps([exit code, stdout, stderr])`` and a library call's the
 ``repr`` of its result.  The first line, a ``#`` comment, names the
 Python and numpy that wrote the lines.  ``tests/golden/replay.txt``
-holds this output, and a tier-1 test compares it line by line.  A change
-that means to move a line regenerates the file with
-``python scripts/replay.py > tests/golden/replay.txt`` and reviews
-``git diff``; comparing with another tree is a ``diff`` of both
+holds this output and is the only file of expected bytes: a tier-1 test
+compares it line by line, and the tests that pin a call's stdout read
+that call's line.  A change that means to move a line regenerates the
+file with ``python scripts/replay.py > tests/golden/replay.txt`` and
+reviews ``git diff``; comparing with another tree is a ``diff`` of both
 printouts.
 """
 
@@ -72,7 +75,6 @@ CASES = [
     ("+-+", 6000, 0),
     ("++-+", 800, 0),
     *SMALL,
-    *[(signature, samples, 0) for signature in ("++", "-+") for samples in (2000, 20_000)],
 ]
 # (signature, samples, seed, BLOCK_VALUES or None for the tree's own)
 RUNS = [(*case, None) for case in CASES] + [(*case, SMALL_BLOCK) for case in SMALL]
@@ -105,7 +107,7 @@ CLI_CALLS = [
     ["verify", "m"],
     ["verify", "+", "200", "1", "1e-30"],
     ["trajectory", "1.3", "0.4", "1.7", "1000"],
-    # a boost whose gaps fail their tol and a trajectory off its closed form (exit 1)
+    # a boost whose gaps fail their tol (exit 1), and a trajectory far from mass 1
     ["boost", "++", "0.3", "-1.7", "2.9", "0.11", "-1.25", "--tol", "1e-30"],
     ["trajectory", "1e20", "0.3", "1", "1000"],
     *[["decompose", sig, *coeffs] for sig, coeffs in ROUNDING],
@@ -113,6 +115,14 @@ CLI_CALLS = [
     # a boost whose gaps and scale do; both verdicts read the element scaled into [0.5, 1).
     ["decompose", "++", "1e-170", "2e-170", "3e-170", "4e-170"],
     ["boost", "++", "2e-160", "1e-160", "1e-160", "5e-161", "0.7"],
+    # The calls whose stdout the tests pin, ++'s being `decompose ++ 2 1 1 0.5 --format json`;
+    # the verify calls at 20 000 samples span several blocks.
+    ["decompose", "+", "2", "1"],
+    ["decompose", "--", "-", "2", "1"],
+    ["decompose", "m+", "2", "1", "1", "0.5"],
+    ["boost", "++", "2", "1", "1", "0.5", "1.0"],
+    *[["verify", signature, "2000", "0"] for signature in ("++", "m+", "+", "m")],
+    *[["verify", signature, "20000", "0"] for signature in ("++", "m+")],
 ]
 BOOST_RAPIDITY = -1.25
 CLOSED_FORMS = {"+": "decompose_c2", "++": "decompose_d2", "m": "decompose_euclidean", "m+": "decompose_euclidean"}

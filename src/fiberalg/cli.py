@@ -171,7 +171,7 @@ def _fiber_dict(element: AlgebraElement, tol: float) -> dict:
         "dS_dlambda": dec.action_rate,
         "residual": dec.min_action_residual,
         "minimal": minimal,
-        "causal_class": classify_causal(dec.tangent, tol).value,
+        "causal_class": classify_causal(element, tol).value,
         "factorization": factorization,
     }
 
@@ -201,7 +201,7 @@ def _decompose_payload(signature: Signature, coeffs: list[float], tol: float) ->
     if signature == TANGENT_SIGNATURE:
         triple = decompose_c2(element)
         payload["tangent"] = _tangent_dict(triple)
-        payload["causal_class"] = classify_causal(triple, tol).value
+        payload["causal_class"] = classify_causal(element, tol).value
     elif signature == FIBER_SIGNATURE:
         payload.update(_fiber_dict(element, tol))
     elif signature == EUCLIDEAN_TANGENT_SIGNATURE:

@@ -334,6 +334,13 @@ def _scaled(x: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(x.signature, [math.ldexp(v, -shift) for v in x.values])
 
 
+def _min_action_terms(x: AlgebraElement):
+    """(|x0 x3 - x1 x2|, |x|**2) of the scaled x of ``_scaled``; the first is at most half the second."""
+    scaled = _scaled(x)
+    x0, x1, x2, x3 = scaled.values
+    return abs(x0 * x3 - x1 * x2), scaled.norm_squared()
+
+
 def is_min_action(x: AlgebraElement, tol: float = MIN_ACTION_TOL) -> bool:
     """True when the null component of the mixed sector vanishes.
 
@@ -342,9 +349,8 @@ def is_min_action(x: AlgebraElement, tol: float = MIN_ACTION_TOL) -> bool:
     of ``_scaled``, so it holds at x exactly when it holds at x * 2**j.
     """
     _require_signature(x, "is_min_action", FIBER_SIGNATURE)
-    scaled = _scaled(x)
-    x0, x1, x2, x3 = scaled.values
-    return abs(x0 * x3 - x1 * x2) <= tol * scaled.norm_squared()
+    det, size = _min_action_terms(x)
+    return det <= tol * size
 
 
 def factorize(x: AlgebraElement, tol: float = MIN_ACTION_TOL) -> Factorization:
@@ -357,13 +363,12 @@ def factorize(x: AlgebraElement, tol: float = MIN_ACTION_TOL) -> Factorization:
             f"factorize needs a scalar part x0 with a finite 1/x0, got {x0!r}; minimality "
             "is still decidable through the x0-free criterion x0*x3 == x1*x2"
         )
-    if not is_min_action(x, tol):
-        # det * det reads inf where a float square overflows; det ** 2 would raise OverflowError
-        det = x0 * x3 - x1 * x2
-        residual = 2 * det * det
+    det, size = _min_action_terms(x)
+    if not det <= tol * size:
+        # float() of a ratio of at most 1/2 is finite, and formats on every Python, a Fraction's too
         raise ValueError(
-            f"element is not minimum-action (residual {residual:.3e}); it does not "
-            "factor into single-generator parts"
+            f"element is not minimum-action (|x0 x3 - x1 x2| / |x|**2 = {float(det / size):.3e}); "
+            "it does not factor into single-generator parts"
         )
     sig = x.signature
     first = AlgebraElement(sig, [x0, x1, 0.0, 0.0])
@@ -479,30 +484,31 @@ def _lift_coeffs(dt, dq, energy, momentum):
 
 
 def free_particle_element(mass: float, rapidity: float) -> AlgebraElement:
-    """Minimum-action element for a free particle in proper-time gauge.
+    """Minimum-action element for a free particle in the balanced gauge: sqrt(mass) times the boost u.
 
-    The curve parameter is proper time (ds rate 1), so the tangent pair
-    is (cosh 2 phi, sinh 2 phi) and the momentum pair is mass times the
-    same vector; the coordinate velocity is dq/dt = tanh(2 phi).
+    Its tangent and momentum pairs are both mass * (cosh 2 phi, sinh 2 phi), so the ds rate
+    and the mass norm are both mass, and the coordinate velocity is dq/dt = tanh(2 phi).  The
+    two sectors share one scale, so neither is lost to rounding in the other.
     """
     if not mass > 0:
         raise ValueError(f"mass must be positive, got {mass}")
-    ch, sh = math.cosh(2 * rapidity), math.sinh(2 * rapidity)
-    return lift_kinematics(TangentTriple(ch, sh), MomentumTriple(mass * ch, mass * sh))
+    return math.sqrt(mass) * boost_element(FIBER_SIGNATURE, rapidity)
 
 
 def trajectory_action(mass: float, rapidity: float, lambda_span: float, steps: int) -> ActionIntegral:
     """Left-endpoint action integral for a constant free-particle element.
 
-    The integrand p dq - H dt is constant along the worldline, so the
-    quadrature order is irrelevant; the step sum ties the rate form of
-    the action, read from the lifted element, to the closed form
-    -mass * span of the proper-time gauge (ds rate 1).  The two differ by
-    rounding alone unless the mass is so far from 1 that the lifted
-    coefficients, which hold sums of the tangent and momentum sectors,
-    lose the smaller sector to rounding; then the relative error is
-    large.  At most ``MAX_STEPS`` steps are summed; more raise
-    ``ValueError`` before any allocation.
+    The integrand p dq - H dt = -mass**2 is constant along the worldline,
+    so the quadrature order is irrelevant; the step sum ties the rate form
+    of the action, read from the element of :func:`free_particle_element`,
+    to the closed form -mass * lambda_span, where lambda_span is a span of
+    proper time.  That element has ds rate mass, so the steps cover a
+    curve parameter span of lambda_span / mass.  The two differ by
+    rounding alone for a mass from about 1e-157 to 1e154: above, mass**2
+    overflows and the rate is not finite; below, mass**2 underflows and
+    the relative error is large, and where lambda_span / mass overflows
+    too, the sum is not finite.  At most ``MAX_STEPS`` steps are summed;
+    more raise ``ValueError`` before any allocation.
     """
     if not mass > 0:
         raise ValueError(f"mass must be positive, got {mass}")
@@ -516,21 +522,27 @@ def trajectory_action(mass: float, rapidity: float, lambda_span: float, steps: i
     x = free_particle_element(mass, rapidity)
     decomposition = decompose_d2(x)
     rate = decomposition.action_rate
-    step = lambda_span / steps
+    step = lambda_span / mass / steps
     numeric = float(np.sum(np.full(steps, rate * step)))
     analytic = -mass * lambda_span
     return ActionIntegral(numeric_S=numeric, analytic_S=float(analytic), error=abs(numeric - analytic))
 
 
-def classify_causal(t: TangentTriple, tol: float = CAUSAL_TOL) -> CausalClass:
-    """Classify a tangent triple by the sign of ds**2 = dt**2 - dq**2, relative to dt**2.
+def classify_causal(t: TangentTriple | AlgebraElement, tol: float = CAUSAL_TOL) -> CausalClass:
+    """Classify a tangent triple, or an element of + or ++, by ds**2 = dt**2 - dq**2 relative to dt**2.
 
     Timelike above tol * dt**2, spacelike below -tol * dt**2, lightlike between, so x and
     x * 2**j share a class.  The triple is first scaled by the power of two that brings its
-    largest entry into [0.5, 1): that is exact, and no square overflows or underflows.  The
-    stored ds is squared, so a triple from a real element is never spacelike, where
-    dt**2 - dq**2 can round below zero; a user triple without ds recomputes it from (dt, dq).
+    largest entry into [0.5, 1): that is exact, and no square overflows or underflows.  An
+    element's triple is that of the scaled x of ``_scaled``, so its parts, squares of the
+    coefficients, are not rounded to zero before the triple is scaled.  The stored ds is
+    squared, so a triple from a real element is never spacelike, where dt**2 - dq**2 can round
+    below zero; a user triple without ds recomputes it from (dt, dq).
     """
+    if isinstance(t, AlgebraElement):
+        _require_signature(t, "classify_causal", TANGENT_SIGNATURE, FIBER_SIGNATURE)
+        parts = _parts(_scaled(t).values)
+        t = TangentTriple(parts.dt, parts.dq, parts.ds)
     shift = _exponent([t.dt, t.dq, 0.0 if t.ds is None else t.ds])
     dt, dq = math.ldexp(t.dt, -shift), math.ldexp(t.dq, -shift)
     interval = dt * dt - dq * dq if t.ds is None else math.ldexp(t.ds, -shift) ** 2

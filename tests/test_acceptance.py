@@ -10,7 +10,6 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,10 +30,9 @@ from fiberalg.fiber import (
 from fiberalg.verify import _embed_flat
 
 from oracles import all_signatures, reference_basis_product
+from replay_net import golden
 from test_cli import child_env
 from test_verify import span_gap
-
-GOLDEN = Path(__file__).parent / "golden"
 
 
 def report(number, title, ok):
@@ -299,8 +297,8 @@ def test_criterion_10_cli_contract(capsys):
     golden_ok = (
         code_c2 == 0
         and code_d2 == 0
-        and out_c2 == (GOLDEN / "decompose_c2.json").read_text()
-        and out_d2 == (GOLDEN / "decompose_d2.json").read_text()
+        and out_c2 == golden("decompose + 2 1")
+        and out_d2 == golden("decompose ++ 2 1 1 0.5 --format json")
     )
     runs = [
         subprocess.run(

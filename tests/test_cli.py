@@ -1,4 +1,4 @@
-"""CLI tests: golden outputs, exit codes, formats, determinism."""
+"""CLI tests: the stdout that the replay net holds, exit codes, formats, determinism."""
 
 import contextlib
 import csv
@@ -19,22 +19,33 @@ from fiberalg import algebra, fiber
 from fiberalg.cli import main
 from fiberalg.fiber import MAX_STEPS
 
-GOLDEN = Path(__file__).parent / "golden"
+from replay_net import golden, replay_lines
+
 # The committed JSON Schema of every document the CLI prints; one validator serves the module.
 SCHEMA = json.loads((Path(__file__).parent / "cli_schema.json").read_text())
 VALIDATOR = Draft202012Validator(SCHEMA)
-# (signature, fixture) of `fiberalg verify <signature> 2000 0`
-VERIFY_GOLDENS = [
-    ("++", "verify_pp.json"),
-    ("m+", "verify_mp.json"),
-    ("+", "verify_p.json"),
-    ("m", "verify_m.json"),
+# The signatures of `fiberalg verify <signature> 2000 0`, whose stdout the replay net holds
+VERIFY_GOLDENS = ["++", "m+", "+", "m"]
+# (argv, the replay net's label of a call with the same stdout) of each call whose bytes the tests pin;
+# those without a "--" come first
+OPTION_GOLDENS = [
+    (["decompose", "+", "2", "1"], "decompose + 2 1"),
+    (["decompose", "++", "2", "1", "1", "0.5"], "decompose ++ 2 1 1 0.5 --format json"),
+    (["decompose", "m+", "2", "1", "1", "0.5"], "decompose m+ 2 1 1 0.5"),
+    (["boost", "++", "2", "1", "1", "0.5", "1.0"], "boost ++ 2 1 1 0.5 1.0"),
+    *[(["verify", signature, "2000", "0"], f"verify {signature} 2000 0") for signature in VERIFY_GOLDENS],
 ]
-# (signature, fixture) of `fiberalg verify <signature> 20000 0`: several
-# blocks each, and the 4096-row blocks of the two-generator sweeps
-MULTI_BLOCK_GOLDENS = [
-    ("++", "verify_pp_20000.json"),
-    ("m+", "verify_mp_20000.json"),
+GOLDENS = [
+    *OPTION_GOLDENS,
+    (["decompose", "--", "-", "2", "1"], "decompose -- - 2 1"),
+    # several blocks each, and the 4096-row blocks of the two-generator sweeps
+    *[(["verify", signature, "20000", "0"], f"verify {signature} 20000 0") for signature in ("++", "m+")],
+]
+# The label of each CLI call of the replay net that prints a json document; a call that exits 2 prints none
+JSON_CALLS = [
+    label
+    for label, value in replay_lines().items()
+    if label.startswith("fiberalg ") and {"csv", "pretty"}.isdisjoint(label.split()) and json.loads(value)[1]
 ]
 
 
@@ -69,47 +80,15 @@ def run_process(argv):
 
 
 class TestGolden:
-    def test_tangent_fixture_bytes(self, capsys):
-        out, code = run_cli(["decompose", "+", "2", "1"], capsys)
-        assert code == 0
-        assert out == (GOLDEN / "decompose_c2.json").read_text()
-
-    def test_fiber_fixture_bytes(self, capsys):
-        out, code = run_cli(["decompose", "++", "2", "1", "1", "0.5"], capsys)
-        assert code == 0
-        assert out == (GOLDEN / "decompose_d2.json").read_text()
-
-    def test_boost_fixture_bytes(self, capsys):
-        out, code = run_cli(["boost", "++", "2", "1", "1", "0.5", "1.0"], capsys)
-        assert code == 0
-        assert out == (GOLDEN / "boost_pp.json").read_text()
-
-    @pytest.mark.parametrize(
-        "argv, fixture",
-        [(["--", "-", "2", "1"], "decompose_m.json"), (["m+", "2", "1", "1", "0.5"], "decompose_mp.json")],
-    )
-    def test_euclidean_fixture_bytes(self, argv, fixture, capsys):
-        out, code = run_cli(["decompose", *argv], capsys)
-        assert code == 0
-        assert out == (GOLDEN / fixture).read_text()
+    @pytest.mark.parametrize("argv, label", GOLDENS, ids=[label for _, label in GOLDENS])
+    def test_stdout_is_the_replay_line(self, argv, label, capsys):
+        assert run_cli(argv, capsys) == (golden(label), 0)
 
     def test_repeated_runs_identical(self):
         first = run_process(["decompose", "++", "2", "1", "1", "0.5"])
         second = run_process(["decompose", "++", "2", "1", "1", "0.5"])
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode == 0
-
-    @pytest.mark.parametrize("signature, fixture", VERIFY_GOLDENS)
-    def test_verify_fixture_bytes(self, signature, fixture, capsys):
-        out, code = run_cli(["verify", signature, "2000", "0"], capsys)
-        assert code == 0
-        assert out == (GOLDEN / fixture).read_text()
-
-    @pytest.mark.parametrize("signature, fixture", MULTI_BLOCK_GOLDENS)
-    def test_verify_multi_block_fixture_bytes(self, signature, fixture, capsys):
-        out, code = run_cli(["verify", signature, "20000", "0"], capsys)
-        assert code == 0
-        assert out == (GOLDEN / fixture).read_text()
 
     def test_verify_deterministic_with_seed(self, capsys):
         argv = ["verify", "++", "300", "42", "1e-10"]
@@ -119,7 +98,7 @@ class TestGolden:
         assert code1 == code2 == 0
 
     def test_fixture_schema(self):
-        payload = json.loads((GOLDEN / "decompose_d2.json").read_text())
+        payload = json.loads(golden("decompose ++ 2 1 1 0.5 --format json"))
         assert payload["schema_version"] == "1"
         assert set(payload) == {
             "schema_version",
@@ -144,9 +123,10 @@ class TestSchema:
     def test_schema_is_draft_2020_12(self):
         Draft202012Validator.check_schema(SCHEMA)
 
-    @pytest.mark.parametrize("fixture", sorted(path.name for path in GOLDEN.glob("*.json")))
-    def test_golden_validates(self, fixture):
-        VALIDATOR.validate(json.loads((GOLDEN / fixture).read_text()))
+    # every json document that the replay net's CLI calls print: a csv or pretty one is not json
+    @pytest.mark.parametrize("label", JSON_CALLS)
+    def test_golden_validates(self, label):
+        VALIDATOR.validate(json.loads(json.loads(replay_lines()[label])[1]))
 
     @pytest.mark.parametrize(
         "argv",
@@ -166,21 +146,21 @@ class TestSchema:
         VALIDATOR.validate(json.loads(out))
 
     @pytest.mark.parametrize(
-        "fixture, path, value",
+        "call, path, value",
         [
-            ("decompose_d2.json", ("causal_class",), "null"),
-            ("decompose_d2.json", ("factorization",), {"scale": 0.5}),
-            ("decompose_d2.json", ("tangent", "dt_dlambda"), "11.25"),
-            ("decompose_d2.json", ("signature",), "-+"),
-            ("decompose_m.json", ("components", "invariant"), 5.0),
-            ("decompose_mp.json", ("components", "cross", "vec_e12"), 0.0),
-            ("verify_p.json", ("config", "seed"), -1),
-            ("boost_pp.json", ("residuals", "matrix_q"), 0.0),
-            ("boost_pp.json", ("schema_version",), "2"),
+            ("decompose ++ 2 1 1 0.5 --format json", ("causal_class",), "null"),
+            ("decompose ++ 2 1 1 0.5 --format json", ("factorization",), {"scale": 0.5}),
+            ("decompose ++ 2 1 1 0.5 --format json", ("tangent", "dt_dlambda"), "11.25"),
+            ("decompose ++ 2 1 1 0.5 --format json", ("signature",), "-+"),
+            ("decompose -- - 2 1", ("components", "invariant"), 5.0),
+            ("decompose m+ 2 1 1 0.5", ("components", "cross", "vec_e12"), 0.0),
+            ("verify + 2000 0", ("config", "seed"), -1),
+            ("boost ++ 2 1 1 0.5 1.0", ("residuals", "matrix_q"), 0.0),
+            ("boost ++ 2 1 1 0.5 1.0", ("schema_version",), "2"),
         ],
     )
-    def test_schema_rejects_a_changed_document(self, fixture, path, value):
-        payload = json.loads((GOLDEN / fixture).read_text())
+    def test_schema_rejects_a_changed_document(self, call, path, value):
+        payload = json.loads(golden(call))
         target = payload
         for key in path[:-1]:
             target = target[key]
@@ -198,11 +178,12 @@ class TestDecompose:
         assert payload["factorization"] is None
         assert payload["causal_class"] == "lightlike"
 
-    # A scalar has ds = dt, so it is timelike at any magnitude, also where ds**2 leaves the float range.
+    # A scalar has ds = dt, so it is timelike at any magnitude, also where ds**2 leaves the float range
+    # and where dt itself underflows.
     @pytest.mark.parametrize(
         "coeffs",
         [("+", "1e-3", "0"), ("+", "1e-4", "0"), ("+", "1e-6", "0"), ("++", "1e-4", "0", "0", "0"),
-         ("+", "1e100", "0"), ("+", "1e-160", "0")],
+         ("+", "1e100", "0"), ("+", "1e-160", "0"), ("+", "1e-170", "0"), ("++", "1e-310", "0", "0", "0")],
         ids=" ".join,
     )
     def test_scalar_is_timelike_at_any_scale(self, coeffs, capsys):
@@ -288,6 +269,12 @@ class TestDecompose:
         with pytest.raises(SystemExit) as err:
             main(["decompose", "+++", "1", "0", "0", "0", "0", "0", "0", "0"])
         assert err.value.code == 2
+
+    def test_invalid_number_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["decompose", "+", "abc", "1"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "fiberalg decompose: error: argument coeffs: invalid number: 'abc'"
 
 
 # Non-finite input, and results beyond the float range.
@@ -574,6 +561,14 @@ class TestBoost:
             main(["boost", "++", "1", "0", "0", "0"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["m", "2", "1", "0.5"], ["+-", "1", "2", "3", "4", "0.5"]], ids=" ".join)
+    def test_signature_without_a_boost_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["boost", *argv])
+        assert err.value.code == 2
+        signature = "-" if argv[0] == "m" else argv[0]
+        assert capsys.readouterr().err.splitlines()[-1] == f"fiberalg: error: boost requires signature + or ++, got {signature}"
+
 
 class TestTrajectory:
     def test_rest_particle(self, capsys):
@@ -593,12 +588,13 @@ class TestTrajectory:
     @pytest.mark.parametrize(
         "argv, expected",
         [
-            # the lift loses dt under H, or H under dt: the action is far off
-            (["1e40", "0", "1", "5"], 1),
-            (["1e20", "0.3", "1", "1000"], 1),
-            (["1e-30", "0", "1", "5"], 1),
-            # off by rounding alone, relative 3e-12, absolute 3e-3
-            (["1e9", "0.3", "1", "1000"], 0),
+            # below about 1e-157 mass**2, the action rate, underflows: the action is far off
+            (["1e-160", "0", "1", "5"], 1),
+            (["1e-200", "0.3", "1", "1000"], 1),
+            (["1e-300", "0", "1", "5"], 1),
+            # off by rounding alone, relative 1.2e-16, absolute 1.2e24
+            (["1e40", "0", "1", "5"], 0),
+            (["1e20", "0.3", "1", "1000"], 0),
         ],
     )
     def test_gate_is_relative_to_the_closed_form(self, argv, expected, capsys):
@@ -606,6 +602,15 @@ class TestTrajectory:
         payload = json.loads(out)
         assert code == expected
         assert payload["analytic_S"] == -payload["mass"] * payload["span"]
+
+    def test_mass_whose_square_overflows_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["trajectory", "1e200", "0.3", "1", "1000"])
+        out, stderr = capsys.readouterr()
+        assert err.value.code == 2
+        assert out == ""
+        assert stderr.startswith("fiberalg: error: result out of float range: ")
+        assert stderr.count("\n") == 1
 
     def test_bad_mass_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -626,15 +631,7 @@ class TestTrajectory:
         assert stderr == f"fiberalg: error: steps must be between 1 and {MAX_STEPS}, got {MAX_STEPS + 1}\n"
 
 
-# (argv, fixture) of every golden call without a "--", and each option of its
-# subcommand at the default value, which leaves the golden bytes as they are
-OPTION_GOLDENS = [
-    (["decompose", "+", "2", "1"], "decompose_c2.json"),
-    (["decompose", "++", "2", "1", "1", "0.5"], "decompose_d2.json"),
-    (["decompose", "m+", "2", "1", "1", "0.5"], "decompose_mp.json"),
-    (["boost", "++", "2", "1", "1", "0.5", "1.0"], "boost_pp.json"),
-    *[(["verify", signature, "2000", "0"], fixture) for signature, fixture in VERIFY_GOLDENS],
-]
+# Each option of a subcommand at its default value, which leaves the bytes of OPTION_GOLDENS as they are
 DEFAULT_OPTIONS = {
     "decompose": [["--format", "json"], ["--tol", "1e-10"], ["--tol=1e-10"]],
     "boost": [["--format", "json"], ["--tol", "1e-10"]],
@@ -657,9 +654,9 @@ class TestOptionsAnywhere:
         assert code == 0
         assert (out, code) == run_cli(last, capsys)
 
-    @pytest.mark.parametrize("argv, fixture", OPTION_GOLDENS)
-    def test_golden_bytes_with_an_option_in_every_gap(self, argv, fixture, capsys):
-        expected = (GOLDEN / fixture).read_text()
+    @pytest.mark.parametrize("argv, label", OPTION_GOLDENS, ids=[label for _, label in OPTION_GOLDENS])
+    def test_golden_bytes_with_an_option_in_every_gap(self, argv, label, capsys):
+        expected = golden(label)
         for option in DEFAULT_OPTIONS[argv[0]]:
             for gap in range(1, len(argv) + 1):
                 assert run_cli([*argv[:gap], *option, *argv[gap:]], capsys) == (expected, 0), (option, gap)

@@ -6,6 +6,7 @@ forms existed; both routes are asserted against the same frozen numbers.
 """
 
 import math
+import sys
 from fractions import Fraction
 from functools import partial
 
@@ -260,8 +261,15 @@ class TestFactorize:
             factorize(d2([1.0, 0.0, 0.0, 1.0]))
 
     def test_non_minimal_rejected_where_the_residual_overflows(self):
-        with pytest.raises(ValueError, match=r"not minimum-action \(residual inf\)"):
+        # the message prints the ratio that is_min_action compared, at most 1/2
+        with pytest.raises(ValueError, match=r"not minimum-action \(\|x0 x3 - x1 x2\| / \|x\|\*\*2 = 5\.000e-01\)"):
             factorize(d2([1e160, 0.0, 0.0, 1e160]))
+
+    def test_non_minimal_exact_element_rejected(self):
+        # a Fraction formats as :.3e only from Python 3.12 on; the ratio is printed as a float
+        element = d2([Fraction(1), Fraction(0), Fraction(0), Fraction(1)])
+        with pytest.raises(ValueError, match=r"not minimum-action \(\|x0 x3 - x1 x2\| / \|x\|\*\*2 = 5\.000e-01\)"):
+            factorize(element)
 
     def test_zero_scalar_part_rejected(self):
         with pytest.raises(ValueError, match="x0-free criterion"):
@@ -386,7 +394,7 @@ def record_boost_residuals(x, rapidity):
 @pytest.mark.parametrize("signature", [TANGENT_SIGNATURE, FIBER_SIGNATURE])
 def test_boost_residuals_have_the_keys_and_bits_of_the_record_gaps(signature):
     rng = np.random.default_rng(signature.dim)
-    # the input of tests/golden/boost_pp.json, then random elements and rapidities
+    # the input of the replay net's `fiberalg boost ++ 2 1 1 0.5 1.0`, then random elements and rapidities
     cases = [([2.0, 1.0, 1.0, 0.5][: signature.dim], 1.0)]
     cases += [(list(rng.uniform(-10, 10, signature.dim)), float(rng.uniform(-3, 3))) for _ in range(300)]
     for coeffs, rapidity in cases:
@@ -408,7 +416,7 @@ def payload_boost_scales(x, rapidity):
 @pytest.mark.parametrize("signature", [TANGENT_SIGNATURE, FIBER_SIGNATURE])
 def test_boost_check_passes_where_the_payload_rule_did(signature):
     rng = np.random.default_rng(signature.dim + 7)
-    # the input of tests/golden/boost_pp.json, then random elements and rapidities
+    # the input of the replay net's `fiberalg boost ++ 2 1 1 0.5 1.0`, then random elements and rapidities
     cases = [([2.0, 1.0, 1.0, 0.5][: signature.dim], 1.0)]
     cases += [(list(rng.uniform(-10, 10, signature.dim)), float(rng.uniform(-3, 3))) for _ in range(300)]
     verdicts = set()
@@ -508,17 +516,35 @@ class TestTrajectory:
         assert record.numeric_S == -2.0
         assert record.analytic_S == -2.0
 
-    def test_proper_time_gauge(self):
-        # rate matches mass for any rapidity; worked-example scale comes
-        # from its span, ds/dlambda is pinned to one
+    def test_balanced_gauge(self):
+        # cosh 2 phi = 5/3 and sinh 2 phi = 4/3: the tangent and momentum pairs are both
+        # 0.75 * (5/3, 4/3), and ds/dlambda is the mass, like the mass norm
         phi = 0.5 * math.log(3.0)
         record = trajectory_action(0.75, phi, 6.75, 2000)
         assert abs(record.numeric_S - (-5.0625)) <= 1e-12
         element = free_particle_element(0.75, phi)
         dec = decompose_d2(element)
-        assert abs(dec.tangent.ds - 1.0) <= 1e-12
-        assert abs(dec.momentum.m - 0.75) <= 1e-12
+        for got, expected in [(dec.tangent, (1.25, 1.0, 0.75)), (dec.momentum, (1.25, 1.0, 0.75))]:
+            assert all(abs(value - want) <= 1e-12 for value, want in zip(vars(got).values(), expected)), got
         assert is_min_action(element)
+
+    @pytest.mark.parametrize("rapidity", [0.0, 0.3, 1.5])
+    def test_passes_at_every_mass_from_1e_minus_150_to_1e150(self, rapidity):
+        for e in range(-150, 151):
+            assert trajectory_action(10.0**e, rapidity, 1.0, 1000).passed, e
+
+    def test_verdict_is_the_same_at_every_power_of_two_mass(self):
+        # j spans masses from about 1e-150 to 1e150.  sqrt(mass * 4**k) is sqrt(mass) * 2**k
+        # exactly, so at an even j the record is the one at mass times 2**j, bit for bit.
+        rng = np.random.default_rng(31)
+        for mass, rapidity in zip(rng.uniform(0.5, 2, 20).tolist(), rng.uniform(-2, 2, 20).tolist()):
+            base = trajectory_action(mass, rapidity, 1.7, 1000)
+            assert base.passed
+            for j in range(-498, 499, 3):
+                record = trajectory_action(math.ldexp(mass, j), rapidity, 1.7, 1000)
+                assert record.passed, (mass, rapidity, j)
+                if j % 2 == 0:
+                    assert [math.ldexp(value, -j) for value in vars(record).values()] == list(vars(base).values())
 
     def test_large_step_agreement(self):
         record = trajectory_action(1.0, 0.3, 1.0, 10**6)
@@ -534,7 +560,7 @@ class TestTrajectory:
         record = trajectory_action(1.3, 0.4, 1.7, 1000)
         assert record.passed
         assert list(vars(record)) == ["numeric_S", "analytic_S", "error"]
-        assert not trajectory_action(1e20, 0.3, 1.0, 1000).passed
+        assert not trajectory_action(1e-160, 0.3, 1.0, 1000).passed
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError, match="mass must be positive"):
@@ -751,13 +777,15 @@ class TestCausal:
         assert classify_causal(TangentTriple(1.0, 1.0 - 1e-2), tol=1e-6) is CausalClass.TIMELIKE
 
     @pytest.mark.parametrize(
-        "width, tangent",
-        [(2, lambda row: decompose_c2(c2(row))), (4, lambda row: decompose_d2(d2(row)).tangent)],
+        "width, element, tangent",
+        [(2, c2, lambda x: decompose_c2(x)), (4, d2, lambda x: decompose_d2(x).tangent)],
         ids=["decompose_c2", "decompose_d2"],
     )
-    def test_class_is_the_same_at_every_power_of_two_scale(self, width, tangent):
+    def test_class_is_the_same_at_every_power_of_two_scale(self, width, element, tangent):
         # Half the rows put the tangent's halves at b = +-a (1 + eps), eps from 1e-9 to 1e-3, near
-        # the light cone, so both sides of the tol * dt**2 band are drawn.
+        # the light cone, so both sides of the tol * dt**2 band are drawn.  An element is classed
+        # as its triple is at scale 1, and at 55 scales 2**j, j from -1000 to 998, where every
+        # coefficient stays normal but the triple's squares leave the float range.
         rng = np.random.default_rng(17)
         rows = rng.uniform(-10, 10, (200, width))
         a = rows[:100, 0] + (rows[:100, 2] if width == 4 else 0.0)
@@ -765,11 +793,18 @@ class TestCausal:
         rows[:100, -1] = b - (rows[:100, 1] if width == 4 else 0.0)
         classes = []
         for row in rows.tolist():
-            base = classify_causal(tangent(row))
-            for j in range(-60, 61):
-                assert classify_causal(tangent([v * 2.0**j for v in row])) is base, (row, j)
+            base = classify_causal(element(row))
+            assert classify_causal(tangent(element(row))) is base, row
+            for j in range(-1000, 1000, 37):
+                scaled = [math.ldexp(v, j) for v in row]
+                assert all(abs(v) >= sys.float_info.min for v in scaled), (row, j)
+                assert classify_causal(element(scaled)) is base, (row, j)
             classes.append(base)
         assert {CausalClass.TIMELIKE, CausalClass.LIGHTLIKE} <= set(classes)
+
+    def test_element_of_another_signature_is_rejected(self):
+        with pytest.raises(ValueError, match="^classify_causal requires signature \\+ or \\+\\+, got -\\+$"):
+            classify_causal(AlgebraElement(EUCLIDEAN_FIBER_SIGNATURE, [1.0, 0.0, 0.0, 0.0]))
 
     @given(st.lists(coeff, min_size=4, max_size=4))
     # dt**2 - dq**2 rounds below zero here, to -1.09e-11; the stored ds is squared.

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from test_scripts import REPLAY, labelled
+from replay_net import replay_lines
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -232,7 +232,7 @@ OTHER_INTERPRETERS = other_interpreters()
 # wording, which is the interpreter's.
 REPLAY_CALLS = [
     (label.split()[1:], json.loads(value)[:2])
-    for label, value in labelled(REPLAY.read_text())[1]
+    for label, value in replay_lines().items()
     if label.split()[:2] in (["fiberalg", "decompose"], ["fiberalg", "boost"])
 ]
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from replay_net import REPLAY, labelled
 from test_cli import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,17 +33,6 @@ def test_readme_lists_exactly_the_scripts_that_exist():
     # prose elsewhere names no script that is gone either
     for name in re.findall(r"\bscripts/(\w+\.py)", readme):
         assert (ROOT / "scripts" / name).is_file(), name
-
-
-REPLAY = ROOT / "tests" / "golden" / "replay.txt"
-
-
-def labelled(text):
-    """The ``#`` lines of a replay printout, and the (label, value) pair of each other line."""
-    lines = text.splitlines()
-    return [line for line in lines if line.startswith("#")], [
-        tuple(line.split("\t", 1)) for line in lines if not line.startswith("#")
-    ]
 
 
 def test_replay_prints_the_committed_lines():

@@ -12,7 +12,6 @@ import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +21,8 @@ from fiberalg.algebra import Signature, multiply_coeffs
 from fiberalg.cli import main
 from fiberalg.fiber import _fiber_sectors, _parts, fiber_component_basis
 from fiberalg.verify import _Draw, _embed_flat, _oracle, _row_max, _sample_blocks, _worst_rel, run_verification
+from replay_net import golden
 from test_cli import VERIFY_GOLDENS, child_env, forbid_products
-
-GOLDEN = Path(__file__).parent / "golden"
 
 ROW_WIDTHS = [1, 2, 4, 9, 16]
 _SPECIAL_VALUES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308]
@@ -743,11 +741,11 @@ class TestBlocks:
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("rows", [7, 1000])
-    @pytest.mark.parametrize("signature, fixture", VERIFY_GOLDENS)
-    def test_goldens_at_any_block_size(self, rows, signature, fixture, monkeypatch, capsys):
+    @pytest.mark.parametrize("signature", VERIFY_GOLDENS)
+    def test_goldens_at_any_block_size(self, rows, signature, monkeypatch, capsys):
         monkeypatch.setattr(verify, "BLOCK_VALUES", rows * 16)
         assert main(["verify", signature, "2000", "0"]) == 0
-        assert capsys.readouterr().out == (GOLDEN / fixture).read_text()
+        assert capsys.readouterr().out == golden(f"verify {signature} 2000 0")
 
     @pytest.mark.parametrize("samples", [3, 24, 1001])
     @pytest.mark.parametrize("signature", ["+", "-", "++", "-+", "+-+"])
