@@ -11,6 +11,14 @@ The sweep for each of + ++ - -+ pits the closed polynomial forms
 against the projector-path extraction from the two-slot tensor, which
 keeps the two routes honest against each other.
 
+``boost_invariance`` (``+ ++``) and ``rotation_invariance`` (``- -+``)
+are one turn law, ``_turn``, at both signs s of e1**2: x -> x u, with
+u0**2 - s u1**2 == 1, keeps the parts of x (x) x that ``_TURN_LAWS``
+lists and turns each of its pairs (a, b) to (c a + s w b, w a + c b),
+c = u0**2 + s u1**2 and w = 2 u0 u1.  The draw is t, within a bound set
+by s, and u = (1 + t e1)**2 / (1 - s t**2): only + - * /, which round
+alike on every host, where numpy's SIMD cosh and sinh do not.
+
 Every check runs through one driver, ``_run_check``.  It draws the
 samples in blocks of rows and folds the residuals of each row into
 running maxima, so a sweep needs the same memory at any sample count.
@@ -97,8 +105,8 @@ matrix) get the F-ordered transpose of a coefficient-major block; on OpenBLAS a
 matrix product of two or more rows gives each row the bits of the
 C-ordered full product.  A one-row product takes numpy's vector path and
 may round differently, so no block has one row unless the whole sweep
-has.  The tests replay the verify goldens at several block sizes,
-and check the row bits of the transposed views, to check both.
+has.  The tests replay the replay net's verify lines at several block
+sizes, and check the row bits of the transposed views, to check both.
 """
 
 from __future__ import annotations
@@ -125,6 +133,7 @@ from .fiber import (
     TANGENT_SIGNATURE,
     MomentumTriple,
     TangentTriple,
+    _FIBER_TABLE,
     _fiber_sectors,
     _lift_coeffs,
     _parts,
@@ -139,7 +148,6 @@ from .fiber import (
 __all__ = ["PropertyResult", "VerificationReport", "run_verification"]
 
 COEFF_RANGE = 10.0
-RAPIDITY_RANGE = 3.0
 LOOP_CAP = 20000
 # The embed sweeps multiply over the doubled signature, of dim 4**n, in
 # blocks of at least two rows.  The product holds no table, so the limit
@@ -393,38 +401,6 @@ def _max_speed(sig: Signature, blocks):
         yield gap, [(gap, reduce(np.maximum, [np.maximum(inv, 1.0) for inv, _, _ in sectors]))]
 
 
-def _boost(sig: Signature, blocks):
-    """x u with u = cosh phi + sinh phi e1 keeps each invariant and turns each vector pair by 2 phi."""
-    fiber = sig.n == 2
-    parts = _rated_parts if fiber else _tangent_parts
-    for _, (x, phi) in blocks:
-        u = np.zeros_like(x)
-        u[:2] = np.cosh(phi), np.sinh(phi)
-        # u first: the kernel runs one term per nonzero coefficient of its first operand.
-        f0, f1 = parts(*x), parts(*_product(sig, u, x))
-        ch, sh = np.cosh(2 * phi), np.sinh(2 * phi)
-        tangent = np.maximum(f0.dt, f1.dt)
-        if fiber:
-            # dt + H is twice the squared coefficient norm.  A sector more than
-            # four decades below it sits under the coefficient rounding noise and
-            # can only be measured against the element, not against itself.
-            floor = 1e-4 * np.maximum(f0.dt + f0.H, f1.dt + f1.H)
-            tangent = np.maximum(tangent, floor)
-        invariants = [("ds", tangent)]
-        pairs = [("dt", "dq", tangent)]
-        if fiber:
-            momentum = np.maximum(np.maximum(f0.H, f1.H), floor)
-            cross = np.maximum(np.sqrt(np.maximum(f0.H * f0.dt, f1.H * f1.dt)), floor)
-            action = np.maximum(np.maximum(f0.H * f0.dt, f1.H * f1.dt), floor * floor)
-            invariants += [("m", momentum), ("c_minus_1", cross), ("c_minus_e12", cross), ("action_rate", action)]
-            pairs += [("H", "p", momentum), ("c_plus_1", "c_plus_e1", cross)]
-        terms = [(getattr(f1, part) - getattr(f0, part), scale) for part, scale in invariants]
-        for first, second, scale in pairs:
-            a, b = getattr(f0, first), getattr(f0, second)
-            terms += [(getattr(f1, first) - (ch * a + sh * b), scale), (getattr(f1, second) - (sh * a + ch * b), scale)]
-        yield np.abs(f1.ds - f0.ds), terms
-
-
 def _cross_squares(sig: Signature, blocks):
     for _, (x,) in blocks:
         f = _sector_parts(*x)
@@ -544,35 +520,55 @@ def _lift_round_trip(sig: Signature, blocks):
 
 
 # ---------------------------------------------------------------------------
-# Euclidean properties.
+# The turn law of boost_invariance and rotation_invariance (module docstring).
+
+# Keyed by s = e1**2: the bound of |t|, the parts that stay, and the pairs
+# (a, b) that turn.  One generator checks the first of each, the tangent's.
+_TURN_LAWS = {
+    # a boost by 2 artanh t, up to 2.94
+    +1: (0.9, ("ds", "m", "c_minus_1", "c_minus_e12", "action_rate"), (("dt", "dq"), ("H", "p"), ("c_plus_1", "c_plus_e1"))),
+    # a rotation by 2 arctan t, so the doubled angle covers the circle
+    -1: (1.0, ("dt", "H", "c_plus_1", "c_minus_e12"), (("ds", "dq"), ("m", "p"), ("c_minus_1", "c_plus_e1"))),
+}
+# The scale that each part is measured against: tangent, momentum, cross, or the action rate's.
+_SECTOR = {**{row[0]: row[3] for row in _FIBER_TABLE}, "action_rate": 3}
 
 
-def _plane_rotation(sig: Signature, blocks):
-    for _, (x, theta) in blocks:
-        u = np.stack([np.cos(theta), np.sin(theta)])
-        xu = _product(sig, x, u)
-        before = x[0] ** 2 + x[1] ** 2
-        after = xu[0] ** 2 + xu[1] ** 2
-        diff = after - before
-        yield np.abs(diff), [(diff, np.maximum(before, after))]
+def _unit(s: int, t):
+    """(u0, u1, c, w): u = (1 + t e1)**2 / (1 - s t**2), so u0**2 - s u1**2 == 1, and its doubled turn (c, w)."""
+    tt = s * (t * t)
+    u0, u1 = (1 + tt) / (1 - tt), 2 * t / (1 - tt)
+    return u0, u1, u0 * u0 + s * (u1 * u1), 2 * u0 * u1
 
 
-def _euclidean_fiber_rotation(sig: Signature, blocks):
-    basis = fiber_component_basis(sig)
-    tangent, momentum, cross_1, cross_e12 = (basis.names.index(name) for name in ("dt", "H", "c_plus_1", "c_minus_e12"))
-    for _, (x, theta) in blocks:
+def _turn(sig: Signature, blocks):
+    """x -> x u keeps each part that stays and maps each pair (a, b) to (c a + s w b, w a + c b)."""
+    s = sig.squares[0]
+    _, stay, pairs = _TURN_LAWS[s]
+    parts = _rated_parts if sig.n == 2 else _tangent_parts
+    if sig.n == 1:
+        stay, pairs = stay[:1], pairs[:1]
+    for _, (x, t) in blocks:
         u = np.zeros_like(x)
-        u[:2] = np.cos(theta), np.sin(theta)
-        before = basis.components_batch(_embed_flat(x).T)
-        after = basis.components_batch(_embed_flat(_product(sig, u, x)).T)
-        size0 = before[:, tangent] + before[:, momentum]
-        size1 = after[:, tangent] + after[:, momentum]
-        floor = 1e-4 * np.maximum(size0, size1)
-        tangent_scale = np.maximum(np.maximum(before[:, tangent], after[:, tangent]), floor)
-        momentum_scale = np.maximum(np.maximum(before[:, momentum], after[:, momentum]), floor)
-        cross_scale = np.maximum(np.sqrt(np.abs(tangent_scale * momentum_scale)), floor)
-        diffs = [after[:, k] - before[:, k] for k in (tangent, momentum, cross_1, cross_e12)]
-        yield np.abs(diffs[0]), list(zip(diffs, [tangent_scale, momentum_scale, cross_scale, cross_scale]))
+        u[0], u[1], c, w = _unit(s, t)
+        sw = s * w
+        # u first: the kernel runs one term per nonzero coefficient of its first operand.
+        f0, f1 = parts(*x), parts(*_product(sig, u, x))
+        tangent = np.maximum(f0.dt, f1.dt)
+        scales = [tangent]
+        if sig.n == 2:
+            # dt + H is twice the squared coefficient norm.  A sector more than
+            # four decades below it sits under the coefficient rounding noise and
+            # can only be measured against the element, not against itself.
+            floor = 1e-4 * np.maximum(f0.dt + f0.H, f1.dt + f1.H)
+            action = np.maximum(f0.H * f0.dt, f1.H * f1.dt)
+            scales = [np.maximum(scale, floor) for scale in (tangent, np.maximum(f0.H, f1.H), np.sqrt(action))]
+            scales.append(np.maximum(action, floor * floor))
+        terms = [(getattr(f1, part) - getattr(f0, part), scales[_SECTOR[part]]) for part in stay]
+        for first, second in pairs:
+            a, b, scale = getattr(f0, first), getattr(f0, second), scales[_SECTOR[first]]
+            terms += [(getattr(f1, first) - (c * a + sw * b), scale), (getattr(f1, second) - (w * a + c * b), scale)]
+        yield np.abs(terms[0][0]), terms
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +584,8 @@ def _checks_for(sig: Signature):
     that it is held to.  A check's position seeds its sample stream.
     """
     x = _coeffs(sig.dim)
-    phi = _Draw("uniform", -RAPIDITY_RANGE, RAPIDITY_RANGE)
-    theta = _Draw("uniform", -np.pi, np.pi)
+    bound = _TURN_LAWS[sig.squares[0]][0]
+    t = _Draw("uniform", -bound, bound)
     tangent, fiber = (TANGENT_SIGNATURE,), (FIBER_SIGNATURE,)
     plane, euclidean_fiber = (EUCLIDEAN_TANGENT_SIGNATURE,), (EUCLIDEAN_FIBER_SIGNATURE,)
     capped = lambda samples, tol: (min(samples, LOOP_CAP), tol)  # noqa: E731
@@ -607,11 +603,11 @@ def _checks_for(sig: Signature):
         ("cross_square_identities", fiber, (x,), _cross_squares, None),
         ("min_action_equivalence", fiber, (*_MINIMAL_DRAWS, x), _min_action_equivalence, halved),
         ("min_action_rate", fiber, _EXACT_MINIMAL_DRAWS, _min_action_rate, None),
-        ("rotation_invariance", plane, (x, theta), _plane_rotation, None),
-        ("boost_invariance", tangent + fiber, (x, phi), _boost, None),
+        ("rotation_invariance", plane, (x, t), _turn, None),
+        ("boost_invariance", tangent + fiber, (x, t), _turn, None),
         ("oracle_equivalence", tangent + fiber + plane + euclidean_fiber, (x,), _oracle, None),
         ("lift_round_trip", fiber, (x,), _lift_round_trip, None),
-        ("rotation_invariance", euclidean_fiber, (x, theta), _euclidean_fiber_rotation, None),
+        ("rotation_invariance", euclidean_fiber, (x, t), _turn, None),
     )
     return [(name, *rest) for name, signatures, *rest in table if signatures is None or sig in signatures]
 

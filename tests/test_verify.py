@@ -1,6 +1,7 @@
 """Verification sweep tests: determinism, coverage, pass/fail wiring, blocking."""
 
 import itertools
+import math
 import os
 import pickle
 import select
@@ -11,6 +12,7 @@ import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -199,6 +201,42 @@ class TestCountingChecks:
         position = [name for name, *_ in verify._checks_for(sig)].index("projector_algebra")
         result = verify._run_check((sig, 1000, 0, 1e-10), position)
         assert (result.name, result.samples, result.passed) == ("projector_algebra", elements, True)
+
+
+class TestTurnLaw:
+    """``boost_invariance`` and ``rotation_invariance``: x -> x u with u = (1 + t e1)**2 / (1 - s t**2), s = e1**2."""
+
+    @pytest.mark.parametrize("signature", ["-", "-+"])
+    def test_a_wrong_sign_of_the_turning_dq_fails_the_rotation(self, signature, monkeypatch):
+        assert check_result(run_verification(signature, 500, 1, 1e-10), "rotation_invariance").passed
+        # dq turns with ds where e1**2 == -1; the parts that stay, dt and H, cannot see it
+        for name in ("_tangent_parts", "_rated_parts"):
+
+            def flipped(*x, parts=getattr(verify, name)):
+                f = parts(*x)
+                return f._replace(dq=-f.dq)
+
+            monkeypatch.setattr(verify, name, flipped)
+        assert not check_result(run_verification(signature, 500, 1, 1e-10), "rotation_invariance").passed
+
+    @pytest.mark.parametrize("s", [1, -1])
+    def test_unit_and_its_doubled_turn(self, s):
+        bound = verify._TURN_LAWS[s][0]
+        t = np.concatenate([np.linspace(-bound, bound, 201), np.random.default_rng(0).uniform(-bound, bound, 800)])
+        u0, u1, c, w = verify._unit(s, t)
+        eps = np.finfo(float).eps
+        for row in zip(t, u0, u1, c, w):
+            t_, u0_, u1_, c_, w_ = map(float, row)
+            size = u0_ * u0_ + u1_ * u1_
+            # u0**2 - s u1**2, exact from the rounded u0 and u1
+            assert abs(Fraction(u0_) ** 2 - s * Fraction(u1_) ** 2 - 1) <= 4 * eps * size, t_
+            if s == 1:
+                phi = 2 * math.atanh(t_)
+                turn = math.cosh(2 * phi), math.sinh(2 * phi)
+            else:
+                theta = 2 * math.atan(t_)
+                turn = math.cos(2 * theta), math.sin(2 * theta)
+            assert abs(c_ - turn[0]) <= 16 * eps * size and abs(w_ - turn[1]) <= 16 * eps * size, t_
 
 
 class TwoArguments(Exception):
