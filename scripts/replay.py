@@ -11,10 +11,11 @@ sample counts around the block edges.  The small cases run again at
 verify's helper process is retired at each change of the block size,
 since the helper runs the code as it stood at its fork.  It then replays
 a fixed list of CLI calls through ``cli.main``: every format and
-signature of ``decompose``, ``boost``, calls at the edges of the float
-range and at scales where a square underflows, ``verify`` on its
-defaults, a small sample count (with its option first, too) and a
-failing positional tol, two ``trajectory`` calls, one at mass 1e20, a
+signature of ``decompose``, ``decompose --labels`` within and past the
+generator cap, ``boost``, calls at the edges of the float range and at
+scales where a square underflows, ``verify`` on its defaults, a small
+sample count (with its option first, too) and a failing positional tol,
+four ``trajectory`` calls, at masses 1.3, 1e20, 1e-200 and 1e200, a
 failing ``boost``, one json ``decompose`` per signature on an input that
 rounds, and the calls whose stdout the tests pin: a ``decompose`` per
 signature, a ``boost``, and ``verify`` at 2000 and 20 000 samples.  Last
@@ -86,6 +87,8 @@ CLI_CALLS = [
     *[["decompose", sig, *coeffs, "--format", fmt] for sig, coeffs in DECOMPOSE for fmt in ("json", "csv", "pretty")],
     ["decompose", "++", "1", "2", "3", "4", "--tol", "0.5"],
     ["decompose", "++", "--labels"],
+    # 2**7 labels, past MAX_GENERATORS: exit 2 with one stderr line
+    ["decompose", "+++++++", "--labels"],
     ["boost", "+", "3", "1", "0.7"],
     ["boost", "++", "2", "1", "1", "0.5", "-1.25", "--format", "csv"],
     # The boundaries: a non-finite argument, a rapidity past cosh's range,
@@ -110,6 +113,9 @@ CLI_CALLS = [
     # a boost whose gaps fail their tol (exit 1), and a trajectory far from mass 1
     ["boost", "++", "0.3", "-1.7", "2.9", "0.11", "-1.25", "--tol", "1e-30"],
     ["trajectory", "1e20", "0.3", "1", "1000"],
+    # masses whose action rate, -mass**2, underflows and overflows at the element itself
+    ["trajectory", "1e-200", "0.3", "1", "1000"],
+    ["trajectory", "1e200", "0.3", "1", "1000"],
     *[["decompose", sig, *coeffs] for sig, coeffs in ROUNDING],
     # Squares that underflow: a non-minimal element whose x0 x3 - x1 x2 and |x|**2 read 0, and
     # a boost whose gaps and scale do; both verdicts read the element scaled into [0.5, 1).

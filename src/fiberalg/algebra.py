@@ -56,6 +56,11 @@ __all__ = [
 
 # Absolute slack allowed when checking p*p == p on float coefficients.
 IDEMPOTENT_ATOL = 1e-14
+# The most generators of a verify sweep or a ``decompose --labels`` list.  verify's embed sweeps
+# multiply over the doubled signature, dim 4**n, two rows a block at least and with no table, so
+# the limit bounds time: on a two-core Xeon one product of 8 rows took 0.5 s at six generators,
+# and one of four rows 8.6 s at seven.
+MAX_GENERATORS = 6
 
 
 class _Record:

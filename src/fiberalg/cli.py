@@ -36,7 +36,7 @@ import math
 import re
 import sys
 
-from .algebra import AlgebraElement, Signature
+from .algebra import MAX_GENERATORS, AlgebraElement, Signature
 from .fiber import (
     EUCLIDEAN_FIBER_SIGNATURE,
     EUCLIDEAN_TANGENT_SIGNATURE,
@@ -221,6 +221,9 @@ def _cmd_decompose(args, parser) -> tuple[dict, int]:
     if args.labels:
         if args.coeffs:
             parser.error(f"--labels takes no coefficients, got {len(args.coeffs)}")
+        if signature.n > MAX_GENERATORS:
+            message = f"--labels supports at most {MAX_GENERATORS} generators, got {signature.n} in {signature}"
+            parser.exit(2, f"{parser.prog}: error: {message}\n")
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": "labels",

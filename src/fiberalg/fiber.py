@@ -503,12 +503,13 @@ def trajectory_action(mass: float, rapidity: float, lambda_span: float, steps: i
     of the action, read from the element of :func:`free_particle_element`,
     to the closed form -mass * lambda_span, where lambda_span is a span of
     proper time.  That element has ds rate mass, so the steps cover a
-    curve parameter span of lambda_span / mass.  The two differ by
-    rounding alone for a mass from about 1e-157 to 1e154: above, mass**2
-    overflows and the rate is not finite; below, mass**2 underflows and
-    the relative error is large, and where lambda_span / mass overflows
-    too, the sum is not finite.  At most ``MAX_STEPS`` steps are summed;
-    more raise ``ValueError`` before any allocation.
+    curve parameter span of lambda_span / mass.  The rate, quartic in the
+    element, and the step are read at ``_scaled`` of it and ``math.ldexp``
+    scales the sum back, so the two differ by rounding alone at every
+    normal mass, about 1e-307 to 1e308, where span and action are normal
+    too.  An action past the float range raises ``OverflowError``.  At
+    most ``MAX_STEPS`` steps are summed; more raise ``ValueError`` before
+    any allocation.
     """
     if not mass > 0:
         raise ValueError(f"mass must be positive, got {mass}")
@@ -520,10 +521,10 @@ def trajectory_action(mass: float, rapidity: float, lambda_span: float, steps: i
     import numpy as np
 
     x = free_particle_element(mass, rapidity)
-    decomposition = decompose_d2(x)
-    rate = decomposition.action_rate
-    step = lambda_span / mass / steps
-    numeric = float(np.sum(np.full(steps, rate * step)))
+    shift = 2 * _exponent(x.values)  # _scaled(x) carries mass * 2**-shift
+    rate = decompose_d2(_scaled(x)).action_rate
+    step = lambda_span / math.ldexp(mass, -shift) / steps
+    numeric = math.ldexp(float(np.sum(np.full(steps, rate * step))), shift)
     analytic = -mass * lambda_span
     return ActionIntegral(numeric_S=numeric, analytic_S=float(analytic), error=abs(numeric - analytic))
 

@@ -22,11 +22,13 @@ alike on every host, where numpy's SIMD cosh and sinh do not.
 Every check runs through one driver, ``_run_check``.  It draws the
 samples in blocks of rows and folds the residuals of each row into
 running maxima, so a sweep needs the same memory at any sample count.
-For each block a property yields ``abs_row``, its absolute residual per
-row, and a list of ``(diff, scale)`` terms, each a residual and the
-sector magnitude it is measured against; ``_run_check`` alone applies
-``_worst_rel`` to them, and reports the rows of every ``abs_row`` as the
-samples.  The projector algebra draws nothing and yields a row per
+For each block a property yields only its ``(diff, scale)`` terms: a
+signed residual, ``(rows,)`` or coefficient-major ``(k, rows)``, and
+the sector magnitude of each row that it is measured against.
+``_run_check`` alone takes ``|diff|``, folds it to a row maximum and
+keeps the worst absolute and scaled residuals, so a polynomial property
+is plain arithmetic, exactly 0 on dyadic ``Fraction`` rows (the tests
+check it).  The projector algebra draws nothing and yields a row per
 element that vanishes; the minimum-action equivalence yields two rows
 per drawn row, each the count of disagreements so far.  One table in
 ``_checks_for`` lists every check.
@@ -61,22 +63,23 @@ the fixed order stays.  The caller and the helper each take the next
 position until none are left, and the helper pickles back
 ``(position, result)`` for each, then ``None``.  Each pickle is one
 ``os.write`` of at most a few hundred bytes, under ``PIPE_BUF``, so a
-helper that dies leaves whole values only.  The caller runs whatever does not come back: every check where no
-helper starts (``os.pipe`` or ``os.fork`` raises ``OSError``), the rest
-where the helper dies or a check raises there, so a property's exception
-is raised from the caller's own run of its check.  The caller kills and
-reaps the helper at interpreter exit, when its own check raises, when
-the results pipe ends early and on ``OSError``; it drops without a
-signal a helper that died or that something else reaped.  The next call
-forks a fresh one.  A process forked from the caller closes its copies of
-the pipes at the fork, and a call made while another thread uses the
-helper runs alone.  The helper runs the code as it stood at its fork:
-patch this module, then ``_retire()``.  The report keeps its bytes, since
-a check's stream is fixed by its position; the caller's ``RUSAGE_SELF``
-lacks the helper's share, and its ``RUSAGE_CHILDREN`` holds it only once
-the helper is reaped.  Python 3.12 and later warn on ``os.fork`` while
-threads run, as numpy's OpenBLAS pool does.  On 3.12.1 and 3.13.0 a
-fork beside one ``threading`` thread went ahead, and under ``-W
+helper that dies leaves whole values only.  The caller runs whatever
+does not come back: every check where no helper starts (``os.pipe`` or
+``os.fork`` raises ``OSError``), the rest where the helper dies or a
+check raises there, so a property's exception is raised from the
+caller's own run of its check.  The caller kills and reaps the helper
+at interpreter exit, when its own check raises, when the results pipe
+ends early and on ``OSError``; it drops without a signal a helper that
+died or that something else reaped.  The next call forks a fresh one.
+A process forked from the caller closes its copies of the pipes at the
+fork, and a call made while another thread uses the helper runs alone.
+The helper runs the code as it stood at its fork: patch this module,
+then ``_retire()``.  The report keeps its bytes, since a check's stream
+is fixed by its position; the caller's ``RUSAGE_SELF`` lacks the
+helper's share, and its ``RUSAGE_CHILDREN`` holds it only once the
+helper is reaped.  Python 3.12 and later warn on ``os.fork`` while
+threads run, as numpy's OpenBLAS pool does.  On 3.12.1 and 3.13.0 a fork
+beside one ``threading`` thread went ahead, and under ``-W
 error::DeprecationWarning`` raised nothing, so the warning cannot end a
 sweep; that probe had no numpy, so it did not run the OpenBLAS pool.
 
@@ -84,13 +87,13 @@ A block is coefficient-major: each array is drawn as ``(rows, width)``
 and transposed once to ``(width, rows)``, one contiguous row per
 coefficient, so numpy's inner loops run over the rows of a block, not
 over 2 to 16 coefficients.  The embed is an outer product of
-coefficient rows, the closed forms read ``x[0], x[1], ...``, and a
-per-row reduction is ``np.max(..., axis=0)``, a maximum over whole
-coefficient rows; ``_row_max`` folds the row-major results of the
-matrix products in ``_oracle`` and ``_sector_completeness`` the same
-way.  The one row sum, the squared norm of four coefficients in
-``_min_action_flags``, adds the coefficient rows left to right, the
-order in which numpy adds a row shorter than eight values.
+coefficient rows, the closed forms read ``x[0], x[1], ...``, and a row
+maximum is a maximum over whole coefficient rows: ``_run_check``'s fold
+for a diff, which takes the row-major matrix products of ``_oracle`` and
+``_sector_completeness`` as their transposes.  The one row sum, the
+squared norm of four coefficients in ``_min_action_flags``, adds the
+coefficient rows left to right, the order in which numpy adds a row
+shorter than eight values.
 
 The same bytes at any block size also rely on every kernel treating rows
 independently.  Elementwise numpy arithmetic does, and so does the loop
@@ -124,7 +127,7 @@ from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraElement, Signature, _Record, basis_sign, idempotent_pair, multiply, multiply_coeffs
+from .algebra import MAX_GENERATORS, AlgebraElement, Signature, _Record, basis_sign, idempotent_pair, multiply, multiply_coeffs
 from .fiber import (
     EUCLIDEAN_FIBER_SIGNATURE,
     EUCLIDEAN_TANGENT_SIGNATURE,
@@ -149,11 +152,6 @@ __all__ = ["PropertyResult", "VerificationReport", "run_verification"]
 
 COEFF_RANGE = 10.0
 LOOP_CAP = 20000
-# The embed sweeps multiply over the doubled signature, of dim 4**n, in
-# blocks of at least two rows.  The product holds no table, so the limit
-# bounds time: on a two-core Xeon one product of a six-generator block,
-# 8 rows at dim 4096, took 0.5 s, and one of four rows 8.6 s at seven.
-MAX_GENERATORS = 6
 # Values of x (x) x per block: 2048 rows at two generators, 8 at six.
 # At most 2049 rows at dim 4 keep each 16 x 16 matmul of _sector_completeness
 # on OpenBLAS's small-matrix path (M*N*K < 10**6).  Off it the product is four
@@ -265,13 +263,13 @@ def _sample_blocks(sig: Signature, rng: np.random.Generator, samples: int, draws
 
 
 def _worst_rel(diff: np.ndarray, scale) -> np.float64:
-    """The largest ``|diff| / scale``.
+    """The largest ``diff / scale`` of an absolute ``diff``.
 
     Where a scale is not positive (or NaN) the row reads 0 for a zero or
     NaN diff and inf for any other.  Where every scale is positive it
     divides once and keeps every quotient.
     """
-    diff, scale = np.abs(diff), np.asarray(scale)
+    scale = np.asarray(scale)
     if scale.min() > 0:
         return (diff / scale).max()
     return np.where(scale > 0, diff / scale, np.where(diff > 0, np.inf, 0.0)).max()
@@ -288,29 +286,22 @@ def _product(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return multiply_coeffs(sig, a.T, b.T).T
 
 
-def _row_max(a: np.ndarray) -> np.ndarray:
-    """``np.max(a, axis=1)`` of at most 16 columns as a fold, several times faster; same bits on absolute values."""
-    return reduce(np.maximum, a.T)
-
-
 # ---------------------------------------------------------------------------
 # Generic algebra and tensor properties.
 
 
 def _product_laws(sig: Signature, blocks):
-    one = AlgebraElement.basis(sig, 0).coeffs
+    one = np.eye(1, sig.dim, dtype=int)[0]  # an int 1 keeps a Fraction block exact
     for _, (a, b, c) in blocks:
         ab = _product(sig, a, b)
-        assoc = np.max(np.abs(_product(sig, ab, c) - _product(sig, a, _product(sig, b, c))), axis=0)
-        comm = np.max(np.abs(ab - _product(sig, b, a)), axis=0)
-        ident = np.max(np.abs(_product(sig, a, one) - a), axis=0)
+        assoc = _product(sig, ab, c) - _product(sig, a, _product(sig, b, c))
         ab_size = np.max(np.abs(ab), axis=0)
         scale = ab_size * np.max(np.abs(c), axis=0) + 1.0
-        yield reduce(np.maximum, [assoc, comm, ident]), [(assoc, scale), (comm, ab_size + 1.0), (ident, 1.0)]
+        yield [(assoc, scale), (ab - _product(sig, b, a), ab_size + 1.0), (_product(sig, a, one) - a, 1.0)]
 
 
 def _projector_algebra(sig: Signature, blocks):
-    # Elements that vanish in exact arithmetic; the largest coefficient of each is its residual.
+    # Elements that vanish in exact arithmetic, one row each.
     gaps = []
     # Times Fraction(1), the same projectors are promoted with no rounding and checked exactly.
     for scale in (1.0, Fraction(1)):
@@ -324,8 +315,8 @@ def _projector_algebra(sig: Signature, blocks):
         sectors = _fiber_sectors(sig)
         gaps.append(sectors[0] + sectors[1] + sectors[2] - AlgebraElement.basis(sig.doubled(), 0))
         gaps += [multiply(sectors[i], sectors[j]) for i in range(3) for j in range(i + 1, 3)]
-    worst = np.array([float(max(abs(v) for v in gap.values)) for gap in gaps])
-    yield worst, [(worst, 1.0)]
+    # Coefficient-major, the shorter gaps padded with zeros.
+    yield [(np.array(list(itertools.zip_longest(*(gap.values for gap in gaps), fillvalue=0.0)), dtype=float), 1.0)]
 
 
 def _embed_homomorphism(sig: Signature, blocks):
@@ -334,8 +325,7 @@ def _embed_homomorphism(sig: Signature, blocks):
         gap = _product(doubled, _embed_flat(x), _embed_flat(u))
         rhs = _embed_flat(_product(sig, x, u))
         gap -= rhs
-        diff = np.max(np.abs(gap, out=gap), axis=0)
-        yield diff, [(diff, np.max(np.abs(rhs), axis=0) + 1.0)]
+        yield [(gap, np.max(np.abs(rhs), axis=0) + 1.0)]
 
 
 def _sector_completeness(sig: Signature, blocks):
@@ -350,8 +340,7 @@ def _sector_completeness(sig: Signature, blocks):
         for matrix in matrices:
             total += flat.T @ matrix
         total -= flat.T
-        diff = _row_max(np.abs(total, out=total))
-        yield diff, [(diff, np.max(np.abs(flat, out=flat), axis=0))]
+        yield [(total.T, np.max(np.abs(flat, out=flat), axis=0))]
 
 
 def _oracle(sig: Signature, blocks):
@@ -362,15 +351,14 @@ def _oracle(sig: Signature, blocks):
         flat = _embed_flat(x)
         comps = basis.components_batch(flat.T)
         parts = _parts(x)
-        closed = [getattr(parts, name) for name in basis.names]
-        diff = reduce(np.maximum, [np.abs(comps[:, j] - c) for j, c in enumerate(closed)])
+        gap = np.stack([getattr(parts, name) for name in basis.names])
+        gap -= comps.T
         # Each row's gap to its span reconstruction, in one buffer: a fresh one faults in page by page.
         span = comps @ tensors
         np.subtract(flat.T, span, out=span)
-        gap = np.maximum(diff, _row_max(np.abs(span, out=span)))
         # the dominant sector magnitude: dt with one generator, dt + H with two
         scale = parts.dt + 1.0 if sig.n == 1 else parts.dt + parts.H + 1e-300
-        yield gap, [(gap, scale)]
+        yield [(gap, scale), (span.T, scale)]
 
 
 # ---------------------------------------------------------------------------
@@ -388,17 +376,15 @@ def _sectors(x: np.ndarray) -> list:
 def _norm_identities(sig: Signature, blocks):
     """ds**2 = dt**2 - dq**2, and m**2 = H**2 - p**2 at two generators."""
     for _, (x,) in blocks:
-        terms = [(norm * norm - (inv * inv - vec * vec), inv * inv) for inv, vec, norm in _sectors(x)]
-        yield reduce(np.maximum, [np.abs(diff) for diff, _ in terms]), terms
+        yield [(norm * norm - (inv * inv - vec * vec), inv * inv) for inv, vec, norm in _sectors(x)]
 
 
 def _max_speed(sig: Signature, blocks):
     """|dq| <= dt, and |p| <= H at two generators."""
     for _, (x,) in blocks:
         sectors = _sectors(x)
-        gaps = [np.maximum(np.maximum(np.abs(vec) - inv, -inv), 0.0) for inv, vec, _ in sectors]
-        gap = reduce(np.maximum, gaps)
-        yield gap, [(gap, reduce(np.maximum, [np.maximum(inv, 1.0) for inv, _, _ in sectors]))]
+        scale = reduce(np.maximum, [np.maximum(inv, 1.0) for inv, _, _ in sectors])
+        yield [(np.maximum(np.abs(vec) - inv, 0.0), scale) for inv, vec, _ in sectors]
 
 
 def _cross_squares(sig: Signature, blocks):
@@ -407,13 +393,8 @@ def _cross_squares(sig: Signature, blocks):
         hdt, pdq, mds = f.H * f.dt, f.p * f.dq, f.m * f.ds
         scale = hdt + 1e-300
         plus, minus = hdt + pdq, hdt - pdq
-        combos = (
-            2 * f.c_plus_1**2 - (plus + mds),
-            2 * f.c_plus_e1**2 - (plus - mds),
-            2 * f.c_minus_1**2 - (minus + mds),
-            2 * f.c_minus_e12**2 - (minus - mds),
-        )
-        yield reduce(np.maximum, [np.abs(c) for c in combos]), [(c, scale) for c in combos]
+        halves = (f.c_plus_1, plus + mds), (f.c_plus_e1, plus - mds), (f.c_minus_1, minus + mds), (f.c_minus_e12, minus - mds)
+        yield [(2 * cross**2 - half, scale) for cross, half in halves]
 
 
 # The draws of _minimal_samples: coefficients, a sign coin and |x0|.
@@ -483,15 +464,13 @@ def _min_action_equivalence(sig: Signature, blocks):
                 factored = False
             if factored != minimal_flag:
                 disagreements += 1
-        counts = np.full(2 * len(coin), float(disagreements))
-        yield counts, [(counts, 1.0)]
+        yield [(np.full(2 * len(coin), float(disagreements)), 1.0)]
 
 
 def _min_action_rate(sig: Signature, blocks):
     for _, arrays in blocks:
         f = _rated_parts(*_exact_minimal_samples(*arrays))
-        diff = f.action_rate + f.m * f.ds
-        yield np.abs(diff), [(diff, f.H * f.dt + 1e-300)]
+        yield [(f.action_rate + f.m * f.ds, f.H * f.dt + 1e-300)]
 
 
 def _lift_round_trip(sig: Signature, blocks):
@@ -516,7 +495,7 @@ def _lift_round_trip(sig: Signature, blocks):
         if spot:
             dt_diff, dt_scale, h_diff, h_scale = np.array(spot).T
             terms += [(dt_diff, dt_scale), (h_diff, h_scale)]
-        yield np.abs(g.dt - f.dt), terms
+        yield terms
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +547,7 @@ def _turn(sig: Signature, blocks):
         for first, second in pairs:
             a, b, scale = getattr(f0, first), getattr(f0, second), scales[_SECTOR[first]]
             terms += [(getattr(f1, first) - (c * a + sw * b), scale), (getattr(f1, second) - (w * a + c * b), scale)]
-        yield np.abs(terms[0][0]), terms
+        yield terms
 
 
 # ---------------------------------------------------------------------------
@@ -617,10 +596,13 @@ def _run_check(job: tuple, position: int) -> PropertyResult:
 
     It draws from ``default_rng([seed, position])``, with the samples and
     tolerance that the check's ``limits`` set, and runs ``residuals(sig,
-    blocks)`` on the ``_sample_blocks`` of its draws.  It keeps the worst
-    ``abs_row`` and the worst ``_worst_rel(diff, scale)`` of the
-    ``(abs_row, terms)`` that it yields for each block, and reports the
-    rows of every ``abs_row`` as the samples.
+    blocks)`` on the ``_sample_blocks`` of its draws.  For each ``(diff,
+    scale)`` term that it yields for a block, it takes ``|diff|`` in
+    place, so a diff must be the check's own temporary and no view of a
+    scale; it folds a ``(k, rows)`` diff to its row maximum, and keeps the
+    worst ``|diff|`` and the worst ``_worst_rel``: division by a positive
+    scale is monotone, so the fold moves no quotient's bits.  It counts
+    the last axis of each block's first diff as the samples.
     """
     sig, samples, seed, tol = job
     name, draws, residuals, limits = _checks_for(sig)[position]
@@ -629,11 +611,19 @@ def _run_check(job: tuple, position: int) -> PropertyResult:
     rng = np.random.default_rng([seed, position])
     rows, abs_res, rel_res = 0, -np.inf, -np.inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        for abs_row, terms in residuals(sig, _sample_blocks(sig, rng, samples, draws)):
-            rows += len(abs_row)
-            abs_res = np.maximum(abs_res, np.max(abs_row))
+        for terms in residuals(sig, _sample_blocks(sig, rng, samples, draws)):
+            rows += terms[0][0].shape[-1]
             for diff, scale in terms:
+                diff = np.abs(diff, out=diff)
+                if diff.ndim == 2:
+                    # np.max(axis=0)'s bits on absolute values, and many times faster on a transposed row-major diff
+                    diff = reduce(np.maximum, diff)
+                abs_res = np.maximum(abs_res, diff.max())
                 rel_res = np.maximum(rel_res, _worst_rel(diff, scale))
+            # Free the block's diffs before the check builds the next: held one block longer,
+            # sector_completeness at ++ took 17 ms where it takes 12.5, with about 3700 minor
+            # faults a sweep against 200 (100 000 samples, a two-core Xeon).
+            del terms
     return PropertyResult(name, rows, float(abs_res), float(rel_res), tol, bool(rel_res <= tol))
 
 

@@ -225,6 +225,16 @@ class TestDecompose:
         assert code == 0
         assert payload["basis"] == ["1", "e1", "e2", "e12"]
 
+    @pytest.mark.parametrize("n", [7, 40])
+    def test_labels_above_the_generator_cap_exit_2(self, n, capsys):
+        # 2**n labels: at 24 generators the listing ran past a minute
+        with pytest.raises(SystemExit) as err:
+            main(["decompose", "+" * n, "--labels"])
+        out, stderr = capsys.readouterr()
+        assert err.value.code == 2
+        assert out == ""
+        assert stderr == f"fiberalg: error: --labels supports at most 6 generators, got {n} in {'+' * n}\n"
+
     @pytest.mark.parametrize("argv", [["decompose", "++", "1", "--labels"], ["decompose", "++", "--labels", "1"]])
     def test_labels_with_coefficients_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
@@ -588,10 +598,10 @@ class TestTrajectory:
     @pytest.mark.parametrize(
         "argv, expected",
         [
-            # below about 1e-157 mass**2, the action rate, underflows: the action is far off
-            (["1e-160", "0", "1", "5"], 1),
-            (["1e-200", "0.3", "1", "1000"], 1),
-            (["1e-300", "0", "1", "5"], 1),
+            # a subnormal span: each step keeps a few digits, and the action is far off
+            (["1", "0.5", "1e-320", "5"], 1),
+            (["1", "0", "1e-318", "1000"], 1),
+            (["3", "0.3", "1e-315", "7"], 1),
             # off by rounding alone, relative 1.2e-16, absolute 1.2e24
             (["1e40", "0", "1", "5"], 0),
             (["1e20", "0.3", "1", "1000"], 0),
@@ -603,9 +613,9 @@ class TestTrajectory:
         assert code == expected
         assert payload["analytic_S"] == -payload["mass"] * payload["span"]
 
-    def test_mass_whose_square_overflows_exits_2(self, capsys):
+    def test_action_past_the_float_range_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
-            main(["trajectory", "1e200", "0.3", "1", "1000"])
+            main(["trajectory", "1e300", "0", "1e10", "5"])
         out, stderr = capsys.readouterr()
         assert err.value.code == 2
         assert out == ""

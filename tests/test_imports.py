@@ -44,7 +44,11 @@ SINGLE_ELEMENT_CALLS = [
     ["boost", "+", "2", "1", "0.5"],
     ["boost", "++", "2", "1", "1", "0.5", "1.0"],
 ]
-BOUNDARY_CALLS = [["decompose", "++", "nan", "1", "1", "1"], ["boost", "++", "1", "0", "0", "0", "1000"]]
+BOUNDARY_CALLS = [
+    ["decompose", "++", "nan", "1", "1", "1"],
+    ["boost", "++", "1", "0", "0", "0", "1000"],
+    ["decompose", "+++++++", "--labels"],
+]
 # The last call shares its checks with verify's helper process: the child may run on two CPUs.
 BATCH_CALLS = [["verify", "++", "50", "1"], ["trajectory", "1", "0", "1", "10"], ["verify", "++", "3000", "1"]]
 
@@ -105,7 +109,7 @@ def test_single_element_calls_never_import_numpy(calls):
     loaded = [("numpy" in stage) for stage in calls["loaded"]]
     assert loaded == [False] * LIGHT_STAGES + [True] * len(BATCH_CALLS)
     codes = [code for code, _ in calls["results"]]
-    assert codes == [0] * len(SINGLE_ELEMENT_CALLS) + [2, 2] + [0] * len(BATCH_CALLS)
+    assert codes == [0] * len(SINGLE_ELEMENT_CALLS) + [2] * len(BOUNDARY_CALLS) + [0] * len(BATCH_CALLS)
     for (_, out), argv in zip(calls["results"][len(codes) - len(BATCH_CALLS):], BATCH_CALLS):
         assert json.loads(out)["command"] == argv[0]
 

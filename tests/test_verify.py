@@ -21,8 +21,8 @@ import pytest
 from fiberalg import verify
 from fiberalg.algebra import Signature, multiply_coeffs
 from fiberalg.cli import main
-from fiberalg.fiber import _fiber_sectors, _parts, fiber_component_basis
-from fiberalg.verify import _Draw, _embed_flat, _oracle, _row_max, _sample_blocks, _worst_rel, run_verification
+from fiberalg.fiber import _fiber_sectors, _parts, _rated_parts, _sector_parts, fiber_component_basis
+from fiberalg.verify import _Draw, _embed_flat, _oracle, _sample_blocks, _worst_rel, run_verification
 from replay_net import golden
 from test_cli import VERIFY_GOLDENS, child_env, forbid_products
 
@@ -44,10 +44,10 @@ def fold_rows(width: int) -> np.ndarray:
 
 
 def span_gap(basis, rows: np.ndarray) -> np.ndarray:
-    """Each row's largest coefficient gap to its reconstruction from ``basis``, as ``_oracle`` takes it."""
+    """Each row's largest coefficient gap to its reconstruction from ``basis``."""
     span = basis.components_batch(rows) @ np.stack([t.coeffs for t in basis.tensors])
     np.subtract(rows, span, out=span)
-    return _row_max(np.abs(span, out=span))
+    return np.max(np.abs(span, out=span), axis=1)
 
 
 def _on_openblas() -> bool:
@@ -218,6 +218,18 @@ class TestTurnLaw:
 
             monkeypatch.setattr(verify, name, flipped)
         assert not check_result(run_verification(signature, 500, 1, 1e-10), "rotation_invariance").passed
+
+    def test_an_error_in_a_later_law_moves_the_absolute_residual(self, monkeypatch):
+        # ds is the first law at ++; the action rate, quartic, is the fifth
+        clean = check_result(run_verification("++", 500, 1, 1e-10), "boost_invariance")
+        assert clean.max_abs_residual < 1e-6
+
+        def planted(*x):
+            f = _rated_parts(*x)
+            return f._replace(action_rate=f.action_rate + 1e-6 * f.dt)
+
+        monkeypatch.setattr(verify, "_rated_parts", planted)
+        assert check_result(run_verification("++", 500, 1, 1e-10), "boost_invariance").max_abs_residual > 1e-4
 
     @pytest.mark.parametrize("s", [1, -1])
     def test_unit_and_its_doubled_turn(self, s):
@@ -641,42 +653,106 @@ def test_worst_rel_has_the_bits_of_the_max_of_a_masked_divide():
     # _run_check's own errstate: 0 / 0, 1 / 0 and inf / inf; 1e300 / 5e-324 overflows
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for diff, scale in cases:
+            diff = np.abs(diff)  # as _run_check passes it
             assert _worst_rel(diff, scale).tobytes() == np.max(masked(diff, scale)).tobytes(), (diff, scale)
 
 
-class TestRowMax:
-    @pytest.mark.parametrize("width", ROW_WIDTHS)
-    def test_bits_of_np_max_on_absolute_values(self, width):
-        # every caller passes absolute values: no zero or NaN carries a sign
-        a = np.abs(fold_rows(width))
-        assert _row_max(a).tobytes() == np.max(a, axis=1).tobytes()
+def bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def run_terms(monkeypatch, *terms):
+    """``_run_check``'s result for a check whose one block yields copies of ``terms``."""
+
+    def check(sig, blocks):
+        for _ in blocks:
+            yield [(diff.copy(), scale) for diff, scale in terms]
+
+    monkeypatch.setattr(verify, "_checks_for", lambda sig: [("fold", (), check, None)])
+    return verify._run_check((Signature((1,)), 1, 0, 1e-10), 0)
+
+
+class TestFold:
+    """``_run_check`` takes ``|diff|`` and folds a ``(k, rows)`` diff to its row maximum."""
 
     @pytest.mark.parametrize("width", ROW_WIDTHS)
-    def test_values_of_np_max_on_signed_values(self, width):
-        # With signed zeros the sign of a zero maximum follows the order of
-        # the comparisons, which the fold and np.max need not share.
-        a = fold_rows(width)
-        got, expected = _row_max(a), np.max(a, axis=1)
-        assert np.array_equal(np.isnan(got), np.isnan(expected))
-        assert np.array_equal(got, expected, equal_nan=True)
+    def test_a_row_has_the_bits_of_np_max_on_absolute_values(self, width, monkeypatch):
+        # a NaN anywhere in the row is the result; no zero or NaN keeps its sign
+        for row in fold_rows(width):
+            for diff in (row[:, None], row):
+                result = run_terms(monkeypatch, (diff, 1.0))
+                expected = bits(np.max(np.abs(row)))
+                assert bits(result.max_abs_residual) == bits(result.max_rel_residual) == expected, row
+                assert result.samples == diff.shape[-1]
+                assert result.passed == (np.max(np.abs(row)) <= 1e-10)
 
-    @pytest.mark.parametrize("width", [2, 4, 16])
-    def test_returns_a_new_array(self, width):
+    @pytest.mark.parametrize("width", ROW_WIDTHS)
+    def test_a_block_has_the_bits_of_np_max_in_either_layout(self, width, monkeypatch):
+        # coefficient-major, and the transpose of a row-major matrix product, as _oracle yields its span
         a = fold_rows(width)
-        assert not np.shares_memory(_row_max(a), a)
+        # with no NaN, and with negative values only, where a maximum of the signed values differs
+        for rows in (a, a[~np.isnan(a).any(axis=1)], -np.abs(a[:5])):
+            row_max = np.max(np.abs(rows), axis=1)
+            scale = np.random.default_rng(width).uniform(1.0, 2.0, len(rows))
+            for diff in (np.ascontiguousarray(rows.T), rows.T):
+                result = run_terms(monkeypatch, (diff, scale), (np.zeros(3), 1.0))
+                assert result.samples == len(rows)
+                assert bits(result.max_abs_residual) == bits(np.max(row_max))
+                assert bits(result.max_rel_residual) == bits(np.max(row_max / scale))
 
 
 @pytest.mark.parametrize("signature", ["+", "++", "-", "-+"])
-def test_oracle_gap_is_the_larger_of_the_closed_form_and_span_gaps(signature):
+def test_oracle_yields_the_signed_closed_form_and_span_gaps(signature):
     sig = Signature.from_string(signature)
     basis = fiber_component_basis(sig)
     x = np.random.default_rng(6).uniform(-10, 10, (sig.dim, 50))
-    [(gap, _)] = _oracle(sig, [(0, [x])])
+    [[(closed_gap, scale), (span, span_scale)]] = _oracle(sig, [(0, [x])])
     flat = _embed_flat(x).T
     parts = _parts(x)
+    components = basis.components_batch(flat)
     closed = np.stack([getattr(parts, name) for name in basis.names], axis=1)
-    diff = np.max(np.abs(basis.components_batch(flat) - closed), axis=1)
-    assert gap.tobytes() == np.maximum(diff, span_gap(basis, flat)).tobytes()
+    assert closed_gap.tobytes() == (closed - components).T.tobytes()
+    assert span.tobytes() == (flat - components @ np.stack([t.coeffs for t in basis.tensors])).T.tobytes()
+    assert span_scale is scale
+    assert scale.tobytes() == (parts.dt + 1.0 if sig.n == 1 else parts.dt + parts.H + 1e-300).tobytes()
+
+
+# The checks whose diffs are polynomials in their draws, exactly 0 on rows of Fractions, and the turn
+# at one generator.  The rest stay float-only: the turn at two generators takes np.sqrt for its cross
+# scale, oracle_equivalence and sector_completeness multiply by float matrices, max_speed is an
+# inequality on |vec|, and projector_algebra, the minimum-action checks and lift_round_trip build
+# their elements, flags or roots in floats.
+EXACT_BY_SIGNATURE = {
+    "+": ["product_laws", "embed_homomorphism", "tangent_norm_identity", "boost_invariance"],
+    "++": ["product_laws", "embed_homomorphism", "norm_identities", "cross_square_identities"],
+    "-": ["product_laws", "embed_homomorphism", "rotation_invariance"],
+    "-+": ["product_laws", "embed_homomorphism"],
+    "+-+": ["product_laws", "embed_homomorphism"],
+}
+
+
+@pytest.mark.parametrize("signature", list(EXACT_BY_SIGNATURE))
+def test_polynomial_checks_are_exact_on_dyadic_fraction_rows(signature):
+    # Each float draw is a dyadic Fraction, exactly; t's too, so the turn's unit is exact.
+    sig = Signature.from_string(signature)
+    checked = []
+    for position, (name, draws, residuals, _) in enumerate(verify._checks_for(sig)):
+        if name in EXACT_BY_SIGNATURE[signature]:
+            _, arrays = next(_sample_blocks(sig, np.random.default_rng([0, position]), 5, draws))
+            [terms] = residuals(sig, [(0, [np.vectorize(Fraction, otypes=[object])(a) for a in arrays])])
+            for diff, _ in terms:
+                values = np.ravel(diff).tolist()
+                assert all(type(v) is Fraction for v in values), name
+                assert all(v == 0 for v in values), name
+            checked.append(name)
+    assert checked == EXACT_BY_SIGNATURE[signature]
+
+
+def test_a_sign_error_in_the_sector_parts_fails_the_exact_test(monkeypatch):
+    # cb + da where cb - da belongs: c_minus_e12 reads c_plus_e1
+    monkeypatch.setattr(verify, "_sector_parts", lambda *x: (f := _sector_parts(*x))._replace(c_minus_e12=f.c_plus_e1))
+    with pytest.raises(AssertionError, match="cross_square_identities"):
+        test_polynomial_checks_are_exact_on_dyadic_fraction_rows("++")
 
 
 def test_norm_fold_has_the_bits_of_the_row_sum():
