@@ -34,7 +34,9 @@ subnormals.
 A report's value is ``json.dumps(report.to_dict())``, a CLI call's is
 ``json.dumps([exit code, stdout, stderr])`` and a library call's the
 ``repr`` of its result.  The first line, a ``#`` comment, names the
-Python and numpy that wrote the lines.  ``tests/golden/replay.txt``
+Python and numpy that wrote the lines, numpy's highest enabled SIMD
+dispatch target and, where ``numpy.libs`` holds a scipy-openblas64
+library, the OpenBLAS core it picked.  ``tests/golden/replay.txt``
 holds this output and is the only file of expected bytes: a tier-1 test
 compares it line by line, and the tests that pin a call's stdout read
 that call's line.  A change that means to move a line regenerates the
@@ -44,6 +46,7 @@ printouts.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -52,6 +55,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -195,8 +199,20 @@ def library_call(name: str, signature: str, coeffs: list[str], exact: bool) -> s
     return repr(getattr(fiberalg, name)(x))
 
 
+def host() -> str:
+    """The ``#`` line: Python, numpy, numpy's highest enabled dispatch target and the OpenBLAS core, if known."""
+    enabled = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+    words = [f"Python {sys.version.split()[0]}", f"numpy {np.__version__}"]
+    words.append(f"dispatch {enabled[-1] if enabled else 'baseline'}")
+    for path in (Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas64_*"):
+        corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        words.append(f"OpenBLAS {corename().decode()}")
+    return "# " + ", ".join(words)
+
+
 def main() -> None:
-    print(f"# Python {sys.version.split()[0]}, numpy {np.__version__}")
+    print(host())
     default = verify.BLOCK_VALUES
     for signature, samples, seed, block in RUNS:
         block_values(default if block is None else block)

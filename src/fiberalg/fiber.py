@@ -115,10 +115,9 @@ class MomentumTriple(_Record):
 class CrossQuad(_Record):
     """Signed components of the mixed sector.
 
-    ``c_plus_1`` and ``c_plus_e1`` sit in the plus half of the sector and
-    transform with the tangent and momentum vectors; ``c_minus_1`` and
-    ``c_minus_e12`` sit in the minus half and are invariant under
-    norm-preserving transformations.  Their squares satisfy
+    ``c_plus_1`` and ``c_plus_e1`` sit in the plus half of the sector,
+    ``c_minus_1`` and ``c_minus_e12`` in the minus half; ``_TURN_LAWS``
+    lists which of them x -> x u keeps and turns.  Their squares satisfy
     2 c**2 = H dt +/- p dq +/- m ds in the sign pattern
     (+ +), (+ -), (- +), (- -).
     """
@@ -379,20 +378,42 @@ def factorize(x: AlgebraElement, tol: float = MIN_ACTION_TOL) -> Factorization:
 def transform(x: AlgebraElement, u: AlgebraElement) -> AlgebraElement:
     """Right action x -> x u; squares compose as (x (x) x)(u (x) u).
 
-    For u = u0 + u1 e1 with u0**2 - u1**2 == 1 the minus-half components
-    (ds, m, c_minus_1, c_minus_e12) are preserved and the plus-half pairs
-    (dt, dq), (H, p), (c_plus_1, c_plus_e1) each undergo the hyperbolic
-    rotation with doubled rapidity.
+    For a unit u = u0 + u1 e1 the parts of x (x) x keep or turn as
+    ``_TURN_LAWS`` lists them; ``_turn_gaps`` measures the law.
     """
     return multiply(x, u)
+
+
+# Keyed by s = e1**2: the parts of x (x) x that x -> x u keeps, for a unit u = u0 + u1 e1
+# (u0**2 - s u1**2 == 1), and the pairs that it turns by the doubled angle; one generator has the first of each.
+_TURN_LAWS = {
+    +1: (("ds", "m", "action_rate", "c_minus_1", "c_minus_e12"), (("dt", "dq"), ("H", "p"), ("c_plus_1", "c_plus_e1"))),
+    -1: (("dt", "H", "c_plus_1", "c_minus_e12"), (("ds", "dq"), ("m", "p"), ("c_minus_1", "c_plus_e1"))),
+}
+
+
+def _turn_gaps(s: int, f0, f1, c, w) -> dict:
+    """{part: signed gap} of the parts f1 of x u against those f0 of x under ``_TURN_LAWS[s]``.
+
+    A pair (a, b) turns to (c a + s w b, w a + c b), c = u0**2 + s u1**2, w = 2 u0 u1: only + - *.
+    """
+    stay, pairs = _TURN_LAWS[s]
+    if isinstance(f0, _TangentParts):
+        stay, pairs = stay[:1], pairs[:1]
+    gaps = {part: getattr(f1, part) - getattr(f0, part) for part in stay}
+    sw = s * w
+    for first, second in pairs:
+        a, b = getattr(f0, first), getattr(f0, second)
+        gaps[first] = getattr(f1, first) - (c * a + sw * b)
+        gaps[second] = getattr(f1, second) - (w * a + c * b)
+    return gaps
 
 
 def boost_element(signature: Signature, rapidity: float) -> AlgebraElement:
     """u = cosh(phi) + sinh(phi) e1; requires e1 to square to +1.
 
-    Acting on x multiplies the decomposed plus-half 2-vectors by the
-    matrix [[cosh 2 phi, sinh 2 phi], [sinh 2 phi, cosh 2 phi]]; the
-    doubling comes from the square in x (x) x.
+    x -> x u turns the pairs of ``_TURN_LAWS[1]`` by c, w = cosh 2 phi,
+    sinh 2 phi; the doubling comes from the square in x (x) x.
     """
     if signature.squares[0] != 1:
         raise ValueError(f"boost_element requires e1**2 == +1, got signature {signature}")
@@ -404,23 +425,14 @@ def boost_element(signature: Signature, rapidity: float) -> AlgebraElement:
 
 def _boost_gaps(x: AlgebraElement, boosted: AlgebraElement, rapidity: float, tol: float) -> tuple[dict, bool]:
     """The boost-law gaps between x and boosted = x u, and whether each is within tol of its scale."""
-    ch, sh = math.cosh(2 * rapidity), math.sinh(2 * rapidity)
-    fiber = x.signature == FIBER_SIGNATURE
-    parts = _rated_parts if fiber else _tangent_parts
+    parts = _rated_parts if x.signature == FIBER_SIGNATURE else _tangent_parts
     f0, f1 = parts(*x.values), parts(*boosted.values)
-    gaps = {"ds_dlambda": abs(f1.ds - f0.ds)}
-    if fiber:
-        gaps.update(
-            m=abs(f1.m - f0.m),
-            dS_dlambda=abs(f1.action_rate - f0.action_rate),
-            c_minus_1=abs(f1.c_minus_1 - f0.c_minus_1),
-            c_minus_e12=abs(f1.c_minus_e12 - f0.c_minus_e12),
-        )
-    # Each vector pair against its turn by twice the rapidity.
-    for first, second in (("dt", "dq"), ("H", "p")) if fiber else (("dt", "dq"),):
-        a, b = getattr(f0, first), getattr(f0, second)
-        gaps["matrix_" + first] = abs(getattr(f1, first) - (ch * a + sh * b))
-        gaps["matrix_" + second] = abs(getattr(f1, second) - (sh * a + ch * b))
+    # A part that stays keeps its name but for ds and the action rate; a turned part is matrix_<part>.
+    stay, keys = _TURN_LAWS[1][0], {"ds": "ds_dlambda", "action_rate": "dS_dlambda"}
+    gaps = {
+        keys.get(part, part) if part in stay else "matrix_" + part: abs(gap)
+        for part, gap in _turn_gaps(1, f0, f1, math.cosh(2 * rapidity), math.sinh(2 * rapidity)).items()
+    }
     # A gap's scale is dt + H of x plus that of x u (dt alone at +), squared for the quadratic dS.
     size = sum(f.dt + getattr(f, "H", 0.0) for f in (f0, f1))
     return gaps, all(gap <= tol * (size * size if key == "dS_dlambda" else size) for key, gap in gaps.items())

@@ -12,12 +12,10 @@ against the projector-path extraction from the two-slot tensor, which
 keeps the two routes honest against each other.
 
 ``boost_invariance`` (``+ ++``) and ``rotation_invariance`` (``- -+``)
-are one turn law, ``_turn``, at both signs s of e1**2: x -> x u, with
-u0**2 - s u1**2 == 1, keeps the parts of x (x) x that ``_TURN_LAWS``
-lists and turns each of its pairs (a, b) to (c a + s w b, w a + c b),
-c = u0**2 + s u1**2 and w = 2 u0 u1.  The draw is t, within a bound set
-by s, and u = (1 + t e1)**2 / (1 - s t**2): only + - * /, which round
-alike on every host, where numpy's SIMD cosh and sinh do not.
+are one check, ``_turn``, of the turn law ``fiber._TURN_LAWS`` at both
+signs s of e1**2.  The draw is t, within a bound set by s, and
+u = (1 + t e1)**2 / (1 - s t**2): only + - * /, which round alike on
+every host, where numpy's SIMD cosh and sinh do not.
 
 Every check runs through one driver, ``_run_check``.  It draws the
 samples in blocks of rows and folds the residuals of each row into
@@ -143,6 +141,7 @@ from .fiber import (
     _rated_parts,
     _sector_parts,
     _tangent_parts,
+    _turn_gaps,
     factorize,
     fiber_component_basis,
     lift_kinematics,
@@ -501,14 +500,9 @@ def _lift_round_trip(sig: Signature, blocks):
 # ---------------------------------------------------------------------------
 # The turn law of boost_invariance and rotation_invariance (module docstring).
 
-# Keyed by s = e1**2: the bound of |t|, the parts that stay, and the pairs
-# (a, b) that turn.  One generator checks the first of each, the tangent's.
-_TURN_LAWS = {
-    # a boost by 2 artanh t, up to 2.94
-    +1: (0.9, ("ds", "m", "c_minus_1", "c_minus_e12", "action_rate"), (("dt", "dq"), ("H", "p"), ("c_plus_1", "c_plus_e1"))),
-    # a rotation by 2 arctan t, so the doubled angle covers the circle
-    -1: (1.0, ("dt", "H", "c_plus_1", "c_minus_e12"), (("ds", "dq"), ("m", "p"), ("c_minus_1", "c_plus_e1"))),
-}
+# Keyed by s = e1**2, the bound of |t|: a boost by 2 artanh t, up to 2.94, and a
+# rotation by 2 arctan t, so the doubled angle covers the circle.
+_TURN_BOUNDS = {+1: 0.9, -1: 1.0}
 # The scale that each part is measured against: tangent, momentum, cross, or the action rate's.
 _SECTOR = {**{row[0]: row[3] for row in _FIBER_TABLE}, "action_rate": 3}
 
@@ -521,33 +515,24 @@ def _unit(s: int, t):
 
 
 def _turn(sig: Signature, blocks):
-    """x -> x u keeps each part that stays and maps each pair (a, b) to (c a + s w b, w a + c b)."""
+    """x -> x u against ``fiber._TURN_LAWS``, each gap measured against its sector's scale."""
     s = sig.squares[0]
-    _, stay, pairs = _TURN_LAWS[s]
     parts = _rated_parts if sig.n == 2 else _tangent_parts
-    if sig.n == 1:
-        stay, pairs = stay[:1], pairs[:1]
     for _, (x, t) in blocks:
         u = np.zeros_like(x)
         u[0], u[1], c, w = _unit(s, t)
-        sw = s * w
         # u first: the kernel runs one term per nonzero coefficient of its first operand.
         f0, f1 = parts(*x), parts(*_product(sig, u, x))
-        tangent = np.maximum(f0.dt, f1.dt)
-        scales = [tangent]
+        scales = [np.maximum(f0.dt, f1.dt)]
         if sig.n == 2:
             # dt + H is twice the squared coefficient norm.  A sector more than
             # four decades below it sits under the coefficient rounding noise and
             # can only be measured against the element, not against itself.
             floor = 1e-4 * np.maximum(f0.dt + f0.H, f1.dt + f1.H)
             action = np.maximum(f0.H * f0.dt, f1.H * f1.dt)
-            scales = [np.maximum(scale, floor) for scale in (tangent, np.maximum(f0.H, f1.H), np.sqrt(action))]
+            scales = [np.maximum(scale, floor) for scale in (scales[0], np.maximum(f0.H, f1.H), np.sqrt(action))]
             scales.append(np.maximum(action, floor * floor))
-        terms = [(getattr(f1, part) - getattr(f0, part), scales[_SECTOR[part]]) for part in stay]
-        for first, second in pairs:
-            a, b, scale = getattr(f0, first), getattr(f0, second), scales[_SECTOR[first]]
-            terms += [(getattr(f1, first) - (c * a + sw * b), scale), (getattr(f1, second) - (w * a + c * b), scale)]
-        yield terms
+        yield [(gap, scales[_SECTOR[part]]) for part, gap in _turn_gaps(s, f0, f1, c, w).items()]
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +548,7 @@ def _checks_for(sig: Signature):
     that it is held to.  A check's position seeds its sample stream.
     """
     x = _coeffs(sig.dim)
-    bound = _TURN_LAWS[sig.squares[0]][0]
+    bound = _TURN_BOUNDS[sig.squares[0]]
     t = _Draw("uniform", -bound, bound)
     tangent, fiber = (TANGENT_SIGNATURE,), (FIBER_SIGNATURE,)
     plane, euclidean_fiber = (EUCLIDEAN_TANGENT_SIGNATURE,), (EUCLIDEAN_FIBER_SIGNATURE,)
@@ -618,8 +603,10 @@ def _run_check(job: tuple, position: int) -> PropertyResult:
                 if diff.ndim == 2:
                     # np.max(axis=0)'s bits on absolute values, and many times faster on a transposed row-major diff
                     diff = reduce(np.maximum, diff)
-                abs_res = np.maximum(abs_res, diff.max())
-                rel_res = np.maximum(rel_res, _worst_rel(diff, scale))
+                top, rel = diff.max(), _worst_rel(diff, scale)
+                # as under np.maximum, a NaN, once in, stays
+                abs_res = top if top > abs_res or top != top else abs_res
+                rel_res = rel if rel > rel_res or rel != rel else rel_res
             # Free the block's diffs before the check builds the next: held one block longer,
             # sector_completeness at ++ took 17 ms where it takes 12.5, with about 3700 minor
             # faults a sweep against 200 (100 000 samples, a two-core Xeon).

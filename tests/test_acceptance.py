@@ -172,6 +172,8 @@ def test_criterion_4_boost_invariants_and_matrix():
         float(np.max(rel(after.dq - (sh * before.dt + ch * before.dq), tangent_scale))),
         float(np.max(rel(after.H - (ch * before.H + sh * before.p), momentum_scale))),
         float(np.max(rel(after.p - (sh * before.H + ch * before.p), momentum_scale))),
+        float(np.max(rel(after.c_plus_1 - (ch * before.c_plus_1 + sh * before.c_plus_e1), cross_scale))),
+        float(np.max(rel(after.c_plus_e1 - (sh * before.c_plus_1 + ch * before.c_plus_e1), cross_scale))),
     )
     ok = worst <= 1e-10
     assert report(4, "boost: norms, action, minus-half cross, matrix law", ok), worst

@@ -536,7 +536,7 @@ class TestBoost:
         assert abs(payload["after"]["momentum"]["m"] - 0.75) <= 1e-10
         for key in ("ds_dlambda", "m", "dS_dlambda", "c_minus_1", "c_minus_e12"):
             assert payload["residuals"][key] <= 1e-10
-        for key in ("matrix_dt", "matrix_dq", "matrix_H", "matrix_p"):
+        for key in ("matrix_dt", "matrix_dq", "matrix_H", "matrix_p", "matrix_c_plus_1", "matrix_c_plus_e1"):
             assert payload["residuals"][key] <= 1e-10
 
     def test_wrong_product_exits_1(self, monkeypatch, capsys):

@@ -388,6 +388,8 @@ def record_boost_residuals(x, rapidity):
         "matrix_dq": abs(t1.dq - (sh * t0.dt + ch * t0.dq)),
         "matrix_H": abs(m1.H - (ch * m0.H + sh * m0.p)),
         "matrix_p": abs(m1.p - (sh * m0.H + ch * m0.p)),
+        "matrix_c_plus_1": abs(d1.cross.c_plus_1 - (ch * d0.cross.c_plus_1 + sh * d0.cross.c_plus_e1)),
+        "matrix_c_plus_e1": abs(d1.cross.c_plus_e1 - (sh * d0.cross.c_plus_1 + ch * d0.cross.c_plus_e1)),
     }
 
 

@@ -18,10 +18,10 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from fiberalg import verify
+from fiberalg import fiber, verify
 from fiberalg.algebra import Signature, multiply_coeffs
 from fiberalg.cli import main
-from fiberalg.fiber import _fiber_sectors, _parts, _rated_parts, _sector_parts, fiber_component_basis
+from fiberalg.fiber import _fiber_sectors, _parts, _rated_parts, _sector_parts, _tangent_parts, fiber_component_basis
 from fiberalg.verify import _Draw, _embed_flat, _oracle, _sample_blocks, _worst_rel, run_verification
 from replay_net import golden
 from test_cli import VERIFY_GOLDENS, child_env, forbid_products
@@ -220,7 +220,7 @@ class TestTurnLaw:
         assert not check_result(run_verification(signature, 500, 1, 1e-10), "rotation_invariance").passed
 
     def test_an_error_in_a_later_law_moves_the_absolute_residual(self, monkeypatch):
-        # ds is the first law at ++; the action rate, quartic, is the fifth
+        # ds is the first law at ++; the action rate, quartic, a later one
         clean = check_result(run_verification("++", 500, 1, 1e-10), "boost_invariance")
         assert clean.max_abs_residual < 1e-6
 
@@ -233,7 +233,7 @@ class TestTurnLaw:
 
     @pytest.mark.parametrize("s", [1, -1])
     def test_unit_and_its_doubled_turn(self, s):
-        bound = verify._TURN_LAWS[s][0]
+        bound = verify._TURN_BOUNDS[s]
         t = np.concatenate([np.linspace(-bound, bound, 201), np.random.default_rng(0).uniform(-bound, bound, 800)])
         u0, u1, c, w = verify._unit(s, t)
         eps = np.finfo(float).eps
@@ -249,6 +249,33 @@ class TestTurnLaw:
                 theta = 2 * math.atan(t_)
                 turn = math.cos(2 * theta), math.sin(2 * theta)
             assert abs(c_ - turn[0]) <= 16 * eps * size and abs(w_ - turn[1]) <= 16 * eps * size, t_
+
+
+    @pytest.mark.parametrize("signature, count", [("+", 3), ("++", 11), ("-", 3), ("-+", 10)])
+    def test_the_law_is_exact_on_dyadic_fraction_rows(self, signature, count):
+        # Fraction rows through _unit and the kernel: every gap of fiber._TURN_LAWS is exactly 0
+        sig = Signature.from_string(signature)
+        s, rng = sig.squares[0], np.random.default_rng(sig.dim)
+        exact = np.vectorize(Fraction, otypes=[object])
+        bound = verify._TURN_BOUNDS[s]
+        x, t = exact(rng.uniform(-10, 10, (sig.dim, 50))), exact(rng.uniform(-bound, bound, 50))
+        u = np.zeros_like(x)
+        u[0], u[1], c, w = verify._unit(s, t)
+        parts = _rated_parts if sig.n == 2 else _tangent_parts
+        gaps = fiber._turn_gaps(s, parts(*x), parts(*verify._product(sig, u, x)), c, w)
+        assert len(gaps) == count
+        for part, gap in gaps.items():
+            assert all(type(v) is Fraction and v == 0 for v in gap), part
+
+    @pytest.mark.parametrize("pair", [0, 1, 2])
+    def test_a_turn_in_the_wrong_sense_fails_the_exact_test(self, pair, monkeypatch):
+        # (b, a) for (a, b) where e1**2 == -1 turns the pair by the opposite angle
+        stay, pairs = fiber._TURN_LAWS[-1]
+        flipped = [*pairs]
+        flipped[pair] = flipped[pair][::-1]
+        monkeypatch.setitem(fiber._TURN_LAWS, -1, (stay, tuple(flipped)))
+        with pytest.raises(AssertionError, match=rf"^{flipped[pair][0]}\n"):
+            self.test_the_law_is_exact_on_dyadic_fraction_rows("-+", 10)
 
 
 class TwoArguments(Exception):
@@ -700,6 +727,13 @@ class TestFold:
                 assert bits(result.max_abs_residual) == bits(np.max(row_max))
                 assert bits(result.max_rel_residual) == bits(np.max(row_max / scale))
 
+    def test_a_nan_term_stays_before_and_after_a_larger_finite_one(self, monkeypatch):
+        nan, large = (np.array([1.0, np.nan]), 1.0), (np.array([5.0, 1e300]), 1.0)
+        for terms in ((nan, large), (large, nan)):
+            result = run_terms(monkeypatch, *terms)
+            assert np.isnan(result.max_abs_residual) and np.isnan(result.max_rel_residual)
+            assert not result.passed
+
 
 @pytest.mark.parametrize("signature", ["+", "++", "-", "-+"])
 def test_oracle_yields_the_signed_closed_form_and_span_gaps(signature):
@@ -718,10 +752,10 @@ def test_oracle_yields_the_signed_closed_form_and_span_gaps(signature):
 
 
 # The checks whose diffs are polynomials in their draws, exactly 0 on rows of Fractions, and the turn
-# at one generator.  The rest stay float-only: the turn at two generators takes np.sqrt for its cross
-# scale, oracle_equivalence and sector_completeness multiply by float matrices, max_speed is an
-# inequality on |vec|, and projector_algebra, the minimum-action checks and lift_round_trip build
-# their elements, flags or roots in floats.
+# at one generator.  The rest stay float-only: at two generators only the turn's np.sqrt cross scale
+# is (TestTurnLaw checks its gaps exactly), oracle_equivalence and sector_completeness multiply by
+# float matrices, max_speed is an inequality on |vec|, and projector_algebra, the minimum-action
+# checks and lift_round_trip build their elements, flags or roots in floats.
 EXACT_BY_SIGNATURE = {
     "+": ["product_laws", "embed_homomorphism", "tangent_norm_identity", "boost_invariance"],
     "++": ["product_laws", "embed_homomorphism", "norm_identities", "cross_square_identities"],
