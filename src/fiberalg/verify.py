@@ -1,11 +1,11 @@
 """Seeded verification sweeps over the algebra and fiber identities.
 
-Each property draws its own reproducible sample stream, evaluates a
-polynomial identity on it, and reports the worst absolute and scaled
-residuals.  Residuals are scaled by the dominant sector magnitude (for
-example dt**2 for the tangent norm identity), not by the compared values
-alone: near light-like elements the identities cancel to zero and a
-value-relative quotient would be noise over noise.
+Each property draws each of its arrays from a seeded stream of its
+own, evaluates a polynomial identity on them, and reports the worst
+absolute and scaled residuals.  Residuals are scaled by the dominant
+sector magnitude (for example dt**2 for the tangent norm identity), not
+by the compared values alone: near light-like elements the identities
+cancel to zero and a value-relative quotient would be noise over noise.
 
 The sweep for each of + ++ - -+ pits the closed polynomial forms
 against the projector-path extraction from the two-slot tensor, which
@@ -41,9 +41,9 @@ sweep (means over 12 heap layouts, glibc 2.36, numpy 2.4, a two-core
 Xeon).  The count is the allocator trimming and regrowing the heap; it
 moves by a few thousand with the layout alone.  A block holds about
 ``BLOCK_VALUES`` values of the widest array a row feeds, the ``x (x) x``
-embed.  The blocks are cut from the same sample streams as one
-full-size draw (see ``_sample_blocks``), so the samples, and the report,
-are the same at any block size.
+embed.  Each array is drawn block by block from its own stream, which
+gives the values of one full-size draw (see ``_sample_blocks``), so the
+samples, and the report, are the same at any block size.
 
 Past one block of rows, ``_block_rows``, and where the process may run
 on two CPUs or more (``os.sched_getaffinity``, else ``os.cpu_count``),
@@ -72,8 +72,8 @@ died or that something else reaped.  The next call forks a fresh one.
 A process forked from the caller closes its copies of the pipes at the
 fork, and a call made while another thread uses the helper runs alone.
 The helper runs the code as it stood at its fork: patch this module,
-then ``_retire()``.  The report keeps its bytes, since a check's stream
-is fixed by its position; the caller's ``RUSAGE_SELF`` lacks the
+then ``_retire()``.  The report keeps its bytes, since a check's streams
+are fixed by its position; the caller's ``RUSAGE_SELF`` lacks the
 helper's share, and its ``RUSAGE_CHILDREN`` holds it only once the
 helper is reaped.  Python 3.12 and later warn on ``os.fork`` while
 threads run, as numpy's OpenBLAS pool does.  On 3.12.1 and 3.13.0 a fork
@@ -113,8 +113,8 @@ sizes, and check the row bits of the transposed views, to check both.
 from __future__ import annotations
 
 import atexit
-import copy
 import itertools
+import operator
 import os
 import pickle
 import signal
@@ -209,7 +209,7 @@ class VerificationReport(_Record):
 
 
 class _Draw(NamedTuple):
-    """One array of a property's sample stream: ``rows`` by ``shape`` values."""
+    """One array that a property draws, from a stream of its own: ``rows`` by ``shape`` values."""
 
     method: str  # "uniform" or "integers", the Generator method
     low: float
@@ -237,28 +237,19 @@ def _block_rows(sig: Signature) -> int:
     return max(2, BLOCK_VALUES // sig.dim**2)
 
 
-def _sample_blocks(sig: Signature, rng: np.random.Generator, samples: int, draws):
+def _sample_blocks(sig: Signature, key: tuple[int, ...], samples: int, draws):
     """Yield ``(lo, arrays)``: rows ``[lo, hi)`` of each of ``draws``, block by block.
 
-    Each array is drawn as ``(rows, *shape)`` and handed out transposed
-    once, coefficient-major: a C-contiguous ``(*shape, rows)`` array.
-    The arrays hold the rows that drawing each array at full size, in
-    the order given, would give: each array gets its own generator, a
-    copy of ``rng`` taken where the full-size draw of that array starts,
-    which is reached by drawing the arrays before it through, block by
-    block.  Drawing an array in consecutive pieces gives the values of
-    one draw, ``integers`` rejections and spare 32-bit halves included.
-    Consumes ``rng``.
+    Array ``k`` is drawn from its own generator, ``default_rng([*key,
+    k])``, as ``(rows, *shape)``, and handed out transposed once,
+    coefficient-major: a C-contiguous ``(*shape, rows)`` array.  Drawing
+    a stream in consecutive pieces gives the values of one full-size
+    draw, ``integers`` rejections and spare 32-bit halves included, and
+    no array's values depend on another array's shape or rows.
     """
-    rows = _block_rows(sig)
-    streams = []
-    for draw in draws[:-1]:
-        streams.append(copy.deepcopy(rng))
-        for lo, hi in _block_bounds(samples, rows):
-            draw.take(rng, hi - lo)
-    streams.append(rng)
-    for lo, hi in _block_bounds(samples, rows):
-        yield lo, [np.ascontiguousarray(draw.take(stream, hi - lo).T) for draw, stream in zip(draws, streams)]
+    streams = [(draw, np.random.default_rng([*key, k])) for k, draw in enumerate(draws)]
+    for lo, hi in _block_bounds(samples, _block_rows(sig)):
+        yield lo, [np.ascontiguousarray(draw.take(rng, hi - lo).T) for draw, rng in streams]
 
 
 def _worst_rel(diff: np.ndarray, scale) -> np.float64:
@@ -396,12 +387,14 @@ def _cross_squares(sig: Signature, blocks):
         yield [(2 * cross**2 - half, scale) for cross, half in halves]
 
 
-# The draws of _minimal_samples: coefficients, a sign coin and |x0|.
-_MINIMAL_DRAWS = (_coeffs(4), _Draw("uniform", 0.0, 1.0), _Draw("uniform", 0.1, COEFF_RANGE))
+# The draws of _minimal_samples: x1 and x2, a sign coin and |x0|.
+_MINIMAL_DRAWS = (_coeffs(2), _Draw("uniform", 0.0, 1.0), _Draw("uniform", 0.1, COEFF_RANGE))
 
 
-def _minimal_samples(x: np.ndarray, coin: np.ndarray, size: np.ndarray) -> np.ndarray:
+def _minimal_samples(x12: np.ndarray, coin: np.ndarray, size: np.ndarray) -> np.ndarray:
+    x = np.empty((4, len(coin)))
     x[0] = np.where(coin < 0.5, -1.0, 1.0) * size
+    x[1:3] = x12
     x[3] = x[1] * x[2] / x[0]
     return x
 
@@ -545,7 +538,7 @@ def _checks_for(sig: Signature):
     A table row runs on the signatures it lists, or on every one for
     ``None``.  ``limits``, where it is not ``None``, maps the call's
     ``(samples, tol)`` to the rows that the check draws and the tolerance
-    that it is held to.  A check's position seeds its sample stream.
+    that it is held to.  A check's position seeds its sample streams.
     """
     x = _coeffs(sig.dim)
     bound = _TURN_BOUNDS[sig.squares[0]]
@@ -579,24 +572,24 @@ def _checks_for(sig: Signature):
 def _run_check(job: tuple, position: int) -> PropertyResult:
     """The result of the check at ``position`` of ``job``, ``(signature, samples, seed, tol)``.
 
-    It draws from ``default_rng([seed, position])``, with the samples and
-    tolerance that the check's ``limits`` set, and runs ``residuals(sig,
-    blocks)`` on the ``_sample_blocks`` of its draws.  For each ``(diff,
-    scale)`` term that it yields for a block, it takes ``|diff|`` in
-    place, so a diff must be the check's own temporary and no view of a
-    scale; it folds a ``(k, rows)`` diff to its row maximum, and keeps the
-    worst ``|diff|`` and the worst ``_worst_rel``: division by a positive
-    scale is monotone, so the fold moves no quotient's bits.  It counts
-    the last axis of each block's first diff as the samples.
+    It draws array ``a`` of the check from ``default_rng([seed, position,
+    a])``, with the samples and tolerance that the check's ``limits`` set,
+    and runs ``residuals(sig, blocks)`` on the ``_sample_blocks`` of its
+    draws.  For each ``(diff, scale)`` term that it yields for a block,
+    it takes ``|diff|`` in place, so a diff must be the check's own
+    temporary and no view of a scale; it folds a ``(k, rows)`` diff to
+    its row maximum, and keeps the worst ``|diff|`` and the worst
+    ``_worst_rel``: division by a positive scale is monotone, so the fold
+    moves no quotient's bits.  It counts the last axis of each block's
+    first diff as the samples.
     """
     sig, samples, seed, tol = job
     name, draws, residuals, limits = _checks_for(sig)[position]
     if limits is not None:
         samples, tol = limits(samples, tol)
-    rng = np.random.default_rng([seed, position])
     rows, abs_res, rel_res = 0, -np.inf, -np.inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        for terms in residuals(sig, _sample_blocks(sig, rng, samples, draws)):
+        for terms in residuals(sig, _sample_blocks(sig, (seed, position), samples, draws)):
             rows += terms[0][0].shape[-1]
             for diff, scale in terms:
                 diff = np.abs(diff, out=diff)
@@ -617,14 +610,17 @@ def _run_check(job: tuple, position: int) -> PropertyResult:
 def run_verification(signature: Signature | str, samples: int, seed: int, tol: float) -> VerificationReport:
     """Run every identity sweep applicable to the signature.
 
-    Deterministic for a fixed (signature, samples, seed, tol): each property
-    draws from its own seed stream, so adding or removing properties, or
-    running some of them in the helper process, never perturbs the others.
+    Deterministic for a fixed (signature, samples, seed, tol): each array
+    of each property is drawn from its own stream, seeded by ``seed``, the
+    property's position and the array's, so adding or removing properties,
+    or running some of them in the helper process, never perturbs the others.
     The module docstring says when the helper takes part and what the
     caller does when it fails.
     Raises ``ValueError`` for more than ``MAX_GENERATORS`` generators,
-    before any table is built, and for a sample count below 1, a negative
-    seed, or a tolerance that is negative or not finite, before any draw.
+    before any table is built, and for a sample count or seed that is no
+    integer (``operator.index`` takes Python and numpy integers), a sample
+    count below 1, a negative seed, or a tolerance that is negative or not
+    finite, before any draw or fork.
     """
     if isinstance(signature, str):
         signature = Signature.from_string(signature)
@@ -632,11 +628,12 @@ def run_verification(signature: Signature | str, samples: int, seed: int, tol: f
         raise ValueError(
             f"verify supports at most {MAX_GENERATORS} generators, got {signature.n} in {signature}"
         )
-    samples = int(samples)
-    if samples < 1:
+    # what operator.index takes: an __index__ on the type
+    if not hasattr(type(samples), "__index__") or samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    if seed < 0:
+    if not hasattr(type(seed), "__index__") or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    samples, seed = operator.index(samples), operator.index(seed)
     if not (tol >= 0 and np.isfinite(tol)):
         raise ValueError(f"tol must be a finite number of at least 0, got {tol}")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

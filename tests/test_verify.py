@@ -134,6 +134,27 @@ class TestFailureWiring:
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
             run_verification("++", 10, -1, 1e-10)
 
+    @staticmethod
+    def forbid_sweeps(monkeypatch):
+        monkeypatch.setattr(verify, "_run_tickets", lambda *_: pytest.fail("a check was drawn or the helper forked"))
+
+    def test_samples_that_are_no_integer_rejected(self, monkeypatch):
+        self.forbid_sweeps(monkeypatch)
+        for samples in (10.7, np.float64(10.0), "10"):
+            with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+                run_verification("++", samples, 1, 1e-10)
+
+    def test_seed_that_is_no_integer_rejected(self, monkeypatch):
+        self.forbid_sweeps(monkeypatch)
+        for seed in (1.5, np.float64(2.0), "3"):
+            with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+                run_verification("++", 5000, seed, 1e-10)
+
+    def test_numpy_integers_are_taken_as_python_ints(self):
+        report = run_verification("++", np.int64(10), np.uint8(1), 1e-10)
+        assert type(report.samples) is type(report.seed) is int
+        assert report.to_dict() == run_verification("++", 10, 1, 1e-10).to_dict()
+
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
     def test_bad_tolerance_rejected(self, tol):
         with pytest.raises(ValueError, match=f"tol must be a finite number of at least 0, got {tol}"):
@@ -772,7 +793,7 @@ def test_polynomial_checks_are_exact_on_dyadic_fraction_rows(signature):
     checked = []
     for position, (name, draws, residuals, _) in enumerate(verify._checks_for(sig)):
         if name in EXACT_BY_SIGNATURE[signature]:
-            _, arrays = next(_sample_blocks(sig, np.random.default_rng([0, position]), 5, draws))
+            _, arrays = next(_sample_blocks(sig, (0, position), 5, draws))
             [terms] = residuals(sig, [(0, [np.vectorize(Fraction, otypes=[object])(a) for a in arrays])])
             for diff, _ in terms:
                 values = np.ravel(diff).tolist()
@@ -807,27 +828,42 @@ def test_norm_fold_has_the_bits_of_the_row_sum():
 class TestBlocks:
     """The sweeps run in blocks of rows; the block size must change no byte."""
 
+    DRAWS = [
+        _Draw("uniform", -1.0, 1.0, (3,)),
+        _Draw("integers", -3, 4),
+        _Draw("uniform", 0.0, 1.0),
+        _Draw("integers", -2560, 2561),
+        _Draw("uniform", -1.0, 1.0, (2,)),
+    ]
+
+    @staticmethod
+    def blocks(draws, monkeypatch):
+        """The ``(lo, arrays)`` blocks of 1002 rows of ``draws`` under the key (4, 2), at 7 rows a block."""
+        monkeypatch.setattr(verify, "BLOCK_VALUES", 7 * 4)
+        blocks = list(_sample_blocks(Signature((1,)), (4, 2), 1002, draws))
+        # coefficient-major: one contiguous row of the block per coefficient
+        assert all(array.flags.c_contiguous for _, arrays in blocks for array in arrays)
+        return blocks
+
     def test_blocks_match_one_full_size_draw(self, monkeypatch):
-        # An odd integers array leaves a spare 32-bit half that the next
-        # integers array takes first, across the uniform array between them.
-        draws = [
-            _Draw("uniform", -1.0, 1.0, (3,)),
-            _Draw("integers", -3, 4),
-            _Draw("uniform", 0.0, 1.0),
-            _Draw("integers", -2560, 2561),
-            _Draw("uniform", -1.0, 1.0, (2,)),
-        ]
-        full_rng = np.random.default_rng([4, 2])
-        full = [draw.take(full_rng, 1001) for draw in draws]
-        monkeypatch.setattr(verify, "BLOCK_VALUES", 8 * 4)
-        blocks = list(_sample_blocks(Signature((1,)), np.random.default_rng([4, 2]), 1001, draws))
-        assert [lo for lo, _ in blocks] == list(range(0, 1000, 8))  # the one-row tail joins the last block
-        for index, expected in enumerate(full):
-            # coefficient-major: one contiguous row of the block per coefficient
-            assert all(arrays[index].flags.c_contiguous for _, arrays in blocks)
-            got = np.concatenate([arrays[index] for _, arrays in blocks], axis=-1)
+        # An integers array draws 32-bit halves, and a block of 7 rows leaves
+        # a spare half that the next block of the array takes first.
+        blocks = self.blocks(self.DRAWS, monkeypatch)
+        assert [lo for lo, _ in blocks] == list(range(0, 1001, 7))  # the one-row tail joins the last block
+        for k, draw in enumerate(self.DRAWS):
+            expected = draw.take(np.random.default_rng([4, 2, k]), 1002)
+            got = np.concatenate([arrays[k] for _, arrays in blocks], axis=-1)
             assert got.dtype == expected.dtype
             assert np.array_equal(got, expected.T)
+
+    def test_an_array_keeps_its_blocks_when_another_array_changes(self, monkeypatch):
+        before = self.blocks(self.DRAWS, monkeypatch)
+        after = self.blocks([_Draw("uniform", -1.0, 1.0, (5,)), *self.DRAWS[1:], _Draw("integers", 0, 9)], monkeypatch)
+        assert [lo for lo, _ in after] == [lo for lo, _ in before]
+        for (_, old), (_, new) in zip(before, after):
+            assert new[0].shape[0] == 5 and len(new) == len(old) + 1
+            for k in range(1, len(old)):
+                assert np.array_equal(new[k], old[k])
 
     @pytest.mark.skipif(not _on_openblas(), reason="row bits are checked against OpenBLAS only")
     @pytest.mark.parametrize("signature", ["+", "++", "-", "-+"])
