@@ -22,10 +22,11 @@ samples in blocks of rows and folds the residuals of each row into
 running maxima, so a sweep needs the same memory at any sample count.
 For each block a property yields only its ``(diff, scale)`` terms: a
 signed residual, ``(rows,)`` or coefficient-major ``(k, rows)``, and
-the sector magnitude of each row that it is measured against.
-``_run_check`` alone takes ``|diff|``, folds it to a row maximum and
-keeps the worst absolute and scaled residuals, so a polynomial property
-is plain arithmetic, exactly 0 on dyadic ``Fraction`` rows (the tests
+the sector magnitude of each row that it is measured against, which is
+positive: that is a check's one contract.  ``_run_check`` alone divides
+each term's block once, in place, to ``|diff|`` and then ``|diff| /
+scale``, and keeps the worst of each, so a polynomial property is plain
+arithmetic, exactly 0 on dyadic ``Fraction`` rows (the tests
 check it).  The projector algebra draws nothing and yields a row per
 element that vanishes; the minimum-action equivalence yields two rows
 per drawn row, each the count of disagreements so far.  One table in
@@ -64,10 +65,12 @@ position until none are left, and the helper pickles back
 helper that dies leaves whole values only.  The caller runs whatever
 does not come back: every check where no helper starts (``os.pipe`` or
 ``os.fork`` raises ``OSError``), the rest where the helper dies or a
-check raises there, so a property's exception is raised from the
-caller's own run of its check.  The caller kills and reaps the helper
-at interpreter exit, when its own check raises, when the results pipe
-ends early and on ``OSError``; it drops without a signal a helper that
+check raises there, which ends the helper.  So a property's exception
+comes from the caller's own run of its check, where it fails that
+property, with the exception as its ``error``.  The caller kills and
+reaps the helper at interpreter exit, when it is interrupted (by an
+exception that is no ``Exception``), when the results pipe ends early
+and on ``OSError``; it drops without a signal a helper that
 died or that something else reaped.  The next call forks a fresh one.
 A process forked from the caller closes its copies of the pipes at the
 fork, and a call made while another thread uses the helper runs alone.
@@ -85,10 +88,10 @@ A block is coefficient-major: each array is drawn as ``(rows, width)``
 and transposed once to ``(width, rows)``, one contiguous row per
 coefficient, so numpy's inner loops run over the rows of a block, not
 over 2 to 16 coefficients.  The embed is an outer product of
-coefficient rows, the closed forms read ``x[0], x[1], ...``, and a row
-maximum is a maximum over whole coefficient rows: ``_run_check``'s fold
-for a diff, which takes the row-major matrix products of ``_oracle`` and
-``_sector_completeness`` as their transposes.  The one row sum, the
+coefficient rows, the closed forms read ``x[0], x[1], ...``, and
+``_run_check`` folds a whole diff in either layout, so it takes the
+row-major matrix products of ``_oracle`` and ``_sector_completeness`` as
+their transposes.  The one row sum, the
 squared norm of four coefficients in ``_min_action_flags``, adds the
 coefficient rows left to right, the order in which numpy adds a row
 shorter than eight values.
@@ -175,9 +178,10 @@ class PropertyResult(_Record):
     max_rel_residual: float
     tolerance: float
     passed: bool
+    error: str | None = None  # "<Type>: <message>" of an exception that the check raised
 
     def to_dict(self) -> dict:
-        return {
+        record = {
             "name": self.name,
             "samples": self.samples,
             "max_abs_residual": self.max_abs_residual,
@@ -185,6 +189,9 @@ class PropertyResult(_Record):
             "tolerance": self.tolerance,
             "pass": self.passed,
         }
+        if self.error is not None:
+            record["error"] = self.error
+        return record
 
 
 class VerificationReport(_Record):
@@ -250,19 +257,6 @@ def _sample_blocks(sig: Signature, key: tuple[int, ...], samples: int, draws):
     streams = [(draw, np.random.default_rng([*key, k])) for k, draw in enumerate(draws)]
     for lo, hi in _block_bounds(samples, _block_rows(sig)):
         yield lo, [np.ascontiguousarray(draw.take(rng, hi - lo).T) for draw, rng in streams]
-
-
-def _worst_rel(diff: np.ndarray, scale) -> np.float64:
-    """The largest ``diff / scale`` of an absolute ``diff``.
-
-    Where a scale is not positive (or NaN) the row reads 0 for a zero or
-    NaN diff and inf for any other.  Where every scale is positive it
-    divides once and keeps every quotient.
-    """
-    scale = np.asarray(scale)
-    if scale.min() > 0:
-        return (diff / scale).max()
-    return np.where(scale > 0, diff / scale, np.where(diff > 0, np.inf, 0.0)).max()
 
 
 def _embed_flat(x: np.ndarray) -> np.ndarray:
@@ -569,41 +563,44 @@ def _checks_for(sig: Signature):
     return [(name, *rest) for name, signatures, *rest in table if signatures is None or sig in signatures]
 
 
-def _run_check(job: tuple, position: int) -> PropertyResult:
+def _run_check(job: tuple, position: int, caught=Exception) -> PropertyResult:
     """The result of the check at ``position`` of ``job``, ``(signature, samples, seed, tol)``.
 
     It draws array ``a`` of the check from ``default_rng([seed, position,
     a])``, with the samples and tolerance that the check's ``limits`` set,
     and runs ``residuals(sig, blocks)`` on the ``_sample_blocks`` of its
-    draws.  For each ``(diff, scale)`` term that it yields for a block,
-    it takes ``|diff|`` in place, so a diff must be the check's own
-    temporary and no view of a scale; it folds a ``(k, rows)`` diff to
-    its row maximum, and keeps the worst ``|diff|`` and the worst
-    ``_worst_rel``: division by a positive scale is monotone, so the fold
-    moves no quotient's bits.  It counts the last axis of each block's
-    first diff as the samples.
+    draws.  Each ``(diff, scale)`` term that it yields for a block is
+    divided once, in place: ``|diff|``, then ``|diff| / scale``, a
+    ``(k, rows)`` diff against its ``(rows,)`` scale, so a diff must be
+    the check's own temporary and no view of a scale, and every scale
+    must be positive (a zero scale reads NaN or inf and fails its row).
+    It keeps the worst of each: a maximum never rounds and division by a
+    positive scale is monotone, so the fold moves no quotient's bits.  It
+    counts the last axis of each block's first diff as the samples.  A
+    check that raises one of ``caught`` fails, with finite residuals of 0
+    and the exception, ``"<Type>: <message>"``, as its ``error``.
     """
     sig, samples, seed, tol = job
     name, draws, residuals, limits = _checks_for(sig)[position]
     if limits is not None:
         samples, tol = limits(samples, tol)
     rows, abs_res, rel_res = 0, -np.inf, -np.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for terms in residuals(sig, _sample_blocks(sig, (seed, position), samples, draws)):
-            rows += terms[0][0].shape[-1]
-            for diff, scale in terms:
-                diff = np.abs(diff, out=diff)
-                if diff.ndim == 2:
-                    # np.max(axis=0)'s bits on absolute values, and many times faster on a transposed row-major diff
-                    diff = reduce(np.maximum, diff)
-                top, rel = diff.max(), _worst_rel(diff, scale)
-                # as under np.maximum, a NaN, once in, stays
-                abs_res = top if top > abs_res or top != top else abs_res
-                rel_res = rel if rel > rel_res or rel != rel else rel_res
-            # Free the block's diffs before the check builds the next: held one block longer,
-            # sector_completeness at ++ took 17 ms where it takes 12.5, with about 3700 minor
-            # faults a sweep against 200 (100 000 samples, a two-core Xeon).
-            del terms
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for terms in residuals(sig, _sample_blocks(sig, (seed, position), samples, draws)):
+                rows += terms[0][0].shape[-1]
+                for diff, scale in terms:
+                    top = np.abs(diff, out=diff).max()
+                    rel = np.divide(diff, scale, out=diff).max()
+                    # as under np.maximum, a NaN, once in, stays
+                    abs_res = top if top > abs_res or top != top else abs_res
+                    rel_res = rel if rel > rel_res or rel != rel else rel_res
+                # Free the block's diffs, the loop's last one too, before the check builds the next:
+                # held one block longer, sector_completeness at ++ took 17 ms where it takes 12.5,
+                # with about 3700 minor faults a sweep against 200 (100 000 samples, a two-core Xeon).
+                del terms, diff
+    except caught as exc:
+        return PropertyResult(name, rows, 0.0, 0.0, tol, False, f"{type(exc).__name__}: {exc}")
     return PropertyResult(name, rows, float(abs_res), float(rel_res), tol, bool(rel_res <= tol))
 
 
@@ -720,14 +717,17 @@ def _fork_helper() -> _Helper | None:
 
 
 def _serve(take: int, jobs: BinaryIO, results: int) -> None:
-    """The helper's loop: run the positions it takes of each job until the jobs pipe ends."""
+    """The helper's loop: run the positions it takes of each job until the jobs pipe ends.
+
+    A check that raises ends the helper, so the caller runs it again and reports the failure.
+    """
     while True:
         try:
             job = pickle.load(jobs)
         except EOFError:
             return
         for i in iter(partial(_take, take), None):
-            os.write(results, pickle.dumps((i, _run_check(job, i))))
+            os.write(results, pickle.dumps((i, _run_check(job, i, caught=()))))
         os.write(results, pickle.dumps(None))
 
 

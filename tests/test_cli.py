@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from fiberalg import algebra, fiber
+from fiberalg import algebra, fiber, verify
 from fiberalg.cli import main
 from fiberalg.fiber import MAX_STEPS
 
@@ -474,6 +474,36 @@ class TestVerify:
         out, code = run_cli(["verify", "++", "200", "1", "1e-30"], capsys)
         assert code == 1
         assert json.loads(out)["pass"] is False
+
+    def test_property_that_raises_fails_and_exits_1(self, capsys, monkeypatch):
+        # the exception is the property's failure, not a traceback; the other properties keep their lines
+        argv = ["verify", "++", "3000", "1"]
+        expected = json.loads(run_cli(argv, capsys)[0])
+
+        def raising(sig, blocks):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(verify, "_sector_completeness", raising)
+        verify._retire()  # a helper runs the module as it stood at its fork
+        code = main(argv)
+        out, stderr = capsys.readouterr()
+        payload = json.loads(out)
+        VALIDATOR.validate(payload)
+        assert (code, stderr) == (1, "")
+        assert payload["pass"] is False
+        failed = next(p for p in payload["properties"] if p["name"] == "sector_completeness")
+        assert failed == {
+            "name": "sector_completeness",
+            "samples": 0,
+            "max_abs_residual": 0.0,
+            "max_rel_residual": 0.0,
+            "tolerance": 1e-10,
+            "pass": False,
+            "error": "ZeroDivisionError: float division by zero",
+        }
+        assert [p for p in payload["properties"] if p is not failed] == [
+            p for p in expected["properties"] if p["name"] != "sector_completeness"
+        ]
 
     @pytest.mark.parametrize("fault", ["fork fails", "helper killed"])
     def test_helper_fault_prints_the_unforked_report(self, capsys, monkeypatch, fault):

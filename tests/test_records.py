@@ -104,7 +104,7 @@ class TestReprAndVars:
         assert repr(Signature((1, -1))) == "Signature(squares=(1, -1))"
         assert repr(PropertyResult("p", 3, 0.0, 0.5, 1e-10, True)) == (
             "PropertyResult(name='p', samples=3, max_abs_residual=0.0, "
-            "max_rel_residual=0.5, tolerance=1e-10, passed=True)"
+            "max_rel_residual=0.5, tolerance=1e-10, passed=True, error=None)"
         )
 
     def test_vars_gives_the_fields_in_order(self):

@@ -1,6 +1,6 @@
 """Verification sweep tests: determinism, coverage, pass/fail wiring, blocking."""
 
-import itertools
+import json
 import math
 import os
 import pickle
@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import reduce
@@ -22,9 +23,9 @@ from fiberalg import fiber, verify
 from fiberalg.algebra import Signature, multiply_coeffs
 from fiberalg.cli import main
 from fiberalg.fiber import _fiber_sectors, _parts, _rated_parts, _sector_parts, _tangent_parts, fiber_component_basis
-from fiberalg.verify import _Draw, _embed_flat, _oracle, _sample_blocks, _worst_rel, run_verification
+from fiberalg.verify import _Draw, _embed_flat, _oracle, _sample_blocks, run_verification
 from replay_net import golden
-from test_cli import VERIFY_GOLDENS, child_env, forbid_products
+from test_cli import VALIDATOR, VERIFY_GOLDENS, child_env, forbid_products
 
 ROW_WIDTHS = [1, 2, 4, 9, 16]
 _SPECIAL_VALUES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308]
@@ -420,26 +421,30 @@ class TestHelper:
     # lift_round_trip, position 11 of ++, is the first ticket: the process
     # that takes it first runs it first.
     @pytest.mark.parametrize("first", ["helper", "caller"])
-    def test_exception_of_either_process_is_raised_by_the_caller(self, forks, take_first, monkeypatch, capsys, first):
+    def test_exception_of_either_process_fails_its_property(self, forks, take_first, monkeypatch, capsys, first):
         def boom(sig, blocks):
             raise ValueError("boom")
 
         monkeypatch.setattr(verify, "_lift_round_trip", boom)
         take_first(first)
-        with pytest.raises(ValueError, match="^boom$") as err:
-            run_verification("++", 3000, 0, 1e-10)
-        # raised by the caller's own run of the check, so its traceback ends in the check
-        assert err.traceback[-1].name == "boom"
-        assert verify._helper is None
-        self.assert_reaped(*forks)
-        with pytest.raises(SystemExit) as err:
-            main(["verify", "++", "3000", "0"])
+        report = run_verification("++", 3000, 0, 1e-10)
+        failed = check_result(report, "lift_round_trip")
+        assert (failed.samples, failed.max_abs_residual, failed.max_rel_residual) == (0, 0.0, 0.0)
+        assert (failed.passed, failed.error, report.passed) == (False, "ValueError: boom", False)
+        assert all(p.passed and p.error is None for p in report.properties if p is not failed)
+        if first == "helper":  # the helper leaves a check that raises to the caller, and dies of it
+            assert verify._helper is None
+            self.assert_reaped(*forks)
+        else:
+            self.assert_serving(*forks)
+        # a ValueError of a property is its failure, not a usage error
+        assert main(["verify", "++", "3000", "0"]) == 1
         out, stderr = capsys.readouterr()
-        assert err.value.code == 2
-        assert out == ""
-        assert stderr == "fiberalg: error: boom\n"
-        assert len(forks) == 2
-        self.assert_reaped(forks[1])
+        VALIDATOR.validate(json.loads(out))
+        assert stderr == ""
+        assert len(forks) == (2 if first == "helper" else 1)
+        assert report == self.unforked(monkeypatch, "++", 3000, 0, 1e-10)
+        self.assert_reaped(forks[-1])
 
     def test_exception_raised_in_the_helper_alone_leaves_the_report(self, forks, take_first, monkeypatch):
         caller, residuals = os.getpid(), verify._lift_round_trip
@@ -455,15 +460,16 @@ class TestHelper:
         self.assert_reaped(*forks)
         assert report == self.unforked(monkeypatch, "++", 3000, 0, 1e-10)
 
-    def test_exception_that_does_not_pickle_is_raised_as_itself(self, forks, take_first, monkeypatch):
+    def test_exception_that_does_not_pickle_fails_its_property(self, forks, take_first, monkeypatch):
+        # the helper pickles no exception, and the failure keeps only its type and message
         def raising(sig, blocks):
             raise TwoArguments("x", 3)
 
         monkeypatch.setattr(verify, "_lift_round_trip", raising)
         take_first("helper")
-        with pytest.raises(TwoArguments, match="^x = 3$") as err:
-            run_verification("++", 3000, 0, 1e-10)
-        assert err.value.value == 3
+        failed = check_result(run_verification("++", 3000, 0, 1e-10), "lift_round_trip")
+        assert (failed.passed, failed.error) == (False, "TwoArguments: x = 3")
+        assert pickle.loads(pickle.dumps(failed)) == failed
         self.assert_reaped(*forks)
 
     @pytest.mark.parametrize("when", ["at the job", "after one result"])
@@ -677,34 +683,6 @@ class TestReportShape:
             assert np.isfinite(p.max_rel_residual)
 
 
-def test_worst_rel_has_the_bits_of_the_max_of_a_masked_divide():
-    # _run_check divides once where every scale is positive; the reference
-    # divides only where a scale is positive and sets the other rows.
-    def masked(diff, scale):
-        diff = np.abs(diff)
-        hot = np.asarray(scale) > 0
-        out = np.divide(diff, scale, out=np.zeros_like(diff), where=hot)
-        np.copyto(out, np.inf, where=~hot & (diff > 0))
-        return out
-
-    special = [0.0, -0.0, 1e-300, 5e-324, 1.0, -1.0, 1e300, np.inf, -np.inf, np.nan]
-    grid = [np.array(v) for v in zip(*itertools.product(special, repeat=2))]
-    rng = np.random.default_rng(7)
-    cases = [(np.array([d]), np.array([s])) for d, s in zip(*grid)]
-    cases += [(np.array(special), np.full(len(special), s)) for s in special]
-    cases += [(np.array(special), 1.0), (rng.uniform(-1, 1, 50), 1.0), tuple(grid)]
-    cases.append(tuple(np.random.default_rng(5).uniform(0.5, 2.0, (2, 100))))
-    for _ in range(200):
-        diff = rng.uniform(-1e3, 1e3, 20)
-        diff[rng.integers(0, 20, 2)] = rng.choice(special, 2)
-        cases.append((diff, rng.uniform(1e-3, 1e3, 20)))
-    # _run_check's own errstate: 0 / 0, 1 / 0 and inf / inf; 1e300 / 5e-324 overflows
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for diff, scale in cases:
-            diff = np.abs(diff)  # as _run_check passes it
-            assert _worst_rel(diff, scale).tobytes() == np.max(masked(diff, scale)).tobytes(), (diff, scale)
-
-
 def bits(value) -> bytes:
     return np.float64(value).tobytes()
 
@@ -721,7 +699,12 @@ def run_terms(monkeypatch, *terms):
 
 
 class TestFold:
-    """``_run_check`` takes ``|diff|`` and folds a ``(k, rows)`` diff to its row maximum."""
+    """``_run_check`` divides each term's block once, in place, against its positive scale.
+
+    The worst ``|diff|`` and ``|diff| / scale`` of a whole ``(rows,)`` or
+    ``(k, rows)`` block have the bits of ``np.max`` of its row maxima, in
+    either layout, NaN included.
+    """
 
     @pytest.mark.parametrize("width", ROW_WIDTHS)
     def test_a_row_has_the_bits_of_np_max_on_absolute_values(self, width, monkeypatch):
@@ -754,6 +737,42 @@ class TestFold:
             result = run_terms(monkeypatch, *terms)
             assert np.isnan(result.max_abs_residual) and np.isnan(result.max_rel_residual)
             assert not result.passed
+
+    def test_a_zero_scale_fails_its_row(self, monkeypatch):
+        # every scale a check yields is positive (test_every_scale_is_finite_and_positive): 0 / 0 reads NaN
+        result = run_terms(monkeypatch, (np.zeros(3), np.array([1.0, 0.0, 1.0])))
+        assert result.max_abs_residual == 0.0
+        assert np.isnan(result.max_rel_residual) and not result.passed
+        result = run_terms(monkeypatch, (np.array([0.0, -2.0, 0.0]), np.array([1.0, 0.0, 1.0])))
+        assert (result.max_abs_residual, result.max_rel_residual, result.passed) == (2.0, np.inf, False)
+
+    def test_a_block_is_freed_before_the_check_builds_the_next(self, monkeypatch):
+        # a diff held one block longer cost sector_completeness at ++ about 3700 minor faults a sweep
+        refs = []
+
+        def tracked(*terms):
+            refs.extend(weakref.ref(diff) for diff, _ in terms)
+            return list(terms)
+
+        def check(sig, blocks):
+            for _ in blocks:
+                assert all(ref() is None for ref in refs), "a diff of the last block is alive"
+                yield tracked((np.ones(3), 1.0), (np.ones((2, 3)), np.ones(3)))
+
+        monkeypatch.setattr(verify, "_checks_for", lambda sig: [("fold", (), check, None)])
+        result = verify._run_check((Signature((1,)), 3 * verify._block_rows(Signature((1,))), 0, 1e-10), 0, caught=())
+        assert (result.samples, len(refs)) == (9, 6)
+
+
+@pytest.mark.parametrize("signature", ["+", "++", "-", "-+", "+-+"])
+def test_every_scale_is_finite_and_positive(signature):
+    # the contract of a check: _run_check divides by each scale with no mask
+    sig = Signature.from_string(signature)
+    for position, (name, draws, residuals, _) in enumerate(verify._checks_for(sig)):
+        for terms in residuals(sig, _sample_blocks(sig, (0, position), 64, draws)):
+            for _, scale in terms:
+                scale = np.asarray(scale)
+                assert np.isfinite(scale).all() and (scale > 0).all(), name
 
 
 @pytest.mark.parametrize("signature", ["+", "++", "-", "-+"])
