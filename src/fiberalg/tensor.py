@@ -114,13 +114,11 @@ class ComponentBasis(_Record, eq=False):
 
     def components(self, t: AlgebraElement) -> dict[str, float]:
         self._require_doubled(t)
-        vec = self._dual @ t.coeffs.astype(np.float64)
-        return {name: float(value) for name, value in zip(self.names, vec)}
+        coeffs = t.coeffs.astype(np.float64).tolist()
+        # Left to right over each dual row's nonzeros: the same bits on every host, where a gemv adds in its kernel's order.
+        rows = self._dual.tolist()
+        return {name: float(sum(w * coeffs[i] for i, w in enumerate(row) if w)) for name, row in zip(self.names, rows)}
 
     def components_batch(self, flat_grids: np.ndarray) -> np.ndarray:
         """Components for a batch of tensor coefficient rows (N, dim**2)."""
-        # Against the transposed (F-order) view, OpenBLAS gives every row
-        # the same bits in a batch of any two or more rows, which the
-        # blocked verify sweeps rely on; a C-contiguous copy of the
-        # transpose did not.
         return flat_grids @ self._dual.T

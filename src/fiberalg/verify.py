@@ -103,14 +103,13 @@ its blocks; the loop runs basis axis first, so it reads them without a
 copy and returns the transpose of a coefficient-major block.  It reads
 each term's partner rows as a view of the block and holds no table, so
 a product needs its result and one term of the same size.  The BLAS
-calls (``components_batch``, the span reconstruction of ``_oracle`` and
-the matmul of ``_sector_completeness`` by each sector's multiplication
-matrix) get the F-ordered transpose of a coefficient-major block; on OpenBLAS a
-matrix product of two or more rows gives each row the bits of the
-C-ordered full product.  A one-row product takes numpy's vector path and
-may round differently, so no block has one row unless the whole sweep
-has.  The tests replay the replay net's verify lines at several block
-sizes, and check the row bits of the transposed views, to check both.
+products (``components_batch``, the span reconstruction of ``_oracle``
+and the matmul of ``_sector_completeness`` by each sector's
+multiplication matrix) round by the kernel and the rows of the call, so
+both checks first round each drawn block to the grid of ``_on_grid``.
+On it every product, closed form and reconstruction is exact, so both
+residuals are exactly 0 on any BLAS, in any block, and a nonzero one is
+a broken identity, not rounding.
 """
 
 from __future__ import annotations
@@ -155,7 +154,7 @@ __all__ = ["PropertyResult", "VerificationReport", "run_verification"]
 COEFF_RANGE = 10.0
 LOOP_CAP = 20000
 # Values of x (x) x per block: 2048 rows at two generators, 8 at six.
-# At most 2049 rows at dim 4 keep each 16 x 16 matmul of _sector_completeness
+# At most 2048 rows at dim 4 keep each 16 x 16 matmul of _sector_completeness
 # on OpenBLAS's small-matrix path (M*N*K < 10**6).  Off it the product is four
 # times slower (225 us at 4096 rows against 50 us for two 2048-row halves), and
 # OpenBLAS runs its thread pool, which costs more in the forked sweeps: with
@@ -231,17 +230,8 @@ def _coeffs(width: int) -> _Draw:
     return _Draw("uniform", -COEFF_RANGE, COEFF_RANGE, (width,))
 
 
-def _block_bounds(samples: int, rows: int):
-    """Yield ``(lo, hi)`` of each block; a one-row tail joins the block before it."""
-    lo = 0
-    while lo < samples:
-        hi = samples if samples - lo <= rows + 1 else lo + rows
-        yield lo, hi
-        lo = hi
-
-
 def _block_rows(sig: Signature) -> int:
-    return max(2, BLOCK_VALUES // sig.dim**2)
+    return max(1, BLOCK_VALUES // sig.dim**2)
 
 
 def _sample_blocks(sig: Signature, key: tuple[int, ...], samples: int, draws):
@@ -255,8 +245,16 @@ def _sample_blocks(sig: Signature, key: tuple[int, ...], samples: int, draws):
     no array's values depend on another array's shape or rows.
     """
     streams = [(draw, np.random.default_rng([*key, k])) for k, draw in enumerate(draws)]
-    for lo, hi in _block_bounds(samples, _block_rows(sig)):
-        yield lo, [np.ascontiguousarray(draw.take(rng, hi - lo).T) for draw, rng in streams]
+    rows = _block_rows(sig)
+    for lo in range(0, samples, rows):
+        yield lo, [np.ascontiguousarray(draw.take(rng, min(rows, samples - lo)).T) for draw, rng in streams]
+
+
+def _on_grid(x: np.ndarray) -> np.ndarray:
+    # x to a multiple of 2**-17.  Below COEFF_RANGE each x_S x_T is then a multiple of 2**-34 under 2**7; the dual,
+    # the span tensors and the sector matrices hold only 0 and powers of two from 2**-3 to 1, at most eight a row or
+    # column, so every sum of the BLAS checks is a multiple of 2**-37 under 2**12: exact, on any kernel, in any order.
+    return np.rint(x * 2.0**17) * 2.0**-17
 
 
 def _embed_flat(x: np.ndarray) -> np.ndarray:
@@ -318,6 +316,7 @@ def _sector_completeness(sig: Signature, blocks):
     eye = np.eye(doubled.dim)
     matrices = [np.ascontiguousarray(multiply_coeffs(doubled, eye, p.coeffs)) for p in _fiber_sectors(sig)]
     for _, (x,) in blocks:
+        x = _on_grid(x)
         flat = _embed_flat(x)
         # Row-major like each product, so every add runs over contiguous memory.
         total = np.zeros(flat.shape[::-1])
@@ -332,6 +331,7 @@ def _oracle(sig: Signature, blocks):
     basis = fiber_component_basis(sig)
     tensors = np.stack([t.coeffs for t in basis.tensors])
     for _, (x,) in blocks:
+        x = _on_grid(x)
         flat = _embed_flat(x)
         comps = basis.components_batch(flat.T)
         parts = _parts(x)

@@ -2,7 +2,8 @@
 
 README's Scripts section lists every script, and no other.  The replay
 net prints the lines that ``tests/golden/replay.txt`` holds, also with
-numpy's SIMD dispatch held below AVX-512.
+numpy's SIMD dispatch held below AVX-512 and on two OpenBLAS kernels of
+hosts without it.
 """
 
 import re
@@ -52,8 +53,30 @@ def test_replay_prints_the_committed_lines():
     assert_prints_the_net(run_script("replay.py"))
 
 
-@pytest.mark.skipif("X86_V4" not in __cpu_dispatch__, reason="numpy's dispatch does not list X86_V4")
-@pytest.mark.skipif(not __cpu_features__.get("X86_V4"), reason="X86_V4 is off: the host lacks it or it is disabled")
-def test_replay_prints_the_committed_lines_below_avx512():
-    # numpy's own SIMD cosh and sinh round unlike libm's, so a transcendental in a sweep would move report bytes
-    assert_prints_the_net(run_script("replay.py", env=BELOW_AVX512))
+@pytest.mark.parametrize(
+    "env, core",
+    [
+        # numpy's own SIMD cosh and sinh round unlike libm's, so a transcendental in a sweep would move report bytes
+        pytest.param(
+            BELOW_AVX512,
+            None,
+            marks=[
+                pytest.mark.skipif("X86_V4" not in __cpu_dispatch__, reason="numpy's dispatch does not list X86_V4"),
+                pytest.mark.skipif(
+                    not __cpu_features__.get("X86_V4"), reason="X86_V4 is off: the host lacks it or it is disabled"
+                ),
+            ],
+            id="numpy",
+        ),
+        # OpenBLAS kernels of hosts without AVX-512 (an AMD Zen host runs Haswell's); OpenBLAS names its
+        # Prescott kernel by Katmai, an alias that it lists first.
+        pytest.param({"OPENBLAS_CORETYPE": "Haswell"}, "Haswell", id="haswell"),
+        pytest.param({"OPENBLAS_CORETYPE": "Prescott"}, "Katmai", id="prescott"),
+    ],
+)
+def test_replay_prints_the_committed_lines_below_avx512(env, core):
+    result = run_script("replay.py", env=env)
+    assert result.returncode == 0, result.stderr
+    if core is not None and f"OpenBLAS {core}" not in result.stdout.partition("\n")[0]:
+        pytest.skip(f"the header names no OpenBLAS {core}: this OpenBLAS is no DYNAMIC_ARCH build")
+    assert_prints_the_net(result)

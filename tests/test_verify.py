@@ -23,7 +23,7 @@ from fiberalg import fiber, verify
 from fiberalg.algebra import Signature, multiply_coeffs
 from fiberalg.cli import main
 from fiberalg.fiber import _fiber_sectors, _parts, _rated_parts, _sector_parts, _tangent_parts, fiber_component_basis
-from fiberalg.verify import _Draw, _embed_flat, _oracle, _sample_blocks, run_verification
+from fiberalg.verify import _Draw, _embed_flat, _on_grid, _oracle, _sample_blocks, run_verification
 from replay_net import golden
 from test_cli import VALIDATOR, VERIFY_GOLDENS, child_env, forbid_products
 
@@ -49,14 +49,6 @@ def span_gap(basis, rows: np.ndarray) -> np.ndarray:
     span = basis.components_batch(rows) @ np.stack([t.coeffs for t in basis.tensors])
     np.subtract(rows, span, out=span)
     return np.max(np.abs(span, out=span), axis=1)
-
-
-def _on_openblas() -> bool:
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    except (TypeError, KeyError):  # numpy before 1.25 prints its config only
-        return False
-    return "openblas" in blas.lower()
 
 
 def names(report):
@@ -193,7 +185,7 @@ class TestCountingChecks:
         k, samples = 3, 80
         monkeypatch.setattr(verify, "BLOCK_VALUES", 160)  # 10 rows a block at two generators
         sig = Signature.from_string("++")
-        blocks = len(list(verify._block_bounds(samples // 2, verify._block_rows(sig))))
+        blocks = len(range(0, samples // 2, verify._block_rows(sig)))
         assert blocks >= 3
         assert check_result(run_verification(sig, samples, 3, 1e-10), "min_action_equivalence").max_abs_residual == 0
         flags = verify._min_action_flags
@@ -781,6 +773,7 @@ def test_oracle_yields_the_signed_closed_form_and_span_gaps(signature):
     basis = fiber_component_basis(sig)
     x = np.random.default_rng(6).uniform(-10, 10, (sig.dim, 50))
     [[(closed_gap, scale), (span, span_scale)]] = _oracle(sig, [(0, [x])])
+    x = _on_grid(x)
     flat = _embed_flat(x).T
     parts = _parts(x)
     components = basis.components_batch(flat)
@@ -793,9 +786,10 @@ def test_oracle_yields_the_signed_closed_form_and_span_gaps(signature):
 
 # The checks whose diffs are polynomials in their draws, exactly 0 on rows of Fractions, and the turn
 # at one generator.  The rest stay float-only: at two generators only the turn's np.sqrt cross scale
-# is (TestTurnLaw checks its gaps exactly), oracle_equivalence and sector_completeness multiply by
-# float matrices, max_speed is an inequality on |vec|, and projector_algebra, the minimum-action
-# checks and lift_round_trip build their elements, flags or roots in floats.
+# is (TestTurnLaw checks its gaps exactly), oracle_equivalence and sector_completeness round their
+# draws to verify._on_grid, on which they are exact in floats (test_blas_checks_are_exact_on_drawn_rows),
+# max_speed is an inequality on |vec|, and projector_algebra, the minimum-action checks and
+# lift_round_trip build their elements, flags or roots in floats.
 EXACT_BY_SIGNATURE = {
     "+": ["product_laws", "embed_homomorphism", "tangent_norm_identity", "boost_invariance"],
     "++": ["product_laws", "embed_homomorphism", "norm_identities", "cross_square_identities"],
@@ -820,6 +814,26 @@ def test_polynomial_checks_are_exact_on_dyadic_fraction_rows(signature):
                 assert all(v == 0 for v in values), name
             checked.append(name)
     assert checked == EXACT_BY_SIGNATURE[signature]
+
+
+@pytest.mark.parametrize("signature", ["+", "++", "-", "-+"])
+def test_blas_checks_are_exact_on_drawn_rows(signature):
+    # On the grid every BLAS product is exact, so a nonzero diff is a broken identity, not rounding.
+    sig = Signature.from_string(signature)
+    names = ["oracle_equivalence"] if sig.n == 1 else ["sector_completeness", "oracle_equivalence"]
+    checks = [(position, check) for position, check in enumerate(verify._checks_for(sig)) if check[0] in names]
+    assert [name for _, (name, *_) in checks] == names
+    for position, (name, draws, residuals, _) in checks:
+        for terms in residuals(sig, _sample_blocks(sig, (0, position), 5000, draws)):
+            for diff, _ in terms:
+                assert not np.any(diff), name
+
+
+def test_a_sign_error_in_the_sector_parts_fails_the_oracle(monkeypatch):
+    # cb + da where cb - da belongs, in the closed forms that the oracle reads through fiber._parts
+    monkeypatch.setattr(fiber, "_sector_parts", lambda *x: (f := _sector_parts(*x))._replace(c_minus_e12=f.c_plus_e1))
+    result = check_result(run_verification("++", 50, 0, 1e-10), "oracle_equivalence")
+    assert not result.passed and result.max_rel_residual > 0.1
 
 
 def test_a_sign_error_in_the_sector_parts_fails_the_exact_test(monkeypatch):
@@ -868,7 +882,7 @@ class TestBlocks:
         # An integers array draws 32-bit halves, and a block of 7 rows leaves
         # a spare half that the next block of the array takes first.
         blocks = self.blocks(self.DRAWS, monkeypatch)
-        assert [lo for lo, _ in blocks] == list(range(0, 1001, 7))  # the one-row tail joins the last block
+        assert [lo for lo, _ in blocks] == list(range(0, 1002, 7))
         for k, draw in enumerate(self.DRAWS):
             expected = draw.take(np.random.default_rng([4, 2, k]), 1002)
             got = np.concatenate([arrays[k] for _, arrays in blocks], axis=-1)
@@ -884,24 +898,21 @@ class TestBlocks:
             for k in range(1, len(old)):
                 assert np.array_equal(new[k], old[k])
 
-    @pytest.mark.skipif(not _on_openblas(), reason="row bits are checked against OpenBLAS only")
     @pytest.mark.parametrize("signature", ["+", "++", "-", "-+"])
     def test_products_give_each_row_the_same_bits_in_any_block(self, signature):
-        # A guard of the same-bytes-at-any-block-size claim on OpenBLAS, not
-        # of the identities: BLAS does not promise that a row's bits are the
-        # same in any block.  A full product of 20000 rows or more may take
-        # another OpenBLAS path (with a C-contiguous dual it does).  The
-        # sweeps hand each kernel the F-ordered transpose of a
-        # coefficient-major block, which must give the C-ordered rows' bits.
+        # A guard of the same-bytes-at-any-block-size claim on any BLAS: the
+        # sweeps hand each kernel grid rows (verify._on_grid), on which every
+        # product is exact, so a row has the same bits in a full product of
+        # 20000 rows, in a block of any size and in a one-row vector product,
+        # on C-ordered rows and on the transpose of a coefficient-major block.
         sig = Signature.from_string(signature)
         basis = fiber_component_basis(sig)
-        x = np.random.default_rng(3).uniform(-10, 10, (20160, sig.dim))
+        x = _on_grid(np.random.default_rng(3).uniform(-10, 10, (20160, sig.dim)))
         coeff_major = _embed_flat(np.ascontiguousarray(x.T))
         flat = np.ascontiguousarray(coeff_major.T)
-        kernels = [
-            basis.components_batch,
-            lambda rows: span_gap(basis, rows),
-        ]
+        tensors = np.stack([t.coeffs for t in basis.tensors])
+        # the span reconstruction of _oracle
+        kernels = [basis.components_batch, lambda rows: basis.components_batch(rows) @ tensors]
         if sig.n == 2:
             # _sector_completeness' matmul by each sector's multiplication matrix
             doubled = sig.doubled()
@@ -913,10 +924,10 @@ class TestBlocks:
             ]
         for kernel in kernels:
             full = kernel(flat)
-            for rows in (7, 4096):
+            for rows in (1, 7, 4096):
                 blocks = [kernel(flat[lo : lo + rows]) for lo in range(0, len(flat), rows)]
                 assert np.array_equal(np.concatenate(blocks), full)
-            for rows in (2, 7, 4096):
+            for rows in (2, 7, 4096):  # one row reads the same in either layout
                 blocks = [
                     kernel(np.ascontiguousarray(coeff_major[:, lo : lo + rows]).T)
                     for lo in range(0, len(flat), rows)
@@ -959,12 +970,12 @@ class TestBlocks:
         assert run_verification(signature, samples, 5, 1e-10).to_dict() == default
 
     def test_sector_blocks_stay_on_the_small_gemm_path(self):
-        # A two-generator block holds at most BLOCK_VALUES // 16 + 1 rows, and
+        # A two-generator block holds at most BLOCK_VALUES // 16 rows, and
         # _sector_completeness multiplies it by 16 x 16 matrices.  OpenBLAS
         # leaves its small-matrix path above M*N*K = 10**6: the product is
         # four times slower there, and it runs OpenBLAS's thread pool, which
         # costs more still in the forked sweeps (see verify.BLOCK_VALUES).
-        assert (verify.BLOCK_VALUES // 16 + 1) * 16 * 16 < 10**6
+        assert verify.BLOCK_VALUES // 16 * 16 * 16 < 10**6
 
     def test_memory_bounded_in_samples(self, monkeypatch):
         # Every check runs here: run_verification would run some of them in
